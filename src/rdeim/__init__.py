@@ -67,7 +67,9 @@ from .bounds import (
     leverage_constant,
     min_power_iterations,
     perturbed_basis_bound,
+    perturbed_bounds,
     perturbed_pair_bound,
+    plain_bounds,
     rsvd_expected_error,
     srrqr_constant,
     wedin_angle_bound,

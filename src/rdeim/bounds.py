@@ -34,6 +34,41 @@ def _as_f(f, n):
     return f
 
 
+def plain_bounds(W, F, error_constant):
+    """Baseline bound ||D||_2 ||(I - W W') f|| for each column f of F.
+
+    W is the (n, r) orthonormal basis of the projector and F an (n, k)
+    block; error_constant is ||D||_2, computed once by the caller.
+
+    Returns
+    -------
+    (bound, best) : ndarrays of shape (k,)
+        The bounds and the best approximation errors out of span(W).
+    """
+    best = np.linalg.norm(F - W @ (W.T @ F), axis=0)
+    return error_constant * best, best
+
+
+def perturbed_bounds(W_ref, F, error_constant, sin_theta_max):
+    """Perturbed-basis bound ||D_hat||_2 (||(I - P_W) f|| + sin(theta_max) ||P_W f||)
+    for each column f of F.
+
+    W_ref is the (n, r) orthonormal reference basis, F an (n, k) block;
+    error_constant is ||D_hat||_2 and sin_theta_max the largest canonical
+    angle sine between span(W_ref) and the projector's basis, both
+    computed once by the caller.
+
+    Returns
+    -------
+    (bound, orth, proj) : ndarrays of shape (k,)
+        The bounds, ||(I - P_W) f|| and ||P_W f||.
+    """
+    P_f = W_ref @ (W_ref.T @ F)
+    orth = np.linalg.norm(F - P_f, axis=0)
+    proj = np.linalg.norm(P_f, axis=0)
+    return error_constant * (orth + sin_theta_max * proj), orth, proj
+
+
 def interpolation_error_bound(P, f):
     """Baseline projection bound ||f - D f|| <= ||D|| ||(I - W W') f||.
 
@@ -42,14 +77,13 @@ def interpolation_error_bound(P, f):
     amplify it.
     """
     f = _as_f(f, P.selection.n)
-    W = P.basis
-    best = float(np.linalg.norm(f - W @ (W.T @ f)))
     const = P.error_constant()
+    bound, best = plain_bounds(P.basis, f[:, None], const)
     actual = float(np.linalg.norm(f - P.apply(f)))
     return BoundReport(
         actual_error=actual,
-        bound_value=const * best,
-        constants={"error_constant": const, "best_approx_error": best},
+        bound_value=float(bound[0]),
+        constants={"error_constant": const, "best_approx_error": float(best[0])},
         inputs={"rank": P.rank, "points": P.selection.s, "mode": P.mode},
     )
 
@@ -68,25 +102,23 @@ def perturbed_basis_bound(P_hat, W_ref, f):
         raise ValueError(
             f"reference basis shape {Wm.shape} does not match projector basis {P_hat.basis.shape}"
         )
-    ang = canonical_angles(Wm, P_hat.basis)
-    proj = Wm @ (Wm.T @ f)
-    orth_norm = float(np.linalg.norm(f - proj))
-    proj_norm = float(np.linalg.norm(proj))
+    sin_max = canonical_angles(Wm, P_hat.basis).sin_theta_max
     const = P_hat.error_constant()
-    bound = const * (orth_norm + ang.sin_theta_max * proj_norm)
+    bound, orth, proj = perturbed_bounds(Wm, f[:, None], const, sin_max)
+    orth_norm, proj_norm = float(orth[0]), float(proj[0])
     actual = float(np.linalg.norm(f - P_hat.apply(f)))
     if proj_norm == 0.0:
         kappa = const
     elif orth_norm == 0.0:
-        kappa = math.inf if ang.sin_theta_max > 0.0 else const
+        kappa = math.inf if sin_max > 0.0 else const
     else:
-        kappa = (1.0 + ang.sin_theta_max * proj_norm / orth_norm) * const
+        kappa = (1.0 + sin_max * proj_norm / orth_norm) * const
     return BoundReport(
         actual_error=actual,
-        bound_value=bound,
+        bound_value=float(bound[0]),
         constants={
             "error_constant": const,
-            "sin_theta_max": ang.sin_theta_max,
+            "sin_theta_max": sin_max,
             "orthogonal_part": orth_norm,
             "projected_part": proj_norm,
             "kappa": kappa,

@@ -160,14 +160,15 @@ def _cmd_select(args):
             S = leverage_select(W, pmf, count, args.seed)
         else:
             _, _, S = hybrid_select(W, pmf, count, eta=args.eta, seed=args.seed)
+    # building the projector verifies the selection exposes full rank;
+    # a degenerate selection fails here, before anything is written
+    build_projector(OrthonormalBasis(W, "exact-svd"), S)
     table = ResultTable(
         columns=("position", "index", "weight"),
         rows=[(k, int(S.indices[k]), float(S.weights[k])) for k in range(S.s)],
         summary={},
     )
     emit_csv(table, args.out)
-    # building the projector verifies the selection exposes full rank
-    build_projector(OrthonormalBasis(W, "exact-svd"), S)
     print(f"wrote {S.s} points ({kind}) to {args.out}")
     return 0
 

@@ -37,11 +37,13 @@ class DeimProjector:
     def apply(self, f):
         """Evaluate D f.
 
-        f may be a full length-n vector or a callable mapping an index
-        array to the corresponding components, in which case only the s
-        selected components are ever evaluated.
+        f may be a length-n vector, an (n, k) block whose columns are
+        projected together, or a callable mapping an index array to the
+        corresponding components, in which case only the s selected
+        components are ever evaluated.
         """
         idx = self.selection.indices
+        n = self.selection.n
         if callable(f):
             vals = np.asarray(f(idx), dtype=np.float64)
             if vals.shape != idx.shape:
@@ -49,23 +51,28 @@ class DeimProjector:
             y = self.selection.weights * vals
         else:
             f = np.asarray(f, dtype=np.float64)
-            if f.shape != (self.selection.n,):
-                raise ValueError(f"f must have shape ({self.selection.n},), got {f.shape}")
+            if f.ndim not in (1, 2) or f.shape[0] != n:
+                raise ValueError(f"f must have shape ({n},) or ({n}, k), got {f.shape}")
             y = self.selection.restrict(f)
-        c = self.cross_v @ ((self.cross_u.T @ y) / self.cross_s)
+        sigma = self.cross_s if y.ndim == 1 else self.cross_s[:, None]
+        c = self.cross_v @ ((self.cross_u.T @ y) / sigma)
         return self.basis @ c
 
     def error_constant(self):
         """Exact ||D||_2, computed as the spectral norm of (S' W)^+ S'.
 
         Left-multiplying by the orthonormal W does not change the norm, so
-        the n-by-n operator never has to be formed.
+        the n-by-n operator never has to be formed. The nonzero columns of
+        (S' W)^+ S' sit at the distinct selected rows, each the sum of the
+        weighted columns of (S' W)^+ drawn at that row, so the norm is that
+        of an r-by-u matrix with u <= s distinct rows.
         """
         G = self.cross_v @ (self.cross_u.T / self.cross_s[:, None])  # (S'W)^+, r x s
         scaled = G * self.selection.weights[None, :]
-        full = np.zeros((self.selection.n, self.rank))
-        np.add.at(full, self.selection.indices, scaled.T)
-        return spectral_norm(full.T)
+        rows, where = np.unique(self.selection.indices, return_inverse=True)
+        merged = np.zeros((rows.size, self.rank))
+        np.add.at(merged, where, scaled.T)  # repeated draws of one row add up
+        return spectral_norm(merged)
 
     def error_constant_product(self):
         """Upper bound ||(S' W)^+||_2 * ||S||_2 on the error constant."""

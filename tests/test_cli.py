@@ -56,6 +56,20 @@ def test_select_rejects_skew_basis(tmp_path, capsys):
     assert "rdeim select" in err and "orthonormal" in err
 
 
+def test_select_rank_deficient_writes_nothing(tmp_path, capsys):
+    # all leverage sits on rows 0..3, and the four draws at seed 0 miss one
+    basis = tmp_path / "e.rdmx"
+    write_matrix(basis, np.eye(60)[:, :4])
+    points = tmp_path / "pts.csv"
+    rc = main(
+        ["select", "--basis-file", str(basis), "--select", "leverage",
+         "--samples", "4", "--seed", "0", "--out", str(points)]
+    )
+    assert rc == 1
+    assert "rank deficient" in capsys.readouterr().err
+    assert not points.exists()
+
+
 def test_select_leverage_weights(tmp_path):
     basis = tmp_path / "w.rdmx"
     W, _ = np.linalg.qr(random_matrix(60, 5, seed=1))

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rdeim import bounds, experiments
+from rdeim.bounds import interpolation_error_bound, perturbed_basis_bound
 from rdeim.experiments import (
     SCALES,
     SOURCE_RANGES,
+    SWEEP_BLOCK,
     ExperimentSpec,
     SnapshotSet,
     bench_basis,
@@ -21,7 +24,7 @@ from rdeim.experiments import (
     source_test_points,
 )
 from rdeim.matio import emit_csv
-from rdeim.projector import build_projector
+from rdeim.projector import DeimProjector, build_projector
 from rdeim.rangefinder import svd_basis
 from rdeim.selection import SelectionOperator, deim_greedy_select
 
@@ -230,6 +233,75 @@ def test_error_sweep_bounds_dominate():
         assert row[4] >= abs_err - 1e-12  # plain
         assert row[5] >= abs_err - 1e-12  # perturbed
         assert row[6] == 0.0  # reference equals the basis itself
+
+
+def _bounded_desk_sweep(example):
+    """A desk-scale randomized-basis projector, its reference and its sweep."""
+    spec = ExperimentSpec(example=example, rank=10, basis="subspace", selector="pqr", oversample=5)
+    snaps = generate(spec)
+    basis = build_basis(snaps.matrix, spec)
+    P = build_projector(basis, select_points(basis, spec))
+    reference = svd_basis(snaps.matrix, basis.rank)
+    return snaps, P, reference, error_sweep(P, snaps, reference_basis=reference)
+
+
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_error_sweep_matches_per_vector_bounds(example):
+    snaps, P, reference, table = _bounded_desk_sweep(example)
+    # more than one block, the last one partial
+    assert snaps.matrix.shape[1] > SWEEP_BLOCK and snaps.matrix.shape[1] % SWEEP_BLOCK
+    assert len(table.rows) == snaps.matrix.shape[1]
+    for j, row in enumerate(table.rows):
+        f = snaps.matrix[:, j]
+        plain = interpolation_error_bound(P, f)
+        pert = perturbed_basis_bound(P, reference, f)
+        assert row[0] == j
+        assert row[2] == pytest.approx(np.linalg.norm(f - P.apply(f)), rel=1e-12)
+        assert row[4] == pytest.approx(plain.bound_value, rel=1e-12)
+        assert row[5] == pytest.approx(pert.bound_value, rel=1e-12)
+        assert row[6] == pytest.approx(pert.constants["sin_theta_max"], rel=1e-12)
+    assert table.summary["basis_sin_theta_max"] == row[6]
+    assert table.summary["error_constant"] == P.error_constant()
+
+
+def _counting(monkeypatch, name, *owners):
+    """Count the calls made through owner.name, for every owner, in one list."""
+    calls = []
+    for owner in owners:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(None)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_s", [12, SWEEP_BLOCK, 3 * SWEEP_BLOCK + 5])
+def test_error_sweep_computes_invariants_once(monkeypatch, n_s):
+    A, _ = gap_matrix(80, n_s, rank=5, gamma=0.1, seed=2)
+    snaps = SnapshotSet(matrix=A, params=np.arange(n_s)[:, None], param_names=("k",), space={})
+    W = svd_basis(A, 5)
+    P = build_projector(W, deim_greedy_select(W))
+    constants = _counting(monkeypatch, "error_constant", DeimProjector)
+    angles = _counting(monkeypatch, "canonical_angles", experiments)
+    table = error_sweep(P, snaps, reference_basis=W)
+    assert len(table.rows) == n_s
+    assert (len(constants), len(angles)) == (1, 1)
+    error_sweep(P, snaps)
+    assert (len(constants), len(angles)) == (2, 1)
+
+
+def test_run_experiment_computes_angles_once(monkeypatch):
+    angles = _counting(monkeypatch, "canonical_angles", experiments, bounds)
+    spec = ExperimentSpec(
+        example="corner", rank=5, basis="basic", with_bounds=True,
+        overrides={"grid": 10, "param_grid": 5},
+    )
+    table = run_experiment(spec)
+    assert len(angles) == 1
+    assert table.summary["basis_sin_theta_max"] == table.rows[0][6]
 
 
 def test_run_experiment_deterministic(tmp_path):

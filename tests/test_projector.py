@@ -149,6 +149,24 @@ def test_apply_callable_shape_check():
         P.apply(np.ones(21))
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_apply_block_matches_columns(sampled):
+    _, P = _sampled_projector(30, 4, s=18, seed=3) if sampled else _interp_projector(30, 4, seed=3)
+    F = random_matrix(30, 7, seed=9)
+    G = P.apply(F)
+    assert G.shape == (30, 7)
+    for k in range(7):
+        assert np.allclose(G[:, k], P.apply(F[:, k]), rtol=1e-13, atol=1e-14)
+    assert P.apply(F[:, :0]).shape == (30, 0)
+
+
+@pytest.mark.parametrize("shape", [(31,), (29, 3), (3, 30), (30, 2, 2), ()])
+def test_apply_rejects_other_shapes(shape):
+    _, P = _interp_projector(30, 4, seed=3)
+    with pytest.raises(ValueError):
+        P.apply(np.ones(shape))
+
+
 # ------------------------------------------------------------ error constant
 
 
@@ -157,6 +175,13 @@ def test_error_constant_matches_dense_norm(seed):
     _, P = _sampled_projector(26, 4, s=13, seed=seed)
     assert P.error_constant() == pytest.approx(spectral_norm(P.dense()), rel=1e-10)
     assert error_constant(P) == P.error_constant()
+
+
+def test_error_constant_merges_repeated_rows():
+    # 40 draws over 26 rows must repeat some row
+    _, P = _sampled_projector(26, 4, s=40, seed=1)
+    assert np.unique(P.selection.indices).size < P.selection.s
+    assert P.error_constant() == pytest.approx(spectral_norm(P.dense()), rel=1e-10)
 
 
 def test_error_constant_unit_square_case():

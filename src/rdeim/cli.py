@@ -9,14 +9,12 @@ commands exit 0 on success and nonzero with a message on stderr otherwise.
 import argparse
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
+from ._util import check_orthonormal
 from .exceptions import RdeimError
 from .experiments import ExperimentSpec, bench_basis, generate, run_experiment
 from .matio import ResultTable, emit_csv, read_matrix, write_matrix
 from .projector import build_projector
-from .rangefinder import OrthonormalBasis
 from .selection import (
     deim_greedy_select,
     hybrid_select,
@@ -27,8 +25,6 @@ from .selection import (
     practical_sample_count,
     srrqr_select,
 )
-
-_BASIS_TOL = 1e-8
 
 
 def _add_common(p):
@@ -45,8 +41,6 @@ def _spec_args(p, basis=True, selector=True):
     p.add_argument("--max-blocks", type=int, default=40)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=0.9)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=None)
     if basis:
         p.add_argument(
@@ -80,7 +74,13 @@ def build_parser():
     p = sub.add_parser("approx", help="end-to-end error sweep on a generated example")
     p.add_argument("--example", choices=("osc", "corner", "source"), required=True)
     p.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    p.add_argument("--n-test", type=int, default=0)
+    p.add_argument(
+        "--n-test",
+        type=int,
+        default=None,
+        help="held-out source parameters to sweep (default: the scale's count; "
+        "0 sweeps the training columns)",
+    )
     p.add_argument("--with-bounds", action="store_true")
     _spec_args(p)
     _add_common(p)
@@ -141,10 +141,9 @@ def _cmd_basis(args):
 
 
 def _cmd_select(args):
-    W = read_matrix(args.basis_file)
-    gram_err = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
-    if gram_err > _BASIS_TOL:
-        raise ValueError(f"{args.basis_file}: columns are not orthonormal (deviation {gram_err:.3e})")
+    # checked before any selection runs, at the tolerance the selectors and
+    # the projector apply again, so a file accepted here is accepted there
+    W = check_orthonormal(read_matrix(args.basis_file), name=args.basis_file)
     kind = args.select
     if kind == "greedy":
         S = deim_greedy_select(W)
@@ -162,7 +161,7 @@ def _cmd_select(args):
             _, _, S = hybrid_select(W, pmf, count, eta=args.eta, seed=args.seed)
     # building the projector verifies the selection exposes full rank;
     # a degenerate selection fails here, before anything is written
-    build_projector(OrthonormalBasis(W, "exact-svd"), S)
+    build_projector(W, S)
     table = ResultTable(
         columns=("position", "index", "weight"),
         rows=[(k, int(S.indices[k]), float(S.weights[k])) for k in range(S.s)],
@@ -187,8 +186,6 @@ def _cmd_approx(args):
         max_blocks=args.max_blocks,
         eta=args.eta,
         beta=args.beta,
-        eps=args.eps,
-        delta=args.delta,
         samples=args.samples,
         seed=args.seed,
         n_test=args.n_test,

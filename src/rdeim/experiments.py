@@ -201,8 +201,11 @@ class ExperimentSpec:
     example is 'osc', 'corner' or 'source'; scale picks the named grid
     defaults ('desk' or 'paper'). basis is 'svd', 'basic', 'subspace' or
     'adaptive'; selector is 'greedy', 'pqr', 'srrqr', 'leverage' or
-    'hybrid'. samples defaults to the practical leverage count. with_bounds
-    adds per-column bound evaluations against the exact-SVD reference.
+    'hybrid'. samples defaults to the practical leverage count. n_test is
+    the number of held-out parameters a 'source' run sweeps: None takes the
+    scale's count from SCALES, 0 sweeps the training columns instead; the
+    other examples always sweep their training columns. with_bounds adds
+    per-column bound evaluations against the exact-SVD reference.
     """
 
     example: str
@@ -217,11 +220,9 @@ class ExperimentSpec:
     max_blocks: int = 40
     eta: float = 2.0
     beta: float = 0.5
-    eps: float = 0.9
-    delta: float = 0.1
     samples: Optional[int] = None
     seed: int = 0
-    n_test: int = 0
+    n_test: Optional[int] = None
     with_bounds: bool = False
     overrides: dict = field(default_factory=dict)
 
@@ -236,13 +237,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown selector kind {self.selector!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.n_test is not None and self.n_test < 0:
+            raise ValueError(f"n_test must be >= 0, got {self.n_test}")
 
 
 def generate(spec):
     """Build the snapshot set a spec describes."""
     args = dict(SCALES[spec.example][spec.scale])
     args.update(spec.overrides)
-    n_test = args.pop("n_test", None)
+    args.pop("n_test", None)  # the held-out count is run_experiment's, not the generator's
     if spec.example == "osc":
         return oscillator_snapshots(**args)
     if spec.example == "corner":
@@ -349,8 +352,11 @@ def run_experiment(spec):
     S = select_points(basis, spec)
     P = build_projector(basis, S)
     reference = svd_basis(snaps.matrix, basis.rank) if spec.with_bounds else None
-    if spec.example == "source" and spec.n_test > 0:
-        sweep_set = source_test_points(snaps, spec.n_test, spec.seed + 1)
+    n_test = spec.n_test
+    if n_test is None:
+        n_test = SCALES[spec.example][spec.scale].get("n_test", 0)
+    if spec.example == "source" and n_test > 0:
+        sweep_set = source_test_points(snaps, n_test, spec.seed + 1)
     else:
         sweep_set = snaps
     table = error_sweep(P, sweep_set, reference_basis=reference)

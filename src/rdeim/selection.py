@@ -106,7 +106,9 @@ def mixed_pmf(leverage, rank, beta):
     Parameters
     ----------
     leverage : ndarray
-        Row leverage scores; they must sum to rank.
+        Row leverage scores; they must sum to rank within rank * 1e-8,
+        which admits every basis that check_orthonormal accepts (each Gram
+        entry within 1e-8 of the identity).
     rank : int
     beta : float in (0, 1), exclusive at both ends.
     """
@@ -120,7 +122,7 @@ def mixed_pmf(leverage, rank, beta):
     r = int(rank)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    if abs(lev.sum() - r) > 1e-10 * max(1.0, r):
+    if abs(lev.sum() - r) > 1e-8 * r:
         raise ValueError(f"leverage scores sum to {lev.sum()!r}, expected rank {r}")
     n = lev.size
     probs = beta * lev / r + (1.0 - beta) / n

@@ -2,9 +2,9 @@
 
 Nothing here calls into the package's factorization code: singular values
 come from a hand-written one-sided Jacobi sweep, pivot orders from an
-exhaustive greedy projection search, and the greedy point sequence from a
-straight-line pseudoinverse form. Agreement between these and the library
-is evidence, not tautology.
+exhaustive greedy projection search and from a step-by-step Householder
+loop, and the greedy point sequence from a straight-line pseudoinverse
+form. Agreement between these and the library is evidence, not tautology.
 """
 
 import itertools
@@ -66,6 +66,37 @@ def greedy_pivot_sequence(M):
         chosen.append(best_col)
         remaining.remove(best_col)
     return chosen
+
+
+def householder_pivoted_qr(M):
+    """Column-pivoted Householder QR, one pivot at a time.
+
+    Every step recomputes the trailing residual norms from the updated
+    block (no downdating) and takes the largest, first index on ties, then
+    applies a rank-one Householder update. Returns (Q, R, perm) with
+    Q @ R = M[:, perm], the same contract as the library's pivoted_qr.
+    """
+    A = np.array(M, dtype=np.float64, copy=True)
+    m, n = A.shape
+    k = min(m, n)
+    perm = np.arange(n)
+    Q = np.eye(m)
+    for j in range(k):
+        norms = np.linalg.norm(A[j:, j:], axis=0)
+        pivot = j + int(np.argmax(norms))
+        if pivot != j:
+            A[:, [j, pivot]] = A[:, [pivot, j]]
+            perm[[j, pivot]] = perm[[pivot, j]]
+        x = A[j:, j]
+        nx = np.linalg.norm(x)
+        if nx == 0.0:
+            continue
+        v = x.copy()
+        v[0] += nx if x[0] >= 0 else -nx
+        v /= np.linalg.norm(v)
+        A[j:, j:] -= 2.0 * np.outer(v, v @ A[j:, j:])
+        Q[:, j:] -= 2.0 * np.outer(Q[:, j:] @ v, v)
+    return Q[:, :k], np.triu(A[:k, :]), perm
 
 
 def best_volume_pair(M):

@@ -156,3 +156,51 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert read_matrix(out).shape == (2500, 225)
+
+
+def _skewed_basis(path, deviation):
+    # scaling one column by sqrt(1 + d) moves that Gram diagonal entry by d
+    W, _ = np.linalg.qr(random_matrix(60, 5, seed=1))
+    W[:, 0] *= np.sqrt(1.0 + deviation)
+    write_matrix(path, W)
+    return W
+
+
+@pytest.mark.parametrize("kind", ["greedy", "pqr", "srrqr", "leverage", "hybrid"])
+def test_select_accepts_deviation_within_tolerance(tmp_path, kind):
+    basis = tmp_path / "w.rdmx"
+    W = _skewed_basis(basis, 2e-9)
+    assert 1e-9 < np.max(np.abs(W.T @ W - np.eye(5))) < 1e-8
+    points = tmp_path / "pts.csv"
+    rc = main(["select", "--basis-file", str(basis), "--select", kind, "--out", str(points)])
+    assert rc == 0
+    assert points.exists()
+
+
+def test_select_rejects_deviation_naming_the_file(tmp_path, capsys):
+    basis = tmp_path / "skewed-basis.rdmx"
+    _skewed_basis(basis, 2e-6)
+    points = tmp_path / "pts.csv"
+    rc = main(["select", "--basis-file", str(basis), "--select", "srrqr", "--out", str(points)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(basis) in err and "orthonormal" in err
+    assert not points.exists()
+
+
+@pytest.mark.parametrize("command", ["approx", "basis", "select"])
+@pytest.mark.parametrize("option", ["--eps", "--delta"])
+def test_removed_sampling_options_are_rejected(command, option):
+    with pytest.raises(SystemExit):
+        main([command, option, "0.5", "--out", "x"])
+
+
+@pytest.mark.parametrize("extra, rows", [([], 50), (["--n-test", "0"], 200), (["--n-test", "7"], 7)])
+def test_approx_source_sweeps_held_out_parameters(tmp_path, extra, rows):
+    out = tmp_path / "sweep.csv"
+    rc = main(
+        ["approx", "--example", "source", "--rank", "8", "--basis", "basic",
+         "--select", "pqr", "--out", str(out)] + extra
+    )
+    assert rc == 0
+    assert len(out.read_text().strip().split("\n")) == rows + 1

@@ -156,6 +156,8 @@ def test_spec_validation():
         ExperimentSpec(example="osc", rank=5, selector="random")
     with pytest.raises(ValueError):
         ExperimentSpec(example="osc", rank=0)
+    with pytest.raises(ValueError):
+        ExperimentSpec(example="source", rank=5, n_test=-1)
 
 
 def test_generate_scales_and_overrides():
@@ -338,6 +340,16 @@ def test_run_experiment_source_sweeps_test_set():
     table = run_experiment(spec)
     assert len(table.rows) == 5
     assert table.summary["points"] == 8.0
+
+
+def test_run_experiment_source_defaults_to_scale_test_count():
+    # n_test=None takes the desk scale's 50 held-out parameters; 0 sweeps
+    # the 30 training columns
+    tiny = {"n_grid": 10, "n_train": 30}
+    held_out = run_experiment(ExperimentSpec(example="source", rank=8, overrides=tiny))
+    assert len(held_out.rows) == SCALES["source"]["desk"]["n_test"] == 50
+    train = run_experiment(ExperimentSpec(example="source", rank=8, n_test=0, overrides=tiny))
+    assert len(train.rows) == 30
 
 
 # ----------------------------------------------------------------- bench

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import rdeim.linalg
 from rdeim.exceptions import ConvergenceError, RankDeficiencyError
 from rdeim.linalg import (
     canonical_angles,
@@ -17,6 +21,7 @@ from oracles import (
     best_volume_pair,
     gram_schmidt_qr,
     greedy_pivot_sequence,
+    householder_pivoted_qr,
     jacobi_singular_values,
 )
 
@@ -149,6 +154,87 @@ def test_pivoted_qr_zero_matrix():
     Q, R, perm = pivoted_qr(np.zeros((3, 4)))
     assert np.max(np.abs(R)) == 0.0
     assert sorted(perm) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_pivoted_qr_empty(shape):
+    Q, R, perm = pivoted_qr(np.zeros(shape))
+    assert Q.shape == (shape[0], 0) and R.shape == (0, shape[1])
+    assert list(perm) == list(range(shape[1]))
+
+
+def test_pivoted_qr_repeated_columns_first_wins():
+    rng = np.random.default_rng(3)
+    a = 3.0 * rng.standard_normal(6)
+    b, c = rng.standard_normal(6), rng.standard_normal(6)
+    M = np.column_stack([b, a, c, a])
+    Q, R, perm = pivoted_qr(M)
+    # the two copies of a tie exactly; the first must win, and once it is
+    # chosen its copy has no residual left, so it comes last
+    assert perm[0] == 1
+    assert perm[-1] == 3
+    assert abs(R[-1, -1]) <= 1e-14 * abs(R[0, 0])
+
+
+def test_pivoted_qr_matches_householder_oracle():
+    # W' of an orthonormal basis with n > r, the shape every selector
+    # factors; the first r pivots must be the step-by-step loop's
+    mismatches = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, 31))
+        n = int(rng.integers(r + 1, 401))
+        M = random_orthonormal(n, r, seed).T
+        got = pivoted_qr(M)[2][:r]
+        want = householder_pivoted_qr(M)[2][:r]
+        if not np.array_equal(got, want):
+            mismatches.append((seed, n, r))
+    assert mismatches == []
+
+
+@st.composite
+def _pivot_matrices(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    M = draw(arrays(np.float64, (m, n), elements=st.floats(-4.0, 4.0)))
+    # copied columns give exact ties and rank deficiency
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        M[:, dst] = M[:, src]
+    return M * 10.0 ** draw(arrays(np.int64, (n,), elements=st.integers(-6, 6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_pivot_matrices())
+def test_pivoted_qr_greedy_pivot_property(M):
+    Q, R, perm = pivoted_qr(M)
+    m, n = M.shape
+    k = min(m, n)
+    scale = max(np.linalg.norm(M), 1.0)
+    assert perm.dtype == np.intp
+    assert sorted(perm) == list(range(n))
+    assert np.max(np.abs(Q.T @ Q - np.eye(k))) < 1e-12
+    assert np.max(np.abs(Q @ R - M[:, perm])) < 1e-12 * scale
+    diag = np.abs(np.diag(R))
+    assert np.all(np.diff(diag) <= 1e-12 * scale)
+    P = M[:, perm]
+    for j in range(k):
+        # residual norms of the not yet chosen columns after step j - 1;
+        # the absolute term is the roundoff floor of computing them
+        Qj = Q[:, :j]
+        res = np.linalg.norm(P[:, j:] - Qj @ (Qj.T @ P[:, j:]), axis=0)
+        assert res[0] >= res.max() * (1.0 - 1e-12) - 1e-13 * scale
+
+
+def test_pivoted_qr_lapack_failure_is_typed(monkeypatch):
+    def failing(names, arrays):
+        def geqp3(a, overwrite_a=False):
+            return a, np.zeros(a.shape[1], dtype=np.int32), np.zeros(min(a.shape)), np.ones(1), -4
+
+        return geqp3, None
+
+    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
+    with pytest.raises(ConvergenceError, match="geqp3"):
+        pivoted_qr(np.eye(3))
 
 
 # ------------------------------------------------------------------- srrqr

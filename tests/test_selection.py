@@ -104,6 +104,10 @@ def test_mixed_pmf_validation():
     with pytest.raises(ValueError):
         mixed_pmf(lev, 3, 0.5)  # sum mismatch
     with pytest.raises(ValueError):
+        mixed_pmf(lev * (1.0 + 2e-8), 2, 0.5)
+    # a basis within the orthonormality tolerance is not rejected here
+    assert mixed_pmf(lev * (1.0 + 5e-9), 2, 0.5).probs.sum() == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(ValueError):
         mixed_pmf(np.array([2.5, -0.5]), 2, 0.5)
 
 

@@ -32,7 +32,6 @@ from .rangefinder import (
     RangeConfig,
     SketchState,
     adaptive_range_finder,
-    basic_range_finder,
     gaussian_matrix,
     sketch_absorb,
     sketch_init,
@@ -55,7 +54,7 @@ from .selection import (
     sample_count_bound,
     srrqr_select,
 )
-from .projector import DeimProjector, apply, build_projector, error_constant
+from .projector import DeimProjector, build_projector
 from .bounds import (
     BoundReport,
     angle_bound_constant,
@@ -75,6 +74,7 @@ from .bounds import (
     wedin_angle_bound,
 )
 from .experiments import (
+    AlgorithmSpec,
     ExperimentSpec,
     SnapshotSet,
     bench_basis,

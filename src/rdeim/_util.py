@@ -1,4 +1,7 @@
-"""Input validation helpers shared across modules."""
+"""Input validation helpers shared across modules, and the OrthonormalBasis
+type that carries a passed orthonormality check."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,21 +26,57 @@ def as_vector(a, name="vector"):
     return v
 
 
-def check_orthonormal(W, tol=1e-8, name="basis"):
-    """Require W to have orthonormal columns up to tol (max-norm on W'W - I)."""
+def check_orthonormal(W, name="basis"):
+    """Require W to have finite entries and orthonormal columns: every
+    entry of W'W - I within 1e-8.
+
+    The library's one orthonormality check, at its one tolerance. It runs
+    when an OrthonormalBasis is constructed and when orthonormal_matrix is
+    handed a raw array, and nowhere else.
+    """
     W = as_matrix(W, name)
     if W.shape[0] < W.shape[1]:
         raise ValueError(f"{name} has more columns than rows ({W.shape})")
     gram = W.T @ W
     err = np.max(np.abs(gram - np.eye(W.shape[1])))
-    if err > tol:
-        raise ValueError(f"{name} columns are not orthonormal (deviation {err:.3e} > {tol:.1e})")
+    if err > 1e-8:
+        raise ValueError(f"{name} columns are not orthonormal (deviation {err:.3e} > 1e-8)")
     return W
 
 
-def basis_matrix(W):
-    """Accept either a raw ndarray or an object carrying .matrix (a basis)."""
-    return W.matrix if hasattr(W, "matrix") else np.asarray(W, dtype=np.float64)
+@dataclass(frozen=True)
+class OrthonormalBasis:
+    """Orthonormal columns with a record of how they were built.
+
+    The constructor runs check_orthonormal, so a non-finite entry or a
+    Gram deviation above 1e-8 is rejected, and every consumer that takes
+    an OrthonormalBasis uses .matrix without checking it again. .matrix
+    must therefore not be changed in place.
+
+    provenance is 'exact-svd', 'subspace-iteration' or 'adaptive' for a
+    basis the library built (``--basis basic`` is subspace iteration at
+    power 0), or the path of the file the columns were read from; it also
+    names the basis in the error message. config echoes the construction
+    parameters.
+    """
+
+    matrix: np.ndarray
+    provenance: str
+    config: object = None
+
+    def __post_init__(self):
+        W = check_orthonormal(self.matrix, name=f"{self.provenance} basis")
+        object.__setattr__(self, "matrix", W)
+
+    @property
+    def rank(self):
+        return self.matrix.shape[1]
+
+
+def orthonormal_matrix(W, name="basis"):
+    """The matrix of W: .matrix as is for an OrthonormalBasis, which was
+    checked when it was built; a raw array is checked here, once."""
+    return W.matrix if isinstance(W, OrthonormalBasis) else check_orthonormal(W, name=name)
 
 
 def check_seed(seed):

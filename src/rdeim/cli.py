@@ -7,24 +7,25 @@ commands exit 0 on success and nonzero with a message on stderr otherwise.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from . import bounds as bounds_mod
-from ._util import check_orthonormal
 from .exceptions import RdeimError
-from .experiments import ExperimentSpec, bench_basis, generate, run_experiment
+from .experiments import (
+    BASES,
+    SELECTORS,
+    AlgorithmSpec,
+    ExperimentSpec,
+    bench_basis,
+    build_basis,
+    generate,
+    run_experiment,
+    select_points,
+)
 from .matio import ResultTable, emit_csv, read_matrix, write_matrix
 from .projector import build_projector
-from .selection import (
-    deim_greedy_select,
-    hybrid_select,
-    leverage_scores,
-    leverage_select,
-    mixed_pmf,
-    pqr_select,
-    practical_sample_count,
-    srrqr_select,
-)
+from .rangefinder import OrthonormalBasis
 
 
 def _add_common(p):
@@ -32,24 +33,27 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output file path")
 
 
-def _spec_args(p, basis=True, selector=True):
+def _basis_args(p):
     p.add_argument("--rank", type=int, default=10)
     p.add_argument("--oversample", type=int, default=10)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--block", type=int, default=10)
     p.add_argument("--max-blocks", type=int, default=40)
+    p.add_argument("--basis", choices=BASES, default="svd")
+
+
+def _selector_args(p):
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=None)
-    if basis:
-        p.add_argument(
-            "--basis", choices=("svd", "basic", "subspace", "adaptive"), default="svd"
-        )
-    if selector:
-        p.add_argument(
-            "--select", choices=("greedy", "pqr", "srrqr", "leverage", "hybrid"), default="pqr"
-        )
+    p.add_argument("--select", dest="selector", choices=SELECTORS, default="pqr")
+
+
+def _spec(args, cls=AlgorithmSpec, **fields):
+    """A cls spec from every field of it that the parsed arguments carry."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
 
 
 def build_parser():
@@ -63,12 +67,12 @@ def build_parser():
 
     p = sub.add_parser("basis", help="build a reduced basis from a matrix file")
     p.add_argument("--matrix", required=True, help="input RDMXMAT1 file")
-    _spec_args(p, selector=False)
+    _basis_args(p)
     _add_common(p)
 
     p = sub.add_parser("select", help="select interpolation points for a basis file")
     p.add_argument("--basis-file", required=True, help="orthonormal basis, RDMXMAT1")
-    _spec_args(p, basis=False)
+    _selector_args(p)
     _add_common(p)
 
     p = sub.add_parser("approx", help="end-to-end error sweep on a generated example")
@@ -82,13 +86,12 @@ def build_parser():
         "0 sweeps the training columns)",
     )
     p.add_argument("--with-bounds", action="store_true")
-    _spec_args(p)
+    _basis_args(p)
+    _selector_args(p)
     _add_common(p)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form constant")
-    p.add_argument(
-        "--kind", choices=("srrqr", "leverage", "hybrid", "deviation"), required=True
-    )
+    p.add_argument("--kind", choices=tuple(bounds_mod._CONSTANT_KINDS), required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--n-snapshots", type=int)
     p.add_argument("--rank", type=int)
@@ -112,86 +115,39 @@ def build_parser():
 
 
 def _cmd_gen(args):
-    spec = ExperimentSpec(example=args.example, rank=1, scale=args.scale, seed=args.seed)
-    snaps = generate(spec)
+    snaps = generate(_spec(args, ExperimentSpec, rank=1))
     write_matrix(args.out, snaps.matrix)
     print(f"wrote {snaps.matrix.shape[0]} x {snaps.matrix.shape[1]} matrix to {args.out}")
     return 0
 
 
 def _cmd_basis(args):
-    A = read_matrix(args.matrix)
-    spec = ExperimentSpec(
-        example="osc",  # placeholder; generation is not used here
-        rank=args.rank,
-        basis=args.basis,
-        oversample=args.oversample,
-        power=args.power,
-        tol=args.tol,
-        block=args.block,
-        max_blocks=args.max_blocks,
-        seed=args.seed,
-    )
-    from .experiments import build_basis
-
-    basis = build_basis(A, spec)
+    basis = build_basis(read_matrix(args.matrix), _spec(args))
     write_matrix(args.out, basis.matrix)
     print(f"wrote {basis.provenance} basis of rank {basis.rank} to {args.out}")
     return 0
 
 
 def _cmd_select(args):
-    # checked before any selection runs, at the tolerance the selectors and
-    # the projector apply again, so a file accepted here is accepted there
-    W = check_orthonormal(read_matrix(args.basis_file), name=args.basis_file)
-    kind = args.select
-    if kind == "greedy":
-        S = deim_greedy_select(W)
-    elif kind == "pqr":
-        S = pqr_select(W)
-    elif kind == "srrqr":
-        S = srrqr_select(W, eta=args.eta)
-    else:
-        pmf = mixed_pmf(leverage_scores(W), W.shape[1], args.beta)
-        count = args.samples if args.samples is not None else practical_sample_count(W.shape[1])
-        count = min(count, W.shape[0])
-        if kind == "leverage":
-            S = leverage_select(W, pmf, count, args.seed)
-        else:
-            _, _, S = hybrid_select(W, pmf, count, eta=args.eta, seed=args.seed)
+    # the one orthonormality check, naming the file; the selectors and the
+    # projector trust the OrthonormalBasis it yields
+    basis = OrthonormalBasis(read_matrix(args.basis_file), args.basis_file)
+    S = select_points(basis, _spec(args, rank=basis.rank))
     # building the projector verifies the selection exposes full rank;
     # a degenerate selection fails here, before anything is written
-    build_projector(W, S)
+    build_projector(basis, S)
     table = ResultTable(
         columns=("position", "index", "weight"),
         rows=[(k, int(S.indices[k]), float(S.weights[k])) for k in range(S.s)],
         summary={},
     )
     emit_csv(table, args.out)
-    print(f"wrote {S.s} points ({kind}) to {args.out}")
+    print(f"wrote {S.s} points ({args.selector}) to {args.out}")
     return 0
 
 
 def _cmd_approx(args):
-    spec = ExperimentSpec(
-        example=args.example,
-        rank=args.rank,
-        scale=args.scale,
-        basis=args.basis,
-        selector=args.select,
-        oversample=args.oversample,
-        power=args.power,
-        tol=args.tol,
-        block=args.block,
-        max_blocks=args.max_blocks,
-        eta=args.eta,
-        beta=args.beta,
-        samples=args.samples,
-        seed=args.seed,
-        n_test=args.n_test,
-        with_bounds=args.with_bounds,
-    )
-    table = run_experiment(spec)
+    table = run_experiment(_spec(args, ExperimentSpec))
     emit_csv(table, args.out)
     mean = table.summary["rel_error_mean"]
     print(
@@ -204,13 +160,7 @@ def _cmd_approx(args):
 
 def _cmd_bounds(args):
     params = {}
-    mapping = {
-        "srrqr": ("eta", "rank", "n"),
-        "leverage": ("n", "samples", "beta", "eps"),
-        "hybrid": ("n", "samples", "beta", "eps", "eta", "rank"),
-        "deviation": ("rank", "oversample", "delta", "n_snapshots"),
-    }
-    for name in mapping[args.kind]:
+    for name in bounds_mod._CONSTANT_KINDS[args.kind][1]:
         val = getattr(args, name)
         if val is None:
             raise ValueError(f"--kind {args.kind} requires --{name.replace('_', '-')}")
@@ -221,8 +171,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_bench(args):
-    spec = ExperimentSpec(example=args.example, rank=args.rank, scale=args.scale, seed=args.seed)
-    snaps = generate(spec)
+    snaps = generate(_spec(args, ExperimentSpec))
     table = bench_basis(
         snaps.matrix,
         args.rank,

@@ -14,16 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import basis_matrix, check_seed
+from ._util import check_seed, orthonormal_matrix
 from .bounds import perturbed_bounds, plain_bounds
-from .linalg import canonical_angles, thin_svd
+from .linalg import canonical_angles
 from .matio import ResultTable
 from .projector import build_projector
 from .rangefinder import (
     AdaptiveConfig,
     RangeConfig,
     adaptive_range_finder,
-    basic_range_finder,
     subspace_range_finder,
     svd_basis,
     truncate_basis,
@@ -40,6 +39,9 @@ from .selection import (
 )
 
 SOURCE_RANGES = ((0.2, 0.8), (0.15, 0.35), (0.1, 0.35))
+
+BASES = ("svd", "basic", "subspace", "adaptive")
+SELECTORS = ("greedy", "pqr", "srrqr", "leverage", "hybrid")
 
 # snapshot columns error_sweep projects and bounds at a time
 SWEEP_BLOCK = 64
@@ -195,22 +197,18 @@ def source_test_points(snaps, n_test, seed):
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of one end-to-end run.
+class AlgorithmSpec:
+    """How a basis is built and points are picked, whatever the data.
 
-    example is 'osc', 'corner' or 'source'; scale picks the named grid
-    defaults ('desk' or 'paper'). basis is 'svd', 'basic', 'subspace' or
-    'adaptive'; selector is 'greedy', 'pqr', 'srrqr', 'leverage' or
-    'hybrid'. samples defaults to the practical leverage count. n_test is
-    the number of held-out parameters a 'source' run sweeps: None takes the
-    scale's count from SCALES, 0 sweeps the training columns instead; the
-    other examples always sweep their training columns. with_bounds adds
-    per-column bound evaluations against the exact-SVD reference.
+    basis is one of BASES: 'svd' (exact), 'basic' (one Gaussian sketch,
+    which is subspace iteration at power 0), 'subspace' (power iterations)
+    or 'adaptive' (tol, block, max_blocks; truncated to rank). selector is
+    one of SELECTORS; eta drives 'srrqr' and 'hybrid', beta and samples the
+    sampled 'leverage' and 'hybrid', and samples defaults to the practical
+    leverage count. seed drives every random draw.
     """
 
-    example: str
     rank: int
-    scale: str = "desk"
     basis: str = "svd"
     selector: str = "pqr"
     oversample: int = 10
@@ -222,23 +220,46 @@ class ExperimentSpec:
     beta: float = 0.5
     samples: Optional[int] = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.basis not in BASES:
+            raise ValueError(f"unknown basis kind {self.basis!r}; choose from {BASES}")
+        if self.selector not in SELECTORS:
+            raise ValueError(f"unknown selector kind {self.selector!r}; choose from {SELECTORS}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(AlgorithmSpec):
+    """Declarative description of one end-to-end run: an AlgorithmSpec plus
+    the data it runs on, every added field keyword-only.
+
+    example is 'osc', 'corner' or 'source'; scale picks the named grid
+    defaults ('desk' or 'paper'), and overrides replaces some of them.
+    n_test is the number of held-out parameters a 'source' run sweeps: None
+    takes the scale's count from SCALES, 0 sweeps the training columns
+    instead; the other examples always sweep their training columns.
+    with_bounds adds per-column bound evaluations against the exact-SVD
+    reference.
+    """
+
+    example: str
+    scale: str = "desk"
     n_test: Optional[int] = None
     with_bounds: bool = False
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.example not in SCALES:
             raise ValueError(f"unknown example {self.example!r}; choose from {sorted(SCALES)}")
         if self.scale not in ("desk", "paper"):
             raise ValueError(f"scale must be 'desk' or 'paper', got {self.scale!r}")
-        if self.basis not in ("svd", "basic", "subspace", "adaptive"):
-            raise ValueError(f"unknown basis kind {self.basis!r}")
-        if self.selector not in ("greedy", "pqr", "srrqr", "leverage", "hybrid"):
-            raise ValueError(f"unknown selector kind {self.selector!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.n_test is not None and self.n_test < 0:
             raise ValueError(f"n_test must be >= 0, got {self.n_test}")
+        if "n_test" in self.overrides:
+            raise ValueError("the held-out count is not a grid override; pass it as n_test=")
 
 
 def generate(spec):
@@ -254,16 +275,12 @@ def generate(spec):
 
 
 def build_basis(A, spec):
-    """Range-finder dispatch for a spec."""
+    """Range-finder dispatch for a spec; 'basic' is subspace iteration at power 0."""
     if spec.basis == "svd":
         return svd_basis(A, spec.rank)
-    if spec.basis == "basic":
-        cfg = RangeConfig(rank=spec.rank, oversample=spec.oversample, power=0, seed=spec.seed)
-        return basic_range_finder(A, cfg)
-    if spec.basis == "subspace":
-        cfg = RangeConfig(
-            rank=spec.rank, oversample=spec.oversample, power=spec.power, seed=spec.seed
-        )
+    if spec.basis in ("basic", "subspace"):
+        power = 0 if spec.basis == "basic" else spec.power
+        cfg = RangeConfig(rank=spec.rank, oversample=spec.oversample, power=power, seed=spec.seed)
         return subspace_range_finder(A, cfg)
     cfg = AdaptiveConfig(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
     basis = adaptive_range_finder(A, cfg)
@@ -273,7 +290,7 @@ def build_basis(A, spec):
 
 
 def select_points(basis, spec):
-    """Point-selector dispatch for a spec."""
+    """Point-selector dispatch for a spec, on an OrthonormalBasis."""
     if spec.selector == "greedy":
         return deim_greedy_select(basis)
     if spec.selector == "pqr":
@@ -284,8 +301,8 @@ def select_points(basis, spec):
     count = spec.samples if spec.samples is not None else practical_sample_count(basis.rank)
     count = min(count, basis.matrix.shape[0])
     if spec.selector == "leverage":
-        return leverage_select(basis.matrix, pmf, count, spec.seed)
-    _, _, S = hybrid_select(basis.matrix, pmf, count, eta=spec.eta, seed=spec.seed)
+        return leverage_select(basis, pmf, count, spec.seed)
+    _, _, S = hybrid_select(basis, pmf, count, eta=spec.eta, seed=spec.seed)
     return S
 
 
@@ -314,8 +331,8 @@ def error_sweep(P, snaps, reference_basis=None):
     err = np.empty(n_s)
     if with_bounds:
         columns += ["bound_plain", "bound_perturbed", "sin_theta_max"]
-        W_ref = basis_matrix(reference_basis)
-        sin_max = canonical_angles(W_ref, P.basis).sin_theta_max
+        sin_max = canonical_angles(reference_basis, P.basis).sin_theta_max
+        W_ref = orthonormal_matrix(reference_basis, "reference basis")
         plain = np.empty(n_s)
         pert = np.empty(n_s)
     for lo in range(0, n_s, SWEEP_BLOCK):
@@ -393,7 +410,7 @@ def bench_basis(A, rank, oversample=10, power=0, seed=0, trials=3):
     for _ in range(trials):
         cfg = RangeConfig(rank=rank, oversample=oversample, power=power, seed=seed)
         t0 = time.perf_counter()
-        basis = basic_range_finder(A, cfg) if power == 0 else subspace_range_finder(A, cfg)
+        basis = subspace_range_finder(A, cfg)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     rows.append(("randomized", A.shape[0], A.shape[1], rank, best, residual(basis.matrix)))

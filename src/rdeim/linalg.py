@@ -1,10 +1,12 @@
 """Dense factorization kernels: thin SVD/QR, pivoted and strong rank-revealing
 QR, spectral norms, canonical angles, and pseudoinverse application.
 
-Everything operates on plain float64 ndarrays. The thin SVD and unpivoted
-QR are delegated to numpy, and the column-pivoted QR to LAPACK ``geqp3``,
-whose greedy largest-residual pivot rule is the documented contract. The
-strong rank-revealing swap refinement on top of it is written out here.
+Everything operates on plain float64 ndarrays; canonical_angles also takes
+an OrthonormalBasis, whose columns it does not check again. The thin SVD
+and unpivoted QR are delegated to numpy, and the column-pivoted QR to
+LAPACK ``geqp3``, whose greedy largest-residual pivot rule is the
+documented contract. The strong rank-revealing swap refinement on top of
+it is written out here.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import as_matrix
+from ._util import as_matrix, orthonormal_matrix
 from .exceptions import ConvergenceError, RankDeficiencyError
 
 
@@ -158,11 +160,6 @@ def pivoted_qr(M):
     return Q, np.triu(qr[:k]), (jpvt - 1).astype(np.intp)
 
 
-def _unpivoted_wide_qr(A):
-    # reduced QR that tolerates wide input (R is k-by-n, k = min(m, n))
-    return np.linalg.qr(A, mode="reduced")
-
-
 def srrqr(M, rank, eta=2.0, max_swaps=None):
     """Strong rank-revealing QR (pivoted QR plus pairwise swap refinement).
 
@@ -228,7 +225,7 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
                 f"srrqr swap cap of {cap} (50 per column) exceeded at eta={eta}"
             )
         perm[[i, r + j]] = perm[[r + j, i]]
-        Q, R = _unpivoted_wide_qr(A[:, perm])
+        Q, R = np.linalg.qr(A[:, perm], mode="reduced")  # wide input: R is min(m, n)-by-n
         swaps += 1
 
     # normalize signs so the leading diagonal is strictly positive
@@ -262,32 +259,24 @@ def canonical_angles(W, Wh):
 
     Parameters
     ----------
-    W, Wh : ndarray, shape (n, r)
-        Matrices with orthonormal columns and equal shapes.
+    W, Wh : OrthonormalBasis or ndarray, shape (n, r)
+        Orthonormal columns of equal shapes; a raw array is checked once
+        with check_orthonormal, an OrthonormalBasis is trusted.
 
     Returns
     -------
     CanonicalAngles
     """
-    W = as_matrix(W, "W")
-    Wh = as_matrix(Wh, "Wh")
+    W = orthonormal_matrix(W, "W")
+    Wh = orthonormal_matrix(Wh, "Wh")
     if W.shape != Wh.shape:
         raise ValueError(f"subspace dimensions differ: {W.shape} vs {Wh.shape}")
-    _require_orthonormal(W, "W")
-    _require_orthonormal(Wh, "Wh")
     if np.array_equal(W, Wh):
         return CanonicalAngles(cosines=np.ones(W.shape[1]), sin_theta_max=0.0)
     s = np.linalg.svd(W.T @ Wh, compute_uv=False)
     cos = np.clip(s, 0.0, 1.0)
     sin_max = float(np.sqrt(max(0.0, 1.0 - cos[-1] ** 2)))
     return CanonicalAngles(cosines=cos, sin_theta_max=sin_max)
-
-
-def _require_orthonormal(W, name, tol=1e-8):
-    gram = W.T @ W
-    err = np.max(np.abs(gram - np.eye(W.shape[1])))
-    if err > tol:
-        raise ValueError(f"{name} columns are not orthonormal (deviation {err:.3e})")
 
 
 def pinv_apply(M, X, rank_tol=1e-12):

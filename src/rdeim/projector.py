@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import basis_matrix, check_orthonormal
+from ._util import orthonormal_matrix
 from .exceptions import DegenerateSelectionError
 from .linalg import spectral_norm
 from .selection import SelectionOperator
@@ -27,7 +27,6 @@ class DeimProjector:
 
     basis: np.ndarray
     selection: SelectionOperator
-    cross: np.ndarray
     cross_u: np.ndarray
     cross_s: np.ndarray
     cross_v: np.ndarray
@@ -101,7 +100,7 @@ def build_projector(W, S, rank_tol=1e-12):
         If S' W is rank deficient, i.e. the points do not see the whole
         basis.
     """
-    Wm = check_orthonormal(basis_matrix(W), name="W")
+    Wm = orthonormal_matrix(W, "W")
     n, r = Wm.shape
     if S.n != n:
         raise ValueError(f"selection is over {S.n} rows but the basis has {n}")
@@ -118,20 +117,9 @@ def build_projector(W, S, rank_tol=1e-12):
     return DeimProjector(
         basis=Wm,
         selection=S,
-        cross=cross,
         cross_u=U,
         cross_s=s,
         cross_v=Vt.T,
         rank=r,
         mode=mode,
     )
-
-
-def apply(P, f):
-    """Function form of DeimProjector.apply."""
-    return P.apply(f)
-
-
-def error_constant(P):
-    """Function form of DeimProjector.error_constant."""
-    return P.error_constant()

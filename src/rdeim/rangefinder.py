@@ -1,23 +1,23 @@
 """Randomized range finders for snapshot matrices.
 
-Three constructions of an orthonormal basis approximating the dominant
-column span of A (n-by-n_s): a single Gaussian sketch, the same sketch
-driven through power (subspace) iterations, and an adaptive block variant
-that grows the basis until a Frobenius-norm criterion holds. A streaming
-rank-one sketch accumulator supports single-pass and column-replacement
-workflows.
+Two constructions of an orthonormal basis approximating the dominant
+column span of A (n-by-n_s): a Gaussian sketch driven through q power
+(subspace) iterations, where q = 0 is the single sketch that
+``--basis basic`` names (its provenance is 'subspace-iteration'), and an
+adaptive block variant that grows the basis until a Frobenius-norm
+criterion holds. Each returns an OrthonormalBasis, whose constructor runs
+the library's one orthonormality check at its one tolerance, 1e-8. A
+streaming rank-one sketch accumulator supports single-pass and
+column-replacement workflows.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from ._util import as_matrix, as_vector, check_seed
+from ._util import OrthonormalBasis, as_matrix, as_vector, check_seed
 from .exceptions import AdaptiveRangeError, ConvergenceError
 from .linalg import thin_svd
-
-_ORTHO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,32 +68,6 @@ class AdaptiveConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """Orthonormal columns with a record of how they were built.
-
-    provenance is one of 'exact-svd', 'basic-randomized',
-    'subspace-iteration', 'adaptive'; config echoes the construction
-    parameters.
-    """
-
-    matrix: np.ndarray
-    provenance: str
-    config: object = None
-
-    def __post_init__(self):
-        W = self.matrix
-        if W.ndim != 2 or W.shape[0] < W.shape[1]:
-            raise ValueError(f"basis must be tall, got shape {W.shape}")
-        err = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
-        if err > _ORTHO_TOL:
-            raise ValueError(f"basis columns not orthonormal (deviation {err:.3e})")
-
-    @property
-    def rank(self):
-        return self.matrix.shape[1]
-
-
 def gaussian_matrix(rows, cols, seed):
     """Standard Gaussian test matrix from a seeded counter-based stream.
 
@@ -129,39 +103,14 @@ def _sketch_basis(A, cfg):
     return Q @ Ub[:, : cfg.rank]
 
 
-def basic_range_finder(A, cfg):
-    """Single-sketch randomized basis (no power iterations).
-
-    Draws an n_s-by-(r+p) Gaussian sketch, orthonormalizes A @ Omega, and
-    rotates the leading r directions of the projected matrix back into the
-    ambient space.
-
-    Parameters
-    ----------
-    A : ndarray, shape (n, n_s)
-    cfg : RangeConfig with power == 0
-
-    Returns
-    -------
-    OrthonormalBasis with provenance 'basic-randomized'.
-    """
-    A = as_matrix(A, "A")
-    if cfg.power != 0:
-        raise ValueError(
-            f"basic_range_finder is the power=0 construction; got power={cfg.power} "
-            "(use subspace_range_finder)"
-        )
-    W = _sketch_basis(A, cfg)
-    return OrthonormalBasis(W, "basic-randomized", cfg)
-
-
 def subspace_range_finder(A, cfg):
     """Randomized basis with q power (subspace) iterations.
 
     Mathematically the sketch is (A A')^q A Omega, but it is computed
     stably with a thin QR after every application of A and of A'. With
-    power=0 the output matrix is identical to basic_range_finder under the
-    same seed.
+    power=0 it is the single-sketch basis: A @ Omega is orthonormalized
+    and the leading r directions of the projected matrix are rotated back
+    into the ambient space.
 
     Parameters
     ----------
@@ -220,50 +169,31 @@ def adaptive_range_finder(A, cfg):
     W = None
     B = None
     beta = 0.0
-
-    def absorb_block():
-        nonlocal W, B, beta
+    blocks = 0
+    # the accumulator can drift, so the loop ends only once the explicit
+    # residual confirms it
+    while beta <= alpha * (1.0 - cfg.tol * cfg.tol) or _explicit_residual(A, W) > target:
+        if blocks == cfg.max_blocks:
+            res = float(np.sqrt(_explicit_residual(A, W) / alpha))
+            raise AdaptiveRangeError(
+                f"tolerance {cfg.tol} not reached after {cfg.max_blocks} blocks "
+                f"(relative residual {res:.3e})",
+                partial_basis=W,
+                residual=res,
+            )
         omega = rng.standard_normal((n_s, cfg.block))
         if W is None:
-            Z = A @ omega
+            Q, _ = np.linalg.qr(A @ omega)
+            Bp = Q.T @ A
         else:
-            Z = A @ omega - W @ (B @ omega)
-        Q, _ = np.linalg.qr(Z)
-        if W is not None:
+            Q, _ = np.linalg.qr(A @ omega - W @ (B @ omega))
             Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
             if np.max(np.abs(W.T @ Q)) > 1e-12:
                 Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
             Bp = Q.T @ A - (Q.T @ W) @ B
-        else:
-            Bp = Q.T @ A
         W = Q if W is None else np.hstack([W, Q])
         B = Bp if B is None else np.vstack([B, Bp])
         beta += float(np.sum(Bp * Bp))
-
-    blocks = 0
-    while beta <= alpha * (1.0 - cfg.tol * cfg.tol):
-        if blocks == cfg.max_blocks:
-            res = _explicit_residual(A, W)
-            raise AdaptiveRangeError(
-                f"tolerance {cfg.tol} not reached after {cfg.max_blocks} blocks "
-                f"(relative residual {np.sqrt(res / alpha):.3e})",
-                partial_basis=W,
-                residual=float(np.sqrt(res / alpha)),
-            )
-        absorb_block()
-        blocks += 1
-
-    # the accumulator can drift; trust only an explicit residual
-    while _explicit_residual(A, W) > target:
-        if blocks == cfg.max_blocks:
-            res = _explicit_residual(A, W)
-            raise AdaptiveRangeError(
-                f"tolerance {cfg.tol} not reached after {cfg.max_blocks} blocks "
-                f"(relative residual {np.sqrt(res / alpha):.3e})",
-                partial_basis=W,
-                residual=float(np.sqrt(res / alpha)),
-            )
-        absorb_block()
         blocks += 1
 
     return OrthonormalBasis(W, "adaptive", cfg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_matrix, basis_matrix, check_orthonormal, check_seed
+from ._util import check_seed, orthonormal_matrix
 from .exceptions import DegenerateBasisError, DegenerateSelectionError, RankDeficiencyError
 from .linalg import pivoted_qr, srrqr
 
@@ -93,7 +93,7 @@ def leverage_scores(W):
 
     They sum to the basis rank; their maximum is the coherence.
     """
-    W = check_orthonormal(basis_matrix(W), name="W")
+    W = orthonormal_matrix(W, "W")
     return np.sum(W * W, axis=1)
 
 
@@ -168,8 +168,10 @@ def leverage_select(W, pmf, s, seed):
     Column k of S is e_{t_k} / sqrt(s * probs[t_k]), which makes
     E[S S'] = I. Duplicate draws are kept.
     """
-    W = basis_matrix(W)
-    n = W.shape[0]
+    return _sample_rows(orthonormal_matrix(W, "W").shape[0], pmf, s, seed)
+
+
+def _sample_rows(n, pmf, s, seed):
     if pmf.probs.size != n:
         raise ValueError(f"pmf is over {pmf.probs.size} rows but W has {n}")
     s = int(s)
@@ -200,12 +202,12 @@ def hybrid_select(W, pmf, c_ls, eta=2.0, seed=0):
     DegenerateSelectionError
         If the sampled rows do not expose rank r against the basis.
     """
-    Wm = check_orthonormal(basis_matrix(W), name="W")
+    Wm = orthonormal_matrix(W, "W")
     n, r = Wm.shape
     c_ls = int(c_ls)
     if c_ls < r:
         raise ValueError(f"c_ls must be at least the basis rank {r}, got {c_ls}")
-    S1 = leverage_select(Wm, pmf, c_ls, seed)
+    S1 = _sample_rows(n, pmf, c_ls, seed)
     M = (Wm[S1.indices, :] * S1.weights[:, None]).T  # r x c_ls, equals W' S1
     try:
         fac = srrqr(M, r, eta)
@@ -227,7 +229,7 @@ def hybrid_select(W, pmf, c_ls, eta=2.0, seed=0):
 
 def pqr_select(W):
     """Deterministic selection from column-pivoted QR of W'."""
-    Wm = check_orthonormal(basis_matrix(W), name="W")
+    Wm = orthonormal_matrix(W, "W")
     r = Wm.shape[1]
     _, _, perm = pivoted_qr(Wm.T)
     return SelectionOperator(indices=perm[:r], weights=np.ones(r), n=Wm.shape[0])
@@ -239,7 +241,7 @@ def srrqr_select(W, eta=2.0):
     The revealed pivots guarantee
     ``||inv(S' W)||_2 <= sqrt(1 + eta^2 r (n - r))``.
     """
-    Wm = check_orthonormal(basis_matrix(W), name="W")
+    Wm = orthonormal_matrix(W, "W")
     n, r = Wm.shape
     fac = srrqr(Wm.T, r, eta)
     return SelectionOperator(indices=fac.perm[:r], weights=np.ones(r), n=n)
@@ -251,7 +253,7 @@ def deim_greedy_select(W):
 
     Expects the columns of W ordered by importance (e.g. singular vectors).
     """
-    Wm = check_orthonormal(basis_matrix(W), name="W")
+    Wm = orthonormal_matrix(W, "W")
     n, r = Wm.shape
     idx = np.empty(r, dtype=np.intp)
     idx[0] = int(np.argmax(np.abs(Wm[:, 0])))

@@ -32,7 +32,6 @@ from rdeim.rangefinder import (
     AdaptiveConfig,
     RangeConfig,
     adaptive_range_finder,
-    basic_range_finder,
     gaussian_matrix,
     sketch_absorb,
     sketch_init,
@@ -208,7 +207,7 @@ def test_criterion_07_oscillator_dominance_and_tracking():
     details = []
     for r in (10, 20):
         W = svd_basis(A, r)
-        Wh = basic_range_finder(A, RangeConfig(rank=r, oversample=20, power=0, seed=0))
+        Wh = subspace_range_finder(A, RangeConfig(rank=r, oversample=20, power=0, seed=0))
         P = build_projector(W, deim_greedy_select(W))
         Ph = build_projector(Wh, deim_greedy_select(Wh))
         ratios = []
@@ -267,7 +266,7 @@ def test_criterion_10_source_example_end_to_end():
     A = snaps.matrix
     W = svd_basis(A, r)
     P_det = build_projector(W, deim_greedy_select(W))
-    Wh = basic_range_finder(A, RangeConfig(rank=r, oversample=p, power=0, seed=0))
+    Wh = subspace_range_finder(A, RangeConfig(rank=r, oversample=p, power=0, seed=0))
     pmf = mixed_pmf(leverage_scores(Wh), r, beta=0.5)
     count = min(practical_sample_count(r), A.shape[0])
     _, _, S = hybrid_select(Wh, pmf, count, eta=2.0, seed=0)

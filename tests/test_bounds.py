@@ -19,7 +19,7 @@ from rdeim.bounds import (
 from rdeim.exceptions import SpectralGapError
 from rdeim.linalg import canonical_angles
 from rdeim.projector import build_projector
-from rdeim.rangefinder import RangeConfig, basic_range_finder, svd_basis
+from rdeim.rangefinder import RangeConfig, subspace_range_finder, svd_basis
 from rdeim.selection import deim_greedy_select, leverage_scores, leverage_select, mixed_pmf
 
 from conftest import gap_matrix, random_matrix, random_orthonormal
@@ -67,7 +67,7 @@ def test_interpolation_bound_shape_check():
 def _perturbed_pair(seed, rank=6):
     A = _snapshots(seed)
     W = svd_basis(A, rank)
-    Wh = basic_range_finder(A, RangeConfig(rank=rank, oversample=6, power=0, seed=seed))
+    Wh = subspace_range_finder(A, RangeConfig(rank=rank, oversample=6, power=0, seed=seed))
     P_hat = build_projector(Wh, deim_greedy_select(Wh))
     return A, W, Wh, P_hat
 

@@ -188,11 +188,28 @@ def test_select_rejects_deviation_naming_the_file(tmp_path, capsys):
     assert not points.exists()
 
 
-@pytest.mark.parametrize("command", ["approx", "basis", "select"])
-@pytest.mark.parametrize("option", ["--eps", "--delta"])
-def test_removed_sampling_options_are_rejected(command, option):
+# the options each command requires, so that only the option under test is wrong
+_REQUIRED = {
+    "approx": ["--example", "osc"],
+    "basis": ["--matrix", "absent.rdmx"],
+    "select": ["--basis-file", "absent.rdmx"],
+}
+
+
+# select takes its basis from the file, and basis picks no points
+_REMOVED = (
+    [(option, command) for option in ("--eps", "--delta") for command in _REQUIRED]
+    + [(opt, "select") for opt in ("--rank", "--oversample", "--power", "--tol", "--block")]
+    + [("--max-blocks", "select")]
+    + [(opt, "basis") for opt in ("--eta", "--beta", "--samples")]
+)
+
+
+@pytest.mark.parametrize("option, command", _REMOVED)
+def test_removed_sampling_options_are_rejected(option, command, capsys):
     with pytest.raises(SystemExit):
-        main([command, option, "0.5", "--out", "x"])
+        main([command, *_REQUIRED[command], option, "1", "--out", "x"])
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra, rows", [([], 50), (["--n-test", "0"], 200), (["--n-test", "7"], 7)])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rdeim import bounds, experiments
+import rdeim
+from rdeim import _util, bounds, experiments
 from rdeim.bounds import interpolation_error_bound, perturbed_basis_bound
 from rdeim.experiments import (
     SCALES,
@@ -23,9 +24,10 @@ from rdeim.experiments import (
     select_points,
     source_test_points,
 )
-from rdeim.matio import emit_csv
+from rdeim.cli import main
+from rdeim.matio import emit_csv, write_matrix
 from rdeim.projector import DeimProjector, build_projector
-from rdeim.rangefinder import svd_basis
+from rdeim.rangefinder import OrthonormalBasis, svd_basis
 from rdeim.selection import SelectionOperator, deim_greedy_select
 
 from conftest import gap_matrix, random_orthonormal
@@ -160,6 +162,15 @@ def test_spec_validation():
         ExperimentSpec(example="source", rank=5, n_test=-1)
 
 
+def test_spec_rejects_held_out_count_in_overrides():
+    # generate drops an n_test override, so it would silently sweep the
+    # scale's 50 held-out columns instead of 5
+    with pytest.raises(ValueError, match="n_test="):
+        ExperimentSpec(
+            example="source", rank=8, overrides={"n_grid": 10, "n_train": 30, "n_test": 5}
+        )
+
+
 def test_generate_scales_and_overrides():
     snaps = generate(ExperimentSpec(example="osc", rank=5, overrides={"n_t": 50, "n_mu": 7}))
     assert snaps.matrix.shape == (50, 7)
@@ -186,8 +197,6 @@ def test_build_basis_dispatch():
 
 
 def test_select_points_dispatch():
-    from rdeim.rangefinder import OrthonormalBasis
-
     W = OrthonormalBasis(random_orthonormal(50, 5, seed=1), "exact-svd")
     for selector, expect_s in (("greedy", 5), ("pqr", 5), ("srrqr", 5)):
         spec = ExperimentSpec(example="osc", rank=5, selector=selector)
@@ -304,6 +313,39 @@ def test_run_experiment_computes_angles_once(monkeypatch):
     table = run_experiment(spec)
     assert len(angles) == 1
     assert table.summary["basis_sin_theta_max"] == table.rows[0][6]
+
+
+def _counting_checks(monkeypatch):
+    """Count check_orthonormal calls under every name a module imported it by."""
+    owners = [m for m in list(vars(rdeim).values()) if hasattr(m, "check_orthonormal")]
+    return _counting(monkeypatch, "check_orthonormal", _util, *set(owners) - {_util})
+
+
+@pytest.mark.parametrize("selector", ["greedy", "pqr", "srrqr", "leverage", "hybrid"])
+def test_select_checks_the_basis_once(monkeypatch, tmp_path, selector):
+    basis = tmp_path / "w.rdmx"
+    write_matrix(basis, random_orthonormal(60, 5, seed=1))
+    checks = _counting_checks(monkeypatch)
+    argv = ["select", "--basis-file", str(basis), "--select", selector]
+    assert main(argv + ["--out", str(tmp_path / "p.csv")]) == 0
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("selector", ["greedy", "pqr", "srrqr", "leverage", "hybrid"])
+@pytest.mark.parametrize(
+    "basis, built", [("svd", 1), ("basic", 1), ("subspace", 1), ("adaptive", 2)]
+)
+def test_run_experiment_checks_each_basis_once(monkeypatch, basis, built, selector):
+    # the adaptive basis is built once and truncated into a second one
+    checks = _counting_checks(monkeypatch)
+    bases = _counting(monkeypatch, "__post_init__", OrthonormalBasis)
+    spec = ExperimentSpec(
+        example="corner", rank=5, basis=basis, selector=selector, oversample=5,
+        block=4, max_blocks=8, overrides={"grid": 10, "param_grid": 5},
+    )
+    run_experiment(spec)
+    assert len(bases) == built
+    assert len(checks) == built
 
 
 def test_run_experiment_deterministic(tmp_path):

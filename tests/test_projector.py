@@ -3,7 +3,7 @@ import pytest
 
 from rdeim.exceptions import DegenerateSelectionError
 from rdeim.linalg import spectral_norm
-from rdeim.projector import apply, build_projector, error_constant
+from rdeim.projector import build_projector
 from rdeim.selection import (
     SelectionOperator,
     deim_greedy_select,
@@ -81,7 +81,6 @@ def test_apply_matches_dense(seed):
     W, P = _sampled_projector(24, 5, s=12, seed=seed)
     f = random_matrix(24, 1, seed=seed + 100)[:, 0]
     assert np.allclose(P.apply(f), P.dense() @ f, atol=1e-12)
-    assert np.allclose(apply(P, f), P.apply(f), atol=0)
 
 
 # ------------------------------------------------------ projector identities
@@ -174,7 +173,6 @@ def test_apply_rejects_other_shapes(shape):
 def test_error_constant_matches_dense_norm(seed):
     _, P = _sampled_projector(26, 4, s=13, seed=seed)
     assert P.error_constant() == pytest.approx(spectral_norm(P.dense()), rel=1e-10)
-    assert error_constant(P) == P.error_constant()
 
 
 def test_error_constant_merges_repeated_rows():

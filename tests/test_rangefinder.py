@@ -3,13 +3,13 @@ import pytest
 from scipy import stats
 
 from rdeim.exceptions import AdaptiveRangeError
+from rdeim.experiments import AlgorithmSpec, build_basis
 from rdeim.linalg import canonical_angles, spectral_norm, thin_svd
 from rdeim.rangefinder import (
     AdaptiveConfig,
     OrthonormalBasis,
     RangeConfig,
     adaptive_range_finder,
-    basic_range_finder,
     gaussian_matrix,
     sketch_absorb,
     sketch_init,
@@ -53,6 +53,21 @@ def test_orthonormal_basis_rejects_skew():
     M = random_matrix(8, 3, seed=0)
     with pytest.raises(ValueError):
         OrthonormalBasis(M, "exact-svd")
+    Q, _ = np.linalg.qr(M)
+    nan = Q.copy()
+    nan[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        OrthonormalBasis(nan, "exact-svd")
+    # scaling one column by sqrt(1 + d) moves that Gram diagonal entry by d;
+    # the library's one tolerance is 1e-8
+    for deviation, accepted in ((2e-8, False), (2e-9, True)):
+        skew = Q.copy()
+        skew[:, 0] *= np.sqrt(1.0 + deviation)
+        if accepted:
+            assert OrthonormalBasis(skew, "exact-svd").matrix is skew
+        else:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                OrthonormalBasis(skew, "exact-svd")
 
 
 # --------------------------------------------------------- gaussian_matrix
@@ -85,12 +100,12 @@ def test_gaussian_matrix_validation():
         gaussian_matrix(5, 5, seed=-2)
 
 
-# ------------------------------------------------------- basic_range_finder
+# --------------------------------- single sketch (subspace iteration, q = 0)
 
 
 def test_basic_gap_matrix_recovers_subspace():
     A, _ = gap_matrix(50, 40, rank=2, gamma=1e-8, seed=2)
-    W = basic_range_finder(A, RangeConfig(rank=2, oversample=5, power=0, seed=0))
+    W = subspace_range_finder(A, RangeConfig(rank=2, oversample=5, power=0, seed=0))
     exact = svd_basis(A, 2)
     ang = canonical_angles(exact.matrix, W.matrix)
     assert ang.sin_theta_max <= 1e-6
@@ -98,33 +113,27 @@ def test_basic_gap_matrix_recovers_subspace():
 
 def test_basic_deterministic_and_provenance():
     A = random_matrix(30, 20, seed=1)
-    cfg = RangeConfig(rank=4, oversample=4, power=0, seed=9)
-    W1 = basic_range_finder(A, cfg)
-    W2 = basic_range_finder(A, cfg)
+    spec = AlgorithmSpec(rank=4, basis="basic", oversample=4, seed=9)
+    W1 = build_basis(A, spec)
+    W2 = build_basis(A, spec)
     assert np.array_equal(W1.matrix, W2.matrix)
-    assert W1.provenance == "basic-randomized"
+    assert W1.provenance == "subspace-iteration"
     assert W1.rank == 4
-    W3 = basic_range_finder(A, RangeConfig(rank=4, oversample=4, power=0, seed=10))
+    W3 = build_basis(A, AlgorithmSpec(rank=4, basis="basic", oversample=4, seed=10))
     assert not np.array_equal(W1.matrix, W3.matrix)
 
 
 def test_basic_rejects_oversized_sketch():
     A = random_matrix(30, 12, seed=1)
     with pytest.raises(ValueError):
-        basic_range_finder(A, RangeConfig(rank=8, oversample=5, power=0, seed=0))
-
-
-def test_basic_rejects_nonzero_power():
-    A = random_matrix(30, 20, seed=1)
-    with pytest.raises(ValueError):
-        basic_range_finder(A, RangeConfig(rank=4, oversample=4, power=2, seed=0))
+        subspace_range_finder(A, RangeConfig(rank=8, oversample=5, power=0, seed=0))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_basic_residual_lower_bound(seed):
     A = random_matrix(40, 25, seed=seed)
     sv = np.linalg.svd(A, compute_uv=False)
-    W = basic_range_finder(A, RangeConfig(rank=6, oversample=6, power=0, seed=seed))
+    W = subspace_range_finder(A, RangeConfig(rank=6, oversample=6, power=0, seed=seed))
     resid = spectral_norm(A - W.matrix @ (W.matrix.T @ A))
     assert resid >= sv[6] - 1e-10
 
@@ -149,12 +158,12 @@ def test_basic_expectation_bound_geometric_spectrum():
 
 
 def test_subspace_q0_identical_to_basic():
+    # --basis basic is subspace iteration at power 0, whatever spec.power says
     A = random_matrix(40, 30, seed=4)
-    cfg0 = RangeConfig(rank=5, oversample=5, power=0, seed=7)
-    Wb = basic_range_finder(A, cfg0)
-    Ws = subspace_range_finder(A, cfg0)
+    Wb = build_basis(A, AlgorithmSpec(rank=5, basis="basic", oversample=5, power=2, seed=7))
+    Ws = subspace_range_finder(A, RangeConfig(rank=5, oversample=5, power=0, seed=7))
     assert np.array_equal(Wb.matrix, Ws.matrix)
-    assert Ws.provenance == "subspace-iteration"
+    assert Wb.provenance == Ws.provenance == "subspace-iteration"
 
 
 def test_subspace_mean_angle_decreases_with_power():
@@ -174,10 +183,19 @@ def test_subspace_mean_angle_decreases_with_power():
 
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_subspace_orthonormal_output(q):
+    # every finder's output is orthonormal far inside the 1e-8 the
+    # OrthonormalBasis constructor enforces
     A = random_matrix(35, 25, seed=q)
-    W = subspace_range_finder(A, RangeConfig(rank=6, oversample=5, power=q, seed=1))
-    G = W.matrix.T @ W.matrix
-    assert np.max(np.abs(G - np.eye(6))) < 1e-12
+    adaptive = adaptive_range_finder(A, AdaptiveConfig(tol=0.5, block=3, max_blocks=10, seed=q))
+    bases = (
+        subspace_range_finder(A, RangeConfig(rank=6, oversample=5, power=q, seed=1)),
+        svd_basis(A, 6),
+        adaptive,
+        truncate_basis(adaptive, A, 6),
+    )
+    for W in bases:
+        G = W.matrix.T @ W.matrix
+        assert np.max(np.abs(G - np.eye(W.rank))) < 1e-12
 
 
 # ---------------------------------------------------- adaptive_range_finder

@@ -5,6 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# lines of a large matrix a streaming kernel takes at a time: the
+# snapshot columns error_sweep projects and bounds, the rows of the
+# adaptive range finder's explicit residual
+SWEEP_BLOCK = 64
+
 
 def as_matrix(a, name="matrix"):
     """Coerce to a 2-d float64 array with finite entries."""
@@ -35,6 +40,8 @@ def check_orthonormal(W, name="basis"):
     handed a raw array, and nowhere else.
     """
     W = as_matrix(W, name)
+    if W.shape[1] == 0:
+        raise ValueError(f"{name} has no columns ({W.shape[0]} x 0)")
     if W.shape[0] < W.shape[1]:
         raise ValueError(f"{name} has more columns than rows ({W.shape})")
     gram = W.T @ W
@@ -77,6 +84,13 @@ def orthonormal_matrix(W, name="basis"):
     """The matrix of W: .matrix as is for an OrthonormalBasis, which was
     checked when it was built; a raw array is checked here, once."""
     return W.matrix if isinstance(W, OrthonormalBasis) else check_orthonormal(W, name=name)
+
+
+def orthonormal_basis(W, provenance):
+    """W as an OrthonormalBasis: as is if it is one; a raw array is checked
+    here, once, and named by provenance, for a function that hands it on
+    to more than one consumer."""
+    return W if isinstance(W, OrthonormalBasis) else OrthonormalBasis(W, provenance)
 
 
 def check_seed(seed):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_matrix, orthonormal_matrix
+from ._util import as_matrix, orthonormal_basis
 from .exceptions import SpectralGapError
 from .linalg import canonical_angles, spectral_norm, thin_svd
 
@@ -96,12 +96,13 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     span W and the perturbed span W_hat. The amplification over the
     unperturbed bound is reported as the condition-style factor kappa.
     W_ref is an OrthonormalBasis or an array; an array's columns are
-    checked on each use.
+    checked once per call.
     """
     f = _as_f(f, P_hat.selection.n)
+    W_ref = orthonormal_basis(W_ref, "W_ref")
     # also rejects a reference whose shape differs from the projector's basis
     sin_max = canonical_angles(W_ref, P_hat.basis).sin_theta_max
-    Wm = orthonormal_matrix(W_ref, "W_ref")
+    Wm = W_ref.matrix
     const = P_hat.error_constant()
     bound, orth, proj = perturbed_bounds(Wm, f[:, None], const, sin_max)
     orth_norm, proj_norm = float(orth[0]), float(proj[0])

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import check_seed, orthonormal_matrix
+from ._util import SWEEP_BLOCK, check_seed, orthonormal_basis
 from .bounds import perturbed_bounds, plain_bounds
 from .linalg import canonical_angles
 from .matio import ResultTable
@@ -42,9 +42,6 @@ SOURCE_RANGES = ((0.2, 0.8), (0.15, 0.35), (0.1, 0.35))
 
 BASES = ("svd", "basic", "subspace", "adaptive")
 SELECTORS = ("greedy", "pqr", "srrqr", "leverage", "hybrid")
-
-# snapshot columns error_sweep projects and bounds at a time
-SWEEP_BLOCK = 64
 
 # desk-scale defaults keep every experiment laptop-sized; paper scale
 # reproduces the published grids
@@ -87,7 +84,8 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
 
 
 def _corner_h(z, mu):
-    return ((1.0 - z) - (0.99 * mu - 1.0)) ** 2
+    """h(z; mu) = ((1-z) - (0.99 mu - 1))^2 as a len(z) x len(mu) table."""
+    return ((1.0 - z)[:, None] - (0.99 * mu - 1.0)[None, :]) ** 2
 
 
 def corner_peak_snapshots(grid=100, param_grid=25):
@@ -99,32 +97,36 @@ def corner_peak_snapshots(grid=100, param_grid=25):
     f(x1, x2; mu1, mu2) = f(1-x1, 1-x2; 1-mu1, 1-mu2). Columns enumerate
     the mu tensor grid with mu1 varying fastest; each column flattens the
     spatial grid with x1 varying fastest.
+
+    h is tabulated once per axis, for (x, mu) and for the reflected
+    (1 - x, 1 - mu). The matrix is then filled in place one x2 value at a
+    time: those grid rows hold every column, so no temporary grows with
+    the column count.
     """
     if grid < 2 or param_grid < 2:
         raise ValueError(f"need at least 2 points per axis, got grid={grid}, param_grid={param_grid}")
     x = np.linspace(0.0, 1.0, grid)
     mus = np.linspace(0.0, 1.0, param_grid)
+    h = _corner_h(x, mus)
+    h_r = _corner_h(1.0 - x, 1.0 - mus)
 
-    def g(x1_h, x2_h):
-        # x1_h, x2_h are per-axis h values; outer sum spans the grid
-        return 1.0 / np.sqrt(x1_h[:, None] + x2_h[None, :] + 0.01)
-
-    n = grid * grid
-    n_s = param_grid * param_grid
-    F = np.empty((n, n_s))
-    params = np.empty((n_s, 2))
-    col = 0
-    for m2 in mus:
-        for m1 in mus:
-            term = (
-                g(_corner_h(x, m1), _corner_h(x, m2))
-                + g(_corner_h(1.0 - x, 1.0 - m1), _corner_h(1.0 - x, 1.0 - m2))
-                + g(_corner_h(1.0 - x, 1.0 - m1), _corner_h(x, m2))
-                + g(_corner_h(x, m1), _corner_h(1.0 - x, 1.0 - m2))
-            )
-            F[:, col] = term.ravel(order="F")
-            params[col] = (m1, m2)
-            col += 1
+    F = np.empty((grid * grid, param_grid * param_grid))
+    g = np.empty((grid, param_grid, param_grid))
+    # (x1, mu1) and (x2, mu2) tables of the four terms, in summation order
+    terms = ((h, h), (h_r, h_r), (h_r, h), (h, h_r))
+    for j in range(grid):
+        # rows i + grid * j as [i, p2, p1]: column p1 + param_grid * p2
+        # holds (mu1, mu2) = (mus[p1], mus[p2])
+        block = F[j * grid : (j + 1) * grid].reshape(grid, param_grid, param_grid)
+        for k, (h1, h2) in enumerate(terms):
+            out = g if k else block
+            np.add(h1[:, None, :], h2[j][None, :, None], out=out)
+            np.add(out, 0.01, out=out)
+            np.sqrt(out, out=out)
+            np.divide(1.0, out, out=out)
+            if k:
+                block += g
+    params = np.column_stack([np.tile(mus, param_grid), np.repeat(mus, param_grid)])
     return SnapshotSet(matrix=F, params=params, param_names=("mu1", "mu2"), space={"x1": x, "x2": x})
 
 
@@ -150,13 +152,22 @@ def latin_hypercube(n_samples, ranges, seed):
 
 
 def _source_columns(x, params):
+    """exp(-((x1 - mu3)^2 + (x2 - mu4)^2) / mu5^2) for each parameter row,
+    flattened with x1 varying fastest.
+
+    The per-axis squared distances are tabulated once (grid x n_cols), and
+    the exponent is formed and exponentiated in place in the output, so
+    no temporary grows with the column count.
+    """
     grid = x.size
-    X1 = np.broadcast_to(x[:, None], (grid, grid))
-    X2 = np.broadcast_to(x[None, :], (grid, grid))
+    d1 = (x[:, None] - params[None, :, 0]) ** 2
+    d2 = (x[:, None] - params[None, :, 1]) ** 2
     cols = np.empty((grid * grid, params.shape[0]))
-    for k, (m3, m4, m5) in enumerate(params):
-        f = np.exp(-(((X1 - m3) ** 2) + ((X2 - m4) ** 2)) / (m5 * m5))
-        cols[:, k] = f.ravel(order="F")
+    # cols as [j, i, k] is row i + grid * j: d1 runs over x1, d2 over x2
+    np.add(d1[None, :, :], d2[:, None, :], out=cols.reshape(grid, grid, params.shape[0]))
+    np.negative(cols, out=cols)
+    np.divide(cols, params[:, 2] * params[:, 2], out=cols)
+    np.exp(cols, out=cols)
     return cols
 
 
@@ -297,6 +308,12 @@ def select_points(basis, spec):
         return pqr_select(basis)
     if spec.selector == "srrqr":
         return srrqr_select(basis, eta=spec.eta)
+    if spec.samples is None and basis.rank < 2:
+        # the practical count ceil(3 r ln r) is 0 at r = 1
+        raise ValueError(
+            f"{spec.selector} selection on a rank-1 basis needs an explicit sample count: "
+            "pass samples= (--samples on the command line)"
+        )
     pmf = mixed_pmf(leverage_scores(basis), basis.rank, spec.beta)
     count = spec.samples if spec.samples is not None else practical_sample_count(basis.rank)
     count = min(count, basis.matrix.shape[0])
@@ -331,8 +348,9 @@ def error_sweep(P, snaps, reference_basis=None):
     err = np.empty(n_s)
     if with_bounds:
         columns += ["bound_plain", "bound_perturbed", "sin_theta_max"]
+        reference_basis = orthonormal_basis(reference_basis, "reference")
         sin_max = canonical_angles(reference_basis, P.basis).sin_theta_max
-        W_ref = orthonormal_matrix(reference_basis, "reference basis")
+        W_ref = reference_basis.matrix
         plain = np.empty(n_s)
         pert = np.empty(n_s)
     for lo in range(0, n_s, SWEEP_BLOCK):

@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import OrthonormalBasis, as_matrix, as_vector, check_seed
+from ._util import SWEEP_BLOCK, OrthonormalBasis, as_matrix, as_vector, check_seed
 from .exceptions import AdaptiveRangeError, ConvergenceError
 from .linalg import thin_svd
+
+# sketch blocks the adaptive range finder draws and applies to A together
+SKETCH_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,18 @@ def adaptive_range_finder(A, cfg):
     Blocks of `cfg.block` Gaussian sketch columns are absorbed, each one
     orthogonalized against the current basis; the captured energy is
     tracked through the accumulated ||B'||_F^2 (equal to ||Q'A||_F^2 up to
-    the orthogonalization residual). Before returning, the criterion is
-    re-verified with an explicit residual computation, and extra blocks are
-    absorbed if the accumulator was optimistic, so the postcondition
+    the orthogonalization residual), as in randQB_EI (Martinsson & Voronin,
+    SISC 2016). Before returning, the criterion is re-verified with an
+    explicit residual computation, and extra blocks are absorbed if the
+    accumulator was optimistic, so the postcondition
     ``||A - W W' A||_F^2 <= tol^2 ||A||_F^2`` always holds on success.
+
+    Cost: A is read once per SKETCH_GROUP sketch blocks, whose Gaussian
+    draws are made together (the same stream as one draw per block, never
+    past max_blocks) and applied to A in one product; each absorbed block
+    then reads A once more for its rows of B. ||A||_F^2 is one dot product
+    and the explicit residual a sum over blocks of SWEEP_BLOCK rows, so no
+    n x n_s temporary is formed.
 
     Parameters
     ----------
@@ -161,7 +172,7 @@ def adaptive_range_finder(A, cfg):
             f"dimension {n}; the basis cannot outgrow its space"
         )
     rng = np.random.default_rng(cfg.seed)
-    alpha = float(np.sum(A * A))
+    alpha = float(np.vdot(A, A))
     if alpha == 0.0:
         raise ValueError("A is identically zero; no basis to find")
     target = cfg.tol * cfg.tol * alpha
@@ -170,6 +181,7 @@ def adaptive_range_finder(A, cfg):
     B = None
     beta = 0.0
     blocks = 0
+    drawn = []  # (omega, A @ omega) of the drawn blocks not yet absorbed
     # the accumulator can drift, so the loop ends only once the explicit
     # residual confirms it
     while beta <= alpha * (1.0 - cfg.tol * cfg.tol) or _explicit_residual(A, W) > target:
@@ -181,12 +193,16 @@ def adaptive_range_finder(A, cfg):
                 partial_basis=W,
                 residual=res,
             )
-        omega = rng.standard_normal((n_s, cfg.block))
+        if not drawn:
+            omegas = rng.standard_normal((min(SKETCH_GROUP, cfg.max_blocks - blocks), n_s, cfg.block))
+            Y = A @ np.concatenate(omegas, axis=1)
+            drawn = [(om, Y[:, i * cfg.block : (i + 1) * cfg.block]) for i, om in enumerate(omegas)]
+        omega, A_omega = drawn.pop(0)
         if W is None:
-            Q, _ = np.linalg.qr(A @ omega)
+            Q, _ = np.linalg.qr(A_omega)
             Bp = Q.T @ A
         else:
-            Q, _ = np.linalg.qr(A @ omega - W @ (B @ omega))
+            Q, _ = np.linalg.qr(A_omega - W @ (B @ omega))
             Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
             if np.max(np.abs(W.T @ Q)) > 1e-12:
                 Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
@@ -200,10 +216,17 @@ def adaptive_range_finder(A, cfg):
 
 
 def _explicit_residual(A, W):
-    if W is None:
-        return float(np.sum(A * A))
-    E = A - W @ (W.T @ A)
-    return float(np.sum(E * E))
+    """||A - W W'A||_F^2: W'A is formed once, then the residual is summed
+    over SWEEP_BLOCK rows of A at a time."""
+    C = W.T @ A
+    E = np.empty((min(SWEEP_BLOCK, A.shape[0]), A.shape[1]))
+    total = 0.0
+    for lo in range(0, A.shape[0], SWEEP_BLOCK):
+        A_rows = A[lo : lo + SWEEP_BLOCK]
+        E_rows = np.matmul(W[lo : lo + SWEEP_BLOCK], C, out=E[: A_rows.shape[0]])
+        np.subtract(A_rows, E_rows, out=E_rows)
+        total += float(np.vdot(E_rows, E_rows))
+    return total
 
 
 def svd_basis(A, rank):

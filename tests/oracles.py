@@ -162,3 +162,88 @@ def dense_oblique_projector(W, indices, weights=None):
     w = np.ones(s) if weights is None else np.asarray(weights, dtype=np.float64)
     S[np.asarray(indices), np.arange(s)] = w
     return W @ np.linalg.pinv(S.T @ W) @ S.T
+
+
+def blockwise_adaptive_basis(A, tol, block, max_blocks, seed):
+    """randQB_EI one sketch block at a time, with whole-matrix temporaries.
+
+    Each block draws its own (n_s, block) Gaussian sketch and forms
+    A @ omega on its own; ||A||_F^2 and the explicit residual are formed
+    from n x n_s products. Returns (W, blocks, residual): the basis, the
+    number of blocks absorbed and, when max_blocks blocks did not reach
+    the tolerance, the relative residual of that partial basis (None on
+    success).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    n_s = A.shape[1]
+    rng = np.random.default_rng(seed)
+    alpha = float(np.sum(A * A))
+
+    def residual(W):
+        E = A - W @ (W.T @ A)
+        return float(np.sum(E * E))
+
+    W = None
+    B = None
+    beta = 0.0
+    blocks = 0
+    while beta <= alpha * (1.0 - tol * tol) or residual(W) > tol * tol * alpha:
+        if blocks == max_blocks:
+            return W, blocks, float(np.sqrt(residual(W) / alpha))
+        omega = rng.standard_normal((n_s, block))
+        if W is None:
+            Q, _ = np.linalg.qr(A @ omega)
+            Bp = Q.T @ A
+        else:
+            Q, _ = np.linalg.qr(A @ omega - W @ (B @ omega))
+            Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
+            if np.max(np.abs(W.T @ Q)) > 1e-12:
+                Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
+            Bp = Q.T @ A - (Q.T @ W) @ B
+        W = Q if W is None else np.hstack([W, Q])
+        B = Bp if B is None else np.vstack([B, Bp])
+        beta += float(np.sum(Bp * Bp))
+        blocks += 1
+    return W, blocks, None
+
+
+def columnwise_source_columns(x, params):
+    """The Gaussian source formula evaluated one parameter row at a time
+    on the full (grid, grid) mesh, flattened with x1 varying fastest."""
+    grid = x.size
+    X1 = np.broadcast_to(x[:, None], (grid, grid))
+    X2 = np.broadcast_to(x[None, :], (grid, grid))
+    cols = np.empty((grid * grid, params.shape[0]))
+    for k, (m3, m4, m5) in enumerate(params):
+        f = np.exp(-(((X1 - m3) ** 2) + ((X2 - m4) ** 2)) / (m5 * m5))
+        cols[:, k] = f.ravel(order="F")
+    return cols
+
+
+def columnwise_corner_peak(grid, param_grid):
+    """The four reflected corner-peak terms summed one (mu1, mu2) column at
+    a time, mu1 varying fastest. Returns (matrix, params)."""
+    x = np.linspace(0.0, 1.0, grid)
+    mus = np.linspace(0.0, 1.0, param_grid)
+
+    def h(z, mu):
+        return ((1.0 - z) - (0.99 * mu - 1.0)) ** 2
+
+    def g(x1_h, x2_h):
+        return 1.0 / np.sqrt(x1_h[:, None] + x2_h[None, :] + 0.01)
+
+    F = np.empty((grid * grid, param_grid * param_grid))
+    params = np.empty((param_grid * param_grid, 2))
+    col = 0
+    for m2 in mus:
+        for m1 in mus:
+            term = (
+                g(h(x, m1), h(x, m2))
+                + g(h(1.0 - x, 1.0 - m1), h(1.0 - x, 1.0 - m2))
+                + g(h(1.0 - x, 1.0 - m1), h(x, m2))
+                + g(h(x, m1), h(1.0 - x, 1.0 - m2))
+            )
+            F[:, col] = term.ravel(order="F")
+            params[col] = (m1, m2)
+            col += 1
+    return F, params

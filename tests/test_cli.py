@@ -188,6 +188,30 @@ def test_select_rejects_deviation_naming_the_file(tmp_path, capsys):
     assert not points.exists()
 
 
+def test_select_rejects_an_empty_basis_naming_the_file(tmp_path, capsys):
+    basis = tmp_path / "empty-basis.rdmx"
+    write_matrix(basis, np.zeros((60, 0)))
+    points = tmp_path / "pts.csv"
+    rc = main(["select", "--basis-file", str(basis), "--select", "pqr", "--out", str(points)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(basis) in err and "no columns" in err
+    assert not points.exists()
+
+
+@pytest.mark.parametrize("selector", ["leverage", "hybrid"])
+def test_select_sampled_rank_one_asks_for_samples(tmp_path, capsys, selector):
+    basis = tmp_path / "rank1.rdmx"
+    write_matrix(basis, np.full((60, 1), 1.0 / np.sqrt(60.0)))
+    points = tmp_path / "pts.csv"
+    argv = ["select", "--basis-file", str(basis), "--select", selector, "--out", str(points)]
+    assert main(argv) == 1
+    assert "--samples" in capsys.readouterr().err
+    assert not points.exists()
+    assert main(argv + ["--samples", "5"]) == 0
+    assert points.read_text().startswith("position,index,weight")
+
+
 # the options each command requires, so that only the option under test is wrong
 _REQUIRED = {
     "approx": ["--example", "osc"],

@@ -31,6 +31,7 @@ from rdeim.rangefinder import OrthonormalBasis, svd_basis
 from rdeim.selection import SelectionOperator, deim_greedy_select
 
 from conftest import gap_matrix, random_orthonormal
+from oracles import columnwise_corner_peak, columnwise_source_columns
 
 
 # ------------------------------------------------------------------ osc
@@ -85,6 +86,14 @@ def test_corner_range():
     assert snaps.matrix.max() < 40.0
 
 
+@pytest.mark.parametrize("grid, pg", [(7, 3), (8, 5), (50, 15)])
+def test_corner_matches_columnwise_oracle(grid, pg):
+    snaps = corner_peak_snapshots(grid=grid, param_grid=pg)
+    F, params = columnwise_corner_peak(grid, pg)
+    assert np.array_equal(snaps.matrix, F)
+    assert np.array_equal(snaps.params, params)
+
+
 # ------------------------------------------------------- latin hypercube
 
 
@@ -125,6 +134,14 @@ def test_source_columns_match_formula():
         i1, i2 = p % 7, p // 7
         val = math.exp(-((x[i1] - m3) ** 2 + (x[i2] - m4) ** 2) / m5**2)
         assert snaps.matrix[p, k] == pytest.approx(val, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_train", [1, 63, SWEEP_BLOCK, 65, 200])
+def test_source_matches_columnwise_oracle(n_train):
+    snaps = gaussian_source_snapshots(n_grid=11, n_train=n_train, seed=4)
+    assert np.array_equal(snaps.matrix, columnwise_source_columns(snaps.space["x1"], snaps.params))
+    test = source_test_points(snaps, n_train, seed=5)
+    assert np.array_equal(test.matrix, columnwise_source_columns(test.space["x1"], test.params))
 
 
 def test_source_params_within_ranges():
@@ -276,13 +293,14 @@ def test_error_sweep_matches_per_vector_bounds(example):
 
 
 def _counting(monkeypatch, name, *owners):
-    """Count the calls made through owner.name, for every owner, in one list."""
+    """Record the positional arguments of the calls made through owner.name,
+    for every owner, in one list."""
     calls = []
     for owner in owners:
         real = getattr(owner, name)
 
         def counted(*args, _real=real, **kwargs):
-            calls.append(None)
+            calls.append(args)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -346,6 +364,38 @@ def test_run_experiment_checks_each_basis_once(monkeypatch, basis, built, select
     run_experiment(spec)
     assert len(bases) == built
     assert len(checks) == built
+
+
+@pytest.mark.parametrize("selector", ["leverage", "hybrid"])
+def test_sampled_selection_at_rank_one_asks_for_samples(selector):
+    spec = dict(example="osc", rank=1, selector=selector)
+    with pytest.raises(ValueError, match="samples="):
+        run_experiment(ExperimentSpec(**spec))
+    table = run_experiment(ExperimentSpec(**spec, samples=5))
+    assert table.summary["basis_rank"] == 1.0
+
+
+def test_error_sweep_checks_a_raw_reference_once(monkeypatch):
+    A, _ = gap_matrix(80, 30, rank=5, gamma=0.1, seed=2)
+    snaps = SnapshotSet(matrix=A, params=np.arange(30)[:, None], param_names=("k",), space={})
+    W = svd_basis(A, 5)
+    P = build_projector(W, deim_greedy_select(W))
+    W_ref = np.array(W.matrix)
+    checks = _counting_checks(monkeypatch)
+    raw = error_sweep(P, snaps, reference_basis=W_ref)
+    assert sum(args[0] is W_ref for args in checks) == 1
+    assert raw.rows == error_sweep(P, snaps, reference_basis=W).rows
+
+
+def test_perturbed_basis_bound_checks_a_raw_reference_once(monkeypatch):
+    A, _ = gap_matrix(80, 30, rank=5, gamma=0.1, seed=2)
+    W = svd_basis(A, 5)
+    P = build_projector(W, deim_greedy_select(W))
+    W_ref = np.array(W.matrix)
+    checks = _counting_checks(monkeypatch)
+    report = perturbed_basis_bound(P, W_ref, A[:, 3])
+    assert sum(args[0] is W_ref for args in checks) == 1
+    assert report == perturbed_basis_bound(P, W, A[:, 3])
 
 
 def test_run_experiment_deterministic(tmp_path):

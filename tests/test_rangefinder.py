@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,7 +23,7 @@ from rdeim.rangefinder import (
 )
 
 from conftest import gap_matrix, random_matrix, spectrum_matrix
-from oracles import batch_sketch
+from oracles import batch_sketch, blockwise_adaptive_basis
 
 
 # ----------------------------------------------------------------- configs
@@ -68,6 +70,8 @@ def test_orthonormal_basis_rejects_skew():
         else:
             with pytest.raises(ValueError, match="not orthonormal"):
                 OrthonormalBasis(skew, "exact-svd")
+    with pytest.raises(ValueError, match="exact-svd basis has no columns"):
+        OrthonormalBasis(np.zeros((8, 0)), "exact-svd")
 
 
 # --------------------------------------------------------- gaussian_matrix
@@ -261,6 +265,44 @@ def test_adaptive_deterministic():
     W1 = adaptive_range_finder(A, cfg)
     W2 = adaptive_range_finder(A, cfg)
     assert np.array_equal(W1.matrix, W2.matrix)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tol, max_blocks", [(0.3, 7), (1e-2, 13), (1e-3, 16)])
+def test_adaptive_matches_blockwise_oracle(seed, tol, max_blocks):
+    # 150 columns span three residual blocks; a decaying spectrum needs
+    # several sketch groups, and max_blocks is not always a group multiple
+    A, _ = gap_matrix(120, 150, rank=6, gamma=0.3, seed=seed, tail="decay")
+    W_ref, blocks, res = blockwise_adaptive_basis(A, tol, 5, max_blocks, seed)
+    assert res is None
+    W = adaptive_range_finder(A, AdaptiveConfig(tol=tol, block=5, max_blocks=max_blocks, seed=seed))
+    assert W.rank == 5 * blocks
+    assert np.max(np.abs(W.matrix - W_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("max_blocks", [1, 4, 6])
+def test_adaptive_failure_matches_blockwise_oracle(max_blocks):
+    A, _ = gap_matrix(120, 150, rank=6, gamma=0.3, seed=5, tail="decay")
+    W_ref, blocks, res = blockwise_adaptive_basis(A, 1e-9, 5, max_blocks, 7)
+    assert blocks == max_blocks and res is not None
+    with pytest.raises(AdaptiveRangeError) as exc:
+        adaptive_range_finder(A, AdaptiveConfig(tol=1e-9, block=5, max_blocks=max_blocks, seed=7))
+    assert np.max(np.abs(exc.value.partial_basis - W_ref)) <= 1e-12
+    assert exc.value.residual == pytest.approx(res, rel=1e-10)
+
+
+def test_adaptive_memory_stays_below_the_matrix():
+    # a wide low-rank matrix: no n x n_s temporary may be formed
+    A = _exact_rank(600, 4000, rank=25, seed=3)
+    cfg = AdaptiveConfig(tol=1e-6, block=10, max_blocks=6, seed=0)
+    tracemalloc.start()
+    try:
+        W = adaptive_range_finder(A, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.rank == 30
+    assert peak < 0.5 * A.nbytes
 
 
 # ------------------------------------------------- svd_basis/truncate_basis

@@ -102,9 +102,8 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     W_ref = orthonormal_basis(W_ref, "W_ref")
     # also rejects a reference whose shape differs from the projector's basis
     sin_max = canonical_angles(W_ref, P_hat.basis).sin_theta_max
-    Wm = W_ref.matrix
     const = P_hat.error_constant()
-    bound, orth, proj = perturbed_bounds(Wm, f[:, None], const, sin_max)
+    bound, orth, proj = perturbed_bounds(W_ref.matrix, f[:, None], const, sin_max)
     orth_norm, proj_norm = float(orth[0]), float(proj[0])
     actual = float(np.linalg.norm(f - P_hat.apply(f)))
     if proj_norm == 0.0:

@@ -331,7 +331,8 @@ def error_sweep(P, snaps, reference_basis=None):
     basis the sweep also evaluates, per column, the plain interpolation
     bound and the perturbed-basis bound against that reference, and the
     summary reports the largest canonical angle sine between the two
-    bases as basis_sin_theta_max.
+    bases as basis_sin_theta_max. The reference is an OrthonormalBasis or
+    an array, which is checked once.
 
     Cost: the loop invariants ||D||_2 (one error_constant call, also the
     summary's error_constant) and, with bounds, the canonical angles (one

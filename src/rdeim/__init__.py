@@ -19,11 +19,9 @@ from .linalg import (
     SRRQRFactors,
     ThinSVD,
     canonical_angles,
-    pinv_apply,
     pivoted_qr,
     spectral_norm,
     srrqr,
-    thin_qr,
     thin_svd,
 )
 from .rangefinder import (
@@ -38,7 +36,6 @@ from .rangefinder import (
     sketch_replace,
     subspace_range_finder,
     svd_basis,
-    truncate_basis,
     truncation_rank,
 )
 from .selection import (

@@ -14,6 +14,8 @@ from . import bounds as bounds_mod
 from .exceptions import RdeimError
 from .experiments import (
     BASES,
+    EXAMPLES,
+    SCALE_NAMES,
     SELECTORS,
     AlgorithmSpec,
     ExperimentSpec,
@@ -31,6 +33,11 @@ from .rangefinder import OrthonormalBasis
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output file path")
+
+
+def _example_args(p):
+    p.add_argument("--example", choices=EXAMPLES, required=True)
+    p.add_argument("--scale", choices=SCALE_NAMES, default="desk")
 
 
 def _basis_args(p):
@@ -61,8 +68,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a snapshot matrix")
-    p.add_argument("--example", choices=("osc", "corner", "source"), required=True)
-    p.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    _example_args(p)
     _add_common(p)
 
     p = sub.add_parser("basis", help="build a reduced basis from a matrix file")
@@ -76,8 +82,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("approx", help="end-to-end error sweep on a generated example")
-    p.add_argument("--example", choices=("osc", "corner", "source"), required=True)
-    p.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    _example_args(p)
     p.add_argument(
         "--n-test",
         type=int,
@@ -103,8 +108,7 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.1)
 
     p = sub.add_parser("bench", help="time exact vs randomized basis construction")
-    p.add_argument("--example", choices=("osc", "corner", "source"), required=True)
-    p.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    _example_args(p)
     p.add_argument("--rank", type=int, default=10)
     p.add_argument("--oversample", type=int, default=10)
     p.add_argument("--power", type=int, default=0)

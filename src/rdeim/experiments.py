@@ -22,10 +22,10 @@ from .projector import build_projector
 from .rangefinder import (
     AdaptiveConfig,
     RangeConfig,
+    _explicit_residual,
     adaptive_range_finder,
     subspace_range_finder,
     svd_basis,
-    truncate_basis,
 )
 from .selection import (
     deim_greedy_select,
@@ -40,9 +40,6 @@ from .selection import (
 
 SOURCE_RANGES = ((0.2, 0.8), (0.15, 0.35), (0.1, 0.35))
 
-BASES = ("svd", "basic", "subspace", "adaptive")
-SELECTORS = ("greedy", "pqr", "srrqr", "leverage", "hybrid")
-
 # desk-scale defaults keep every experiment laptop-sized; paper scale
 # reproduces the published grids
 SCALES = {
@@ -53,6 +50,11 @@ SCALES = {
         "paper": {"n_grid": 100, "n_train": 1000, "n_test": 100},
     },
 }
+
+BASES = ("svd", "basic", "subspace", "adaptive")
+SELECTORS = ("greedy", "pqr", "srrqr", "leverage", "hybrid")
+EXAMPLES = tuple(SCALES)
+SCALE_NAMES = tuple(SCALES[EXAMPLES[0]])  # every example names the same scales
 
 
 @dataclass(frozen=True)
@@ -246,8 +248,9 @@ class ExperimentSpec(AlgorithmSpec):
     """Declarative description of one end-to-end run: an AlgorithmSpec plus
     the data it runs on, every added field keyword-only.
 
-    example is 'osc', 'corner' or 'source'; scale picks the named grid
-    defaults ('desk' or 'paper'), and overrides replaces some of them.
+    example is one of EXAMPLES ('osc', 'corner', 'source'); scale picks
+    the named grid defaults, one of SCALE_NAMES ('desk', 'paper'), and
+    overrides replaces some of them.
     n_test is the number of held-out parameters a 'source' run sweeps: None
     takes the scale's count from SCALES, 0 sweeps the training columns
     instead; the other examples always sweep their training columns.
@@ -263,10 +266,10 @@ class ExperimentSpec(AlgorithmSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.example not in SCALES:
-            raise ValueError(f"unknown example {self.example!r}; choose from {sorted(SCALES)}")
-        if self.scale not in ("desk", "paper"):
-            raise ValueError(f"scale must be 'desk' or 'paper', got {self.scale!r}")
+        if self.example not in EXAMPLES:
+            raise ValueError(f"unknown example {self.example!r}; choose from {EXAMPLES}")
+        if self.scale not in SCALE_NAMES:
+            raise ValueError(f"unknown scale {self.scale!r}; choose from {SCALE_NAMES}")
         if self.n_test is not None and self.n_test < 0:
             raise ValueError(f"n_test must be >= 0, got {self.n_test}")
         if "n_test" in self.overrides:
@@ -294,10 +297,7 @@ def build_basis(A, spec):
         cfg = RangeConfig(rank=spec.rank, oversample=spec.oversample, power=power, seed=spec.seed)
         return subspace_range_finder(A, cfg)
     cfg = AdaptiveConfig(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
-    basis = adaptive_range_finder(A, cfg)
-    if basis.rank > spec.rank:
-        basis = truncate_basis(basis, A, spec.rank)
-    return basis
+    return adaptive_range_finder(A, cfg, rank=spec.rank)
 
 
 def select_points(basis, spec):
@@ -405,34 +405,28 @@ def bench_basis(A, rank, oversample=10, power=0, seed=0, trials=3):
     """Wall-clock comparison of exact-SVD and sketched basis construction.
 
     Reports the best of `trials` runs for each method together with the
-    relative Frobenius residual its basis leaves.
+    relative Frobenius residual its basis leaves, summed over row blocks
+    as the adaptive range finder's check does, so no n x n_s temporary is
+    formed.
     """
     A = np.asarray(A, dtype=np.float64)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     denom = float(np.linalg.norm(A))
-
-    def residual(W):
-        E = A - W @ (W.T @ A)
-        return float(np.linalg.norm(E)) / denom
-
+    cfg = RangeConfig(rank=rank, oversample=oversample, power=power, seed=seed)
+    methods = (
+        ("exact-svd", lambda: svd_basis(A, rank)),
+        ("randomized", lambda: subspace_range_finder(A, cfg)),
+    )
     rows = []
-    best = None
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        basis = svd_basis(A, rank)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    rows.append(("exact-svd", A.shape[0], A.shape[1], rank, best, residual(basis.matrix)))
-
-    best = None
-    for _ in range(trials):
-        cfg = RangeConfig(rank=rank, oversample=oversample, power=power, seed=seed)
-        t0 = time.perf_counter()
-        basis = subspace_range_finder(A, cfg)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    rows.append(("randomized", A.shape[0], A.shape[1], rank, best, residual(basis.matrix)))
+    for method, build in methods:
+        best = float("inf")
+        for _ in range(trials):
+            t0 = time.perf_counter()
+            basis = build()
+            best = min(best, time.perf_counter() - t0)
+        res, _ = _explicit_residual(A, basis.matrix)
+        rows.append((method, A.shape[0], A.shape[1], rank, best, float(np.sqrt(res)) / denom))
 
     return ResultTable(
         columns=("method", "n", "n_s", "rank", "seconds", "rel_residual"),

@@ -1,12 +1,11 @@
-"""Dense factorization kernels: thin SVD/QR, pivoted and strong rank-revealing
-QR, spectral norms, canonical angles, and pseudoinverse application.
+"""Dense factorization kernels: thin SVD, pivoted and strong rank-revealing
+QR, spectral norms, and canonical angles.
 
 Everything operates on plain float64 ndarrays; canonical_angles also takes
 an OrthonormalBasis, whose columns it does not check again. The thin SVD
-and unpivoted QR are delegated to numpy, and the column-pivoted QR to
-LAPACK ``geqp3``, whose greedy largest-residual pivot rule is the
-documented contract. The strong rank-revealing swap refinement on top of
-it is written out here.
+is delegated to numpy, and the column-pivoted QR to LAPACK ``geqp3``,
+whose greedy largest-residual pivot rule is the documented contract. The
+strong rank-revealing swap refinement on top of it is written out here.
 """
 
 from dataclasses import dataclass
@@ -87,34 +86,6 @@ def thin_svd(A):
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"SVD did not converge on {A.shape} input: {err}") from err
     return ThinSVD(U=U, singular_values=s, V=Vt.T)
-
-
-def thin_qr(Y):
-    """Thin (reduced) QR factorization of a tall matrix.
-
-    Parameters
-    ----------
-    Y : ndarray, shape (m, n) with m >= n
-
-    Returns
-    -------
-    Q : ndarray, shape (m, n)
-        Orthonormal columns.
-    R : ndarray, shape (n, n)
-        Upper triangular with nonnegative diagonal (signs are normalized so
-        the factorization matches classical Gram-Schmidt on full-rank
-        input).
-    """
-    Y = as_matrix(Y, "Y")
-    m, n = Y.shape
-    if m < n:
-        raise ValueError(f"thin_qr requires rows >= cols, got {m} x {n}")
-    Q, R = np.linalg.qr(Y)
-    neg = np.diag(R) < 0
-    if neg.any():
-        Q[:, neg] *= -1.0
-        R[neg, :] *= -1.0
-    return Q, R
 
 
 def pivoted_qr(M):
@@ -277,42 +248,3 @@ def canonical_angles(W, Wh):
     cos = np.clip(s, 0.0, 1.0)
     sin_max = float(np.sqrt(max(0.0, 1.0 - cos[-1] ** 2)))
     return CanonicalAngles(cosines=cos, sin_theta_max=sin_max)
-
-
-def pinv_apply(M, X, rank_tol=1e-12):
-    """Apply the Moore-Penrose pseudoinverse: compute ``pinv(M) @ X``.
-
-    Computed through the SVD of M with singular values at or below
-    ``rank_tol * sigma_1`` discarded. A square, well-conditioned M takes
-    the exact-solve path instead. An all-zero M yields the zero result
-    (consistent with the pseudoinverse) and emits a RuntimeWarning naming
-    the zero rank.
-
-    Parameters
-    ----------
-    M : ndarray, shape (p, q)
-    X : ndarray, shape (p,) or (p, k)
-    rank_tol : float
-        Relative truncation threshold for the singular spectrum.
-    """
-    M = as_matrix(M, "M")
-    X = np.asarray(X, dtype=np.float64)
-    vec = X.ndim == 1
-    X2 = X[:, None] if vec else X
-    if X2.shape[0] != M.shape[0]:
-        raise ValueError(f"shape mismatch: M is {M.shape}, X has {X2.shape[0]} rows")
-
-    f = thin_svd(M)
-    s = f.singular_values
-    if s.size == 0 or s[0] == 0.0:
-        import warnings
-
-        warnings.warn("pinv_apply: matrix has rank 0; returning zeros", RuntimeWarning)
-        out = np.zeros((M.shape[1], X2.shape[1]))
-        return out[:, 0] if vec else out
-    keep = s > rank_tol * s[0]
-    if M.shape[0] == M.shape[1] and keep.all() and s[-1] / s[0] > 1e-10:
-        out = np.linalg.solve(M, X2)
-    else:
-        out = f.V[:, keep] @ ((f.U[:, keep].T @ X2) / s[keep, None])
-    return out[:, 0] if vec else out

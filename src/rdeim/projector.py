@@ -113,7 +113,7 @@ def build_projector(W, S, rank_tol=1e-12):
             f"cross matrix S' W is rank deficient "
             f"(sigma_min/sigma_1 = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
         )
-    mode = "interpolatory" if (S.s == r and np.all(S.weights == 1.0)) else "sampled"
+    mode = "interpolatory" if (S.s == r and S.is_unit_weight) else "sampled"
     return DeimProjector(
         basis=Wm,
         selection=S,

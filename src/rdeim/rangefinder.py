@@ -5,7 +5,9 @@ column span of A (n-by-n_s): a Gaussian sketch driven through q power
 (subspace) iterations, where q = 0 is the single sketch that
 ``--basis basic`` names (its provenance is 'subspace-iteration'), and an
 adaptive block variant that grows the basis until a Frobenius-norm
-criterion holds. Each returns an OrthonormalBasis, whose constructor runs
+criterion holds. Both end with the same step: a QB pair (Q, B = Q'A) is
+rotated onto the leading left singular directions of B and truncated to
+r columns. Each returns an OrthonormalBasis, whose constructor runs
 the library's one orthonormality check at its one tolerance, 1e-8. A
 streaming rank-one sketch accumulator supports single-pass and
 column-replacement workflows.
@@ -84,7 +86,7 @@ def gaussian_matrix(rows, cols, seed):
 
 
 def _sketch_basis(A, cfg):
-    """Shared core: sketch, optionally power-iterate, rotate to leading r."""
+    """Sketch, optionally power-iterate, rotate to the leading r."""
     n, n_s = A.shape
     ell = cfg.rank + cfg.oversample
     if ell > n_s:
@@ -98,12 +100,17 @@ def _sketch_basis(A, cfg):
         # powered sketch numerically full rank
         Q, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Q)
-    B = Q.T @ A
+    return _rotate_qb(Q, Q.T @ A, cfg.rank)
+
+
+def _rotate_qb(Q, B, rank):
+    """Rotate a QB pair (Q, B = Q'A) onto the leading left singular
+    directions of B and keep rank of them: Q @ U_B[:, :rank]."""
     try:
         Ub, _, _ = np.linalg.svd(B, full_matrices=False)
     except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"SVD of the projected sketch failed: {err}") from err
-    return Q @ Ub[:, : cfg.rank]
+        raise ConvergenceError(f"SVD of the projected matrix Q'A failed: {err}") from err
+    return Q @ Ub[:, :rank]
 
 
 def subspace_range_finder(A, cfg):
@@ -129,7 +136,7 @@ def subspace_range_finder(A, cfg):
     return OrthonormalBasis(W, "subspace-iteration", cfg)
 
 
-def adaptive_range_finder(A, cfg):
+def adaptive_range_finder(A, cfg, rank=None):
     """Grow a basis block-by-block until a Frobenius criterion holds.
 
     Blocks of `cfg.block` Gaussian sketch columns are absorbed, each one
@@ -140,23 +147,28 @@ def adaptive_range_finder(A, cfg):
     explicit residual computation, and extra blocks are absorbed if the
     accumulator was optimistic, so the postcondition
     ``||A - W W' A||_F^2 <= tol^2 ||A||_F^2`` always holds on success.
+    With a rank below the grown width, W is then rotated onto the leading
+    left singular directions of the exact W'A that final check formed and
+    truncated to rank columns.
 
     Cost: A is read once per SKETCH_GROUP sketch blocks, whose Gaussian
     draws are made together (the same stream as one draw per block, never
     past max_blocks) and applied to A in one product; each absorbed block
     then reads A once more for its rows of B. ||A||_F^2 is one dot product
     and the explicit residual a sum over blocks of SWEEP_BLOCK rows, so no
-    n x n_s temporary is formed.
+    n x n_s temporary is formed. The truncation reads A no more.
 
     Parameters
     ----------
     A : ndarray, shape (n, n_s)
     cfg : AdaptiveConfig with cfg.block * cfg.max_blocks <= n
+    rank : int >= 1, optional
+        Columns to keep; None (the default) keeps the grown basis as is.
 
     Returns
     -------
     OrthonormalBasis with provenance 'adaptive'; the basis dimension is a
-    multiple of cfg.block.
+    multiple of cfg.block, or rank if that is smaller.
 
     Raises
     ------
@@ -171,6 +183,8 @@ def adaptive_range_finder(A, cfg):
             f"block * max_blocks = {cfg.block * cfg.max_blocks} exceeds the ambient "
             f"dimension {n}; the basis cannot outgrow its space"
         )
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     rng = np.random.default_rng(cfg.seed)
     alpha = float(np.vdot(A, A))
     if alpha == 0.0:
@@ -182,16 +196,23 @@ def adaptive_range_finder(A, cfg):
     beta = 0.0
     blocks = 0
     drawn = []  # (omega, A @ omega) of the drawn blocks not yet absorbed
-    # the accumulator can drift, so the loop ends only once the explicit
-    # residual confirms it
-    while beta <= alpha * (1.0 - cfg.tol * cfg.tol) or _explicit_residual(A, W) > target:
+    while True:
+        # the accumulator can drift, so the loop ends only once the explicit
+        # residual confirms it; the exact W'A that check forms is kept
+        res = None
+        if beta > alpha * (1.0 - cfg.tol * cfg.tol):
+            res, WtA = _explicit_residual(A, W)
+            if res <= target:
+                break
         if blocks == cfg.max_blocks:
-            res = float(np.sqrt(_explicit_residual(A, W) / alpha))
+            if res is None:
+                res, _ = _explicit_residual(A, W)
+            rel = float(np.sqrt(res / alpha))
             raise AdaptiveRangeError(
                 f"tolerance {cfg.tol} not reached after {cfg.max_blocks} blocks "
-                f"(relative residual {res:.3e})",
+                f"(relative residual {rel:.3e})",
                 partial_basis=W,
-                residual=res,
+                residual=rel,
             )
         if not drawn:
             omegas = rng.standard_normal((min(SKETCH_GROUP, cfg.max_blocks - blocks), n_s, cfg.block))
@@ -212,12 +233,14 @@ def adaptive_range_finder(A, cfg):
         beta += float(np.sum(Bp * Bp))
         blocks += 1
 
+    if rank is not None and rank < W.shape[1]:
+        W = _rotate_qb(W, WtA, rank)
     return OrthonormalBasis(W, "adaptive", cfg)
 
 
 def _explicit_residual(A, W):
-    """||A - W W'A||_F^2: W'A is formed once, then the residual is summed
-    over SWEEP_BLOCK rows of A at a time."""
+    """(||A - W W'A||_F^2, W'A): W'A is formed once, then the residual is
+    summed over SWEEP_BLOCK rows of A at a time."""
     C = W.T @ A
     E = np.empty((min(SWEEP_BLOCK, A.shape[0]), A.shape[1]))
     total = 0.0
@@ -226,7 +249,7 @@ def _explicit_residual(A, W):
         E_rows = np.matmul(W[lo : lo + SWEEP_BLOCK], C, out=E[: A_rows.shape[0]])
         np.subtract(A_rows, E_rows, out=E_rows)
         total += float(np.vdot(E_rows, E_rows))
-    return total
+    return total, C
 
 
 def svd_basis(A, rank):
@@ -237,22 +260,6 @@ def svd_basis(A, rank):
         raise ValueError(f"rank must be in [1, {min(A.shape)}], got {rank}")
     f = thin_svd(A)
     return OrthonormalBasis(f.U[:, :r].copy(), "exact-svd", {"rank": r})
-
-
-def truncate_basis(basis, A, rank):
-    """Rotate a basis onto the leading directions of W'A and truncate to rank.
-
-    Useful after adaptive range finding, whose output dimension is a block
-    multiple rather than a chosen r.
-    """
-    A = as_matrix(A, "A")
-    W = basis.matrix
-    r = int(rank)
-    if not 1 <= r <= W.shape[1]:
-        raise ValueError(f"rank must be in [1, {W.shape[1]}], got {rank}")
-    B = W.T @ A
-    Ub, _, _ = np.linalg.svd(B, full_matrices=False)
-    return OrthonormalBasis(W @ Ub[:, :r], basis.provenance, basis.config)
 
 
 def truncation_rank(sv, eps):

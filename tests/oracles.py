@@ -134,25 +134,6 @@ def batch_sketch(A, omega):
     return np.asarray(A, dtype=np.float64) @ np.asarray(omega, dtype=np.float64)
 
 
-def gram_schmidt_qr(Y):
-    """Classical Gram-Schmidt with re-orthogonalization; R diagonal >= 0."""
-    Y = np.asarray(Y, dtype=np.float64)
-    m, n = Y.shape
-    Q = np.zeros((m, n))
-    R = np.zeros((n, n))
-    for j in range(n):
-        v = Y[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                h = Q[:, i] @ v
-                R[i, j] += h
-                v -= h * Q[:, i]
-        R[j, j] = np.linalg.norm(v)
-        if R[j, j] > 0:
-            Q[:, j] = v / R[j, j]
-    return Q, R
-
-
 def dense_oblique_projector(W, indices, weights=None):
     """Assemble D = W (S'W)^+ S' densely via numpy.linalg.pinv."""
     W = np.asarray(W, dtype=np.float64)
@@ -205,6 +186,15 @@ def blockwise_adaptive_basis(A, tol, block, max_blocks, seed):
         beta += float(np.sum(Bp * Bp))
         blocks += 1
     return W, blocks, None
+
+
+def truncated_basis(basis, A, rank):
+    """Rotate a basis onto the leading directions of W'A and truncate to
+    rank, forming W'A from scratch: the adaptive finder's truncation as a
+    separate pass over A. Returns the n x rank matrix."""
+    W = basis.matrix
+    Ub, _, _ = np.linalg.svd(W.T @ np.asarray(A, dtype=np.float64), full_matrices=False)
+    return W @ Ub[:, :rank]
 
 
 def columnwise_source_columns(x, params):

@@ -8,18 +8,15 @@ import rdeim.linalg
 from rdeim.exceptions import ConvergenceError, RankDeficiencyError
 from rdeim.linalg import (
     canonical_angles,
-    pinv_apply,
     pivoted_qr,
     spectral_norm,
     srrqr,
-    thin_qr,
     thin_svd,
 )
 
 from conftest import random_matrix, random_orthonormal
 from oracles import (
     best_volume_pair,
-    gram_schmidt_qr,
     greedy_pivot_sequence,
     householder_pivoted_qr,
     jacobi_singular_values,
@@ -77,41 +74,6 @@ def test_thin_svd_eckart_young():
 def test_thin_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         thin_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-# ----------------------------------------------------------------- thin_qr
-
-
-def test_thin_qr_matches_gram_schmidt():
-    Y = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-    Q, R = thin_qr(Y)
-    Qg, Rg = gram_schmidt_qr(Y)
-    assert abs(R[0, 0] - np.sqrt(3.0)) < 1e-14
-    assert np.max(np.abs(R - Rg)) < 1e-14
-    assert np.max(np.abs(Q - Qg)) < 1e-14
-
-
-def test_thin_qr_duplicate_column_rank_deficiency():
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal(6)
-    Y = np.column_stack([y, y])
-    _, R = thin_qr(Y)
-    assert abs(R[1, 1]) < 1e-13 * np.linalg.norm(y)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_thin_qr_contracts(seed):
-    Y = random_matrix(9, 4, seed=seed)
-    Q, R = thin_qr(Y)
-    assert np.max(np.abs(Q.T @ Q - np.eye(4))) < 1e-12
-    assert np.max(np.abs(Q @ R - Y)) < 1e-12
-    assert np.all(np.diag(R) >= 0)
-    assert np.max(np.abs(np.tril(R, -1))) == 0.0
-
-
-def test_thin_qr_rejects_wide():
-    with pytest.raises(ValueError):
-        thin_qr(np.ones((2, 3)))
 
 
 # -------------------------------------------------------------- pivoted_qr
@@ -397,42 +359,3 @@ def test_canonical_angles_validates():
         canonical_angles(W, random_orthonormal(8, 4, seed=1))
     with pytest.raises(ValueError):
         canonical_angles(W, random_matrix(8, 3, seed=2))
-
-
-# -------------------------------------------------------------- pinv_apply
-
-
-def test_pinv_apply_drops_null_direction():
-    M = np.diag([3.0, 0.0])
-    out = pinv_apply(M, np.array([6.0, 5.0]))
-    assert np.max(np.abs(out - np.array([2.0, 0.0]))) < 1e-14
-
-
-def test_pinv_apply_square_solve_path():
-    M = random_matrix(5, 5, seed=9)
-    X = random_matrix(5, 2, seed=10)
-    out = pinv_apply(M, X)
-    assert np.max(np.abs(M @ out - X)) < 1e-10
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_pinv_apply_matches_lstsq(seed):
-    M = random_matrix(8, 4, seed=seed)
-    x = random_matrix(8, 1, seed=seed + 30)[:, 0]
-    out = pinv_apply(M, x)
-    ref, *_ = np.linalg.lstsq(M, x, rcond=None)
-    assert np.max(np.abs(out - ref)) < 1e-10
-
-
-def test_pinv_apply_zero_matrix_warns_rank_zero():
-    with pytest.warns(RuntimeWarning, match="rank 0"):
-        out = pinv_apply(np.zeros((3, 2)), np.ones(3))
-    assert np.all(out == 0.0)
-
-
-def test_pinv_apply_rank_tol_truncates():
-    M = np.diag([1.0, 1e-14])
-    out = pinv_apply(M, np.array([1.0, 1.0]), rank_tol=1e-12)
-    assert abs(out[1]) == 0.0
-    out_keep = pinv_apply(M, np.array([1.0, 1.0]), rank_tol=1e-16)
-    assert abs(out_keep[1] - 1e14) < 1.0

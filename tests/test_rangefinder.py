@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rdeim.exceptions import AdaptiveRangeError
-from rdeim.experiments import AlgorithmSpec, build_basis
+from rdeim import rangefinder
+from rdeim.exceptions import AdaptiveRangeError, ConvergenceError
+from rdeim.experiments import AlgorithmSpec, ExperimentSpec, build_basis, generate
 from rdeim.linalg import canonical_angles, spectral_norm, thin_svd
 from rdeim.rangefinder import (
     AdaptiveConfig,
@@ -18,12 +19,11 @@ from rdeim.rangefinder import (
     sketch_replace,
     subspace_range_finder,
     svd_basis,
-    truncate_basis,
     truncation_rank,
 )
 
 from conftest import gap_matrix, random_matrix, spectrum_matrix
-from oracles import batch_sketch, blockwise_adaptive_basis
+from oracles import batch_sketch, blockwise_adaptive_basis, truncated_basis
 
 
 # ----------------------------------------------------------------- configs
@@ -190,12 +190,12 @@ def test_subspace_orthonormal_output(q):
     # every finder's output is orthonormal far inside the 1e-8 the
     # OrthonormalBasis constructor enforces
     A = random_matrix(35, 25, seed=q)
-    adaptive = adaptive_range_finder(A, AdaptiveConfig(tol=0.5, block=3, max_blocks=10, seed=q))
+    cfg = AdaptiveConfig(tol=0.5, block=3, max_blocks=10, seed=q)
     bases = (
         subspace_range_finder(A, RangeConfig(rank=6, oversample=5, power=q, seed=1)),
         svd_basis(A, 6),
-        adaptive,
-        truncate_basis(adaptive, A, 6),
+        adaptive_range_finder(A, cfg),
+        adaptive_range_finder(A, cfg, rank=6),
     )
     for W in bases:
         G = W.matrix.T @ W.matrix
@@ -305,7 +305,7 @@ def test_adaptive_memory_stays_below_the_matrix():
     assert peak < 0.5 * A.nbytes
 
 
-# ------------------------------------------------- svd_basis/truncate_basis
+# ------------------------------------------------ svd_basis/adaptive rank
 
 
 def test_svd_basis_matches_thin_svd():
@@ -318,11 +318,55 @@ def test_svd_basis_matches_thin_svd():
 
 def test_truncate_basis_aligns_with_leading_directions():
     A, _ = gap_matrix(40, 30, rank=4, gamma=1e-7, seed=6)
-    W = adaptive_range_finder(A, AdaptiveConfig(tol=1e-5, block=4, max_blocks=10, seed=2))
-    Wt = truncate_basis(W, A, 4)
+    # blocks of 3 grow to 6 columns, so rank 4 truncates
+    cfg = AdaptiveConfig(tol=1e-5, block=3, max_blocks=10, seed=2)
+    assert adaptive_range_finder(A, cfg).rank == 6
+    Wt = adaptive_range_finder(A, cfg, rank=4)
     assert Wt.rank == 4
+    assert Wt.provenance == "adaptive" and Wt.config == cfg
     exact = svd_basis(A, 4)
     assert canonical_angles(exact.matrix, Wt.matrix).sin_theta_max < 1e-5
+
+
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_adaptive_build_matches_truncation_oracle(example):
+    # the finder truncates with the W'A of its final residual check; the
+    # oracle forms W'A again from scratch, and the bits agree
+    spec = ExperimentSpec(example=example, rank=12, basis="adaptive")
+    A = generate(spec).matrix
+    cfg = AdaptiveConfig(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
+    grown = adaptive_range_finder(A, cfg)
+    assert grown.rank > spec.rank
+    W = build_basis(A, spec)
+    assert W.rank == spec.rank
+    assert np.array_equal(W.matrix, truncated_basis(grown, A, spec.rank))
+
+
+def test_adaptive_rank_at_least_width_is_unrotated():
+    A = random_matrix(60, 40, seed=2)
+    cfg = AdaptiveConfig(tol=0.3, block=5, max_blocks=8, seed=1)
+    grown = adaptive_range_finder(A, cfg)
+    for rank in (grown.rank, grown.rank + 1, 10 * grown.rank):
+        assert np.array_equal(adaptive_range_finder(A, cfg, rank=rank).matrix, grown.matrix)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        adaptive_range_finder(A, cfg, rank=0)
+
+
+def test_rotation_svd_failure_is_a_convergence_error(monkeypatch):
+    A = random_matrix(60, 40, seed=3)
+    cfg = AdaptiveConfig(tol=0.3, block=5, max_blocks=8, seed=1)
+    grown = adaptive_range_finder(A, cfg)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(rangefinder.np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="Q'A"):
+        subspace_range_finder(A, RangeConfig(rank=5, oversample=5, power=1, seed=0))
+    with pytest.raises(ConvergenceError, match="Q'A"):
+        adaptive_range_finder(A, cfg, rank=grown.rank - 1)
+    # without truncation the adaptive finder takes no SVD
+    assert np.array_equal(adaptive_range_finder(A, cfg).matrix, grown.matrix)
 
 
 # ---------------------------------------------------------- truncation_rank

@@ -101,7 +101,7 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     f = _as_f(f, P_hat.selection.n)
     W_ref = orthonormal_basis(W_ref, "W_ref")
     # also rejects a reference whose shape differs from the projector's basis
-    sin_max = canonical_angles(W_ref, P_hat.basis).sin_theta_max
+    sin_max = canonical_angles(W_ref, P_hat.orthonormal).sin_theta_max
     const = P_hat.error_constant()
     bound, orth, proj = perturbed_bounds(W_ref.matrix, f[:, None], const, sin_max)
     orth_norm, proj_norm = float(orth[0]), float(proj[0])
@@ -146,7 +146,7 @@ def perturbed_pair_bound(P_ref, P_hat, f):
     n = P_ref.selection.n
     f = _as_f(f, n)
     W = P_ref.basis
-    theta = canonical_angles(W, P_hat.basis)
+    theta = canonical_angles(P_ref.orthonormal, P_hat.orthonormal)
     psi = canonical_angles(
         _selection_span(P_ref.selection), _selection_span(P_hat.selection)
     )
@@ -254,7 +254,7 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
     if numerator not in ("projected", "full"):
         raise ValueError(f"numerator must be 'projected' or 'full', got {numerator!r}")
     sv_a = np.linalg.svd(A, compute_uv=False)
-    fh = thin_svd(Ah)
+    fh = thin_svd(Ah, r)
     sigma_r = sv_a[r - 1]
     sigma_next = fh.singular_values[r] if r < fh.singular_values.size else 0.0
     gap = sigma_r - sigma_next
@@ -267,8 +267,8 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
         num = spectral_norm(E)
     else:
         num = max(
-            spectral_norm(E @ fh.V[:, :r]),
-            spectral_norm(E.T @ fh.U[:, :r]),
+            spectral_norm(E @ fh.V),
+            spectral_norm(E.T @ fh.U),
         )
     return float(num / gap)
 

@@ -350,7 +350,7 @@ def error_sweep(P, snaps, reference_basis=None):
     if with_bounds:
         columns += ["bound_plain", "bound_perturbed", "sin_theta_max"]
         reference_basis = orthonormal_basis(reference_basis, "reference")
-        sin_max = canonical_angles(reference_basis, P.basis).sin_theta_max
+        sin_max = canonical_angles(reference_basis, P.orthonormal).sin_theta_max
         W_ref = reference_basis.matrix
         plain = np.empty(n_s)
         pert = np.empty(n_s)

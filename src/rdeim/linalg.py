@@ -3,7 +3,8 @@ QR, spectral norms, and canonical angles.
 
 Everything operates on plain float64 ndarrays; canonical_angles also takes
 an OrthonormalBasis, whose columns it does not check again. The thin SVD
-is delegated to numpy, and the column-pivoted QR to LAPACK ``geqp3``,
+is a Householder QR (LAPACK ``geqrf``) followed by numpy's SVD of the
+small R factor, and the column-pivoted QR is LAPACK ``geqp3``,
 whose greedy largest-residual pivot rule is the documented contract. The
 strong rank-revealing swap refinement on top of it is written out here.
 """
@@ -22,8 +23,8 @@ from .exceptions import ConvergenceError, RankDeficiencyError
 class ThinSVD:
     """Thin singular value decomposition ``A = U @ diag(s) @ V.T``.
 
-    U is m-by-k, V is n-by-k with k = min(m, n); singular values are sorted
-    nonincreasing.
+    U is m-by-r and V is n-by-r for the r kept singular vectors; all
+    k = min(m, n) singular values are kept, sorted nonincreasing.
     """
 
     U: np.ndarray
@@ -60,32 +61,67 @@ class CanonicalAngles:
     sin_theta_max: float
 
 
-def thin_svd(A):
-    """Thin SVD of a dense matrix.
+def thin_svd(A, rank=None):
+    """Thin SVD of a dense matrix by the R-SVD: a Householder QR of A, the
+    SVD of the small triangular factor, and Q applied to the kept columns.
+
+    A = Q R is one LAPACK ``geqrf`` call; R (k-by-n with k = min(m, n)) is
+    decomposed as U_R diag(s) V'; U = Q [U_R[:, :rank]; 0] is one ``ormqr``
+    call, so only the rank kept left singular vectors are ever formed
+    (Chan, ACM TOMS 1982). A itself is never handed to an SVD. Both LAPACK
+    calls run with their queried optimal (blocked) workspace.
 
     Parameters
     ----------
     A : ndarray, shape (m, n)
         Matrix with finite entries.
+    rank : int, optional
+        Singular vectors to keep, 1 <= rank <= min(m, n); None keeps all
+        k = min(m, n).
 
     Returns
     -------
     ThinSVD
-        Factors with k = min(m, n) columns and nonincreasing singular
-        values.
+        U (m-by-rank) and V (n-by-rank), and all k singular values,
+        nonincreasing, so sigma_(rank+1) is there too.
 
     Raises
     ------
     ConvergenceError
-        If the underlying LAPACK driver does not converge. The failure is
-        explicit; no silently truncated factorization is returned.
+        If LAPACK reports a failure or the SVD of R does not converge. The
+        failure is explicit; no silently truncated factorization is
+        returned.
     """
-    A = as_matrix(A, "A")
+    A = np.array(as_matrix(A, "A"), order="F")  # owned, so geqrf may overwrite it
+    m, n = A.shape
+    k = min(m, n)
+    if k == 0:  # LAPACK rejects a zero leading dimension
+        raise ValueError(f"A has no singular values ({m} x {n})")
+    r = k if rank is None else int(rank)
+    if not 1 <= r <= k:
+        raise ValueError(f"rank must be in [1, {k}], got {rank}")
+    geqrf, geqrf_lwork, ormqr = get_lapack_funcs(("geqrf", "geqrf_lwork", "ormqr"), (A,))
+    # the default workspace of the scipy wrapper runs geqrf unblocked
+    work, info = geqrf_lwork(m, n)
+    if info != 0:
+        raise ConvergenceError(f"geqrf workspace query failed on {A.shape} input (info={info})")
+    qr, tau, _, info = geqrf(A, lwork=int(work), overwrite_a=True)
+    if info != 0:
+        raise ConvergenceError(f"geqrf failed on {A.shape} input (info={info})")
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        Ur, s, Vt = np.linalg.svd(np.triu(qr[:k]), full_matrices=False)
     except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"SVD did not converge on {A.shape} input: {err}") from err
-    return ThinSVD(U=U, singular_values=s, V=Vt.T)
+        raise ConvergenceError(f"SVD of the R factor did not converge on {A.shape} input: {err}") from err
+    C = np.zeros((m, r), order="F")
+    C[:k] = Ur[:, :r]
+    reflectors = qr[:, :k]
+    _, work, info = ormqr("L", "N", reflectors, tau, C, -1)
+    if info != 0:
+        raise ConvergenceError(f"ormqr workspace query failed on {A.shape} input (info={info})")
+    U, _, info = ormqr("L", "N", reflectors, tau, C, int(work[0]), overwrite_c=True)
+    if info != 0:
+        raise ConvergenceError(f"ormqr failed on {A.shape} input (info={info})")
+    return ThinSVD(U=U, singular_values=s, V=Vt[:r].T)
 
 
 def pivoted_qr(M):

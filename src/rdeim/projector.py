@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import orthonormal_matrix
+from ._util import OrthonormalBasis, orthonormal_basis
 from .exceptions import DegenerateSelectionError
 from .linalg import spectral_norm
 from .selection import SelectionOperator
@@ -21,17 +21,24 @@ from .selection import SelectionOperator
 class DeimProjector:
     """Factored oblique projector onto span(W) along the selection S.
 
-    mode is 'interpolatory' for unit-weight square selections (s == r) and
-    'sampled' otherwise.
+    orthonormal is the OrthonormalBasis W the projector was built on, so
+    a consumer that needs W checked (canonical_angles) does not check it
+    again; basis is its matrix. mode is 'interpolatory' for unit-weight
+    square selections (s == r) and 'sampled' otherwise.
     """
 
-    basis: np.ndarray
+    orthonormal: OrthonormalBasis
     selection: SelectionOperator
     cross_u: np.ndarray
     cross_s: np.ndarray
     cross_v: np.ndarray
     rank: int
     mode: str
+
+    @property
+    def basis(self):
+        """W as an (n, r) array."""
+        return self.orthonormal.matrix
 
     def apply(self, f):
         """Evaluate D f.
@@ -100,7 +107,8 @@ def build_projector(W, S, rank_tol=1e-12):
         If S' W is rank deficient, i.e. the points do not see the whole
         basis.
     """
-    Wm = orthonormal_matrix(W, "W")
+    W = orthonormal_basis(W, "W")
+    Wm = W.matrix
     n, r = Wm.shape
     if S.n != n:
         raise ValueError(f"selection is over {S.n} rows but the basis has {n}")
@@ -115,7 +123,7 @@ def build_projector(W, S, rank_tol=1e-12):
         )
     mode = "interpolatory" if (S.s == r and S.is_unit_weight) else "sampled"
     return DeimProjector(
-        basis=Wm,
+        orthonormal=W,
         selection=S,
         cross_u=U,
         cross_s=s,

@@ -253,13 +253,10 @@ def _explicit_residual(A, W):
 
 
 def svd_basis(A, rank):
-    """Leading left singular vectors of A as an OrthonormalBasis."""
-    A = as_matrix(A, "A")
+    """Leading left singular vectors of A as an OrthonormalBasis; only the
+    rank kept vectors are formed (see thin_svd)."""
     r = int(rank)
-    if not 1 <= r <= min(A.shape):
-        raise ValueError(f"rank must be in [1, {min(A.shape)}], got {rank}")
-    f = thin_svd(A)
-    return OrthonormalBasis(f.U[:, :r].copy(), "exact-svd", {"rank": r})
+    return OrthonormalBasis(thin_svd(A, r).U, "exact-svd", {"rank": r})
 
 
 def truncation_rank(sv, eps):

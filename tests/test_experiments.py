@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,18 +360,22 @@ def test_select_checks_the_basis_once(monkeypatch, tmp_path, selector):
 )
 def test_run_experiment_checks_each_basis_once(monkeypatch, basis, built, selector):
     # one OrthonormalBasis per run: the adaptive finder truncates its grown
-    # basis before constructing it
-    checks = _counting_checks(monkeypatch)
-    bases = _counting(monkeypatch, "__post_init__", OrthonormalBasis)
-    spec = ExperimentSpec(
-        example="corner", rank=5, basis=basis, selector=selector, oversample=5,
-        block=4, max_blocks=8, overrides={"grid": 10, "param_grid": 5},
-    )
-    table = run_experiment(spec)
-    # the adaptive basis grows in blocks of 4, so rank 5 means it was truncated
-    assert table.summary["basis_rank"] == 5.0
-    assert len(bases) == built
-    assert len(checks) == built
+    # basis before constructing it. A bounded run adds the reference, and
+    # the sweep's canonical angles use the projector's basis unchecked.
+    for with_bounds, expected in ((False, built), (True, built + 1)):
+        checks = _counting_checks(monkeypatch)
+        bases = _counting(monkeypatch, "__post_init__", OrthonormalBasis)
+        spec = ExperimentSpec(
+            example="corner", rank=5, basis=basis, selector=selector, oversample=5,
+            block=4, max_blocks=8, overrides={"grid": 10, "param_grid": 5},
+            with_bounds=with_bounds,
+        )
+        table = run_experiment(spec)
+        # the adaptive basis grows in blocks of 4, so rank 5 means it was truncated
+        assert table.summary["basis_rank"] == 5.0
+        assert len(bases) == expected
+        assert len(checks) == expected
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("selector", ["leverage", "hybrid"])
@@ -467,3 +476,49 @@ def test_bench_basis_validation():
     A = np.eye(10)
     with pytest.raises(ValueError):
         bench_basis(A, rank=2, trials=0)
+
+
+# ------------------------------------------------------- BLAS threads
+
+_PICKED_POINTS = """
+import json, sys
+import rdeim.experiments as ex
+
+picked = []
+real = ex.build_projector
+
+
+def recording(W, S):
+    picked.append(S.indices.tolist())
+    return real(W, S)
+
+
+ex.build_projector = recording
+for kw in json.loads(sys.argv[1]):
+    ex.run_experiment(ex.ExperimentSpec(**kw))
+print(json.dumps(picked))
+"""
+
+
+def test_selected_points_do_not_depend_on_blas_threads():
+    # bit-for-bit results hold per (seed, BLAS build, thread count): the
+    # floats may move in the last bits between thread counts, the points
+    # chosen from them must not
+    configs = [
+        dict(example="source", rank=12, basis="subspace", selector="srrqr", seed=3, with_bounds=True),
+        dict(example="corner", rank=10, basis="adaptive", selector="greedy", seed=3, with_bounds=True),
+        dict(example="osc", rank=8, basis="basic", selector="hybrid", seed=3),
+    ]
+    src = str(Path(rdeim.__file__).resolve().parents[1])
+    picked = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKED_POINTS, json.dumps(configs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        picked[threads] = json.loads(proc.stdout)
+    assert len(picked["1"]) == len(configs)
+    assert picked["1"] == picked["2"]

@@ -76,6 +76,85 @@ def test_thin_svd_rejects_nonfinite():
         thin_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("rank", [0, 7])
+def test_thin_svd_rejects_rank_out_of_range(rank):
+    with pytest.raises(ValueError, match=r"rank must be in \[1, 6\]"):
+        thin_svd(random_matrix(8, 6, seed=0), rank)
+
+
+@pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+def test_thin_svd_decomposes_only_the_r_factor(monkeypatch, shape):
+    A = random_matrix(*shape, seed=5)
+    real = np.linalg.svd
+    seen = []
+
+    def recording(M, *args, **kwargs):
+        seen.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(rdeim.linalg.np.linalg, "svd", recording)
+    thin_svd(A, 3)
+    assert len(seen) == 1
+    assert seen[0].shape == (min(shape), shape[1])
+    assert not np.shares_memory(seen[0], A)
+    assert np.array_equal(seen[0], np.triu(seen[0]))
+
+
+def test_thin_svd_rejects_empty():
+    with pytest.raises(ValueError, match="no singular values"):
+        thin_svd(np.zeros((0, 3)))
+
+
+def test_thin_svd_svd_failure_is_typed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(rdeim.linalg.np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="R factor"):
+        thin_svd(random_matrix(8, 5, seed=1), 2)
+
+
+@pytest.mark.parametrize("routine", ["geqrf", "ormqr"])
+def test_thin_svd_lapack_failure_is_typed(monkeypatch, routine):
+    real = rdeim.linalg.get_lapack_funcs
+
+    def failing(names, arrays):
+        funcs = dict(zip(names, real(names, arrays)))
+        good = funcs[routine]
+
+        def broken(*args, **kwargs):
+            return (*good(*args, **kwargs)[:-1], -5)
+
+        funcs[routine] = broken
+        return tuple(funcs[name] for name in names)
+
+    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
+    with pytest.raises(ConvergenceError, match=routine):
+        thin_svd(random_matrix(8, 5, seed=2), 2)
+
+
+@st.composite
+def _svd_inputs(draw):
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    A = draw(arrays(np.float64, (m, n), elements=st.floats(-4.0, 4.0, allow_subnormal=False)))
+    A = A * 10.0 ** draw(arrays(np.int64, (n,), elements=st.integers(-6, 6)))
+    return A, draw(st.integers(1, min(m, n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_svd_inputs())
+def test_thin_svd_factor_property(case):
+    A, r = case
+    f = thin_svd(A, r)
+    s = f.singular_values
+    assert f.U.shape == (A.shape[0], r) and f.V.shape == (A.shape[1], r)
+    assert s.shape == (min(A.shape),) and np.all(np.diff(s) <= 0)
+    assert np.max(np.abs(f.U.T @ f.U - np.eye(r))) < 1e-12
+    assert np.max(np.abs(f.V.T @ f.V - np.eye(r))) < 1e-12
+    assert np.max(np.abs(A @ f.V - f.U * s[:r])) <= 1e-12 * s[0]
+
+
 # -------------------------------------------------------------- pivoted_qr
 
 

@@ -310,10 +310,21 @@ def test_adaptive_memory_stays_below_the_matrix():
 
 def test_svd_basis_matches_thin_svd():
     A = random_matrix(20, 12, seed=0)
-    f = thin_svd(A)
     W = svd_basis(A, 5)
-    assert np.array_equal(W.matrix, f.U[:, :5])
+    assert np.array_equal(W.matrix, thin_svd(A, 5).U)
     assert W.provenance == "exact-svd"
+
+
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_svd_basis_matches_full_svd_on_desk_examples(example):
+    r = 24
+    A = generate(ExperimentSpec(example=example, rank=r)).matrix
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    W = svd_basis(A, r).matrix
+    Ur = U[:, :r]
+    assert np.linalg.norm(W - Ur @ (Ur.T @ W), 2) <= 1e-12
+    f = thin_svd(A, r)
+    assert np.max(np.abs(f.singular_values - sv)) <= 1e-13 * sv[0]
 
 
 def test_truncate_basis_aligns_with_leading_directions():

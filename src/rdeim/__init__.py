@@ -25,9 +25,7 @@ from .linalg import (
     thin_svd,
 )
 from .rangefinder import (
-    AdaptiveConfig,
     OrthonormalBasis,
-    RangeConfig,
     SketchState,
     adaptive_range_finder,
     gaussian_matrix,
@@ -39,7 +37,6 @@ from .rangefinder import (
     truncation_rank,
 )
 from .selection import (
-    LeveragePMF,
     SelectionOperator,
     deim_greedy_select,
     hybrid_select,

@@ -63,13 +63,13 @@ class OrthonormalBasis:
     provenance is 'exact-svd', 'subspace-iteration' or 'adaptive' for a
     basis the library built (``--basis basic`` is subspace iteration at
     power 0), or the path of the file the columns were read from; it also
-    names the basis in the error message. config echoes the construction
-    parameters.
+    names the basis in the error message. config is a dict of the
+    arguments the basis was built with.
     """
 
     matrix: np.ndarray
     provenance: str
-    config: object = None
+    config: dict = None
 
     def __post_init__(self):
         W = check_orthonormal(self.matrix, name=f"{self.provenance} basis")

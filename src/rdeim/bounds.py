@@ -147,16 +147,15 @@ def perturbed_pair_bound(P_ref, P_hat, f):
     f = _as_f(f, n)
     W = P_ref.basis
     theta = canonical_angles(P_ref.orthonormal, P_hat.orthonormal)
-    psi = canonical_angles(
-        _selection_span(P_ref.selection), _selection_span(P_hat.selection)
-    )
-    orth_norm = float(np.linalg.norm(f - W @ (W.T @ f)))
     sel_idx = np.unique(P_ref.selection.indices)
+    # two coordinate subspaces coincide, or one holds an axis orthogonal to the other
+    sin_psi = 0.0 if np.array_equal(sel_idx, np.unique(P_hat.selection.indices)) else 1.0
+    orth_norm = float(np.linalg.norm(f - W @ (W.T @ f)))
     sel_norm = float(np.linalg.norm(f[sel_idx]))
     d_ref = P_ref.error_constant()
     d_hat = P_hat.error_constant()
     bound = d_ref * orth_norm + d_ref * d_hat * (
-        psi.sin_theta_max * orth_norm + theta.sin_theta_max * sel_norm
+        sin_psi * orth_norm + theta.sin_theta_max * sel_norm
     )
     actual = float(np.linalg.norm(f - P_hat.apply(f)))
     return BoundReport(
@@ -166,20 +165,12 @@ def perturbed_pair_bound(P_ref, P_hat, f):
             "error_constant_ref": d_ref,
             "error_constant_hat": d_hat,
             "sin_theta_max": theta.sin_theta_max,
-            "sin_psi_max": psi.sin_theta_max,
+            "sin_psi_max": sin_psi,
             "orthogonal_part": orth_norm,
             "selected_part": sel_norm,
         },
         inputs={"rank": P_ref.rank},
     )
-
-
-def _selection_span(S):
-    """Orthonormal basis of range(S): unit columns at the distinct indices."""
-    idx = np.unique(S.indices)
-    E = np.zeros((S.n, idx.size))
-    E[idx, np.arange(idx.size)] = 1.0
-    return E
 
 
 def angle_bound_constant(rank, oversample, n_snapshots):

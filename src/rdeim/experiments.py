@@ -20,8 +20,6 @@ from .linalg import canonical_angles
 from .matio import ResultTable
 from .projector import build_projector
 from .rangefinder import (
-    AdaptiveConfig,
-    RangeConfig,
     _explicit_residual,
     adaptive_range_finder,
     subspace_range_finder,
@@ -30,9 +28,7 @@ from .rangefinder import (
 from .selection import (
     deim_greedy_select,
     hybrid_select,
-    leverage_scores,
     leverage_select,
-    mixed_pmf,
     pqr_select,
     practical_sample_count,
     srrqr_select,
@@ -241,6 +237,7 @@ class AlgorithmSpec:
             raise ValueError(f"unknown selector kind {self.selector!r}; choose from {SELECTORS}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -294,10 +291,10 @@ def build_basis(A, spec):
         return svd_basis(A, spec.rank)
     if spec.basis in ("basic", "subspace"):
         power = 0 if spec.basis == "basic" else spec.power
-        cfg = RangeConfig(rank=spec.rank, oversample=spec.oversample, power=power, seed=spec.seed)
-        return subspace_range_finder(A, cfg)
-    cfg = AdaptiveConfig(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
-    return adaptive_range_finder(A, cfg, rank=spec.rank)
+        return subspace_range_finder(A, spec.rank, spec.oversample, power, spec.seed)
+    return adaptive_range_finder(
+        A, spec.tol, spec.block, spec.max_blocks, spec.seed, rank=spec.rank
+    )
 
 
 def select_points(basis, spec):
@@ -314,12 +311,11 @@ def select_points(basis, spec):
             f"{spec.selector} selection on a rank-1 basis needs an explicit sample count: "
             "pass samples= (--samples on the command line)"
         )
-    pmf = mixed_pmf(leverage_scores(basis), basis.rank, spec.beta)
     count = spec.samples if spec.samples is not None else practical_sample_count(basis.rank)
     count = min(count, basis.matrix.shape[0])
     if spec.selector == "leverage":
-        return leverage_select(basis, pmf, count, spec.seed)
-    _, _, S = hybrid_select(basis, pmf, count, eta=spec.eta, seed=spec.seed)
+        return leverage_select(basis, count, spec.beta, spec.seed)
+    _, _, S = hybrid_select(basis, count, spec.beta, eta=spec.eta, seed=spec.seed)
     return S
 
 
@@ -413,10 +409,9 @@ def bench_basis(A, rank, oversample=10, power=0, seed=0, trials=3):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     denom = float(np.linalg.norm(A))
-    cfg = RangeConfig(rank=rank, oversample=oversample, power=power, seed=seed)
     methods = (
         ("exact-svd", lambda: svd_basis(A, rank)),
-        ("randomized", lambda: subspace_range_finder(A, cfg)),
+        ("randomized", lambda: subspace_range_finder(A, rank, oversample, power, seed)),
     )
     rows = []
     for method, build in methods:

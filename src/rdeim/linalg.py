@@ -53,8 +53,8 @@ class SRRQRFactors:
 class CanonicalAngles:
     """Principal angles between two equally sized subspaces.
 
-    cosines are sorted nonincreasing; sin_theta_max = sqrt(1 - min(cos)^2)
-    is the sine of the largest angle.
+    cosines are sorted nonincreasing; sin_theta_max is the sine of the
+    largest angle.
     """
 
     cosines: np.ndarray
@@ -259,10 +259,13 @@ def spectral_norm(M):
 def canonical_angles(W, Wh):
     """Canonical (principal) angles between two orthonormal column spans.
 
-    Cosines are the singular values of ``W.T @ Wh`` clamped into [0, 1];
-    the largest-angle sine follows as sqrt(1 - min(cos)^2). When the two
-    arrays are identical the angles are returned as exact zeros, so the
-    degenerate case does not pick up SVD round-off.
+    Cosines are the singular values of ``W.T @ Wh`` clamped into [0, 1].
+    The largest-angle sine is ``||Wh - W (W.T @ Wh)||_2`` clamped into
+    [0, 1] (Bjorck & Golub, Math. Comp. 1973), accurate to roundoff at
+    every angle; sqrt(1 - min(cos)^2) would sit on a grid of about
+    sqrt(k * 2.2e-16), so a sine below about 1e-7 would be noise. When the
+    two arrays are identical the angles are returned as exact zeros, so
+    the degenerate case does not pick up SVD round-off.
 
     Parameters
     ----------
@@ -280,7 +283,7 @@ def canonical_angles(W, Wh):
         raise ValueError(f"subspace dimensions differ: {W.shape} vs {Wh.shape}")
     if np.array_equal(W, Wh):
         return CanonicalAngles(cosines=np.ones(W.shape[1]), sin_theta_max=0.0)
-    s = np.linalg.svd(W.T @ Wh, compute_uv=False)
-    cos = np.clip(s, 0.0, 1.0)
-    sin_max = float(np.sqrt(max(0.0, 1.0 - cos[-1] ** 2)))
+    M = W.T @ Wh
+    cos = np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
+    sin_max = min(1.0, spectral_norm(Wh - W @ M))
     return CanonicalAngles(cosines=cos, sin_theta_max=sin_max)

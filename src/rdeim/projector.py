@@ -90,16 +90,14 @@ class DeimProjector:
         return self.basis @ G @ self.selection.dense().T
 
 
-def build_projector(W, S, rank_tol=1e-12):
+def build_projector(W, S):
     """Assemble the oblique projector from a basis and a selection.
 
     Parameters
     ----------
     W : OrthonormalBasis or ndarray, shape (n, r)
-    S : SelectionOperator with s >= r points over the same n
-    rank_tol : float
-        Relative threshold on the singular spectrum of S' W; the cross
-        matrix must have full rank r at this tolerance.
+    S : SelectionOperator with s >= r points over the same n; the cross
+        matrix S' W must have full rank r: sigma_min above 1e-12 sigma_1.
 
     Raises
     ------
@@ -116,7 +114,7 @@ def build_projector(W, S, rank_tol=1e-12):
         raise ValueError(f"selection has {S.s} points, fewer than the basis rank {r}")
     cross = Wm[S.indices, :] * S.weights[:, None]
     U, s, Vt = np.linalg.svd(cross, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise DegenerateSelectionError(
             f"cross matrix S' W is rank deficient "
             f"(sigma_min/sigma_1 = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"

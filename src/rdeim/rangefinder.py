@@ -25,54 +25,6 @@ from .linalg import thin_svd
 SKETCH_GROUP = 4
 
 
-@dataclass(frozen=True)
-class RangeConfig:
-    """Sketch geometry for the fixed-rank range finders.
-
-    rank is the target basis size r, oversample the sketch excess p (the
-    sketch has r + p columns), power the number of subspace iterations q,
-    and seed drives the Gaussian draw.
-    """
-
-    rank: int
-    oversample: int = 10
-    power: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.oversample < 1:
-            raise ValueError(f"oversample must be >= 1, got {self.oversample}")
-        if self.power < 0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
-        check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Block geometry for the adaptive range finder.
-
-    tol is the relative Frobenius tolerance eps in (0, 1): the returned
-    basis W satisfies ||A - W W' A||_F^2 <= tol^2 ||A||_F^2. block columns
-    are added per step, at most max_blocks times.
-    """
-
-    tol: float
-    block: int = 10
-    max_blocks: int = 40
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.block < 1:
-            raise ValueError(f"block must be >= 1, got {self.block}")
-        if self.max_blocks < 1:
-            raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
-        check_seed(self.seed)
-
-
 def gaussian_matrix(rows, cols, seed):
     """Standard Gaussian test matrix from a seeded counter-based stream.
 
@@ -85,22 +37,22 @@ def gaussian_matrix(rows, cols, seed):
     return rng.standard_normal((rows, cols))
 
 
-def _sketch_basis(A, cfg):
+def _sketch_basis(A, rank, oversample, power, seed):
     """Sketch, optionally power-iterate, rotate to the leading r."""
     n, n_s = A.shape
-    ell = cfg.rank + cfg.oversample
+    ell = rank + oversample
     if ell > n_s:
         raise ValueError(
             f"rank + oversample = {ell} exceeds the column count {n_s}"
         )
-    omega = gaussian_matrix(n_s, ell, cfg.seed)
+    omega = gaussian_matrix(n_s, ell, seed)
     Q, _ = np.linalg.qr(A @ omega)
-    for _ in range(cfg.power):
+    for _ in range(power):
         # re-orthonormalize after every half-iteration to keep the
         # powered sketch numerically full rank
         Q, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Q)
-    return _rotate_qb(Q, Q.T @ A, cfg.rank)
+    return _rotate_qb(Q, Q.T @ A, rank)
 
 
 def _rotate_qb(Q, B, rank):
@@ -113,7 +65,7 @@ def _rotate_qb(Q, B, rank):
     return Q @ Ub[:, :rank]
 
 
-def subspace_range_finder(A, cfg):
+def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     """Randomized basis with q power (subspace) iterations.
 
     Mathematically the sketch is (A A')^q A Omega, but it is computed
@@ -125,21 +77,37 @@ def subspace_range_finder(A, cfg):
     Parameters
     ----------
     A : ndarray, shape (n, n_s)
-    cfg : RangeConfig
+    rank : int >= 1
+        Target basis size r.
+    oversample : int >= 1
+        Sketch excess p: the sketch has r + p <= n_s columns.
+    power : int >= 0
+        Number of subspace iterations q.
+    seed : nonnegative int
+        Drives the Gaussian draw.
 
     Returns
     -------
-    OrthonormalBasis with provenance 'subspace-iteration'.
+    OrthonormalBasis with provenance 'subspace-iteration'; its config is
+    the dict of rank, oversample, power and seed.
     """
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    check_seed(seed)
     A = as_matrix(A, "A")
-    W = _sketch_basis(A, cfg)
-    return OrthonormalBasis(W, "subspace-iteration", cfg)
+    W = _sketch_basis(A, rank, oversample, power, seed)
+    config = {"rank": rank, "oversample": oversample, "power": power, "seed": seed}
+    return OrthonormalBasis(W, "subspace-iteration", config)
 
 
-def adaptive_range_finder(A, cfg, rank=None):
+def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     """Grow a basis block-by-block until a Frobenius criterion holds.
 
-    Blocks of `cfg.block` Gaussian sketch columns are absorbed, each one
+    Blocks of `block` Gaussian sketch columns are absorbed, each one
     orthogonalized against the current basis; the captured energy is
     tracked through the accumulated ||B'||_F^2 (equal to ||Q'A||_F^2 up to
     the orthogonalization residual), as in randQB_EI (Martinsson & Voronin,
@@ -161,14 +129,23 @@ def adaptive_range_finder(A, cfg, rank=None):
     Parameters
     ----------
     A : ndarray, shape (n, n_s)
-    cfg : AdaptiveConfig with cfg.block * cfg.max_blocks <= n
+    tol : float in (0, 1)
+        Relative Frobenius tolerance eps: the returned basis W satisfies
+        ||A - W W' A||_F^2 <= tol^2 ||A||_F^2.
+    block : int >= 1
+        Columns added per step.
+    max_blocks : int >= 1
+        Steps allowed; block * max_blocks <= n.
+    seed : nonnegative int
+        Drives the Gaussian draws.
     rank : int >= 1, optional
         Columns to keep; None (the default) keeps the grown basis as is.
 
     Returns
     -------
     OrthonormalBasis with provenance 'adaptive'; the basis dimension is a
-    multiple of cfg.block, or rank if that is smaller.
+    multiple of block, or rank if that is smaller. Its config is the dict
+    of tol, block, max_blocks, seed and rank.
 
     Raises
     ------
@@ -176,20 +153,27 @@ def adaptive_range_finder(A, cfg, rank=None):
         If max_blocks blocks do not reach the tolerance. The exception
         carries the partial basis and the relative residual it achieves.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    if max_blocks < 1:
+        raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
+    check_seed(seed)
     A = as_matrix(A, "A")
     n, n_s = A.shape
-    if cfg.block * cfg.max_blocks > n:
+    if block * max_blocks > n:
         raise ValueError(
-            f"block * max_blocks = {cfg.block * cfg.max_blocks} exceeds the ambient "
+            f"block * max_blocks = {block * max_blocks} exceeds the ambient "
             f"dimension {n}; the basis cannot outgrow its space"
         )
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     alpha = float(np.vdot(A, A))
     if alpha == 0.0:
         raise ValueError("A is identically zero; no basis to find")
-    target = cfg.tol * cfg.tol * alpha
+    target = tol * tol * alpha
 
     W = None
     B = None
@@ -200,24 +184,24 @@ def adaptive_range_finder(A, cfg, rank=None):
         # the accumulator can drift, so the loop ends only once the explicit
         # residual confirms it; the exact W'A that check forms is kept
         res = None
-        if beta > alpha * (1.0 - cfg.tol * cfg.tol):
+        if beta > alpha * (1.0 - tol * tol):
             res, WtA = _explicit_residual(A, W)
             if res <= target:
                 break
-        if blocks == cfg.max_blocks:
+        if blocks == max_blocks:
             if res is None:
                 res, _ = _explicit_residual(A, W)
             rel = float(np.sqrt(res / alpha))
             raise AdaptiveRangeError(
-                f"tolerance {cfg.tol} not reached after {cfg.max_blocks} blocks "
+                f"tolerance {tol} not reached after {max_blocks} blocks "
                 f"(relative residual {rel:.3e})",
                 partial_basis=W,
                 residual=rel,
             )
         if not drawn:
-            omegas = rng.standard_normal((min(SKETCH_GROUP, cfg.max_blocks - blocks), n_s, cfg.block))
+            omegas = rng.standard_normal((min(SKETCH_GROUP, max_blocks - blocks), n_s, block))
             Y = A @ np.concatenate(omegas, axis=1)
-            drawn = [(om, Y[:, i * cfg.block : (i + 1) * cfg.block]) for i, om in enumerate(omegas)]
+            drawn = [(om, Y[:, i * block : (i + 1) * block]) for i, om in enumerate(omegas)]
         omega, A_omega = drawn.pop(0)
         if W is None:
             Q, _ = np.linalg.qr(A_omega)
@@ -235,7 +219,8 @@ def adaptive_range_finder(A, cfg, rank=None):
 
     if rank is not None and rank < W.shape[1]:
         W = _rotate_qb(W, WtA, rank)
-    return OrthonormalBasis(W, "adaptive", cfg)
+    config = {"tol": tol, "block": block, "max_blocks": max_blocks, "seed": seed, "rank": rank}
+    return OrthonormalBasis(W, "adaptive", config)
 
 
 def _explicit_residual(A, W):

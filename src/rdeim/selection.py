@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_seed, orthonormal_matrix
+from ._util import check_seed, orthonormal_basis, orthonormal_matrix
 from .exceptions import DegenerateBasisError, DegenerateSelectionError, RankDeficiencyError
 from .linalg import pivoted_qr, srrqr
 
@@ -78,16 +78,6 @@ class SelectionOperator:
         return float(np.sqrt(acc.max()))
 
 
-@dataclass(frozen=True)
-class LeveragePMF:
-    """Sampling distribution mixing leverage scores with the uniform law."""
-
-    leverage: np.ndarray
-    beta: float
-    probs: np.ndarray
-    rank: int
-
-
 def leverage_scores(W):
     """Row leverage scores of an orthonormal basis: l_j = ||W[j, :]||^2.
 
@@ -111,6 +101,11 @@ def mixed_pmf(leverage, rank, beta):
         entry within 1e-8 of the identity).
     rank : int
     beta : float in (0, 1), exclusive at both ends.
+
+    Returns
+    -------
+    ndarray
+        The probabilities, one per row.
     """
     lev = np.asarray(leverage, dtype=np.float64)
     if lev.ndim != 1 or lev.size == 0:
@@ -124,9 +119,7 @@ def mixed_pmf(leverage, rank, beta):
         raise ValueError(f"rank must be >= 1, got {rank}")
     if abs(lev.sum() - r) > 1e-8 * r:
         raise ValueError(f"leverage scores sum to {lev.sum()!r}, expected rank {r}")
-    n = lev.size
-    probs = beta * lev / r + (1.0 - beta) / n
-    return LeveragePMF(leverage=lev, beta=float(beta), probs=probs, rank=r)
+    return beta * lev / r + (1.0 - beta) / lev.size
 
 
 def sample_count_bound(rank, beta, eps, delta, n=None):
@@ -162,31 +155,34 @@ def practical_sample_count(rank):
     return int(np.ceil(3.0 * r * np.log(r)))
 
 
-def leverage_select(W, pmf, s, seed):
-    """Sample s rows with replacement from pmf and scale for unbiasedness.
+def leverage_select(W, s, beta, seed):
+    """Sample s rows of W with replacement and scale for unbiasedness.
 
-    Column k of S is e_{t_k} / sqrt(s * probs[t_k]), which makes
-    E[S S'] = I. Duplicate draws are kept.
+    Rows are drawn from mixed_pmf(leverage_scores(W), r, beta). Column k
+    of S is e_{t_k} / sqrt(s * probs[t_k]), which makes E[S S'] = I.
+    Duplicate draws are kept.
     """
-    return _sample_rows(orthonormal_matrix(W, "W").shape[0], pmf, s, seed)
+    return _sample_rows(orthonormal_basis(W, "W"), s, beta, seed)
 
 
-def _sample_rows(n, pmf, s, seed):
-    if pmf.probs.size != n:
-        raise ValueError(f"pmf is over {pmf.probs.size} rows but W has {n}")
+def _sample_rows(W, s, beta, seed):
+    """s weighted rows of the OrthonormalBasis W drawn from its mixed pmf."""
+    n, r = W.matrix.shape
+    probs = mixed_pmf(leverage_scores(W), r, beta)
     s = int(s)
     if s < 1:
         raise ValueError(f"sample count must be >= 1, got {s}")
     rng = np.random.default_rng(check_seed(seed))
-    idx = rng.choice(n, size=s, replace=True, p=pmf.probs)
-    weights = 1.0 / np.sqrt(s * pmf.probs[idx])
+    idx = rng.choice(n, size=s, replace=True, p=probs)
+    weights = 1.0 / np.sqrt(s * probs[idx])
     return SelectionOperator(indices=idx, weights=weights, n=n)
 
 
-def hybrid_select(W, pmf, c_ls, eta=2.0, seed=0):
+def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
     """Two-stage selection: leverage sampling, then a strong RRQR prune.
 
-    Stage one draws c_ls weighted rows; stage two runs the strong
+    Stage one draws c_ls weighted rows from
+    mixed_pmf(leverage_scores(W), r, beta); stage two runs the strong
     rank-revealing QR on W' S1 and keeps the r revealed columns, yielding
     exactly r weighted points.
 
@@ -202,12 +198,13 @@ def hybrid_select(W, pmf, c_ls, eta=2.0, seed=0):
     DegenerateSelectionError
         If the sampled rows do not expose rank r against the basis.
     """
-    Wm = orthonormal_matrix(W, "W")
+    W = orthonormal_basis(W, "W")
+    Wm = W.matrix
     n, r = Wm.shape
     c_ls = int(c_ls)
     if c_ls < r:
         raise ValueError(f"c_ls must be at least the basis rank {r}, got {c_ls}")
-    S1 = _sample_rows(n, pmf, c_ls, seed)
+    S1 = _sample_rows(W, c_ls, beta, seed)
     M = (Wm[S1.indices, :] * S1.weights[:, None]).T  # r x c_ls, equals W' S1
     try:
         fac = srrqr(M, r, eta)

@@ -29,8 +29,6 @@ from rdeim.experiments import (
 from rdeim.linalg import canonical_angles, spectral_norm
 from rdeim.projector import build_projector
 from rdeim.rangefinder import (
-    AdaptiveConfig,
-    RangeConfig,
     adaptive_range_finder,
     gaussian_matrix,
     sketch_absorb,
@@ -72,7 +70,7 @@ def test_criterion_01_power_iteration_recovers_gapped_subspace():
         r = int(rng.integers(3, 9))
         A, _ = gap_matrix(n, n_s, rank=r, gamma=0.05, seed=case)
         exact = svd_basis(A, r)
-        W = subspace_range_finder(A, RangeConfig(rank=r, oversample=10, power=3, seed=case))
+        W = subspace_range_finder(A, rank=r, oversample=10, power=3, seed=case)
         worst = max(worst, canonical_angles(exact.matrix, W.matrix).sin_theta_max)
     _report(1, "gapped-subspace recovery", worst <= 1e-6, f"worst sin theta {worst:.2e}")
 
@@ -113,9 +111,7 @@ def test_criterion_03_angle_bound_and_power_monotonicity():
     for q in (0, 1, 2, 3):
         sines = []
         for trial in range(50):
-            W = subspace_range_finder(
-                A, RangeConfig(rank=r, oversample=p, power=q, seed=300 + trial)
-            )
+            W = subspace_range_finder(A, rank=r, oversample=p, power=q, seed=300 + trial)
             sines.append(canonical_angles(exact.matrix, W.matrix).sin_theta_max)
         sines = np.asarray(sines)
         mean = float(sines.mean())
@@ -145,7 +141,7 @@ def test_criterion_04_adaptive_dimension_tracks_svd_rank():
     rows = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         r_eps = truncation_rank(sv, eps**2)
-        W = adaptive_range_finder(A, AdaptiveConfig(tol=eps, block=block, max_blocks=30, seed=0))
+        W = adaptive_range_finder(A, tol=eps, block=block, max_blocks=30, seed=0)
         resid = float(np.linalg.norm(A - W.matrix @ (W.matrix.T @ A)))
         if resid > eps * fro:
             ok = False
@@ -175,18 +171,17 @@ def test_criterion_06_sampled_projector_norm_monte_carlo():
     A = corner_peak_snapshots(grid=50, param_grid=15).matrix
     n = A.shape[0]
     W = svd_basis(A, r)
-    pmf = mixed_pmf(leverage_scores(W), r, beta)
     c = sample_count_bound(r, beta, eps, delta, n=n)
     assert c == 284
     d_ls = leverage_constant(n, c, beta, eps)
     d_hyb = hybrid_constant(n, c, beta, eps, 2.0, r)
     fail_ls = fail_hyb = 0
     for seed in range(200):
-        S = leverage_select(W, pmf, c, seed=seed)
+        S = leverage_select(W, c, beta=beta, seed=seed)
         if build_projector(W, S).error_constant() > d_ls:
             fail_ls += 1
         try:
-            _, _, Sh = hybrid_select(W, pmf, c, eta=2.0, seed=seed)
+            _, _, Sh = hybrid_select(W, c, beta=beta, eta=2.0, seed=seed)
             if build_projector(W, Sh).error_constant() > d_hyb:
                 fail_hyb += 1
         except DegenerateSelectionError:
@@ -207,7 +202,7 @@ def test_criterion_07_oscillator_dominance_and_tracking():
     details = []
     for r in (10, 20):
         W = svd_basis(A, r)
-        Wh = subspace_range_finder(A, RangeConfig(rank=r, oversample=20, power=0, seed=0))
+        Wh = subspace_range_finder(A, rank=r, oversample=20, power=0, seed=0)
         P = build_projector(W, deim_greedy_select(W))
         Ph = build_projector(Wh, deim_greedy_select(Wh))
         ratios = []
@@ -230,13 +225,13 @@ def test_criterion_07_oscillator_dominance_and_tracking():
 def test_criterion_08_sampling_unbiasedness():
     n, r, s, T = 50, 6, 100, 10_000
     W = random_orthonormal(n, r, seed=42)
-    pmf = mixed_pmf(leverage_scores(W), r, beta=0.5)
+    probs = mixed_pmf(leverage_scores(W), r, beta=0.5)
     rng = np.random.default_rng(7)
-    draws = rng.choice(n, size=T * s, replace=True, p=pmf.probs)
+    draws = rng.choice(n, size=T * s, replace=True, p=probs)
     counts = np.bincount(draws, minlength=n)
     # each draw contributes 1/(s * pi_j) to its diagonal entry; off-diagonals
     # of S S' are identically zero, so the diagonal is the whole story
-    mean_diag = counts / (T * s * pmf.probs)
+    mean_diag = counts / (T * s * probs)
     dev = float(np.max(np.abs(mean_diag - 1.0)))
     tol = 5.0 / np.sqrt(T)
     _report(8, "sampling unbiasedness", dev <= tol, f"max |mean-1| {dev:.4f} vs {tol:.4f}")
@@ -266,10 +261,9 @@ def test_criterion_10_source_example_end_to_end():
     A = snaps.matrix
     W = svd_basis(A, r)
     P_det = build_projector(W, deim_greedy_select(W))
-    Wh = subspace_range_finder(A, RangeConfig(rank=r, oversample=p, power=0, seed=0))
-    pmf = mixed_pmf(leverage_scores(Wh), r, beta=0.5)
+    Wh = subspace_range_finder(A, rank=r, oversample=p, power=0, seed=0)
     count = min(practical_sample_count(r), A.shape[0])
-    _, _, S = hybrid_select(Wh, pmf, count, eta=2.0, seed=0)
+    _, _, S = hybrid_select(Wh, count, beta=0.5, eta=2.0, seed=0)
     P_rand = build_projector(Wh, S)
 
     def mean_rel(P):

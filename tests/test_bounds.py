@@ -19,8 +19,8 @@ from rdeim.bounds import (
 from rdeim.exceptions import SpectralGapError
 from rdeim.linalg import canonical_angles
 from rdeim.projector import build_projector
-from rdeim.rangefinder import RangeConfig, subspace_range_finder, svd_basis
-from rdeim.selection import deim_greedy_select, leverage_scores, leverage_select, mixed_pmf
+from rdeim.rangefinder import subspace_range_finder, svd_basis
+from rdeim.selection import SelectionOperator, deim_greedy_select, leverage_select
 
 from conftest import gap_matrix, random_matrix, random_orthonormal
 
@@ -67,7 +67,7 @@ def test_interpolation_bound_shape_check():
 def _perturbed_pair(seed, rank=6):
     A = _snapshots(seed)
     W = svd_basis(A, rank)
-    Wh = subspace_range_finder(A, RangeConfig(rank=rank, oversample=6, power=0, seed=seed))
+    Wh = subspace_range_finder(A, rank=rank, oversample=6, power=0, seed=seed)
     P_hat = build_projector(Wh, deim_greedy_select(Wh))
     return A, W, Wh, P_hat
 
@@ -153,12 +153,26 @@ def test_pair_bound_angle_terms_vanish_when_identical():
     assert rep.bound_value == pytest.approx(base.bound_value, rel=1e-12)
 
 
+def test_pair_bound_point_angle_compares_the_index_sets():
+    A = _snapshots(4)
+    W = svd_basis(A, 5)
+    P = build_projector(W, deim_greedy_select(W))
+    idx = P.selection.indices
+
+    def sin_psi(points):
+        Q = build_projector(W, SelectionOperator(indices=points, weights=np.ones(5), n=60))
+        return perturbed_pair_bound(P, Q, A[:, 9]).constants["sin_psi_max"]
+
+    assert sin_psi(idx[::-1]) == 0.0
+    other = next(j for j in range(60) if j not in idx)
+    assert sin_psi(np.append(idx[:4], other)) == 1.0
+
+
 def test_pair_bound_requires_square_selections():
     A = _snapshots(2)
     W = svd_basis(A, 5)
     P_ref = build_projector(W, deim_greedy_select(W))
-    pmf = mixed_pmf(leverage_scores(W), 5, beta=0.5)
-    S = leverage_select(W, pmf, 12, seed=0)
+    S = leverage_select(W, 12, beta=0.5, seed=0)
     P_smp = build_projector(W, S)
     with pytest.raises(ValueError):
         perturbed_pair_bound(P_ref, P_smp, A[:, 0])

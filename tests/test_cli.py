@@ -117,6 +117,15 @@ def test_bounds_prints_library_value(capsys):
     assert float(value) == srrqr_constant(2.0, 5, 50)
 
 
+@pytest.mark.parametrize("extra", [[], ["--basis", "subspace"]])
+def test_approx_rejects_a_negative_seed(tmp_path, capsys, extra):
+    out = tmp_path / "s.csv"
+    argv = ["approx", "--example", "osc", "--rank", "8", "--seed", "-1", "--out", str(out)]
+    assert main(argv + extra) == 1
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_missing_parameter(capsys):
     rc = main(["bounds", "--kind", "deviation", "--rank", "5"])
     assert rc == 1

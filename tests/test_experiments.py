@@ -182,6 +182,9 @@ def test_spec_validation():
         ExperimentSpec(example="osc", rank=0)
     with pytest.raises(ValueError):
         ExperimentSpec(example="source", rank=5, n_test=-1)
+    # checked for every basis, not only the ones that draw
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        ExperimentSpec(example="osc", rank=5, seed=-1)
 
 
 def test_spec_rejects_held_out_count_in_overrides():

@@ -406,6 +406,19 @@ def test_canonical_angles_known_rotation():
     assert abs(ang.sin_theta_max - 1.0 / np.sqrt(2.0)) < 1e-14
 
 
+def test_canonical_angles_resolve_a_tiny_angle():
+    # a cosine within roundoff of 1 carries no sine below about 1e-7; the
+    # residual ||Wh - W W'Wh||_2 resolves an angle of 1e-9
+    t = 1e-9
+    Q, _ = np.linalg.qr(random_matrix(50, 50, seed=3))
+    W = Q[:, :3]
+    Wh = W.copy()
+    Wh[:, 2] = np.cos(t) * Q[:, 2] + np.sin(t) * Q[:, 3]
+    ang = canonical_angles(W, Wh)
+    assert ang.sin_theta_max == pytest.approx(np.sin(t), rel=1e-6)
+    assert ang.sin_theta_max == pytest.approx(canonical_angles(Wh, W).sin_theta_max, rel=1e-6)
+
+
 def test_canonical_angles_orthogonal_subspaces():
     W = np.eye(6)[:, :2]
     Wh = np.eye(6)[:, 3:5]

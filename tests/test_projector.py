@@ -8,9 +8,7 @@ from rdeim.selection import (
     SelectionOperator,
     deim_greedy_select,
     hybrid_select,
-    leverage_scores,
     leverage_select,
-    mixed_pmf,
     pqr_select,
 )
 
@@ -25,8 +23,7 @@ def _interp_projector(n, r, seed):
 
 def _sampled_projector(n, r, s, seed):
     W = random_orthonormal(n, r, seed=seed)
-    pmf = mixed_pmf(leverage_scores(W), r, beta=0.5)
-    S = leverage_select(W, pmf, s, seed=seed)
+    S = leverage_select(W, s, beta=0.5, seed=seed)
     return W, build_projector(W, S)
 
 
@@ -210,8 +207,7 @@ def test_projector_accepts_every_selector(selector):
     elif selector == "pqr":
         S = pqr_select(W)
     else:
-        pmf = mixed_pmf(leverage_scores(W), 6, beta=0.5)
-        _, _, S = hybrid_select(W, pmf, c_ls=30, seed=0)
+        _, _, S = hybrid_select(W, c_ls=30, beta=0.5, seed=0)
     P = build_projector(W, S)
     f = W @ np.arange(1.0, 7.0)
     assert np.allclose(P.apply(f), f, atol=1e-9)

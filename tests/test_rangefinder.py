@@ -9,9 +9,7 @@ from rdeim.exceptions import AdaptiveRangeError, ConvergenceError
 from rdeim.experiments import AlgorithmSpec, ExperimentSpec, build_basis, generate
 from rdeim.linalg import canonical_angles, spectral_norm, thin_svd
 from rdeim.rangefinder import (
-    AdaptiveConfig,
     OrthonormalBasis,
-    RangeConfig,
     adaptive_range_finder,
     gaussian_matrix,
     sketch_absorb,
@@ -30,25 +28,29 @@ from oracles import batch_sketch, blockwise_adaptive_basis, truncated_basis
 
 
 def test_range_config_validation():
-    with pytest.raises(ValueError):
-        RangeConfig(rank=0)
-    with pytest.raises(ValueError):
-        RangeConfig(rank=3, oversample=0)
-    with pytest.raises(ValueError):
-        RangeConfig(rank=3, power=-1)
-    with pytest.raises(ValueError):
-        RangeConfig(rank=3, seed=-1)
+    A = random_matrix(30, 20, seed=0)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        subspace_range_finder(A, rank=0)
+    with pytest.raises(ValueError, match="oversample must be >= 1"):
+        subspace_range_finder(A, rank=3, oversample=0)
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        subspace_range_finder(A, rank=3, power=-1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        subspace_range_finder(A, rank=3, seed=-1)
 
 
 def test_adaptive_config_validation():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(tol=1.0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(tol=0.1, block=0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(tol=0.1, max_blocks=0)
+    A = random_matrix(30, 20, seed=0)
+    with pytest.raises(ValueError, match="tol must lie in"):
+        adaptive_range_finder(A, tol=0.0)
+    with pytest.raises(ValueError, match="tol must lie in"):
+        adaptive_range_finder(A, tol=1.0)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        adaptive_range_finder(A, tol=0.1, block=0)
+    with pytest.raises(ValueError, match="max_blocks must be >= 1"):
+        adaptive_range_finder(A, tol=0.1, max_blocks=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        adaptive_range_finder(A, tol=0.1, block=2, max_blocks=2, seed=-1)
 
 
 def test_orthonormal_basis_rejects_skew():
@@ -109,7 +111,7 @@ def test_gaussian_matrix_validation():
 
 def test_basic_gap_matrix_recovers_subspace():
     A, _ = gap_matrix(50, 40, rank=2, gamma=1e-8, seed=2)
-    W = subspace_range_finder(A, RangeConfig(rank=2, oversample=5, power=0, seed=0))
+    W = subspace_range_finder(A, rank=2, oversample=5, power=0, seed=0)
     exact = svd_basis(A, 2)
     ang = canonical_angles(exact.matrix, W.matrix)
     assert ang.sin_theta_max <= 1e-6
@@ -130,14 +132,14 @@ def test_basic_deterministic_and_provenance():
 def test_basic_rejects_oversized_sketch():
     A = random_matrix(30, 12, seed=1)
     with pytest.raises(ValueError):
-        subspace_range_finder(A, RangeConfig(rank=8, oversample=5, power=0, seed=0))
+        subspace_range_finder(A, rank=8, oversample=5, power=0, seed=0)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_basic_residual_lower_bound(seed):
     A = random_matrix(40, 25, seed=seed)
     sv = np.linalg.svd(A, compute_uv=False)
-    W = subspace_range_finder(A, RangeConfig(rank=6, oversample=6, power=0, seed=seed))
+    W = subspace_range_finder(A, rank=6, oversample=6, power=0, seed=seed)
     resid = spectral_norm(A - W.matrix @ (W.matrix.T @ A))
     assert resid >= sv[6] - 1e-10
 
@@ -165,7 +167,7 @@ def test_subspace_q0_identical_to_basic():
     # --basis basic is subspace iteration at power 0, whatever spec.power says
     A = random_matrix(40, 30, seed=4)
     Wb = build_basis(A, AlgorithmSpec(rank=5, basis="basic", oversample=5, power=2, seed=7))
-    Ws = subspace_range_finder(A, RangeConfig(rank=5, oversample=5, power=0, seed=7))
+    Ws = subspace_range_finder(A, rank=5, oversample=5, power=0, seed=7)
     assert np.array_equal(Wb.matrix, Ws.matrix)
     assert Wb.provenance == Ws.provenance == "subspace-iteration"
 
@@ -178,8 +180,7 @@ def test_subspace_mean_angle_decreases_with_power():
     for q in (0, 1, 2):
         sines = []
         for trial in range(20):
-            cfg = RangeConfig(rank=5, oversample=10, power=q, seed=200 + trial)
-            W = subspace_range_finder(A, cfg)
+            W = subspace_range_finder(A, rank=5, oversample=10, power=q, seed=200 + trial)
             sines.append(canonical_angles(exact.matrix, W.matrix).sin_theta_max)
         means.append(np.mean(sines))
     assert means[1] <= means[0] and means[2] <= means[1]
@@ -190,12 +191,12 @@ def test_subspace_orthonormal_output(q):
     # every finder's output is orthonormal far inside the 1e-8 the
     # OrthonormalBasis constructor enforces
     A = random_matrix(35, 25, seed=q)
-    cfg = AdaptiveConfig(tol=0.5, block=3, max_blocks=10, seed=q)
+    cfg = dict(tol=0.5, block=3, max_blocks=10, seed=q)
     bases = (
-        subspace_range_finder(A, RangeConfig(rank=6, oversample=5, power=q, seed=1)),
+        subspace_range_finder(A, rank=6, oversample=5, power=q, seed=1),
         svd_basis(A, 6),
-        adaptive_range_finder(A, cfg),
-        adaptive_range_finder(A, cfg, rank=6),
+        adaptive_range_finder(A, **cfg),
+        adaptive_range_finder(A, **cfg, rank=6),
     )
     for W in bases:
         G = W.matrix.T @ W.matrix
@@ -215,8 +216,7 @@ def _exact_rank(n, n_s, rank, seed, scale=None):
 
 def test_adaptive_exact_low_rank_single_block():
     A = _exact_rank(30, 20, rank=5, seed=0)
-    cfg = AdaptiveConfig(tol=1e-8, block=10, max_blocks=3, seed=1)
-    W = adaptive_range_finder(A, cfg)
+    W = adaptive_range_finder(A, tol=1e-8, block=10, max_blocks=3, seed=1)
     assert W.rank == 10  # one full block; no truncation inside the finder
     resid = np.linalg.norm(A - W.matrix @ (W.matrix.T @ A))
     assert resid <= 1e-8 * np.linalg.norm(A)
@@ -225,14 +225,14 @@ def test_adaptive_exact_low_rank_single_block():
 
 def test_adaptive_loose_tolerance_single_block():
     A = random_matrix(60, 40, seed=2)
-    W = adaptive_range_finder(A, AdaptiveConfig(tol=0.999, block=10, max_blocks=6, seed=0))
+    W = adaptive_range_finder(A, tol=0.999, block=10, max_blocks=6, seed=0)
     assert W.rank == 10
 
 
 @pytest.mark.parametrize("tol", [3e-1, 1e-1, 1e-2])
 def test_adaptive_meets_frobenius_criterion(tol):
     A = random_matrix(80, 50, seed=5)
-    W = adaptive_range_finder(A, AdaptiveConfig(tol=tol, block=5, max_blocks=16, seed=3))
+    W = adaptive_range_finder(A, tol=tol, block=5, max_blocks=16, seed=3)
     resid = np.linalg.norm(A - W.matrix @ (W.matrix.T @ A))
     assert resid <= tol * np.linalg.norm(A)
     assert W.rank % 5 == 0
@@ -240,9 +240,8 @@ def test_adaptive_meets_frobenius_criterion(tol):
 
 def test_adaptive_budget_failure_carries_partial_state():
     A = random_matrix(60, 40, seed=8)
-    cfg = AdaptiveConfig(tol=1e-12, block=5, max_blocks=2, seed=0)
     with pytest.raises(AdaptiveRangeError) as exc:
-        adaptive_range_finder(A, cfg)
+        adaptive_range_finder(A, tol=1e-12, block=5, max_blocks=2, seed=0)
     err = exc.value
     assert err.partial_basis.shape == (60, 10)
     assert err.residual is not None and err.residual > 1e-12
@@ -251,19 +250,19 @@ def test_adaptive_budget_failure_carries_partial_state():
 def test_adaptive_rejects_overgrown_budget():
     A = random_matrix(25, 40, seed=8)
     with pytest.raises(ValueError):
-        adaptive_range_finder(A, AdaptiveConfig(tol=0.1, block=10, max_blocks=40, seed=0))
+        adaptive_range_finder(A, tol=0.1, block=10, max_blocks=40, seed=0)
 
 
 def test_adaptive_rejects_zero_matrix():
     with pytest.raises(ValueError):
-        adaptive_range_finder(np.zeros((30, 10)), AdaptiveConfig(tol=0.1, block=5, max_blocks=2, seed=0))
+        adaptive_range_finder(np.zeros((30, 10)), tol=0.1, block=5, max_blocks=2, seed=0)
 
 
 def test_adaptive_deterministic():
     A = random_matrix(50, 30, seed=12)
-    cfg = AdaptiveConfig(tol=0.05, block=5, max_blocks=10, seed=4)
-    W1 = adaptive_range_finder(A, cfg)
-    W2 = adaptive_range_finder(A, cfg)
+    cfg = dict(tol=0.05, block=5, max_blocks=10, seed=4)
+    W1 = adaptive_range_finder(A, **cfg)
+    W2 = adaptive_range_finder(A, **cfg)
     assert np.array_equal(W1.matrix, W2.matrix)
 
 
@@ -275,7 +274,7 @@ def test_adaptive_matches_blockwise_oracle(seed, tol, max_blocks):
     A, _ = gap_matrix(120, 150, rank=6, gamma=0.3, seed=seed, tail="decay")
     W_ref, blocks, res = blockwise_adaptive_basis(A, tol, 5, max_blocks, seed)
     assert res is None
-    W = adaptive_range_finder(A, AdaptiveConfig(tol=tol, block=5, max_blocks=max_blocks, seed=seed))
+    W = adaptive_range_finder(A, tol=tol, block=5, max_blocks=max_blocks, seed=seed)
     assert W.rank == 5 * blocks
     assert np.max(np.abs(W.matrix - W_ref)) <= 1e-12
 
@@ -286,7 +285,7 @@ def test_adaptive_failure_matches_blockwise_oracle(max_blocks):
     W_ref, blocks, res = blockwise_adaptive_basis(A, 1e-9, 5, max_blocks, 7)
     assert blocks == max_blocks and res is not None
     with pytest.raises(AdaptiveRangeError) as exc:
-        adaptive_range_finder(A, AdaptiveConfig(tol=1e-9, block=5, max_blocks=max_blocks, seed=7))
+        adaptive_range_finder(A, tol=1e-9, block=5, max_blocks=max_blocks, seed=7)
     assert np.max(np.abs(exc.value.partial_basis - W_ref)) <= 1e-12
     assert exc.value.residual == pytest.approx(res, rel=1e-10)
 
@@ -294,10 +293,9 @@ def test_adaptive_failure_matches_blockwise_oracle(max_blocks):
 def test_adaptive_memory_stays_below_the_matrix():
     # a wide low-rank matrix: no n x n_s temporary may be formed
     A = _exact_rank(600, 4000, rank=25, seed=3)
-    cfg = AdaptiveConfig(tol=1e-6, block=10, max_blocks=6, seed=0)
     tracemalloc.start()
     try:
-        W = adaptive_range_finder(A, cfg)
+        W = adaptive_range_finder(A, tol=1e-6, block=10, max_blocks=6, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,11 +328,11 @@ def test_svd_basis_matches_full_svd_on_desk_examples(example):
 def test_truncate_basis_aligns_with_leading_directions():
     A, _ = gap_matrix(40, 30, rank=4, gamma=1e-7, seed=6)
     # blocks of 3 grow to 6 columns, so rank 4 truncates
-    cfg = AdaptiveConfig(tol=1e-5, block=3, max_blocks=10, seed=2)
-    assert adaptive_range_finder(A, cfg).rank == 6
-    Wt = adaptive_range_finder(A, cfg, rank=4)
+    cfg = dict(tol=1e-5, block=3, max_blocks=10, seed=2)
+    assert adaptive_range_finder(A, **cfg).rank == 6
+    Wt = adaptive_range_finder(A, **cfg, rank=4)
     assert Wt.rank == 4
-    assert Wt.provenance == "adaptive" and Wt.config == cfg
+    assert Wt.provenance == "adaptive" and Wt.config == dict(cfg, rank=4)
     exact = svd_basis(A, 4)
     assert canonical_angles(exact.matrix, Wt.matrix).sin_theta_max < 1e-5
 
@@ -345,8 +343,8 @@ def test_adaptive_build_matches_truncation_oracle(example):
     # oracle forms W'A again from scratch, and the bits agree
     spec = ExperimentSpec(example=example, rank=12, basis="adaptive")
     A = generate(spec).matrix
-    cfg = AdaptiveConfig(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
-    grown = adaptive_range_finder(A, cfg)
+    cfg = dict(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
+    grown = adaptive_range_finder(A, **cfg)
     assert grown.rank > spec.rank
     W = build_basis(A, spec)
     assert W.rank == spec.rank
@@ -355,29 +353,29 @@ def test_adaptive_build_matches_truncation_oracle(example):
 
 def test_adaptive_rank_at_least_width_is_unrotated():
     A = random_matrix(60, 40, seed=2)
-    cfg = AdaptiveConfig(tol=0.3, block=5, max_blocks=8, seed=1)
-    grown = adaptive_range_finder(A, cfg)
+    cfg = dict(tol=0.3, block=5, max_blocks=8, seed=1)
+    grown = adaptive_range_finder(A, **cfg)
     for rank in (grown.rank, grown.rank + 1, 10 * grown.rank):
-        assert np.array_equal(adaptive_range_finder(A, cfg, rank=rank).matrix, grown.matrix)
+        assert np.array_equal(adaptive_range_finder(A, **cfg, rank=rank).matrix, grown.matrix)
     with pytest.raises(ValueError, match="rank must be >= 1"):
-        adaptive_range_finder(A, cfg, rank=0)
+        adaptive_range_finder(A, **cfg, rank=0)
 
 
 def test_rotation_svd_failure_is_a_convergence_error(monkeypatch):
     A = random_matrix(60, 40, seed=3)
-    cfg = AdaptiveConfig(tol=0.3, block=5, max_blocks=8, seed=1)
-    grown = adaptive_range_finder(A, cfg)
+    cfg = dict(tol=0.3, block=5, max_blocks=8, seed=1)
+    grown = adaptive_range_finder(A, **cfg)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(rangefinder.np.linalg, "svd", fail)
     with pytest.raises(ConvergenceError, match="Q'A"):
-        subspace_range_finder(A, RangeConfig(rank=5, oversample=5, power=1, seed=0))
+        subspace_range_finder(A, rank=5, oversample=5, power=1, seed=0)
     with pytest.raises(ConvergenceError, match="Q'A"):
-        adaptive_range_finder(A, cfg, rank=grown.rank - 1)
+        adaptive_range_finder(A, **cfg, rank=grown.rank - 1)
     # without truncation the adaptive finder takes no SVD
-    assert np.array_equal(adaptive_range_finder(A, cfg).matrix, grown.matrix)
+    assert np.array_equal(adaptive_range_finder(A, **cfg).matrix, grown.matrix)
 
 
 # ---------------------------------------------------------- truncation_rank

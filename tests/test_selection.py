@@ -4,7 +4,6 @@ import pytest
 from rdeim.exceptions import DegenerateSelectionError
 from rdeim.linalg import spectral_norm
 from rdeim.selection import (
-    LeveragePMF,
     SelectionOperator,
     deim_greedy_select,
     hybrid_select,
@@ -90,10 +89,10 @@ def test_leverage_scores_reject_skew_basis():
 def test_mixed_pmf_formula():
     W = random_orthonormal(20, 5, seed=2)
     lev = leverage_scores(W)
-    pmf = mixed_pmf(lev, 5, beta=0.7)
-    assert np.allclose(pmf.probs, 0.7 * lev / 5 + 0.3 / 20, rtol=0, atol=1e-15)
-    assert pmf.probs.min() >= 0.3 / 20 - 1e-15
-    assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    probs = mixed_pmf(lev, 5, beta=0.7)
+    assert np.allclose(probs, 0.7 * lev / 5 + 0.3 / 20, rtol=0, atol=1e-15)
+    assert probs.min() >= 0.3 / 20 - 1e-15
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixed_pmf_validation():
@@ -106,7 +105,7 @@ def test_mixed_pmf_validation():
     with pytest.raises(ValueError):
         mixed_pmf(lev * (1.0 + 2e-8), 2, 0.5)
     # a basis within the orthonormality tolerance is not rejected here
-    assert mixed_pmf(lev * (1.0 + 5e-9), 2, 0.5).probs.sum() == pytest.approx(1.0, abs=1e-8)
+    assert mixed_pmf(lev * (1.0 + 5e-9), 2, 0.5).sum() == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         mixed_pmf(np.array([2.5, -0.5]), 2, 0.5)
 
@@ -143,22 +142,21 @@ def test_practical_sample_count_values():
 
 def test_leverage_select_deterministic_and_weighted():
     W = random_orthonormal(40, 6, seed=3)
-    pmf = mixed_pmf(leverage_scores(W), 6, beta=0.5)
-    S1 = leverage_select(W, pmf, 25, seed=11)
-    S2 = leverage_select(W, pmf, 25, seed=11)
+    S1 = leverage_select(W, 25, beta=0.5, seed=11)
+    S2 = leverage_select(W, 25, beta=0.5, seed=11)
     assert np.array_equal(S1.indices, S2.indices)
     assert np.array_equal(S1.weights, S2.weights)
-    S3 = leverage_select(W, pmf, 25, seed=12)
+    S3 = leverage_select(W, 25, beta=0.5, seed=12)
     assert not np.array_equal(S1.indices, S3.indices)
-    assert np.allclose(S1.weights, 1.0 / np.sqrt(25 * pmf.probs[S1.indices]))
+    probs = mixed_pmf(leverage_scores(W), 6, beta=0.5)
+    assert np.allclose(S1.weights, 1.0 / np.sqrt(25 * probs[S1.indices]))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_leverage_select_weight_ceiling(seed):
     n, r, s, beta = 50, 5, 30, 0.5
     W = random_orthonormal(n, r, seed=seed)
-    pmf = mixed_pmf(leverage_scores(W), r, beta)
-    S = leverage_select(W, pmf, s, seed=seed)
+    S = leverage_select(W, s, beta=beta, seed=seed)
     assert S.weights.max() <= np.sqrt(n / (s * (1.0 - beta))) + 1e-12
 
 
@@ -166,9 +164,8 @@ def test_leverage_select_sampling_is_unbiased():
     # mean of diag(S S') over draws approaches 1 at every row
     n, r = 20, 4
     W = random_orthonormal(n, r, seed=7)
-    pmf = mixed_pmf(leverage_scores(W), r, beta=0.5)
     s = 20000
-    S = leverage_select(W, pmf, s, seed=0)
+    S = leverage_select(W, s, beta=0.5, seed=0)
     acc = np.zeros(n)
     np.add.at(acc, S.indices, S.weights**2)
     assert np.max(np.abs(acc - 1.0)) < 0.25
@@ -176,12 +173,8 @@ def test_leverage_select_sampling_is_unbiased():
 
 def test_leverage_select_validation():
     W = random_orthonormal(10, 3, seed=0)
-    pmf = mixed_pmf(leverage_scores(W), 3, beta=0.5)
     with pytest.raises(ValueError):
-        leverage_select(W, pmf, 0, seed=0)
-    other = random_orthonormal(12, 3, seed=0)
-    with pytest.raises(ValueError):
-        leverage_select(other, pmf, 5, seed=0)
+        leverage_select(W, 0, beta=0.5, seed=0)
 
 
 # ------------------------------------------------------------ hybrid_select
@@ -190,8 +183,7 @@ def test_leverage_select_validation():
 def test_hybrid_identity_basis_recovers_support():
     n, r = 12, 4
     W = np.eye(n)[:, :r]
-    pmf = mixed_pmf(leverage_scores(W), r, beta=0.5)
-    S1, S2, S = hybrid_select(W, pmf, c_ls=40, seed=1)
+    S1, S2, S = hybrid_select(W, c_ls=40, beta=0.5, seed=1)
     assert S1.s == 40 and S2.s == r and S.s == r
     assert set(S.indices.tolist()) == {0, 1, 2, 3}
     assert np.array_equal(S.dense(), S1.dense() @ S2.dense())
@@ -200,8 +192,7 @@ def test_hybrid_identity_basis_recovers_support():
 @pytest.mark.parametrize("seed", range(6))
 def test_hybrid_composition_and_conditioning(seed):
     W = random_orthonormal(60, 5, seed=seed)
-    pmf = mixed_pmf(leverage_scores(W), 5, beta=0.5)
-    S1, S2, S = hybrid_select(W, pmf, c_ls=30, eta=2.0, seed=seed)
+    S1, S2, S = hybrid_select(W, c_ls=30, beta=0.5, eta=2.0, seed=seed)
     assert np.array_equal(S.dense(), S1.dense() @ S2.dense())
     assert np.array_equal(S.indices, S1.indices[S2.indices])
     cross = S.dense().T @ W
@@ -211,28 +202,24 @@ def test_hybrid_composition_and_conditioning(seed):
 
 def test_hybrid_minimal_candidate_pool():
     W = random_orthonormal(15, 3, seed=4)
-    pmf = mixed_pmf(leverage_scores(W), 3, beta=0.5)
-    S1, S2, S = hybrid_select(W, pmf, c_ls=3, seed=2)
+    S1, S2, S = hybrid_select(W, c_ls=3, beta=0.5, seed=2)
     assert S.s == 3
     assert set(S.indices.tolist()) <= set(S1.indices.tolist())
 
 
 def test_hybrid_degenerate_sampling_raises():
-    # all stage-one draws land on a single row: no rank to prune
-    n, r = 8, 2
-    W = np.linalg.qr(np.random.default_rng(0).standard_normal((n, r)))[0]
-    probs = np.zeros(n)
-    probs[3] = 1.0
-    pmf = LeveragePMF(leverage=leverage_scores(W), beta=0.5, probs=probs, rank=r)
+    # W = [e_3, e_5]: the two stage-one draws of seed 3 miss row 5, so the
+    # sampled rows expose rank 1 and there is no rank 2 to prune
+    W = np.eye(8)[:, [3, 5]]
+    assert 5 not in leverage_select(W, 2, beta=0.5, seed=3).indices
     with pytest.raises(DegenerateSelectionError):
-        hybrid_select(W, pmf, c_ls=6, seed=0)
+        hybrid_select(W, c_ls=2, beta=0.5, seed=3)
 
 
 def test_hybrid_validation():
     W = random_orthonormal(10, 4, seed=0)
-    pmf = mixed_pmf(leverage_scores(W), 4, beta=0.5)
     with pytest.raises(ValueError):
-        hybrid_select(W, pmf, c_ls=3, seed=0)
+        hybrid_select(W, c_ls=3, beta=0.5, seed=0)
 
 
 # ----------------------------------------------------- deterministic  picks

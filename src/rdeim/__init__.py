@@ -19,6 +19,7 @@ from .linalg import (
     SRRQRFactors,
     ThinSVD,
     canonical_angles,
+    column_residuals,
     pivoted_qr,
     spectral_norm,
     srrqr,

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# lines of a large matrix a streaming kernel takes at a time: the
-# snapshot columns error_sweep projects and bounds, the rows of the
-# adaptive range finder's explicit residual
+# rows of a large matrix a streaming loop takes at a time:
+# linalg.column_residuals reads them for every per-column residual (the
+# error sweep, its bounds, the adaptive range finder's explicit residual
+# and bench_basis), and the oscillator generator fills them in place
 SWEEP_BLOCK = 64
 
 
@@ -91,6 +92,22 @@ def orthonormal_basis(W, provenance):
     here, once, and named by provenance, for a function that hands it on
     to more than one consumer."""
     return W if isinstance(W, OrthonormalBasis) else OrthonormalBasis(W, provenance)
+
+
+def check_at_least(value, low, name):
+    """value, if it is at least low; otherwise (nan included) a ValueError
+    naming it. The one wording of every lower-limit check on an option."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def check_open_unit(value, name):
+    """value, if it lies strictly inside (0, 1); otherwise (nan included) a
+    ValueError naming it."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
 
 
 def check_seed(seed):

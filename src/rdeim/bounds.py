@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_matrix, orthonormal_basis
+from ._util import as_matrix, check_at_least, check_open_unit, orthonormal_basis
 from .exceptions import SpectralGapError
-from .linalg import canonical_angles, spectral_norm, thin_svd
+from .linalg import canonical_angles, column_residuals, spectral_norm, thin_svd
 
 
 @dataclass(frozen=True)
@@ -34,39 +34,36 @@ def _as_f(f, n):
     return f
 
 
-def plain_bounds(W, F, error_constant):
-    """Baseline bound ||D||_2 ||(I - W W') f|| for each column f of F.
+def _vector_residuals(f, pairs):
+    """||f - W c|| for each (W, c) in pairs, where f is an (n, 1) column
+    and c an (r, 1) one: one column_residuals call."""
+    _, res = column_residuals(f, pairs)
+    return [float(np.sqrt(r[0])) for r in res]
 
-    W is the (n, r) orthonormal basis of the projector and F an (n, k)
-    block; error_constant is ||D||_2, computed once by the caller.
 
-    Returns
-    -------
-    (bound, best) : ndarrays of shape (k,)
-        The bounds and the best approximation errors out of span(W).
+def plain_bounds(best, error_constant):
+    """Baseline bound ||D||_2 ||(I - W W') f|| for each column f.
+
+    best holds the best approximation errors ||(I - W W') f|| out of the
+    projector's basis W, as column_residuals gives them for the pair
+    (W, W'F); error_constant is ||D||_2, computed once by the caller.
+    Returns the bounds, shaped like best.
     """
-    best = np.linalg.norm(F - W @ (W.T @ F), axis=0)
-    return error_constant * best, best
+    return error_constant * best
 
 
-def perturbed_bounds(W_ref, F, error_constant, sin_theta_max):
+def perturbed_bounds(orth, proj, error_constant, sin_theta_max):
     """Perturbed-basis bound ||D_hat||_2 (||(I - P_W) f|| + sin(theta_max) ||P_W f||)
-    for each column f of F.
+    for each column f.
 
-    W_ref is the (n, r) orthonormal reference basis, F an (n, k) block;
-    error_constant is ||D_hat||_2 and sin_theta_max the largest canonical
-    angle sine between span(W_ref) and the projector's basis, both
-    computed once by the caller.
-
-    Returns
-    -------
-    (bound, orth, proj) : ndarrays of shape (k,)
-        The bounds, ||(I - P_W) f|| and ||P_W f||.
+    orth holds ||(I - P_W) f||, as column_residuals gives it for the
+    pair (W_ref, W_ref'F), and proj holds ||P_W f||, which is ||W_ref' f||
+    for the orthonormal reference W_ref; error_constant is ||D_hat||_2 and
+    sin_theta_max the largest canonical angle sine between span(W_ref) and
+    the projector's basis, both computed once by the caller. Returns the
+    bounds, shaped like orth.
     """
-    P_f = W_ref @ (W_ref.T @ F)
-    orth = np.linalg.norm(F - P_f, axis=0)
-    proj = np.linalg.norm(P_f, axis=0)
-    return error_constant * (orth + sin_theta_max * proj), orth, proj
+    return error_constant * (orth + sin_theta_max * proj)
 
 
 def interpolation_error_bound(P, f):
@@ -76,14 +73,14 @@ def interpolation_error_bound(P, f):
     error constant ||D|| measures how far the oblique projector can
     amplify it.
     """
-    f = _as_f(f, P.selection.n)
+    F = _as_f(f, P.selection.n)[:, None]
     const = P.error_constant()
-    bound, best = plain_bounds(P.basis, f[:, None], const)
-    actual = float(np.linalg.norm(f - P.apply(f)))
+    W = P.basis
+    actual, best = _vector_residuals(F, [(W, P.coefficients(F)), (W, W.T @ F)])
     return BoundReport(
         actual_error=actual,
-        bound_value=float(bound[0]),
-        constants={"error_constant": const, "best_approx_error": float(best[0])},
+        bound_value=plain_bounds(best, const),
+        constants={"error_constant": const, "best_approx_error": best},
         inputs={"rank": P.rank, "points": P.selection.s, "mode": P.mode},
     )
 
@@ -98,14 +95,16 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     W_ref is an OrthonormalBasis or an array; an array's columns are
     checked once per call.
     """
-    f = _as_f(f, P_hat.selection.n)
+    F = _as_f(f, P_hat.selection.n)[:, None]
     W_ref = orthonormal_basis(W_ref, "W_ref")
     # also rejects a reference whose shape differs from the projector's basis
     sin_max = canonical_angles(W_ref, P_hat.orthonormal).sin_theta_max
     const = P_hat.error_constant()
-    bound, orth, proj = perturbed_bounds(W_ref.matrix, f[:, None], const, sin_max)
-    orth_norm, proj_norm = float(orth[0]), float(proj[0])
-    actual = float(np.linalg.norm(f - P_hat.apply(f)))
+    ref_coef = W_ref.matrix.T @ F
+    actual, orth_norm = _vector_residuals(
+        F, [(P_hat.basis, P_hat.coefficients(F)), (W_ref.matrix, ref_coef)]
+    )
+    proj_norm = float(np.linalg.norm(ref_coef))
     if proj_norm == 0.0:
         kappa = const
     elif orth_norm == 0.0:
@@ -114,7 +113,7 @@ def perturbed_basis_bound(P_hat, W_ref, f):
         kappa = (1.0 + sin_max * proj_norm / orth_norm) * const
     return BoundReport(
         actual_error=actual,
-        bound_value=float(bound[0]),
+        bound_value=perturbed_bounds(orth_norm, proj_norm, const, sin_max),
         constants={
             "error_constant": const,
             "sin_theta_max": sin_max,
@@ -144,20 +143,21 @@ def perturbed_pair_bound(P_ref, P_hat, f):
         if P.selection.s != P.rank:
             raise ValueError(f"{name} projector must use s = r points, got s={P.selection.s}")
     n = P_ref.selection.n
-    f = _as_f(f, n)
+    F = _as_f(f, n)[:, None]
     W = P_ref.basis
     theta = canonical_angles(P_ref.orthonormal, P_hat.orthonormal)
     sel_idx = np.unique(P_ref.selection.indices)
     # two coordinate subspaces coincide, or one holds an axis orthogonal to the other
     sin_psi = 0.0 if np.array_equal(sel_idx, np.unique(P_hat.selection.indices)) else 1.0
-    orth_norm = float(np.linalg.norm(f - W @ (W.T @ f)))
-    sel_norm = float(np.linalg.norm(f[sel_idx]))
+    actual, orth_norm = _vector_residuals(
+        F, [(P_hat.basis, P_hat.coefficients(F)), (W, W.T @ F)]
+    )
+    sel_norm = float(np.linalg.norm(F[sel_idx]))
     d_ref = P_ref.error_constant()
     d_hat = P_hat.error_constant()
     bound = d_ref * orth_norm + d_ref * d_hat * (
         sin_psi * orth_norm + theta.sin_theta_max * sel_norm
     )
-    actual = float(np.linalg.norm(f - P_hat.apply(f)))
     return BoundReport(
         actual_error=actual,
         bound_value=bound,
@@ -192,11 +192,8 @@ def expected_angle_bound(gamma, rank, oversample, power, n_snapshots):
     gamma = sigma_{r+1}/sigma_r and C = angle_bound_constant(...). A sine
     never exceeds 1, so values above 1 are reported as 1.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    q = int(power)
-    if q < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    check_open_unit(gamma, "gamma")
+    q = int(check_at_least(power, 0, "power"))
     C = angle_bound_constant(rank, oversample, n_snapshots)
     raw = gamma ** (2 * q + 1) * C / (1.0 - gamma)
     return min(1.0, raw)
@@ -210,8 +207,7 @@ def min_power_iterations(eps, gamma, constant):
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    check_open_unit(gamma, "gamma")
     if constant <= 0.0:
         raise ValueError(f"constant must be positive, got {constant}")
     arg = eps * (1.0 - gamma) / (gamma * constant)
@@ -267,8 +263,7 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
 def srrqr_constant(eta, rank, n):
     """Deterministic selection constant sqrt(1 + eta^2 r (n - r))."""
     r, n = int(rank), int(n)
-    if eta < 1.0:
-        raise ValueError(f"eta must be >= 1, got {eta}")
+    check_at_least(eta, 1, "eta")
     if not 1 <= r <= n:
         raise ValueError(f"rank must be in [1, {n}], got {r}")
     return math.sqrt(1.0 + eta * eta * r * (n - r))
@@ -280,9 +275,8 @@ def leverage_constant(n, samples, beta, eps):
     n, c = int(n), int(samples)
     if n < 1 or c < 1:
         raise ValueError(f"n and samples must be positive, got {n}, {c}")
-    for name, val in (("beta", beta), ("eps", eps)):
-        if not 0.0 < val < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {val}")
+    check_open_unit(beta, "beta")
+    check_open_unit(eps, "eps")
     return math.sqrt((n / c) / ((1.0 - beta) * (1.0 - eps)))
 
 
@@ -292,8 +286,7 @@ def hybrid_constant(n, samples, beta, eps, eta, rank):
     c, r = int(samples), int(rank)
     if not 1 <= r <= c:
         raise ValueError(f"rank must be in [1, samples={c}], got {r}")
-    if eta < 1.0:
-        raise ValueError(f"eta must be >= 1, got {eta}")
+    check_at_least(eta, 1, "eta")
     return leverage_constant(n, c, beta, eps) * math.sqrt(1.0 + eta * eta * r * (c - r))
 
 
@@ -302,10 +295,8 @@ def deviation_constant(rank, oversample, delta, n_snapshots):
     (e sqrt(r+p) / (p+1)) (2/delta)^(1/(p+1))
     (sqrt(n_s - r) + sqrt(r+p) + sqrt(2 log(2/delta)))."""
     r, p, n_s = int(rank), int(oversample), int(n_snapshots)
-    if p < 1:
-        raise ValueError(f"oversample must be >= 1, got {p}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_at_least(p, 1, "oversample")
+    check_open_unit(delta, "delta")
     if not 1 <= r <= n_s:
         raise ValueError(f"rank must be in [1, {n_s}], got {r}")
     lead = math.e * math.sqrt(r + p) / (p + 1.0)
@@ -347,9 +338,7 @@ def rsvd_expected_error(sv, rank, oversample):
     sv = np.asarray(sv, dtype=np.float64)
     if sv.ndim != 1:
         raise ValueError("sv must be 1-d")
-    r, p = int(rank), int(oversample)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    r, p = int(check_at_least(rank, 1, "rank")), int(oversample)
     if p < 2:
         raise ValueError(f"oversample must be >= 2 for the expectation bound, got {p}")
     if r >= sv.size:

@@ -14,13 +14,18 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import SWEEP_BLOCK, check_seed, orthonormal_basis
+from ._util import (
+    SWEEP_BLOCK,
+    check_at_least,
+    check_open_unit,
+    check_seed,
+    orthonormal_basis,
+)
 from .bounds import perturbed_bounds, plain_bounds
-from .linalg import canonical_angles
+from .linalg import canonical_angles, column_residuals
 from .matio import ResultTable
 from .projector import build_projector
 from .rangefinder import (
-    _explicit_residual,
     adaptive_range_finder,
     subspace_range_finder,
     svd_basis,
@@ -71,13 +76,24 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
     """Decaying oscillator snapshots f(t; mu) = 10 e^(-mu t)(cos 4mu t + sin 4mu t).
 
     t runs over [1, 6] with n_t points, mu over [0, pi] with n_mu points.
+    The matrix holds t mu and is then filled in place SWEEP_BLOCK rows at
+    a time, with 4 t mu formed once per block, so no temporary grows with
+    n_t.
     """
     if n_t < 2 or n_mu < 2:
         raise ValueError(f"need at least 2 grid points per axis, got n_t={n_t}, n_mu={n_mu}")
     t = np.linspace(1.0, 6.0, n_t)
     mu = np.linspace(0.0, np.pi, n_mu)
-    tm = t[:, None] * mu[None, :]
-    F = 10.0 * np.exp(-tm) * (np.cos(4.0 * tm) + np.sin(4.0 * tm))
+    F = np.multiply.outer(t, mu)
+    for lo in range(0, n_t, SWEEP_BLOCK):
+        tm = F[lo : lo + SWEEP_BLOCK]
+        arg = 4.0 * tm
+        wave = np.cos(arg)
+        wave += np.sin(arg, out=arg)
+        np.negative(tm, out=tm)
+        np.exp(tm, out=tm)
+        tm *= 10.0
+        tm *= wave
     return SnapshotSet(matrix=F, params=mu[:, None], param_names=("mu",), space={"t": t})
 
 
@@ -135,8 +151,7 @@ def latin_hypercube(n_samples, ranges, seed):
     pairs strata across dimensions and each sample is jittered uniformly
     about its stratum midpoint.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_at_least(n_samples, 1, "n_samples")
     rng = np.random.default_rng(check_seed(seed))
     dims = len(ranges)
     out = np.empty((n_samples, dims))
@@ -153,19 +168,22 @@ def _source_columns(x, params):
     """exp(-((x1 - mu3)^2 + (x2 - mu4)^2) / mu5^2) for each parameter row,
     flattened with x1 varying fastest.
 
-    The per-axis squared distances are tabulated once (grid x n_cols), and
-    the exponent is formed and exponentiated in place in the output, so
-    no temporary grows with the column count.
+    The per-axis squared distances are tabulated once (grid x n_cols).
+    The output is then filled one x2 grid line at a time, the exponent
+    divided by -(mu5^2) and exponentiated in place, so no temporary grows
+    with the column count and each line stays in cache.
     """
     grid = x.size
     d1 = (x[:, None] - params[None, :, 0]) ** 2
     d2 = (x[:, None] - params[None, :, 1]) ** 2
+    neg_width = -(params[:, 2] * params[:, 2])
     cols = np.empty((grid * grid, params.shape[0]))
-    # cols as [j, i, k] is row i + grid * j: d1 runs over x1, d2 over x2
-    np.add(d1[None, :, :], d2[:, None, :], out=cols.reshape(grid, grid, params.shape[0]))
-    np.negative(cols, out=cols)
-    np.divide(cols, params[:, 2] * params[:, 2], out=cols)
-    np.exp(cols, out=cols)
+    for j in range(grid):
+        # rows i + grid * j: d1 runs over x1 (i), d2 over x2 (j)
+        line = cols[j * grid : (j + 1) * grid]
+        np.add(d1, d2[j], out=line)
+        np.divide(line, neg_width, out=line)
+        np.exp(line, out=line)
     return cols
 
 
@@ -214,7 +232,9 @@ class AlgorithmSpec:
     or 'adaptive' (tol, block, max_blocks; truncated to rank). selector is
     one of SELECTORS; eta drives 'srrqr' and 'hybrid', beta and samples the
     sampled 'leverage' and 'hybrid', and samples defaults to the practical
-    leverage count. seed drives every random draw.
+    leverage count. seed drives every random draw. Every option is checked
+    whatever the basis and selector, by the helpers the kernels that read
+    it use, so a rule and its message are written once.
     """
 
     rank: int
@@ -235,8 +255,16 @@ class AlgorithmSpec:
             raise ValueError(f"unknown basis kind {self.basis!r}; choose from {BASES}")
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector kind {self.selector!r}; choose from {SELECTORS}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        check_at_least(self.rank, 1, "rank")
+        check_at_least(self.oversample, 1, "oversample")
+        check_at_least(self.power, 0, "power")
+        check_open_unit(self.tol, "tol")
+        check_at_least(self.block, 1, "block")
+        check_at_least(self.max_blocks, 1, "max_blocks")
+        check_at_least(self.eta, 1, "eta")
+        check_open_unit(self.beta, "beta")
+        if self.samples is not None:
+            check_at_least(self.samples, 1, "samples")
         check_seed(self.seed)
 
 
@@ -267,8 +295,8 @@ class ExperimentSpec(AlgorithmSpec):
             raise ValueError(f"unknown example {self.example!r}; choose from {EXAMPLES}")
         if self.scale not in SCALE_NAMES:
             raise ValueError(f"unknown scale {self.scale!r}; choose from {SCALE_NAMES}")
-        if self.n_test is not None and self.n_test < 0:
-            raise ValueError(f"n_test must be >= 0, got {self.n_test}")
+        if self.n_test is not None:
+            check_at_least(self.n_test, 0, "n_test")
         if "n_test" in self.overrides:
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
 
@@ -332,32 +360,34 @@ def error_sweep(P, snaps, reference_basis=None):
 
     Cost: the loop invariants ||D||_2 (one error_constant call, also the
     summary's error_constant) and, with bounds, the canonical angles (one
-    canonical_angles call) are computed once per sweep. Columns are then
-    projected and bounded SWEEP_BLOCK at a time, so no temporary larger
-    than n x SWEEP_BLOCK is formed, never an n x n_s one.
+    canonical_angles call) are computed once per sweep. The coefficients
+    C = (S'W)^+ S'A of every column read only the s selected rows of A;
+    with bounds, W'A and W_ref'A are formed too, and ||P_ref f|| is a
+    column norm of W_ref'A. One column_residuals call then reads A once,
+    SWEEP_BLOCK contiguous rows at a time, for the column norms, the
+    realized errors ||a_j - W C[:, j]|| and, with bounds, ||(I - W W')f||
+    and ||(I - P_ref) f||. No n x n_s temporary is formed.
     """
     A = snaps.matrix
     n_s = A.shape[1]
     const = P.error_constant()
     with_bounds = reference_basis is not None
     columns = ["column", "norm", "abs_error", "rel_error"]
-    norm = np.empty(n_s)
-    err = np.empty(n_s)
+    W = P.basis
+    pairs = [(W, P.coefficients(A))]
     if with_bounds:
         columns += ["bound_plain", "bound_perturbed", "sin_theta_max"]
         reference_basis = orthonormal_basis(reference_basis, "reference")
         sin_max = canonical_angles(reference_basis, P.orthonormal).sin_theta_max
         W_ref = reference_basis.matrix
-        plain = np.empty(n_s)
-        pert = np.empty(n_s)
-    for lo in range(0, n_s, SWEEP_BLOCK):
-        cols = slice(lo, lo + SWEEP_BLOCK)
-        B = A[:, cols]
-        norm[cols] = np.linalg.norm(B, axis=0)
-        err[cols] = np.linalg.norm(B - P.apply(B), axis=0)
-        if with_bounds:
-            plain[cols] = plain_bounds(P.basis, B, const)[0]
-            pert[cols] = perturbed_bounds(W_ref, B, const, sin_max)[0]
+        ref_coef = W_ref.T @ A
+        pairs += [(W, W.T @ A), (W_ref, ref_coef)]
+    norm2, res2 = column_residuals(A, pairs)
+    norm = np.sqrt(norm2)
+    err = np.sqrt(res2[0])
+    if with_bounds:
+        plain = plain_bounds(np.sqrt(res2[1]), const)
+        pert = perturbed_bounds(np.sqrt(res2[2]), np.linalg.norm(ref_coef, axis=0), const, sin_max)
     rels = np.full(n_s, np.nan)
     np.divide(err, norm, out=rels, where=norm > 0.0)
     fields = [range(n_s), norm.tolist(), err.tolist(), rels.tolist()]
@@ -401,14 +431,12 @@ def bench_basis(A, rank, oversample=10, power=0, seed=0, trials=3):
     """Wall-clock comparison of exact-SVD and sketched basis construction.
 
     Reports the best of `trials` runs for each method together with the
-    relative Frobenius residual its basis leaves, summed over row blocks
-    as the adaptive range finder's check does, so no n x n_s temporary is
-    formed.
+    relative Frobenius residual ||A - W W'A||_F / ||A||_F its basis W
+    leaves: W'A plus one column_residuals call, as in the adaptive range
+    finder's check, so no n x n_s temporary is formed.
     """
     A = np.asarray(A, dtype=np.float64)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    denom = float(np.linalg.norm(A))
+    check_at_least(trials, 1, "trials")
     methods = (
         ("exact-svd", lambda: svd_basis(A, rank)),
         ("randomized", lambda: subspace_range_finder(A, rank, oversample, power, seed)),
@@ -420,8 +448,10 @@ def bench_basis(A, rank, oversample=10, power=0, seed=0, trials=3):
             t0 = time.perf_counter()
             basis = build()
             best = min(best, time.perf_counter() - t0)
-        res, _ = _explicit_residual(A, basis.matrix)
-        rows.append((method, A.shape[0], A.shape[1], rank, best, float(np.sqrt(res)) / denom))
+        W = basis.matrix
+        norm2, (res,) = column_residuals(A, [(W, W.T @ A)])
+        rel = float(np.sqrt(res.sum() / norm2.sum()))
+        rows.append((method, A.shape[0], A.shape[1], rank, best, rel))
 
     return ResultTable(
         columns=("method", "n", "n_s", "rank", "seconds", "rel_residual"),

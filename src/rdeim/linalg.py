@@ -1,5 +1,6 @@
 """Dense factorization kernels: thin SVD, pivoted and strong rank-revealing
-QR, spectral norms, and canonical angles.
+QR, spectral norms, canonical angles, and the row-streamed per-column
+residuals every error sweep, bound and residual check is built on.
 
 Everything operates on plain float64 ndarrays; canonical_angles also takes
 an OrthonormalBasis, whose columns it does not check again. The thin SVD
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import as_matrix, orthonormal_matrix
+from ._util import SWEEP_BLOCK, as_matrix, check_at_least, orthonormal_matrix
 from .exceptions import ConvergenceError, RankDeficiencyError
 
 
@@ -207,8 +208,7 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
     r = int(rank)
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
-    if eta < 1.0:
-        raise ValueError(f"eta must be >= 1, got {eta}")
+    check_at_least(eta, 1, "eta")
     cap = 50 * n if max_swaps is None else int(max_swaps)
 
     Q, R, perm = pivoted_qr(A)
@@ -287,3 +287,33 @@ def canonical_angles(W, Wh):
     cos = np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
     sin_max = min(1.0, spectral_norm(Wh - W @ M))
     return CanonicalAngles(cosines=cos, sin_theta_max=sin_max)
+
+
+def column_residuals(A, pairs):
+    """Per-column squared norms ||a_j||^2 and, for each (W, C) in pairs,
+    ||a_j - W C[:, j]||^2, in one read of A.
+
+    A is (n, n_s); each W is (n, r_k) and each C (r_k, n_s). A is read
+    SWEEP_BLOCK rows at a time, contiguous for a C-ordered A, and every
+    residual block W[rows] @ C is formed in one reused SWEEP_BLOCK x n_s
+    buffer, so no n x n_s temporary is formed.
+
+    Returns
+    -------
+    (norms, residuals) : ndarray of shape (n_s,) and a list of them, one
+        per pair, in order.
+    """
+    n, n_s = A.shape
+    norms = np.zeros(n_s)
+    residuals = [np.zeros(n_s) for _ in pairs]
+    E = np.empty((min(SWEEP_BLOCK, n), n_s))
+    for lo in range(0, n, SWEEP_BLOCK):
+        A_rows = A[lo : lo + SWEEP_BLOCK]
+        E_rows = E[: A_rows.shape[0]]
+        for (W, C), acc in zip(pairs, residuals):
+            np.matmul(W[lo : lo + SWEEP_BLOCK], C, out=E_rows)
+            np.subtract(A_rows, E_rows, out=E_rows)
+            acc += np.einsum("ij,ij->j", E_rows, E_rows)
+        # after the first subtraction the rows are in cache
+        norms += np.einsum("ij,ij->j", A_rows, A_rows)
+    return norms, residuals

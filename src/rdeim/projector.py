@@ -40,13 +40,15 @@ class DeimProjector:
         """W as an (n, r) array."""
         return self.orthonormal.matrix
 
-    def apply(self, f):
-        """Evaluate D f.
+    def coefficients(self, f):
+        """The coordinates (S' W)^+ S' f of D f in the basis W, so that
+        D f = W @ coefficients(f).
 
         f may be a length-n vector, an (n, k) block whose columns are
-        projected together, or a callable mapping an index array to the
-        corresponding components, in which case only the s selected
-        components are ever evaluated.
+        handled together (the result is then (r, k)), or a callable
+        mapping an index array to the corresponding components. Only the
+        s selected rows of f are ever read, and the pseudoinverse is
+        applied through the stored SVD of S' W.
         """
         idx = self.selection.indices
         n = self.selection.n
@@ -61,8 +63,12 @@ class DeimProjector:
                 raise ValueError(f"f must have shape ({n},) or ({n}, k), got {f.shape}")
             y = self.selection.restrict(f)
         sigma = self.cross_s if y.ndim == 1 else self.cross_s[:, None]
-        c = self.cross_v @ ((self.cross_u.T @ y) / sigma)
-        return self.basis @ c
+        return self.cross_v @ ((self.cross_u.T @ y) / sigma)
+
+    def apply(self, f):
+        """Evaluate D f = W @ coefficients(f), for any f that coefficients
+        takes: a vector, an (n, k) block, or a callable over indices."""
+        return self.basis @ self.coefficients(f)
 
     def error_constant(self):
         """Exact ||D||_2, computed as the spectral norm of (S' W)^+ S'.

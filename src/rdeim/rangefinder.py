@@ -17,9 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import SWEEP_BLOCK, OrthonormalBasis, as_matrix, as_vector, check_seed
+from ._util import (
+    OrthonormalBasis,
+    as_matrix,
+    as_vector,
+    check_at_least,
+    check_open_unit,
+    check_seed,
+)
 from .exceptions import AdaptiveRangeError, ConvergenceError
-from .linalg import thin_svd
+from .linalg import column_residuals, thin_svd
 
 # sketch blocks the adaptive range finder draws and applies to A together
 SKETCH_GROUP = 4
@@ -91,12 +98,9 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     OrthonormalBasis with provenance 'subspace-iteration'; its config is
     the dict of rank, oversample, power and seed.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    check_at_least(rank, 1, "rank")
+    check_at_least(oversample, 1, "oversample")
+    check_at_least(power, 0, "power")
     check_seed(seed)
     A = as_matrix(A, "A")
     W = _sketch_basis(A, rank, oversample, power, seed)
@@ -123,8 +127,9 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     draws are made together (the same stream as one draw per block, never
     past max_blocks) and applied to A in one product; each absorbed block
     then reads A once more for its rows of B. ||A||_F^2 is one dot product
-    and the explicit residual a sum over blocks of SWEEP_BLOCK rows, so no
-    n x n_s temporary is formed. The truncation reads A no more.
+    and the explicit residual W'A plus one linalg.column_residuals call,
+    which reads A in blocks of SWEEP_BLOCK rows, so no n x n_s temporary
+    is formed. The truncation reads A no more.
 
     Parameters
     ----------
@@ -153,12 +158,9 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
         If max_blocks blocks do not reach the tolerance. The exception
         carries the partial basis and the relative residual it achieves.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    if max_blocks < 1:
-        raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
+    check_open_unit(tol, "tol")
+    check_at_least(block, 1, "block")
+    check_at_least(max_blocks, 1, "max_blocks")
     check_seed(seed)
     A = as_matrix(A, "A")
     n, n_s = A.shape
@@ -167,8 +169,8 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
             f"block * max_blocks = {block * max_blocks} exceeds the ambient "
             f"dimension {n}; the basis cannot outgrow its space"
         )
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    if rank is not None:
+        check_at_least(rank, 1, "rank")
     rng = np.random.default_rng(seed)
     alpha = float(np.vdot(A, A))
     if alpha == 0.0:
@@ -224,17 +226,11 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
 
 
 def _explicit_residual(A, W):
-    """(||A - W W'A||_F^2, W'A): W'A is formed once, then the residual is
-    summed over SWEEP_BLOCK rows of A at a time."""
+    """(||A - W W'A||_F^2, W'A): W'A is formed once, and the residual is
+    the column sum of one column_residuals call."""
     C = W.T @ A
-    E = np.empty((min(SWEEP_BLOCK, A.shape[0]), A.shape[1]))
-    total = 0.0
-    for lo in range(0, A.shape[0], SWEEP_BLOCK):
-        A_rows = A[lo : lo + SWEEP_BLOCK]
-        E_rows = np.matmul(W[lo : lo + SWEEP_BLOCK], C, out=E[: A_rows.shape[0]])
-        np.subtract(A_rows, E_rows, out=E_rows)
-        total += float(np.vdot(E_rows, E_rows))
-    return total, C
+    _, (res,) = column_residuals(A, [(W, C)])
+    return float(res.sum()), C
 
 
 def svd_basis(A, rank):

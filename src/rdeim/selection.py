@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_seed, orthonormal_basis, orthonormal_matrix
+from ._util import (
+    check_at_least,
+    check_open_unit,
+    check_seed,
+    orthonormal_basis,
+    orthonormal_matrix,
+)
 from .exceptions import DegenerateBasisError, DegenerateSelectionError, RankDeficiencyError
 from .linalg import pivoted_qr, srrqr
 
@@ -112,11 +118,8 @@ def mixed_pmf(leverage, rank, beta):
         raise ValueError("leverage must be a nonempty 1-d array")
     if (lev < 0).any():
         raise ValueError("leverage scores must be nonnegative")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie strictly inside (0, 1), got {beta}")
-    r = int(rank)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    check_open_unit(beta, "beta")
+    r = int(check_at_least(rank, 1, "rank"))
     if abs(lev.sum() - r) > 1e-8 * r:
         raise ValueError(f"leverage scores sum to {lev.sum()!r}, expected rank {r}")
     return beta * lev / r + (1.0 - beta) / lev.size
@@ -129,12 +132,9 @@ def sample_count_bound(rank, beta, eps, delta, n=None):
     count exceeds it, the count is capped at n with a warning (sampling
     more rows than exist brings nothing).
     """
-    r = int(rank)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    r = int(check_at_least(rank, 1, "rank"))
     for name, val in (("beta", beta), ("eps", eps), ("delta", delta)):
-        if not 0.0 < val < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {val}")
+        check_open_unit(val, name)
     if r / delta <= 1.0:
         raise ValueError(f"rank/delta must exceed 1 for a positive log, got {r / delta}")
     count = int(np.ceil(2.0 * r / (beta * eps * eps) * np.log(r / delta)))
@@ -169,9 +169,7 @@ def _sample_rows(W, s, beta, seed):
     """s weighted rows of the OrthonormalBasis W drawn from its mixed pmf."""
     n, r = W.matrix.shape
     probs = mixed_pmf(leverage_scores(W), r, beta)
-    s = int(s)
-    if s < 1:
-        raise ValueError(f"sample count must be >= 1, got {s}")
+    s = int(check_at_least(s, 1, "samples"))
     rng = np.random.default_rng(check_seed(seed))
     idx = rng.choice(n, size=s, replace=True, p=probs)
     weights = 1.0 / np.sqrt(s * probs[idx])

@@ -237,3 +237,12 @@ def columnwise_corner_peak(grid, param_grid):
             params[col] = (m1, m2)
             col += 1
     return F, params
+
+
+def oscillator_formula(n_t, n_mu):
+    """The decaying oscillator 10 e^(-mu t)(cos 4mu t + sin 4mu t) as one
+    whole-array expression over the (t, mu) grid."""
+    t = np.linspace(1.0, 6.0, n_t)
+    mu = np.linspace(0.0, np.pi, n_mu)
+    tm = t[:, None] * mu[None, :]
+    return 10.0 * np.exp(-tm) * (np.cos(4.0 * tm) + np.sin(4.0 * tm))

@@ -126,6 +126,25 @@ def test_approx_rejects_a_negative_seed(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--select", "pqr", "--beta", "2"], "beta must lie in (0, 1)"),
+        (["--basis", "svd", "--oversample", "0"], "oversample must be >= 1"),
+        (["--basis", "svd", "--tol", "5"], "tol must lie in (0, 1)"),
+        (["--select", "greedy", "--eta", "0.5"], "eta must be >= 1"),
+        (["--select", "pqr", "--samples", "-3"], "samples must be >= 1"),
+        (["--select", "leverage", "--beta", "2"], "beta must lie in (0, 1)"),
+    ],
+)
+def test_approx_rejects_an_option_the_choice_does_not_read(tmp_path, capsys, options, message):
+    out = tmp_path / "s.csv"
+    argv = ["approx", "--example", "osc", "--rank", "8", "--out", str(out)]
+    assert main(argv + options) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_missing_parameter(capsys):
     rc = main(["bounds", "--kind", "deviation", "--rank", "5"])
     assert rc == 1

@@ -3,18 +3,24 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdeim
 from rdeim import _util, bounds, experiments
 from rdeim.bounds import interpolation_error_bound, perturbed_basis_bound
 from rdeim.experiments import (
+    BASES,
     SCALES,
+    SELECTORS,
     SOURCE_RANGES,
     SWEEP_BLOCK,
+    AlgorithmSpec,
     ExperimentSpec,
     SnapshotSet,
     bench_basis,
@@ -33,10 +39,10 @@ from rdeim.cli import main
 from rdeim.matio import emit_csv, write_matrix
 from rdeim.projector import DeimProjector, build_projector
 from rdeim.rangefinder import OrthonormalBasis, svd_basis
-from rdeim.selection import SelectionOperator, deim_greedy_select
+from rdeim.selection import SelectionOperator, deim_greedy_select, mixed_pmf, pqr_select
 
 from conftest import gap_matrix, random_orthonormal
-from oracles import columnwise_corner_peak, columnwise_source_columns
+from oracles import columnwise_corner_peak, columnwise_source_columns, oscillator_formula
 
 
 # ------------------------------------------------------------------ osc
@@ -57,6 +63,21 @@ def test_oscillator_values():
 def test_oscillator_validation():
     with pytest.raises(ValueError):
         oscillator_snapshots(n_t=1, n_mu=5)
+
+
+@pytest.mark.parametrize("n_t, n_mu", [(6, 5), (SWEEP_BLOCK, 3), (2000, 100), (3 * SWEEP_BLOCK + 5, 17)])
+def test_oscillator_matches_whole_array_formula(n_t, n_mu):
+    assert np.array_equal(oscillator_snapshots(n_t, n_mu).matrix, oscillator_formula(n_t, n_mu))
+
+
+def test_oscillator_memory_stays_below_twice_the_output():
+    tracemalloc.start()
+    try:
+        F = oscillator_snapshots(n_t=10000, n_mu=100).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * F.nbytes
 
 
 # --------------------------------------------------------------- corner
@@ -182,9 +203,33 @@ def test_spec_validation():
         ExperimentSpec(example="osc", rank=0)
     with pytest.raises(ValueError):
         ExperimentSpec(example="source", rank=5, n_test=-1)
-    # checked for every basis, not only the ones that draw
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        ExperimentSpec(example="osc", rank=5, seed=-1)
+    # checked for every basis and selector, not only the ones that read it
+    invalid = [
+        ("seed", -1, "seed must be a nonnegative integer"),
+        ("oversample", 0, "oversample must be >= 1"),
+        ("power", -1, "power must be >= 0"),
+        ("tol", 5.0, r"tol must lie in \(0, 1\)"),
+        ("tol", float("nan"), r"tol must lie in \(0, 1\)"),
+        ("block", 0, "block must be >= 1"),
+        ("max_blocks", 0, "max_blocks must be >= 1"),
+        ("eta", 0.5, "eta must be >= 1"),
+        ("eta", float("nan"), "eta must be >= 1"),
+        ("beta", 2.0, r"beta must lie in \(0, 1\)"),
+        ("beta", 0.0, r"beta must lie in \(0, 1\)"),
+        ("samples", -3, "samples must be >= 1"),
+        ("samples", 0, "samples must be >= 1"),
+    ]
+    for basis in BASES:
+        for selector in SELECTORS:
+            for name, value, message in invalid:
+                with pytest.raises(ValueError, match=message):
+                    ExperimentSpec(example="osc", rank=5, basis=basis, selector=selector,
+                                   **{name: value})
+    # the spec and the kernel that reads an option share its rule and message
+    lev = np.full(10, 0.5)
+    for check in (lambda: mixed_pmf(lev, 5, 2.0), lambda: AlgorithmSpec(rank=5, beta=2.0)):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\), got 2\.0$"):
+            check()
 
 
 def test_spec_rejects_held_out_count_in_overrides():
@@ -271,6 +316,85 @@ def test_error_sweep_bounds_dominate():
         assert row[6] == 0.0  # reference equals the basis itself
 
 
+@st.composite
+def _sweep_cases(draw):
+    """A projector, a reference basis and a snapshot set around SWEEP_BLOCK."""
+    n = draw(
+        st.one_of(
+            st.integers(4, SWEEP_BLOCK - 1),
+            st.sampled_from([SWEEP_BLOCK, 2 * SWEEP_BLOCK]),
+            st.integers(SWEEP_BLOCK + 1, 3 * SWEEP_BLOCK).filter(lambda k: k % SWEEP_BLOCK),
+        )
+    )
+    n_s = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(5, n - 1)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n_s)) * 10.0 ** rng.integers(-3, 4, size=n_s)
+    A[:, draw(st.lists(st.integers(0, n_s - 1), max_size=n_s))] = 0.0
+    W = OrthonormalBasis(np.linalg.qr(rng.standard_normal((n, r)))[0], "W")
+    # a nearby reference basis, at an angle from 1e-9 to 1e-1
+    tilt = 10.0 ** draw(st.integers(-9, -1))
+    W_ref = np.linalg.qr(W.matrix + tilt * rng.standard_normal((n, r)))[0]
+    S = pqr_select(W)
+    if draw(st.booleans()):
+        # sampled: the pivots plus repeated draws, every point reweighted
+        extra = rng.integers(0, n, size=draw(st.integers(1, 2 * r)))
+        idx = np.concatenate([S.indices, extra, extra[:1]])
+        S = SelectionOperator(idx, 10.0 ** rng.uniform(-1, 1, size=idx.size), n)
+    snaps = SnapshotSet(matrix=A, params=np.arange(n_s)[:, None], param_names=("k",), space={})
+    return build_projector(W, S), W_ref, snaps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sweep_cases())
+def test_error_sweep_matches_the_dense_projector(case):
+    P, W_ref, snaps = case
+    table = error_sweep(P, snaps, reference_basis=W_ref)
+    A = snaps.matrix
+    D = P.dense()
+    C = np.linalg.norm(D, 2)
+    sin_max = np.linalg.norm(P.basis - W_ref @ (W_ref.T @ P.basis), 2)
+    P_ref_A = W_ref @ (W_ref.T @ A)
+    norm = np.linalg.norm(A, axis=0)
+    want = {
+        "norm": norm,
+        "abs_error": np.linalg.norm(A - D @ A, axis=0),
+        "bound_plain": C * np.linalg.norm(A - P.basis @ (P.basis.T @ A), axis=0),
+        "bound_perturbed": C * (
+            np.linalg.norm(A - P_ref_A, axis=0) + sin_max * np.linalg.norm(P_ref_A, axis=0)
+        ),
+    }
+    rows = np.array(table.rows, dtype=np.float64)
+    got = {name: rows[:, k] for k, name in enumerate(table.columns)}
+    floor = 1e-12 * (1.0 + C) * norm
+    for name, value in want.items():
+        assert np.all(np.abs(got[name] - value) <= 1e-12 * value + floor), name
+    assert table.summary["error_constant"] == pytest.approx(C, rel=1e-12)
+    assert table.summary["basis_sin_theta_max"] == pytest.approx(sin_max, rel=1e-9, abs=1e-15)
+    for name in ("bound_plain", "bound_perturbed"):
+        assert np.all(got["abs_error"] <= got[name] + floor), name
+    zero = norm == 0.0
+    assert np.all(got["abs_error"][zero] == 0.0) and np.all(np.isnan(got["rel_error"][zero]))
+    assert table.summary["columns_defined"] == float(np.sum(~zero))
+
+
+def test_error_sweep_memory_stays_well_below_the_matrix():
+    A, _ = gap_matrix(4000, 300, rank=10, gamma=0.1, seed=5)
+    snaps = SnapshotSet(matrix=A, params=np.arange(300)[:, None], param_names=("k",), space={})
+    W = svd_basis(A, 10)
+    P = build_projector(W, deim_greedy_select(W))
+    reference = svd_basis(A, 10)
+    for ref in (None, reference):
+        tracemalloc.start()
+        try:
+            error_sweep(P, snaps, reference_basis=ref)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * A.nbytes
+
+
 def _bounded_desk_sweep(example):
     """A desk-scale randomized-basis projector, its reference and its sweep."""
     spec = ExperimentSpec(example=example, rank=10, basis="subspace", selector="pqr", oversample=5)
@@ -284,8 +408,8 @@ def _bounded_desk_sweep(example):
 @pytest.mark.parametrize("example", ["osc", "corner", "source"])
 def test_error_sweep_matches_per_vector_bounds(example):
     snaps, P, reference, table = _bounded_desk_sweep(example)
-    # more than one block, the last one partial
-    assert snaps.matrix.shape[1] > SWEEP_BLOCK and snaps.matrix.shape[1] % SWEEP_BLOCK
+    # the sweep reads the snapshots in several row blocks
+    assert snaps.matrix.shape[0] > SWEEP_BLOCK
     assert len(table.rows) == snaps.matrix.shape[1]
     for j, row in enumerate(table.rows):
         f = snaps.matrix[:, j]

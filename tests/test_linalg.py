@@ -6,8 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 import rdeim.linalg
 from rdeim.exceptions import ConvergenceError, RankDeficiencyError
+from rdeim._util import SWEEP_BLOCK
 from rdeim.linalg import (
     canonical_angles,
+    column_residuals,
     pivoted_qr,
     spectral_norm,
     srrqr,
@@ -451,3 +453,32 @@ def test_canonical_angles_validates():
         canonical_angles(W, random_orthonormal(8, 4, seed=1))
     with pytest.raises(ValueError):
         canonical_angles(W, random_matrix(8, 3, seed=2))
+
+
+# -------------------------------------------------------- column_residuals
+
+
+@pytest.mark.parametrize("n", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 3 * SWEEP_BLOCK + 5])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_residuals_match_dense(n, order):
+    A = np.asarray(random_matrix(n, 9, seed=n), order=order)
+    A[:, 4] = 0.0
+    W1 = random_orthonormal(n, 1, seed=1)
+    W2 = random_matrix(n, 3, seed=2)
+    C2 = random_matrix(3, 9, seed=3)
+    pairs = [(W1, W1.T @ A), (W2, C2)]
+    norms, res = column_residuals(A, pairs)
+    assert norms.shape == (9,) and len(res) == 2
+    assert np.allclose(norms, np.sum(A * A, axis=0), rtol=1e-13, atol=0)
+    assert norms[4] == 0.0
+    for (W, C), got in zip(pairs, res):
+        E = A - W @ C
+        assert np.allclose(got, np.sum(E * E, axis=0), rtol=1e-12, atol=1e-13)
+
+
+def test_column_residuals_without_pairs_or_columns():
+    A = random_matrix(70, 5, seed=0)
+    norms, res = column_residuals(A, [])
+    assert res == [] and np.allclose(norms, np.sum(A * A, axis=0), rtol=1e-13)
+    norms, (r0,) = column_residuals(A[:, :0], [(A[:, :2], np.zeros((2, 0)))])
+    assert norms.shape == r0.shape == (0,)

@@ -156,6 +156,21 @@ def test_apply_block_matches_columns(sampled):
     assert P.apply(F[:, :0]).shape == (30, 0)
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_apply_is_the_basis_times_the_coefficients(sampled):
+    W, P = _sampled_projector(30, 4, s=18, seed=3) if sampled else _interp_projector(30, 4, seed=3)
+    F = random_matrix(30, 7, seed=9)
+    C = P.coefficients(F)
+    assert C.shape == (4, 7)
+    assert np.array_equal(P.apply(F), W @ C)
+    # coefficients of a vector in span(W) are its coordinates
+    assert np.allclose(P.coefficients(W @ C[:, 0]), C[:, 0], rtol=0, atol=1e-12)
+    f = F[:, 2]
+    from_callable = P.coefficients(lambda idx: f[idx])
+    assert np.array_equal(from_callable, P.coefficients(f))
+    assert np.array_equal(P.apply(lambda idx: f[idx]), W @ from_callable)
+
+
 @pytest.mark.parametrize("shape", [(31,), (29, 3), (3, 30), (30, 2, 2), ()])
 def test_apply_rejects_other_shapes(shape):
     _, P = _interp_projector(30, 4, seed=3)

@@ -53,6 +53,7 @@ from .projector import DeimProjector, build_projector
 from .bounds import (
     BoundReport,
     angle_bound_constant,
+    column_bounds,
     constant_bound,
     deviation_constant,
     expected_angle_bound,
@@ -61,9 +62,7 @@ from .bounds import (
     leverage_constant,
     min_power_iterations,
     perturbed_basis_bound,
-    perturbed_bounds,
     perturbed_pair_bound,
-    plain_bounds,
     rsvd_expected_error,
     srrqr_constant,
     wedin_angle_bound,

@@ -37,8 +37,7 @@ def check_orthonormal(W, name="basis"):
     entry of W'W - I within 1e-8.
 
     The library's one orthonormality check, at its one tolerance. It runs
-    when an OrthonormalBasis is constructed and when orthonormal_matrix is
-    handed a raw array, and nowhere else.
+    when an OrthonormalBasis is constructed, and nowhere else.
     """
     W = as_matrix(W, name)
     if W.shape[1] == 0:
@@ -81,16 +80,10 @@ class OrthonormalBasis:
         return self.matrix.shape[1]
 
 
-def orthonormal_matrix(W, name="basis"):
-    """The matrix of W: .matrix as is for an OrthonormalBasis, which was
-    checked when it was built; a raw array is checked here, once."""
-    return W.matrix if isinstance(W, OrthonormalBasis) else check_orthonormal(W, name=name)
-
-
 def orthonormal_basis(W, provenance):
     """W as an OrthonormalBasis: as is if it is one; a raw array is checked
-    here, once, and named by provenance, for a function that hands it on
-    to more than one consumer."""
+    here, once, and named by provenance. Every function that takes a basis
+    as either reads it through this, so its .matrix is checked."""
     return W if isinstance(W, OrthonormalBasis) else OrthonormalBasis(W, provenance)
 
 

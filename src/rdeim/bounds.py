@@ -2,9 +2,11 @@
 randomized bases, plus the closed-form constants attached to each selection
 scheme.
 
-Each evaluator returns a BoundReport pairing the proven bound with the
-actually realized error so callers (and tests) can check dominance
-directly.
+column_bounds is the one evaluator of the realized errors and the two
+per-column bounds (baseline and perturbed basis): the error sweep calls it
+on a snapshot matrix, and each BoundReport function calls it on one
+vector, so every report pairs the proven bound with the actually realized
+error and callers (and tests) can check dominance directly.
 """
 
 import math
@@ -27,43 +29,68 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
 
 
-def _as_f(f, n):
+def column_bounds(P, F, reference=None):
+    """The realized errors of the projector P on the columns f of F and,
+    against a reference basis, the two proven bounds on them.
+
+    With W the projector's basis and W_ref the reference, each column has
+    the baseline bound ||D||_2 ||(I - W W') f|| and the perturbed-basis
+    bound ||D||_2 (||(I - P_W) f|| + sin(theta_max) ||P_W f||), where P_W
+    projects onto span(W_ref) and theta_max is the largest canonical angle
+    between span(W_ref) and span(W). The reference is an OrthonormalBasis
+    or an array, which is checked once; the sweep and every BoundReport
+    evaluate their bounds here.
+
+    Cost: ||D||_2 is one error_constant call and, with a reference, the
+    angles are one canonical_angles call, whatever the column count. The
+    coefficients C = (S'W)^+ S'F read only the s selected rows of F; with
+    a reference, W'F and W_ref'F are formed too, and ||P_W f|| is a column
+    norm of W_ref'F. One column_residuals call then reads F once,
+    SWEEP_BLOCK contiguous rows at a time, for the column norms, the
+    realized errors ||f - W C[:, j]|| and, with a reference,
+    ||(I - W W') f|| and ||(I - P_W) f||. No n x n_s temporary is formed.
+
+    Returns
+    -------
+    dict
+        error_constant (||D||_2) and, per column, norm (||f||) and
+        abs_error (||f - D f||). With a reference also, per column, best
+        (||(I - W W') f||), orth (||(I - P_W) f||), proj (||P_W f||),
+        bound_plain and bound_perturbed, and sin_theta_max.
+    """
+    const = P.error_constant()
+    W = P.basis
+    pairs = [(W, P.coefficients(F))]
+    if reference is not None:
+        reference = orthonormal_basis(reference, "reference")
+        # also rejects a reference whose shape differs from the projector's basis
+        sin_max = canonical_angles(reference, P.orthonormal).sin_theta_max
+        W_ref = reference.matrix
+        ref_coef = W_ref.T @ F
+        pairs += [(W, W.T @ F), (W_ref, ref_coef)]
+    norm2, res2 = column_residuals(F, pairs)
+    out = {"error_constant": const, "norm": np.sqrt(norm2), "abs_error": np.sqrt(res2[0])}
+    if reference is not None:
+        best, orth = np.sqrt(res2[1]), np.sqrt(res2[2])
+        proj = np.linalg.norm(ref_coef, axis=0)
+        out.update(
+            best=best,
+            orth=orth,
+            proj=proj,
+            sin_theta_max=sin_max,
+            bound_plain=const * best,
+            bound_perturbed=const * (orth + sin_max * proj),
+        )
+    return out
+
+
+def _vector_bounds(P, f, reference):
+    """column_bounds of the one vector f, every figure a float."""
+    n = P.selection.n
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"f must have shape ({n},), got {f.shape}")
-    return f
-
-
-def _vector_residuals(f, pairs):
-    """||f - W c|| for each (W, c) in pairs, where f is an (n, 1) column
-    and c an (r, 1) one: one column_residuals call."""
-    _, res = column_residuals(f, pairs)
-    return [float(np.sqrt(r[0])) for r in res]
-
-
-def plain_bounds(best, error_constant):
-    """Baseline bound ||D||_2 ||(I - W W') f|| for each column f.
-
-    best holds the best approximation errors ||(I - W W') f|| out of the
-    projector's basis W, as column_residuals gives them for the pair
-    (W, W'F); error_constant is ||D||_2, computed once by the caller.
-    Returns the bounds, shaped like best.
-    """
-    return error_constant * best
-
-
-def perturbed_bounds(orth, proj, error_constant, sin_theta_max):
-    """Perturbed-basis bound ||D_hat||_2 (||(I - P_W) f|| + sin(theta_max) ||P_W f||)
-    for each column f.
-
-    orth holds ||(I - P_W) f||, as column_residuals gives it for the
-    pair (W_ref, W_ref'F), and proj holds ||P_W f||, which is ||W_ref' f||
-    for the orthonormal reference W_ref; error_constant is ||D_hat||_2 and
-    sin_theta_max the largest canonical angle sine between span(W_ref) and
-    the projector's basis, both computed once by the caller. Returns the
-    bounds, shaped like orth.
-    """
-    return error_constant * (orth + sin_theta_max * proj)
+    return {k: float(np.squeeze(v)) for k, v in column_bounds(P, f[:, None], reference).items()}
 
 
 def interpolation_error_bound(P, f):
@@ -71,16 +98,13 @@ def interpolation_error_bound(P, f):
 
     The right factor is the best approximation error out of span(W); the
     error constant ||D|| measures how far the oblique projector can
-    amplify it.
+    amplify it. It is column_bounds against the projector's own basis.
     """
-    F = _as_f(f, P.selection.n)[:, None]
-    const = P.error_constant()
-    W = P.basis
-    actual, best = _vector_residuals(F, [(W, P.coefficients(F)), (W, W.T @ F)])
+    b = _vector_bounds(P, f, P.orthonormal)
     return BoundReport(
-        actual_error=actual,
-        bound_value=plain_bounds(best, const),
-        constants={"error_constant": const, "best_approx_error": best},
+        actual_error=b["abs_error"],
+        bound_value=b["bound_plain"],
+        constants={"error_constant": b["error_constant"], "best_approx_error": b["best"]},
         inputs={"rank": P.rank, "points": P.selection.s, "mode": P.mode},
     )
 
@@ -95,16 +119,10 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     W_ref is an OrthonormalBasis or an array; an array's columns are
     checked once per call.
     """
-    F = _as_f(f, P_hat.selection.n)[:, None]
-    W_ref = orthonormal_basis(W_ref, "W_ref")
-    # also rejects a reference whose shape differs from the projector's basis
-    sin_max = canonical_angles(W_ref, P_hat.orthonormal).sin_theta_max
-    const = P_hat.error_constant()
-    ref_coef = W_ref.matrix.T @ F
-    actual, orth_norm = _vector_residuals(
-        F, [(P_hat.basis, P_hat.coefficients(F)), (W_ref.matrix, ref_coef)]
+    b = _vector_bounds(P_hat, f, W_ref)
+    const, sin_max, orth_norm, proj_norm = (
+        b["error_constant"], b["sin_theta_max"], b["orth"], b["proj"]
     )
-    proj_norm = float(np.linalg.norm(ref_coef))
     if proj_norm == 0.0:
         kappa = const
     elif orth_norm == 0.0:
@@ -112,8 +130,8 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     else:
         kappa = (1.0 + sin_max * proj_norm / orth_norm) * const
     return BoundReport(
-        actual_error=actual,
-        bound_value=perturbed_bounds(orth_norm, proj_norm, const, sin_max),
+        actual_error=b["abs_error"],
+        bound_value=b["bound_perturbed"],
         constants={
             "error_constant": const,
             "sin_theta_max": sin_max,
@@ -142,29 +160,22 @@ def perturbed_pair_bound(P_ref, P_hat, f):
     for P, name in ((P_ref, "reference"), (P_hat, "perturbed")):
         if P.selection.s != P.rank:
             raise ValueError(f"{name} projector must use s = r points, got s={P.selection.s}")
-    n = P_ref.selection.n
-    F = _as_f(f, n)[:, None]
-    W = P_ref.basis
-    theta = canonical_angles(P_ref.orthonormal, P_hat.orthonormal)
+    b = _vector_bounds(P_hat, f, P_ref.orthonormal)
     sel_idx = np.unique(P_ref.selection.indices)
     # two coordinate subspaces coincide, or one holds an axis orthogonal to the other
     sin_psi = 0.0 if np.array_equal(sel_idx, np.unique(P_hat.selection.indices)) else 1.0
-    actual, orth_norm = _vector_residuals(
-        F, [(P_hat.basis, P_hat.coefficients(F)), (W, W.T @ F)]
-    )
-    sel_norm = float(np.linalg.norm(F[sel_idx]))
+    orth_norm, sin_theta = b["orth"], b["sin_theta_max"]
+    sel_norm = float(np.linalg.norm(np.asarray(f, dtype=np.float64)[sel_idx]))
     d_ref = P_ref.error_constant()
-    d_hat = P_hat.error_constant()
-    bound = d_ref * orth_norm + d_ref * d_hat * (
-        sin_psi * orth_norm + theta.sin_theta_max * sel_norm
-    )
+    d_hat = b["error_constant"]
+    bound = d_ref * orth_norm + d_ref * d_hat * (sin_psi * orth_norm + sin_theta * sel_norm)
     return BoundReport(
-        actual_error=actual,
+        actual_error=b["abs_error"],
         bound_value=bound,
         constants={
             "error_constant_ref": d_ref,
             "error_constant_hat": d_hat,
-            "sin_theta_max": theta.sin_theta_max,
+            "sin_theta_max": sin_theta,
             "sin_psi_max": sin_psi,
             "orthogonal_part": orth_norm,
             "selected_part": sel_norm,

@@ -14,15 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import (
-    SWEEP_BLOCK,
-    check_at_least,
-    check_open_unit,
-    check_seed,
-    orthonormal_basis,
-)
-from .bounds import perturbed_bounds, plain_bounds
-from .linalg import canonical_angles, column_residuals
+from ._util import SWEEP_BLOCK, check_at_least, check_open_unit, check_seed
+from .bounds import column_bounds
+from .linalg import column_residuals
 from .matio import ResultTable
 from .projector import build_projector
 from .rangefinder import (
@@ -333,12 +327,6 @@ def select_points(basis, spec):
         return pqr_select(basis)
     if spec.selector == "srrqr":
         return srrqr_select(basis, eta=spec.eta)
-    if spec.samples is None and basis.rank < 2:
-        # the practical count ceil(3 r ln r) is 0 at r = 1
-        raise ValueError(
-            f"{spec.selector} selection on a rank-1 basis needs an explicit sample count: "
-            "pass samples= (--samples on the command line)"
-        )
     count = spec.samples if spec.samples is not None else practical_sample_count(basis.rank)
     count = min(count, basis.matrix.shape[0])
     if spec.selector == "leverage":
@@ -352,47 +340,24 @@ def error_sweep(P, snaps, reference_basis=None):
 
     A zero column has no relative error; it is recorded as nan and skipped
     by the summary statistics rather than propagated. With a reference
-    basis the sweep also evaluates, per column, the plain interpolation
+    basis the sweep also reports, per column, the plain interpolation
     bound and the perturbed-basis bound against that reference, and the
     summary reports the largest canonical angle sine between the two
     bases as basis_sin_theta_max. The reference is an OrthonormalBasis or
-    an array, which is checked once.
-
-    Cost: the loop invariants ||D||_2 (one error_constant call, also the
-    summary's error_constant) and, with bounds, the canonical angles (one
-    canonical_angles call) are computed once per sweep. The coefficients
-    C = (S'W)^+ S'A of every column read only the s selected rows of A;
-    with bounds, W'A and W_ref'A are formed too, and ||P_ref f|| is a
-    column norm of W_ref'A. One column_residuals call then reads A once,
-    SWEEP_BLOCK contiguous rows at a time, for the column norms, the
-    realized errors ||a_j - W C[:, j]|| and, with bounds, ||(I - W W')f||
-    and ||(I - P_ref) f||. No n x n_s temporary is formed.
+    an array, which is checked once. Every figure comes from one
+    column_bounds call, which also states the cost.
     """
-    A = snaps.matrix
-    n_s = A.shape[1]
-    const = P.error_constant()
-    with_bounds = reference_basis is not None
-    columns = ["column", "norm", "abs_error", "rel_error"]
-    W = P.basis
-    pairs = [(W, P.coefficients(A))]
-    if with_bounds:
-        columns += ["bound_plain", "bound_perturbed", "sin_theta_max"]
-        reference_basis = orthonormal_basis(reference_basis, "reference")
-        sin_max = canonical_angles(reference_basis, P.orthonormal).sin_theta_max
-        W_ref = reference_basis.matrix
-        ref_coef = W_ref.T @ A
-        pairs += [(W, W.T @ A), (W_ref, ref_coef)]
-    norm2, res2 = column_residuals(A, pairs)
-    norm = np.sqrt(norm2)
-    err = np.sqrt(res2[0])
-    if with_bounds:
-        plain = plain_bounds(np.sqrt(res2[1]), const)
-        pert = perturbed_bounds(np.sqrt(res2[2]), np.linalg.norm(ref_coef, axis=0), const, sin_max)
+    b = column_bounds(P, snaps.matrix, reference_basis)
+    norm, err = b["norm"], b["abs_error"]
+    n_s = norm.size
     rels = np.full(n_s, np.nan)
     np.divide(err, norm, out=rels, where=norm > 0.0)
+    columns = ["column", "norm", "abs_error", "rel_error"]
     fields = [range(n_s), norm.tolist(), err.tolist(), rels.tolist()]
-    if with_bounds:
-        fields += [plain.tolist(), pert.tolist(), [sin_max] * n_s]
+    if reference_basis is not None:
+        columns += ["bound_plain", "bound_perturbed", "sin_theta_max"]
+        bound_plain, bound_perturbed = b["bound_plain"].tolist(), b["bound_perturbed"].tolist()
+        fields += [bound_plain, bound_perturbed, [b["sin_theta_max"]] * n_s]
     defined = rels[np.isfinite(rels)]
     summary = {
         "columns_total": float(n_s),
@@ -400,10 +365,10 @@ def error_sweep(P, snaps, reference_basis=None):
         "rel_error_mean": float(defined.mean()) if defined.size else float("nan"),
         "rel_error_median": float(np.median(defined)) if defined.size else float("nan"),
         "rel_error_max": float(defined.max()) if defined.size else float("nan"),
-        "error_constant": const,
+        "error_constant": b["error_constant"],
     }
-    if with_bounds:
-        summary["basis_sin_theta_max"] = sin_max
+    if reference_basis is not None:
+        summary["basis_sin_theta_max"] = b["sin_theta_max"]
     return ResultTable(columns=tuple(columns), rows=list(zip(*fields)), summary=summary)
 
 

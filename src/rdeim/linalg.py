@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import SWEEP_BLOCK, as_matrix, check_at_least, orthonormal_matrix
+from ._util import SWEEP_BLOCK, as_matrix, check_at_least, orthonormal_basis
 from .exceptions import ConvergenceError, RankDeficiencyError
 
 
@@ -277,8 +277,8 @@ def canonical_angles(W, Wh):
     -------
     CanonicalAngles
     """
-    W = orthonormal_matrix(W, "W")
-    Wh = orthonormal_matrix(Wh, "Wh")
+    W = orthonormal_basis(W, "W").matrix
+    Wh = orthonormal_basis(Wh, "Wh").matrix
     if W.shape != Wh.shape:
         raise ValueError(f"subspace dimensions differ: {W.shape} vs {Wh.shape}")
     if np.array_equal(W, Wh):

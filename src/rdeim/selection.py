@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (
-    check_at_least,
-    check_open_unit,
-    check_seed,
-    orthonormal_basis,
-    orthonormal_matrix,
-)
+from ._util import check_at_least, check_open_unit, check_seed, orthonormal_basis
 from .exceptions import DegenerateBasisError, DegenerateSelectionError, RankDeficiencyError
 from .linalg import pivoted_qr, srrqr
 
@@ -89,7 +83,7 @@ def leverage_scores(W):
 
     They sum to the basis rank; their maximum is the coherence.
     """
-    W = orthonormal_matrix(W, "W")
+    W = orthonormal_basis(W, "W").matrix
     return np.sum(W * W, axis=1)
 
 
@@ -148,10 +142,17 @@ def sample_count_bound(rank, beta, eps, delta, n=None):
 
 
 def practical_sample_count(rank):
-    """The cheaper working rule ceil(3 r ln r) used when no tail guarantee is needed."""
+    """The cheaper working rule ceil(3 r ln r) used when no tail guarantee is needed.
+
+    The rule gives no sample below rank 2, so a sampled selection on such
+    a basis needs its count given explicitly.
+    """
     r = int(rank)
     if r < 2:
-        raise ValueError(f"rank must be >= 2 for a positive count, got {rank}")
+        raise ValueError(
+            f"the practical sample count needs rank >= 2, got {rank}: "
+            "pass samples= (--samples on the command line)"
+        )
     return int(np.ceil(3.0 * r * np.log(r)))
 
 
@@ -224,7 +225,7 @@ def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
 
 def pqr_select(W):
     """Deterministic selection from column-pivoted QR of W'."""
-    Wm = orthonormal_matrix(W, "W")
+    Wm = orthonormal_basis(W, "W").matrix
     r = Wm.shape[1]
     _, _, perm = pivoted_qr(Wm.T)
     return SelectionOperator(indices=perm[:r], weights=np.ones(r), n=Wm.shape[0])
@@ -236,7 +237,7 @@ def srrqr_select(W, eta=2.0):
     The revealed pivots guarantee
     ``||inv(S' W)||_2 <= sqrt(1 + eta^2 r (n - r))``.
     """
-    Wm = orthonormal_matrix(W, "W")
+    Wm = orthonormal_basis(W, "W").matrix
     n, r = Wm.shape
     fac = srrqr(Wm.T, r, eta)
     return SelectionOperator(indices=fac.perm[:r], weights=np.ones(r), n=n)
@@ -248,7 +249,7 @@ def deim_greedy_select(W):
 
     Expects the columns of W ordered by importance (e.g. singular vectors).
     """
-    Wm = orthonormal_matrix(W, "W")
+    Wm = orthonormal_basis(W, "W").matrix
     n, r = Wm.shape
     idx = np.empty(r, dtype=np.intp)
     idx[0] = int(np.argmax(np.abs(Wm[:, 0])))

@@ -1,6 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdeim._util import SWEEP_BLOCK, OrthonormalBasis
 from rdeim.bounds import (
     angle_bound_constant,
     constant_bound,
@@ -17,10 +23,17 @@ from rdeim.bounds import (
     wedin_angle_bound,
 )
 from rdeim.exceptions import SpectralGapError
+from rdeim.experiments import SnapshotSet, error_sweep
 from rdeim.linalg import canonical_angles
 from rdeim.projector import build_projector
 from rdeim.rangefinder import subspace_range_finder, svd_basis
-from rdeim.selection import SelectionOperator, deim_greedy_select, leverage_select
+from rdeim.selection import (
+    SelectionOperator,
+    deim_greedy_select,
+    leverage_select,
+    pqr_select,
+    srrqr_select,
+)
 
 from conftest import gap_matrix, random_matrix, random_orthonormal
 
@@ -52,6 +65,14 @@ def test_interpolation_bound_exact_on_span():
     assert rep.actual_error <= 1e-12
     assert rep.bound_value <= 1e-12
     assert rep.constants["best_approx_error"] <= 1e-13
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def test_interpolation_bound_shape_check():
@@ -187,6 +208,75 @@ def test_pair_bound_rank_mismatch():
     P6 = build_projector(W6, deim_greedy_select(W6))
     with pytest.raises(ValueError):
         perturbed_pair_bound(P5, P6, A[:, 0])
+
+
+# ------------------------------------------------ every BoundReport holds
+
+
+@st.composite
+def _bound_cases(draw):
+    """A reference basis W, a projector on a nearby basis W_hat with a
+    deterministic (s = r) or a sampled selection, and columns with n below,
+    at and across SWEEP_BLOCK rows."""
+    n = draw(
+        st.one_of(
+            st.integers(4, SWEEP_BLOCK - 1),
+            st.sampled_from([SWEEP_BLOCK, 2 * SWEEP_BLOCK]),
+            st.integers(SWEEP_BLOCK + 1, 3 * SWEEP_BLOCK).filter(lambda k: k % SWEEP_BLOCK),
+        )
+    )
+    n_s = draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(5, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    W = OrthonormalBasis(np.linalg.qr(rng.standard_normal((n, r)))[0], "W")
+    # the perturbed basis, at an angle from 1e-9 to 1e-1
+    tilt = 10.0 ** draw(st.integers(-9, -1))
+    tilted = W.matrix + tilt * rng.standard_normal((n, r))
+    W_hat = OrthonormalBasis(np.linalg.qr(tilted)[0], "W_hat")
+    S = draw(st.sampled_from([pqr_select, srrqr_select]))(W_hat)
+    if draw(st.booleans()):
+        # sampled: the pivots plus repeated draws, every point reweighted
+        extra = rng.integers(0, n, size=draw(st.integers(1, 2 * r)))
+        idx = np.concatenate([S.indices, extra, extra[:1]])
+        S = SelectionOperator(idx, 10.0 ** rng.uniform(-1, 1, size=idx.size), n)
+    F = rng.standard_normal((n, n_s)) * 10.0 ** rng.integers(-3, 4, size=n_s)
+    # a column inside span(W), where only the angle term of a bound is left
+    F[:, 0] = W.matrix @ rng.standard_normal(r)
+    F[:, draw(st.lists(st.integers(0, n_s - 1), max_size=n_s))] = 0.0
+    return W, build_projector(W_hat, S), F
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_bound_cases())
+def test_every_bound_report_holds_and_matches_the_sweep(case):
+    W, P, F = case
+    params = np.arange(F.shape[1])[:, None]
+    snaps = SnapshotSet(matrix=F, params=params, param_names=("k",), space={})
+    table = error_sweep(P, snaps, reference_basis=W)
+    C = P.error_constant()
+    square = P.selection.s == P.rank
+    P_ref = build_projector(W, pqr_select(W)) if square else None
+    for j, (_, norm, abs_error, _, bound_plain, bound_perturbed, sin_max) in enumerate(table.rows):
+        f = F[:, j]
+        plain = interpolation_error_bound(P, f)
+        pert = perturbed_basis_bound(P, W, f)
+        reports = [plain, pert]
+        if square:
+            pair = perturbed_pair_bound(P_ref, P, f)
+            reports.append(pair)
+            # the same reference basis, so the same residual and angle
+            assert pair.constants["orthogonal_part"] == pert.constants["orthogonal_part"]
+            assert pair.constants["sin_theta_max"] == sin_max
+        for rep in reports:
+            assert rep.actual_error <= rep.bound_value + 1e-10 * (1.0 + C) * norm
+        # the per-vector reports and the sweep are one evaluator on other shapes
+        floor = 1e-12 * (1.0 + C) * norm
+        for rep in reports:
+            assert abs(rep.actual_error - abs_error) <= 1e-12 * abs_error + floor
+        for rep, bound in ((plain, bound_plain), (pert, bound_perturbed)):
+            assert abs(rep.bound_value - bound) <= 1e-12 * bound + floor
+        assert pert.constants["sin_theta_max"] == sin_max
+        assert plain.bound_value == perturbed_basis_bound(P, P.orthonormal, f).bound_value
 
 
 # -------------------------------------------------------- expectation bounds

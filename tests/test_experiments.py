@@ -446,7 +446,7 @@ def test_error_sweep_computes_invariants_once(monkeypatch, n_s):
     W = svd_basis(A, 5)
     P = build_projector(W, deim_greedy_select(W))
     constants = _counting(monkeypatch, "error_constant", DeimProjector)
-    angles = _counting(monkeypatch, "canonical_angles", experiments)
+    angles = _counting(monkeypatch, "canonical_angles", bounds)
     table = error_sweep(P, snaps, reference_basis=W)
     assert len(table.rows) == n_s
     assert (len(constants), len(angles)) == (1, 1)
@@ -455,7 +455,7 @@ def test_error_sweep_computes_invariants_once(monkeypatch, n_s):
 
 
 def test_run_experiment_computes_angles_once(monkeypatch):
-    angles = _counting(monkeypatch, "canonical_angles", experiments, bounds)
+    angles = _counting(monkeypatch, "canonical_angles", bounds)
     spec = ExperimentSpec(
         example="corner", rank=5, basis="basic", with_bounds=True,
         overrides={"grid": 10, "param_grid": 5},

@@ -49,6 +49,8 @@ def column_bounds(P, F, reference=None):
     SWEEP_BLOCK contiguous rows at a time, for the column norms, the
     realized errors ||f - W C[:, j]|| and, with a reference,
     ||(I - W W') f|| and ||(I - P_W) f||. No n x n_s temporary is formed.
+    When the reference is the projector's own OrthonormalBasis (P_W is
+    W W'), W'F is formed and swept once and serves both.
 
     Returns
     -------
@@ -65,13 +67,15 @@ def column_bounds(P, F, reference=None):
         reference = orthonormal_basis(reference, "reference")
         # also rejects a reference whose shape differs from the projector's basis
         sin_max = canonical_angles(reference, P.orthonormal).sin_theta_max
-        W_ref = reference.matrix
-        ref_coef = W_ref.T @ F
-        pairs += [(W, W.T @ F), (W_ref, ref_coef)]
+        ref_coef = W.T @ F
+        pairs.append((W, ref_coef))
+        if reference is not P.orthonormal:  # the projector's own basis is swept once
+            ref_coef = reference.matrix.T @ F
+            pairs.append((reference.matrix, ref_coef))
     norm2, res2 = column_residuals(F, pairs)
     out = {"error_constant": const, "norm": np.sqrt(norm2), "abs_error": np.sqrt(res2[0])}
     if reference is not None:
-        best, orth = np.sqrt(res2[1]), np.sqrt(res2[2])
+        best, orth = np.sqrt(res2[1]), np.sqrt(res2[-1])
         proj = np.linalg.norm(ref_coef, axis=0)
         out.update(
             best=best,
@@ -231,15 +235,17 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
     """Perturbation bound on the largest angle between leading subspaces.
 
     sin(theta_max) <= max(||(A - A_hat) Z1_hat||, ||(A - A_hat)' W1_hat||)
-                      / (sigma_r(A) - sigma_{r+1}(A_hat))
+                      / (sigma_r(A_hat) - sigma_{r+1}(A))
     with W1_hat/Z1_hat the leading r left/right singular vectors of A_hat.
-    numerator='full' uses the looser ||A - A_hat||_2 instead of the two
-    projected norms.
+    The residuals are taken from A_hat's vectors, so Wedin's theorem (BIT
+    1972; Stewart & Sun, Thm V.4.4) separates A_hat's kept singular values
+    from A's discarded ones. numerator='full' uses the looser
+    ||A - A_hat||_2 instead of the two projected norms.
 
     Raises
     ------
     SpectralGapError
-        If sigma_r(A) <= sigma_{r+1}(A_hat) (the gap closes and the bound
+        If sigma_r(A_hat) <= sigma_{r+1}(A) (the gap closes and the bound
         is undefined).
     """
     A = as_matrix(A, "A")
@@ -253,12 +259,12 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
         raise ValueError(f"numerator must be 'projected' or 'full', got {numerator!r}")
     sv_a = np.linalg.svd(A, compute_uv=False)
     fh = thin_svd(Ah, r)
-    sigma_r = sv_a[r - 1]
-    sigma_next = fh.singular_values[r] if r < fh.singular_values.size else 0.0
+    sigma_r = fh.singular_values[r - 1]
+    sigma_next = sv_a[r] if r < sv_a.size else 0.0
     gap = sigma_r - sigma_next
     if gap <= 0.0:
         raise SpectralGapError(
-            f"gap sigma_r(A) - sigma_(r+1)(A_hat) = {gap:.3e} is not positive"
+            f"gap sigma_r(A_hat) - sigma_(r+1)(A) = {gap:.3e} is not positive"
         )
     E = A - Ah
     if numerator == "full":

@@ -24,7 +24,8 @@ class DegenerateSelectionError(RdeimError):
 
 
 class DegenerateBasisError(RdeimError):
-    """A basis is unusable for greedy selection (singular subsystem)."""
+    """A basis is unusable for greedy selection (zero pivot in the greedy
+    elimination)."""
 
 
 class SpectralGapError(RdeimError):

@@ -378,7 +378,9 @@ def run_experiment(spec):
     basis = build_basis(snaps.matrix, spec)
     S = select_points(basis, spec)
     P = build_projector(basis, S)
-    reference = svd_basis(snaps.matrix, basis.rank) if spec.with_bounds else None
+    reference = None
+    if spec.with_bounds:  # an svd basis is its own exact reference
+        reference = basis if spec.basis == "svd" else svd_basis(snaps.matrix, basis.rank)
     n_test = spec.n_test
     if n_test is None:
         n_test = SCALES[spec.example][spec.scale].get("n_test", 0)

@@ -8,6 +8,9 @@ is a Householder QR (LAPACK ``geqrf``) followed by numpy's SVD of the
 small R factor, and the column-pivoted QR is LAPACK ``geqp3``,
 whose greedy largest-residual pivot rule is the documented contract. The
 strong rank-revealing swap refinement on top of it is written out here.
+selection.pqr_select takes its points from the ``geqp3`` pivots and
+selection.srrqr_select from ``geqp3`` plus those swaps; the greedy DEIM
+selector is LAPACK ``getrf`` and lives in selection.
 """
 
 from dataclasses import dataclass

@@ -6,15 +6,26 @@ weights; the dense operator S has columns weights[k] * e_indices[k].
 Deterministic selectors produce distinct indices with unit weights;
 sampled selectors may repeat indices and carry the usual 1/sqrt(s * pi)
 scaling that makes E[S S'] the identity.
+
+Each deterministic selector reads its points from the pivots of one LAPACK
+factorization: greedy from the row pivots of ``getrf`` (LU with partial
+pivoting) on W, pqr from the column pivots of ``geqp3`` on W', and srrqr
+from ``geqp3`` on W' plus the swaps of linalg.srrqr.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from ._util import check_at_least, check_open_unit, check_seed, orthonormal_basis
-from .exceptions import DegenerateBasisError, DegenerateSelectionError, RankDeficiencyError
+from .exceptions import (
+    ConvergenceError,
+    DegenerateBasisError,
+    DegenerateSelectionError,
+    RankDeficiencyError,
+)
 from .linalg import pivoted_qr, srrqr
 
 
@@ -247,22 +258,20 @@ def deim_greedy_select(W):
     """Classic greedy selection: walk the basis columns in order, placing
     each new point at the largest interpolation residual of the next column.
 
-    Expects the columns of W ordered by importance (e.g. singular vectors).
+    That is the row-pivot order of LU with partial pivoting on W (Sorensen
+    & Embree, SISC 2016), so the points are the first r rows of the
+    permutation of one LAPACK ``getrf``. Expects the columns of W ordered
+    by importance (e.g. singular vectors). An exact zero pivot raises
+    DegenerateBasisError, a LAPACK argument error ConvergenceError.
     """
     Wm = orthonormal_basis(W, "W").matrix
     n, r = Wm.shape
-    idx = np.empty(r, dtype=np.intp)
-    idx[0] = int(np.argmax(np.abs(Wm[:, 0])))
-    for k in range(1, r):
-        w = Wm[:, k]
-        try:
-            c = np.linalg.solve(Wm[idx[:k], :k], w[idx[:k]])
-        except np.linalg.LinAlgError as err:
-            raise DegenerateBasisError(
-                f"greedy subsystem singular at step {k}: {err}"
-            ) from err
-        res = w - Wm[:, :k] @ c
-        idx[k] = int(np.argmax(np.abs(res)))
-    if np.unique(idx).size != r:
-        raise DegenerateBasisError("greedy selection produced a repeated index")
-    return SelectionOperator(indices=idx, weights=np.ones(r), n=n)
+    _, piv, info = get_lapack_funcs("getrf", (Wm,))(Wm)
+    if info > 0:
+        raise DegenerateBasisError(f"zero pivot at greedy step {info - 1} of {r}")
+    if info < 0:
+        raise ConvergenceError(f"getrf failed on {Wm.shape} input (info={info})")
+    perm = np.arange(n, dtype=np.intp)
+    for k, p in enumerate(piv):  # row k was swapped with row p (0-based)
+        perm[k], perm[p] = perm[p], perm[k]
+    return SelectionOperator(indices=perm[:r], weights=np.ones(r), n=n)

@@ -23,7 +23,7 @@ from rdeim.bounds import (
     wedin_angle_bound,
 )
 from rdeim.exceptions import SpectralGapError
-from rdeim.experiments import SnapshotSet, error_sweep
+from rdeim.experiments import ExperimentSpec, SnapshotSet, build_basis, error_sweep, generate
 from rdeim.linalg import canonical_angles
 from rdeim.projector import build_projector
 from rdeim.rangefinder import subspace_range_finder, svd_basis
@@ -349,7 +349,8 @@ def test_wedin_diagonal_example():
     A = np.diag([2.0, 1.0])
     Ah = np.diag([2.0, 1.0 + eps])
     got = wedin_angle_bound(A, Ah, rank=1, numerator="full")
-    assert got == pytest.approx(eps / (1.0 - eps), rel=1e-12)
+    # gap sigma_1(A_hat) - sigma_2(A) = 2 - 1
+    assert got == pytest.approx(eps, rel=1e-12)
     # the projected numerator sees that nothing rotated
     assert wedin_angle_bound(A, Ah, rank=1, numerator="projected") == pytest.approx(0.0, abs=1e-15)
 
@@ -366,6 +367,22 @@ def test_wedin_dominates_true_angle(seed):
         true_sin = canonical_angles(Ua, Uh).sin_theta_max
         assert bound >= true_sin - 1e-10
     assert wedin_angle_bound(A, Ah, 4, "full") >= wedin_angle_bound(A, Ah, 4, "projected") - 1e-12
+
+
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_wedin_dominates_true_angle_on_desk_bases(example):
+    # A_hat = W W'A for a sketched basis W; its leading left singular
+    # vectors span W, so the realized angle is the one to the exact basis
+    rank = 10 if example == "osc" else 24
+    for seed in range(4):
+        A = generate(ExperimentSpec(example=example, rank=rank, seed=seed)).matrix
+        exact = svd_basis(A, rank)
+        for basis, power in (("basic", 0), ("subspace", 1), ("subspace", 2)):
+            spec = ExperimentSpec(example=example, rank=rank, basis=basis, power=power, seed=seed)
+            W = build_basis(A, spec).matrix
+            realized = canonical_angles(exact, W).sin_theta_max
+            bound = wedin_angle_bound(A, W @ (W.T @ A), rank)
+            assert realized <= bound, (seed, basis, power, realized, bound)
 
 
 def test_wedin_gap_failure():

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdeim
-from rdeim import _util, bounds, experiments
-from rdeim.bounds import interpolation_error_bound, perturbed_basis_bound
+from rdeim import _util, bounds, experiments, rangefinder
+from rdeim.bounds import column_bounds, interpolation_error_bound, perturbed_basis_bound
 from rdeim.experiments import (
     BASES,
     SCALES,
@@ -465,6 +465,47 @@ def test_run_experiment_computes_angles_once(monkeypatch):
     assert table.summary["basis_sin_theta_max"] == table.rows[0][6]
 
 
+@pytest.mark.parametrize("selector", ["greedy", "leverage"])
+def test_bounded_svd_run_is_its_own_reference(monkeypatch, selector):
+    spec = ExperimentSpec(
+        example="corner", rank=5, basis="svd", selector=selector, with_bounds=True,
+        overrides={"grid": 10, "param_grid": 5},
+    )
+    svds = _counting(monkeypatch, "thin_svd", rangefinder)
+    sweeps = _counting(monkeypatch, "column_residuals", bounds)
+    table = run_experiment(spec)
+    assert len(svds) == 1
+    assert [len(pairs) for _, pairs in sweeps] == [2]
+    monkeypatch.undo()
+    # a second, equal reference object is swept as a pair of its own
+    snaps = generate(spec)
+    basis = build_basis(snaps.matrix, spec)
+    twin = svd_basis(snaps.matrix, 5)
+    assert twin is not basis and np.array_equal(twin.matrix, basis.matrix)
+    expected = error_sweep(build_projector(basis, select_points(basis, spec)), snaps, twin)
+    assert table.columns == expected.columns and table.rows == expected.rows
+    assert {k: table.summary[k] for k in expected.summary} == expected.summary
+
+
+def test_interpolation_bound_sweeps_its_basis_once(monkeypatch):
+    A, _ = gap_matrix(80, 30, rank=5, gamma=0.1, seed=2)
+    W = svd_basis(A, 5)
+    P = build_projector(W, pqr_select(W))
+    # an equal reference that is another object is swept as a pair of its own
+    twin = OrthonormalBasis(W.matrix.copy(order="K"), "twin")
+    sweeps = _counting(monkeypatch, "column_residuals", bounds)
+    report = interpolation_error_bound(P, A[:, 7])
+    twin_report = perturbed_basis_bound(P, twin, A[:, 7])
+    own, other = column_bounds(P, A, P.orthonormal), column_bounds(P, A, twin)
+    assert [len(pairs) for _, pairs in sweeps] == [2, 3, 2, 3]
+    assert (report.actual_error, report.bound_value) == (
+        twin_report.actual_error, twin_report.bound_value
+    )
+    assert report.constants["best_approx_error"] == twin_report.constants["orthogonal_part"]
+    assert own.keys() == other.keys()
+    assert all(np.array_equal(own[k], other[k]) for k in own)
+
+
 def _counting_checks(monkeypatch):
     """Count check_orthonormal calls under every name a module imported it by."""
     owners = [m for m in list(vars(rdeim).values()) if hasattr(m, "check_orthonormal")]
@@ -487,9 +528,10 @@ def test_select_checks_the_basis_once(monkeypatch, tmp_path, selector):
 )
 def test_run_experiment_checks_each_basis_once(monkeypatch, basis, built, selector):
     # one OrthonormalBasis per run: the adaptive finder truncates its grown
-    # basis before constructing it. A bounded run adds the reference, and
-    # the sweep's canonical angles use the projector's basis unchecked.
-    for with_bounds, expected in ((False, built), (True, built + 1)):
+    # basis before constructing it. A bounded run adds the reference (an
+    # svd basis is its own), and the sweep's canonical angles use the
+    # projector's basis unchecked.
+    for with_bounds, expected in ((False, built), (True, built + (basis != "svd"))):
         checks = _counting_checks(monkeypatch)
         bases = _counting(monkeypatch, "__post_init__", OrthonormalBasis)
         spec = ExperimentSpec(

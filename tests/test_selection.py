@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdeim.exceptions import DegenerateSelectionError
+import rdeim.selection
+from rdeim.exceptions import ConvergenceError, DegenerateBasisError, DegenerateSelectionError
+from rdeim.experiments import ExperimentSpec, build_basis, generate
 from rdeim.linalg import spectral_norm
 from rdeim.selection import (
     SelectionOperator,
@@ -264,6 +268,54 @@ def test_greedy_on_trigonometric_basis():
     assert np.array_equal(S.indices, reference_greedy_points(W))
     # interpolation system stays solvable
     assert np.linalg.matrix_rank(W[S.indices, :]) == 4
+
+
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_greedy_matches_reference_on_desk_bases(example):
+    rank = 10 if example == "osc" else 24
+    for seed in range(4):
+        spec = ExperimentSpec(example=example, rank=rank, basis="subspace", power=1, seed=seed)
+        W = build_basis(generate(spec).matrix, spec)
+        assert np.array_equal(deim_greedy_select(W).indices, reference_greedy_points(W.matrix))
+
+
+@st.composite
+def _greedy_bases(draw):
+    n = draw(st.integers(1, 120))
+    r = draw(st.integers(1, min(n, 16)))
+    M = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, r))
+    if draw(st.booleans()):
+        # coarse integer entries with repeated rows, so residuals can tie exactly
+        M = np.round(2.0 * M)[np.arange(n) // 2]
+        M[: min(n, r), : min(n, r)] += 5.0 * np.eye(min(n, r))  # keep full column rank
+    return np.linalg.qr(M)[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_greedy_bases())
+def test_greedy_points_attain_the_largest_residual(W):
+    n, r = W.shape
+    idx = deim_greedy_select(W).indices
+    assert idx.size == r and np.unique(idx).size == r
+    assert abs(W[idx[0], 0]) == np.max(np.abs(W[:, 0]))
+    for k in range(1, r):
+        c = np.linalg.solve(W[idx[:k], :k], W[idx[:k], k])
+        res = np.abs(W[:, k] - W[:, :k] @ c)
+        # the point carries the column's largest residual, up to roundoff
+        assert res[idx[k]] >= res.max() - 1e-10 * (1.0 + np.abs(c).sum())
+
+
+@pytest.mark.parametrize("info, error", [(2, DegenerateBasisError), (-4, ConvergenceError)])
+def test_greedy_lapack_failure_is_typed(monkeypatch, info, error):
+    real = rdeim.selection.get_lapack_funcs
+
+    def failing(name, arrays):
+        getrf = real(name, arrays)
+        return lambda *args, **kwargs: (*getrf(*args, **kwargs)[:-1], info)
+
+    monkeypatch.setattr(rdeim.selection, "get_lapack_funcs", failing)
+    with pytest.raises(error):
+        deim_greedy_select(random_orthonormal(20, 4, seed=1))
 
 
 def test_deterministic_selectors_reject_skew_basis():

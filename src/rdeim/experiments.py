@@ -6,6 +6,11 @@ parameters), and a movable Gaussian source on the unit square (three
 parameters, Latin hypercube sampled). The driver wires a generator, a
 range finder, a point selector, and the error sweep together behind a
 single declarative spec, deterministically for a given seed.
+
+generate keeps the last snapshot set it built and returns that same
+object while the generator arguments repeat, so the runs of one grid
+build their set once; it holds one set at most, and a generated set's
+arrays are read-only, so no run can change the set the next one reads.
 """
 
 import time
@@ -295,16 +300,42 @@ class ExperimentSpec(AlgorithmSpec):
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
 
 
+# (key, SnapshotSet) of the last set generate built; one tuple, so a
+# reader sees a key with its own set
+_last_set = None
+
+
 def generate(spec):
-    """Build the snapshot set a spec describes."""
+    """Build the snapshot set a spec describes, or return the last one built.
+
+    The set depends only on the generator's keyword arguments: the scale's
+    grid with the overrides applied, plus the seed for 'source'. A call
+    with the same arguments as the previous one returns the same
+    SnapshotSet object; any other call drops that set before building its
+    own, so at most one set is held. The matrix, params and space arrays
+    of a returned set are read-only: writing into one raises ValueError.
+    """
+    global _last_set
     args = dict(SCALES[spec.example][spec.scale])
     args.update(spec.overrides)
     args.pop("n_test", None)  # the held-out count is run_experiment's, not the generator's
+    # by value, since an override may hold a list; only 'source' reads the seed
+    seed = spec.seed if spec.example == "source" else None
+    key = (spec.example, repr(sorted(args.items())), seed)
+    last = _last_set
+    if last is not None and last[0] == key:
+        return last[1]
+    last = _last_set = None  # nothing holds the old set while the new one is built
     if spec.example == "osc":
-        return oscillator_snapshots(**args)
-    if spec.example == "corner":
-        return corner_peak_snapshots(**args)
-    return gaussian_source_snapshots(seed=spec.seed, **args)
+        snaps = oscillator_snapshots(**args)
+    elif spec.example == "corner":
+        snaps = corner_peak_snapshots(**args)
+    else:
+        snaps = gaussian_source_snapshots(seed=seed, **args)
+    for array in (snaps.matrix, snaps.params, *snaps.space.values()):
+        array.flags.writeable = False
+    _last_set = (key, snaps)
+    return snaps
 
 
 def build_basis(A, spec):

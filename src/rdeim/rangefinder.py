@@ -13,6 +13,7 @@ streaming rank-one sketch accumulator supports single-pass and
 column-replacement workflows.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,9 +116,9 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     orthogonalized against the current basis; the captured energy is
     tracked through the accumulated ||B'||_F^2 (equal to ||Q'A||_F^2 up to
     the orthogonalization residual), as in randQB_EI (Martinsson & Voronin,
-    SISC 2016). Before returning, the criterion is re-verified with an
-    explicit residual computation, and extra blocks are absorbed if the
-    accumulator was optimistic, so the postcondition
+    SISC 2016). Before returning, the criterion is re-verified from the
+    exact W'A, and extra blocks are absorbed if the accumulator was
+    optimistic, so the postcondition
     ``||A - W W' A||_F^2 <= tol^2 ||A||_F^2`` always holds on success.
     With a rank below the grown width, W is then rotated onto the leading
     left singular directions of the exact W'A that final check formed and
@@ -126,10 +127,17 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     Cost: A is read once per SKETCH_GROUP sketch blocks, whose Gaussian
     draws are made together (the same stream as one draw per block, never
     past max_blocks) and applied to A in one product; each absorbed block
-    then reads A once more for its rows of B. ||A||_F^2 is one dot product
-    and the explicit residual W'A plus one linalg.column_residuals call,
-    which reads A in blocks of SWEEP_BLOCK rows, so no n x n_s temporary
-    is formed. The truncation reads A no more.
+    then reads A once more for its rows of B. ||A||_F^2 is read twice: as
+    one dot product, which sets the target, and as column dots whose sum
+    math.fsum rounds once. A residual check forms C = W'A and W'W and
+    takes ||A - W W'A||_F^2 from them and that sum: randQB_EI's
+    ||A||_F^2 - ||C||_F^2, plus tr(C'(W'W - I)C) for the loss of
+    orthogonality (see _gram_residual). Only when that value lies
+    within its rounding margin of the target, where it cannot decide,
+    does one linalg.column_residuals call read A again, in blocks of
+    SWEEP_BLOCK rows; either way the decision is the explicit residual's,
+    and the error a failed run reports is always explicit. No n x n_s
+    temporary is formed, and the truncation reads A no more.
 
     Parameters
     ----------
@@ -177,23 +185,28 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
         raise ValueError("A is identically zero; no basis to find")
     target = tol * tol * alpha
 
+    # the Gram route's ||A||_F^2, summed accurately; alpha keeps its bits
+    norm2 = math.fsum(np.einsum("ij,ij->j", A, A))
+
     W = None
     B = None
     beta = 0.0
     blocks = 0
     drawn = []  # (omega, A @ omega) of the drawn blocks not yet absorbed
     while True:
-        # the accumulator can drift, so the loop ends only once the explicit
-        # residual confirms it; the exact W'A that check forms is kept
-        res = None
+        # the accumulator can drift, so the loop ends only once the residual
+        # check confirms it; the exact W'A that check forms is kept
+        WtA = None
         if beta > alpha * (1.0 - tol * tol):
-            res, WtA = _explicit_residual(A, W)
+            res, margin, WtA = _gram_residual(A, W, norm2)
+            if abs(res - target) <= margin:
+                res = _explicit_residual(A, W, WtA)
             if res <= target:
                 break
         if blocks == max_blocks:
-            if res is None:
-                res, _ = _explicit_residual(A, W)
-            rel = float(np.sqrt(res / alpha))
+            if WtA is None:
+                WtA = W.T @ A
+            rel = float(np.sqrt(_explicit_residual(A, W, WtA) / alpha))
             raise AdaptiveRangeError(
                 f"tolerance {tol} not reached after {max_blocks} blocks "
                 f"(relative residual {rel:.3e})",
@@ -225,12 +238,69 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     return OrthonormalBasis(W, "adaptive", config)
 
 
-def _explicit_residual(A, W):
-    """(||A - W W'A||_F^2, W'A): W'A is formed once, and the residual is
-    the column sum of one column_residuals call."""
+def _gram_residual(A, W, norm2):
+    """(g, margin, C): C = W'A, the Gram value g of ||A - W C||_F^2, and a
+    margin such that g and the explicit residual lie on the same side of
+    any target farther than margin from g.
+
+    For any W and C the residual R = ||A - W C||_F^2, which the explicit
+    kernel evaluates, equals ||A||_F^2 - ||C||_F^2 + 2<C, D> +
+    tr(C'(W'W - I)C), where D = C - W'A is the rounding of the product
+    C. The Gram value g = norm2 - ||C||_F^2 + tr(C'(W'W - I)C), with
+    norm2 the accurately summed ||A||_F^2, omits <C, D> and rounds the
+    rest. With u the unit roundoff, g_m = m u / (1 - m u) and
+    k = W.shape[1], |g - R| <= e_gram, the sum of
+      - norm2, a correctly rounded sum of n-term column dots: g_(n+2) norm2;
+      - ||C||_F^2, one dot of k n_s terms: g_(k n_s) ||C||_F^2;
+      - 2|<C, D>| with |D| <= g_n |W|'|A|: 2 g_n ||W||_F ||A||_F ||C||_F;
+      - fl(W'W) - W'W, entrywise below g_n |W|'|W|, so of spectral norm
+        below g_n ||W||_F^2: g_n ||W||_F^2 ||C||_F^2;
+      - E = fl(W'W) - I times C and dotted with C:
+        g_(k + k n_s + 1) ||E||_F ||C||_F^2;
+      - the two final additions: g_2 (norm2 + ||C||_F^2).
+    The explicit kernel forms W[rows] C off by H, ||H||_F <= h =
+    g_k ||W||_F ||C||_F, then subtracts, squares and sums n n_s terms,
+    each through at most n + n_s additions. So it returns R' with
+    |R' - R| <= e_explicit = g_(n+n_s+3) (sqrt(R) + h)^2 + 2 sqrt(R) h + h^2,
+    increasing in R, and R <= |g| + e_gram. Once |g - target| exceeds
+    e_gram + e_explicit, g and R' lie on the same side of target. The
+    margin is 1.01 (e_gram + e_explicit): taking the norms from their
+    computed squares and evaluating the bounds in floating point moves
+    them by a relative O((n + k n_s) u), which the slack covers.
+    """
+    n, n_s = A.shape
+    k = W.shape[1]
     C = W.T @ A
+    E = W.T @ W
+    w2 = float(np.trace(E))
+    E[np.diag_indices(k)] -= 1.0
+    c2 = float(np.vdot(C, C))
+    gram = norm2 - c2 + float(np.vdot(C, E @ C))
+
+    u = np.finfo(np.float64).eps / 2
+
+    def g(m):
+        return m * u / (1.0 - m * u)
+
+    a, c, w = math.sqrt(norm2), math.sqrt(c2), math.sqrt(w2)
+    e_gram = (
+        g(n + 2) * norm2
+        + g(k * n_s) * c2
+        + 2.0 * g(n) * w * a * c
+        + g(n) * w2 * c2
+        + g(k + k * n_s + 1) * float(np.linalg.norm(E)) * c2
+        + g(2) * (norm2 + c2)
+    )
+    h = g(k) * w * c
+    r = math.sqrt(abs(gram) + e_gram)
+    e_explicit = g(n + n_s + 3) * (r + h) ** 2 + 2.0 * r * h + h * h
+    return gram, 1.01 * (e_gram + e_explicit), C
+
+
+def _explicit_residual(A, W, C):
+    """||A - W C||_F^2 as the column sum of one column_residuals call."""
     _, (res,) = column_residuals(A, [(W, C)])
-    return float(res.sum()), C
+    return float(res.sum())
 
 
 def svd_basis(A, rank):

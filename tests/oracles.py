@@ -5,11 +5,18 @@ come from a hand-written one-sided Jacobi sweep, pivot orders from an
 exhaustive greedy projection search and from a step-by-step Householder
 loop, and the greedy point sequence from a straight-line pseudoinverse
 form. Agreement between these and the library is evidence, not tautology.
+The one exception is reference_adaptive_range_finder, the adaptive
+finder's earlier explicit-check loop: it shares the library's residual
+kernel and sketch grouping on purpose, because it pins the library's
+basis bit for bit.
 """
 
 import itertools
 
 import numpy as np
+
+from rdeim.linalg import column_residuals
+from rdeim.rangefinder import SKETCH_GROUP
 
 
 def jacobi_singular_values(A, tol=1e-14, max_sweeps=60):
@@ -186,6 +193,68 @@ def blockwise_adaptive_basis(A, tol, block, max_blocks, seed):
         beta += float(np.sum(Bp * Bp))
         blocks += 1
     return W, blocks, None
+
+
+def reference_adaptive_range_finder(A, tol, block, max_blocks, seed, rank=None):
+    """The adaptive finder as it was before its check took the residual
+    from W'A: every check forms W'A and reads A again in one
+    column_residuals call.
+
+    It draws the same sketch groups, forms the same products and rotation
+    as rangefinder.adaptive_range_finder and decides with the same
+    residual kernel, so the library's basis must equal it bit for bit.
+    Returns (W, rel): the basis, rotated and truncated when rank is below
+    its width, and None; or, when max_blocks blocks do not reach tol, the
+    partial basis and its relative residual.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    n_s = A.shape[1]
+    rng = np.random.default_rng(seed)
+    alpha = float(np.vdot(A, A))
+    target = tol * tol * alpha
+
+    def explicit(W):
+        C = W.T @ A
+        _, (res,) = column_residuals(A, [(W, C)])
+        return float(res.sum()), C
+
+    W = None
+    B = None
+    beta = 0.0
+    blocks = 0
+    drawn = []
+    while True:
+        res = None
+        if beta > alpha * (1.0 - tol * tol):
+            res, WtA = explicit(W)
+            if res <= target:
+                break
+        if blocks == max_blocks:
+            if res is None:
+                res, _ = explicit(W)
+            return W, float(np.sqrt(res / alpha))
+        if not drawn:
+            omegas = rng.standard_normal((min(SKETCH_GROUP, max_blocks - blocks), n_s, block))
+            Y = A @ np.concatenate(omegas, axis=1)
+            drawn = [(om, Y[:, i * block : (i + 1) * block]) for i, om in enumerate(omegas)]
+        omega, A_omega = drawn.pop(0)
+        if W is None:
+            Q, _ = np.linalg.qr(A_omega)
+            Bp = Q.T @ A
+        else:
+            Q, _ = np.linalg.qr(A_omega - W @ (B @ omega))
+            Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
+            if np.max(np.abs(W.T @ Q)) > 1e-12:
+                Q, _ = np.linalg.qr(Q - W @ (W.T @ Q))
+            Bp = Q.T @ A - (Q.T @ W) @ B
+        W = Q if W is None else np.hstack([W, Q])
+        B = Bp if B is None else np.vstack([B, Bp])
+        beta += float(np.sum(Bp * Bp))
+        blocks += 1
+    if rank is not None and rank < W.shape[1]:
+        Ub, _, _ = np.linalg.svd(WtA, full_matrices=False)
+        W = W @ Ub[:, :rank]
+    return W, None
 
 
 def truncated_basis(basis, A, rank):

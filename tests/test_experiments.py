@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +253,65 @@ def test_generate_scales_and_overrides():
         ExperimentSpec(example="source", rank=5, overrides={"n_grid": 9, "n_train": 12})
     )
     assert snaps3.matrix.shape == (81, 12)
+
+
+def test_generate_returns_the_last_set_read_only():
+    spec = ExperimentSpec(
+        example="source", rank=5, overrides={"n_grid": 9, "n_train": 12, "ranges": [[0.2, 0.8]] * 3}
+    )
+    snaps = generate(spec)
+    # the algorithm fields and an equal list in a new object still hit
+    same = replace(spec, rank=7, basis="adaptive", overrides={**spec.overrides, "ranges": [[0.2, 0.8]] * 3})
+    assert generate(same) is snaps
+    for array in (snaps.matrix, snaps.params, *snaps.space.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    for other in (
+        replace(spec, seed=1),
+        replace(spec, overrides={**spec.overrides, "n_train": 13}),
+        replace(spec, overrides={**spec.overrides, "ranges": [[0.2, 0.8]] * 2 + [[0.1, 0.3]]}),
+    ):
+        assert generate(other) is not snaps
+        # the miss dropped the set, so spec builds it again
+        rebuilt = generate(spec)
+        assert rebuilt is not snaps and np.array_equal(rebuilt.matrix, snaps.matrix)
+    # osc and corner do not read the seed
+    osc = ExperimentSpec(example="osc", rank=5, overrides={"n_t": 50, "n_mu": 7})
+    assert generate(replace(osc, seed=3)) is generate(osc)
+
+
+def test_generate_holds_one_set():
+    spec = ExperimentSpec(example="corner", rank=5, overrides={"grid": 12, "param_grid": 6})
+    held = weakref.ref(generate(spec).matrix)
+    assert held() is not None
+    generate(replace(spec, overrides={"grid": 13, "param_grid": 6}))
+    assert held() is None
+
+
+def _sweep_paper_grid_at_desk():
+    """The benchmark's sweep-paper operations (example x basis twice,
+    selectors rotated) at desk scale."""
+    for i in range(18):
+        example = ("osc", "corner", "source")[i // 6]
+        selector = SELECTORS[i % 5]
+        rank = 10 if example == "osc" else 24
+        yield ExperimentSpec(
+            example=example,
+            rank=rank,
+            basis=("basic", "subspace", "adaptive")[(i // 2) % 3],
+            selector=selector,
+            samples={10: 70, 24: 229}[rank] if selector in ("leverage", "hybrid") else None,
+            n_test=100 if example == "source" else None,
+            seed=i,
+        )
+
+
+def test_run_experiment_is_the_same_with_a_warm_memo(monkeypatch):
+    for spec in _sweep_paper_grid_at_desk():
+        monkeypatch.setattr(experiments, "_last_set", None)
+        cold = run_experiment(spec)
+        warm = run_experiment(spec)
+        assert warm == cold
 
 
 def test_build_basis_dispatch():

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rdeim import rangefinder
@@ -21,7 +24,12 @@ from rdeim.rangefinder import (
 )
 
 from conftest import gap_matrix, random_matrix, spectrum_matrix
-from oracles import batch_sketch, blockwise_adaptive_basis, truncated_basis
+from oracles import (
+    batch_sketch,
+    blockwise_adaptive_basis,
+    reference_adaptive_range_finder,
+    truncated_basis,
+)
 
 
 # ----------------------------------------------------------------- configs
@@ -301,6 +309,106 @@ def test_adaptive_memory_stays_below_the_matrix():
         tracemalloc.stop()
     assert W.rank == 30
     assert peak < 0.5 * A.nbytes
+
+
+# ------------------------------------- the adaptive check from W'A alone
+
+
+def _counting(monkeypatch, name):
+    """Record the arguments of every rangefinder.<name> call."""
+    calls = []
+    real = getattr(rangefinder, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rangefinder, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_adaptive_matches_explicit_check_reference(example, seed):
+    spec = ExperimentSpec(example=example, rank=12, basis="adaptive", seed=seed)
+    A = generate(spec).matrix
+    for rank in (None, spec.rank):
+        W = adaptive_range_finder(A, spec.tol, spec.block, spec.max_blocks, seed, rank=rank)
+        W_ref, rel = reference_adaptive_range_finder(A, spec.tol, spec.block, spec.max_blocks, seed, rank)
+        assert rel is None and np.array_equal(W.matrix, W_ref)
+
+
+def test_residual_near_the_target_falls_back_to_the_explicit_kernel(monkeypatch):
+    A, _ = gap_matrix(120, 150, rank=6, gamma=0.3, seed=0, tail="decay")
+    cfg = dict(block=5, max_blocks=20, seed=0)
+    W_loose, _ = reference_adaptive_range_finder(A, 1e-3, **cfg)
+    norm2 = math.fsum(np.einsum("ij,ij->j", A, A))
+    gram, margin, _ = rangefinder._gram_residual(A, W_loose, norm2)
+    # a target half a margin above the Gram value of that basis: only the
+    # explicit residual can decide it
+    tol = math.sqrt((gram + 0.5 * margin) / np.vdot(A, A))
+    fallbacks = _counting(monkeypatch, "column_residuals")
+    W = adaptive_range_finder(A, tol, **cfg)
+    assert len(fallbacks) == 1
+    monkeypatch.undo()
+    W_ref, rel = reference_adaptive_range_finder(A, tol, **cfg)
+    assert rel is None and np.array_equal(W.matrix, W_ref)
+    assert np.array_equal(W.matrix, W_loose)
+
+
+def test_paper_corner_check_needs_no_explicit_residual(monkeypatch):
+    spec = ExperimentSpec(example="corner", scale="paper", rank=24, basis="adaptive")
+    A = generate(spec).matrix
+    fallbacks = _counting(monkeypatch, "column_residuals")
+    checks = _counting(monkeypatch, "_gram_residual")
+    build_basis(A, spec)
+    assert len(checks) >= 1 and fallbacks == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(12, 90),
+    n_s=st.integers(3, 70),
+    r=st.integers(1, 12),
+    noise=st.sampled_from([0.0, 1e-13, 1e-9, 1e-5, 1e-2]),
+    block=st.integers(1, 8),
+    tol=st.sampled_from([0.5, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9]),
+    seed=st.integers(0, 2**16),
+)
+def test_adaptive_postcondition_holds(n, n_s, r, noise, block, tol, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n_s))
+    A += noise * np.sqrt(np.mean(A * A)) * rng.standard_normal((n, n_s))
+    alpha = float(np.sum(A * A))
+    # each check records "gram", each explicit residual then "explicit"
+    events = []
+
+    def record(mp, name, event):
+        real = getattr(rangefinder, name)
+        mp.setattr(rangefinder, name, lambda *args: events.append(event) or real(*args))
+
+    with pytest.MonkeyPatch.context() as mp:
+        record(mp, "_gram_residual", "gram")
+        record(mp, "column_residuals", "explicit")
+        try:
+            W = adaptive_range_finder(A, tol, block, n // block, seed).matrix
+        except AdaptiveRangeError as err:
+            # the reported residual is the explicit kernel's
+            assert events[-1] == "explicit"
+            P = err.partial_basis
+            E = A - P @ (P.T @ A)
+            assert abs(err.residual - np.sqrt(np.sum(E * E) / alpha)) <= 1e-12
+            return
+    E = A - W @ (W.T @ A)
+    res = float(np.sum(E * E))
+    assert res <= tol * tol * alpha
+    gram, margin, _ = rangefinder._gram_residual(A, W, math.fsum((A * A).ravel()))
+    assert abs(gram - res) <= margin
+    # the margin is at least (n + 2) u ||A||_F^2 and the Gram value at
+    # least -margin / 1.01, so below 1% of that floor no target can be met
+    # by the Gram value: the accepting check fell back
+    if tol * tol < 0.01 * (n + 2) * np.finfo(np.float64).eps / 2:
+        assert events[-2:] == ["gram", "explicit"]
 
 
 # ------------------------------------------------ svd_basis/adaptive rank

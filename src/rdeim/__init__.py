@@ -23,6 +23,7 @@ from .linalg import (
     pivoted_qr,
     spectral_norm,
     srrqr,
+    thin_qr,
     thin_svd,
 )
 from .rangefinder import (

@@ -5,7 +5,8 @@ residuals every error sweep, bound and residual check is built on.
 Everything operates on plain float64 ndarrays; canonical_angles also takes
 an OrthonormalBasis, whose columns it does not check again. The thin SVD
 is a Householder QR (LAPACK ``geqrf``) followed by numpy's SVD of the
-small R factor, and the column-pivoted QR is LAPACK ``geqp3``,
+small R factor, the thin QR of the range finders is ``geqrf`` plus
+``orgqr``, and the column-pivoted QR is LAPACK ``geqp3``,
 whose greedy largest-residual pivot rule is the documented contract. The
 strong rank-revealing swap refinement on top of it is written out here.
 selection.pqr_select takes its points from the ``geqp3`` pivots and
@@ -96,7 +97,7 @@ def thin_svd(A, rank=None):
         failure is explicit; no silently truncated factorization is
         returned.
     """
-    A = np.array(as_matrix(A, "A"), order="F")  # owned, so geqrf may overwrite it
+    A = as_matrix(A, "A")
     m, n = A.shape
     k = min(m, n)
     if k == 0:  # LAPACK rejects a zero leading dimension
@@ -104,14 +105,7 @@ def thin_svd(A, rank=None):
     r = k if rank is None else int(rank)
     if not 1 <= r <= k:
         raise ValueError(f"rank must be in [1, {k}], got {rank}")
-    geqrf, geqrf_lwork, ormqr = get_lapack_funcs(("geqrf", "geqrf_lwork", "ormqr"), (A,))
-    # the default workspace of the scipy wrapper runs geqrf unblocked
-    work, info = geqrf_lwork(m, n)
-    if info != 0:
-        raise ConvergenceError(f"geqrf workspace query failed on {A.shape} input (info={info})")
-    qr, tau, _, info = geqrf(A, lwork=int(work), overwrite_a=True)
-    if info != 0:
-        raise ConvergenceError(f"geqrf failed on {A.shape} input (info={info})")
+    qr, tau, ormqr = _householder_qr(A, "ormqr")
     try:
         Ur, s, Vt = np.linalg.svd(np.triu(qr[:k]), full_matrices=False)
     except np.linalg.LinAlgError as err:
@@ -126,6 +120,62 @@ def thin_svd(A, rank=None):
     if info != 0:
         raise ConvergenceError(f"ormqr failed on {A.shape} input (info={info})")
     return ThinSVD(U=U, singular_values=s, V=Vt[:r].T)
+
+
+def _householder_qr(A, then):
+    """LAPACK ``geqrf`` of an owned Fortran-order copy of A, run with its
+    queried optimal (blocked) workspace: (qr, tau, routine), with the
+    reflectors below the diagonal of qr and R on and above it, and the
+    LAPACK routine named then, which applies or forms Q."""
+    A = np.array(A, dtype=np.float64, order="F")  # owned, so geqrf may overwrite it
+    geqrf, geqrf_lwork, routine = get_lapack_funcs(("geqrf", "geqrf_lwork", then), (A,))
+    # the default workspace of the scipy wrapper runs geqrf unblocked
+    work, info = geqrf_lwork(*A.shape)
+    if info != 0:
+        raise ConvergenceError(f"geqrf workspace query failed on {A.shape} input (info={info})")
+    qr, tau, _, info = geqrf(A, lwork=int(work), overwrite_a=True)
+    if info != 0:
+        raise ConvergenceError(f"geqrf failed on {A.shape} input (info={info})")
+    return qr, tau, routine
+
+
+def thin_qr(A):
+    """Thin Householder QR ``A = Q @ R`` of a tall matrix: one LAPACK
+    ``geqrf`` and one ``orgqr``, both with their queried optimal
+    workspace.
+
+    The factors are bit for bit those of ``np.linalg.qr(A)``, which runs
+    the same two routines; Q comes back in Fortran order. The range
+    finders orthonormalize every sketch through this.
+
+    Parameters
+    ----------
+    A : ndarray, shape (m, n), m >= n >= 1
+        Float64 matrix with finite entries; it is not checked again.
+
+    Returns
+    -------
+    Q : ndarray, shape (m, n), orthonormal columns
+    R : ndarray, shape (n, n), upper triangular
+
+    Raises
+    ------
+    ConvergenceError
+        If LAPACK reports a failure (nonzero info).
+    """
+    m, n = A.shape
+    if not m >= n >= 1:
+        raise ValueError(f"thin_qr needs a tall matrix with columns, got {m} x {n}")
+    qr, tau, orgqr = _householder_qr(A, "orgqr")
+    R = np.triu(qr[:n])
+    # a workspace query reads nothing, so it need not copy qr
+    _, work, info = orgqr(qr, tau, lwork=-1, overwrite_a=True)
+    if info != 0:
+        raise ConvergenceError(f"orgqr workspace query failed on {qr.shape} input (info={info})")
+    Q, _, info = orgqr(qr, tau, lwork=int(work[0]), overwrite_a=True)
+    if info != 0:
+        raise ConvergenceError(f"orgqr failed on {qr.shape} input (info={info})")
+    return Q, R
 
 
 def pivoted_qr(M):

@@ -5,15 +5,18 @@ come from a hand-written one-sided Jacobi sweep, pivot orders from an
 exhaustive greedy projection search and from a step-by-step Householder
 loop, and the greedy point sequence from a straight-line pseudoinverse
 form. Agreement between these and the library is evidence, not tautology.
-The one exception is reference_adaptive_range_finder, the adaptive
-finder's earlier explicit-check loop: it shares the library's residual
-kernel and sketch grouping on purpose, because it pins the library's
-basis bit for bit.
+The exceptions are the adaptive finder's two references:
+reference_randqb_fp, its randQB_FP loop written straight through, which
+pins the library's basis bit for bit, and reference_adaptive_range_finder,
+its earlier randQB_EI loop, which the library must match in block count,
+subspace and residual. Both share the library's residual kernel and
+sketch grouping on purpose.
 """
 
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from rdeim.linalg import column_residuals
 from rdeim.rangefinder import SKETCH_GROUP
@@ -196,16 +199,19 @@ def blockwise_adaptive_basis(A, tol, block, max_blocks, seed):
 
 
 def reference_adaptive_range_finder(A, tol, block, max_blocks, seed, rank=None):
-    """The adaptive finder as it was before its check took the residual
-    from W'A: every check forms W'A and reads A again in one
+    """The adaptive finder as randQB_EI (Martinsson & Voronin, SISC 2016),
+    before its check took the residual from W'A: each block's rows of B
+    are Q'A - (Q'W)B, and every check forms W'A and reads A again in one
     column_residuals call.
 
-    It draws the same sketch groups, forms the same products and rotation
-    as rangefinder.adaptive_range_finder and decides with the same
-    residual kernel, so the library's basis must equal it bit for bit.
-    Returns (W, rel): the basis, rotated and truncated when rank is below
-    its width, and None; or, when max_blocks blocks do not reach tol, the
-    partial basis and its relative residual.
+    It draws the same sketch groups and makes the same rotation as
+    rangefinder.adaptive_range_finder and decides with the same residual
+    kernel, so the library's randQB_FP basis must grow by the same blocks,
+    leave the same residual and, cut to a rank inside the captured
+    spectrum, span the same subspace to roundoff. Returns (W, rel): the
+    basis, rotated and truncated when rank is below its width, and None;
+    or, when max_blocks blocks do not reach tol, the partial basis and its
+    relative residual.
     """
     A = np.asarray(A, dtype=np.float64)
     n_s = A.shape[1]
@@ -255,6 +261,101 @@ def reference_adaptive_range_finder(A, tol, block, max_blocks, seed, rank=None):
         Ub, _, _ = np.linalg.svd(WtA, full_matrices=False)
         W = W @ Ub[:, :rank]
     return W, None
+
+
+def reference_randqb_fp(A, tol, block, max_blocks, seed, rank=None):
+    """The adaptive finder as randQB_FP (Yu, Gu & Li, SIMAX 2018), written
+    straight through: per sketch group G = A Omega and H = A'G, and each
+    block's rows of B from G and H by a triangular solve.
+
+    Like reference_adaptive_range_finder it draws the library's sketch
+    groups, forms the same products, decides every check with the
+    explicit residual kernel and rotates with the check's W'A, so the
+    library's basis must equal it bit for bit. Returns (W, rel): the
+    basis, rotated and truncated when rank is below its width, and None;
+    or, when max_blocks blocks do not reach tol, the partial basis and its
+    relative residual.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    n, n_s = A.shape
+    rng = np.random.default_rng(seed)
+    alpha = float(np.vdot(A, A))
+    target = tol * tol * alpha
+    u = np.finfo(np.float64).eps / 2
+
+    def explicit(W):
+        C = W.T @ A
+        _, (res,) = column_residuals(A, [(W, C)])
+        return float(res.sum()), C
+
+    def qr(M):
+        # Q in Fortran order, as LAPACK's orgqr writes it: the layout
+        # decides the bits of the products W'Q that follow
+        Q, R = np.linalg.qr(M)
+        return np.asfortranarray(Q), R
+
+    W = np.zeros((n, 0), order="F")
+    B = np.zeros((0, n_s))
+    beta = 0.0
+    blocks = 0
+    while True:
+        k = W.shape[1]
+        res = None
+        if beta > alpha * (1.0 - tol * tol) - (n + k * n_s) * u * alpha:
+            res, WtA = explicit(W)
+            if res <= target:
+                break
+        if blocks == max_blocks:
+            if res is None:
+                res, _ = explicit(W)
+            return W, float(np.sqrt(res / alpha))
+        i = blocks % SKETCH_GROUP
+        if i == 0:
+            omegas = rng.standard_normal((min(SKETCH_GROUP, max_blocks - blocks), n_s, block))
+            G = (np.concatenate(omegas, axis=1).T @ A.T).T
+            H = (G.T @ A).T
+        G_i = G[:, i * block : (i + 1) * block]
+        H_i = H[:, i * block : (i + 1) * block]
+        if k == 0:
+            Q, R = qr(G_i)
+            B_i = solve_triangular(R, H_i.T, trans="T")
+        else:
+            # G_i = W P + Q R: P starts as B omega_i and takes in the
+            # coefficients each re-orthogonalization removes
+            P = B @ omegas[i]
+            Q, R = qr(G_i - (P.T @ W.T).T)
+            S = W.T @ Q
+            Q, T = qr(Q - (S.T @ W.T).T)
+            P = P + S @ R
+            R = T @ R
+            S = W.T @ Q
+            if np.max(np.abs(S)) > 1e-12:
+                Q, T = qr(Q - (S.T @ W.T).T)
+                P = P + S @ R
+                R = T @ R
+            B_i = solve_triangular(R, (H_i - B.T @ P).T, trans="T")
+        W = np.asfortranarray(np.hstack([W, Q]))
+        B = np.vstack([B, B_i])
+        beta += float(np.sum(B_i * B_i))
+        blocks += 1
+    if rank is not None and rank < W.shape[1]:
+        Ub, _, _ = np.linalg.svd(WtA, full_matrices=False)
+        W = W @ Ub[:, :rank]
+    return W, None
+
+
+def reference_subspace_basis(A, rank, oversample, power, seed):
+    """The subspace range finder in its plain form: np.linalg.qr after
+    every A @ X and A.T @ Q, then the rotation onto the leading left
+    singular directions of Q'A."""
+    A = np.asarray(A, dtype=np.float64)
+    omega = np.random.default_rng(seed).standard_normal((A.shape[1], rank + oversample))
+    Q, _ = np.linalg.qr(A @ omega)
+    for _ in range(power):
+        Q, _ = np.linalg.qr(A.T @ Q)
+        Q, _ = np.linalg.qr(A @ Q)
+    Ub, _, _ = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return Q @ Ub[:, :rank]
 
 
 def truncated_basis(basis, A, rank):

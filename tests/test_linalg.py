@@ -13,6 +13,7 @@ from rdeim.linalg import (
     pivoted_qr,
     spectral_norm,
     srrqr,
+    thin_qr,
     thin_svd,
 )
 
@@ -133,6 +134,44 @@ def test_thin_svd_lapack_failure_is_typed(monkeypatch, routine):
     monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
     with pytest.raises(ConvergenceError, match=routine):
         thin_svd(random_matrix(8, 5, seed=2), 2)
+
+
+# the range finders' sketch shapes: paper sketches of 10, 34 and 40
+# columns, and desk osc, corner and source sketches and blocks
+@pytest.mark.parametrize(
+    "shape",
+    [(10000, 10), (10000, 34), (10000, 40), (2000, 20), (2500, 34), (1600, 34), (2500, 10), (1600, 10)],
+)
+def test_thin_qr_equals_numpy_qr(shape):
+    A = random_matrix(*shape, seed=shape[1])
+    Q, R = thin_qr(A)
+    Q_np, R_np = np.linalg.qr(A)
+    assert np.array_equal(Q, Q_np) and np.array_equal(R, R_np)
+    assert Q.flags.f_contiguous
+
+
+def test_thin_qr_rejects_a_wide_matrix():
+    with pytest.raises(ValueError, match="tall matrix"):
+        thin_qr(random_matrix(3, 5, seed=0))
+
+
+@pytest.mark.parametrize("routine", ["geqrf", "orgqr"])
+def test_thin_qr_lapack_failure_is_typed(monkeypatch, routine):
+    real = rdeim.linalg.get_lapack_funcs
+
+    def failing(names, arrays):
+        funcs = dict(zip(names, real(names, arrays)))
+        good = funcs[routine]
+
+        def broken(*args, **kwargs):
+            return (*good(*args, **kwargs)[:-1], -3)
+
+        funcs[routine] = broken
+        return tuple(funcs[name] for name in names)
+
+    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
+    with pytest.raises(ConvergenceError, match=routine):
+        thin_qr(random_matrix(12, 4, seed=2))
 
 
 @st.composite

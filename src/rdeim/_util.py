@@ -8,17 +8,37 @@ import numpy as np
 # rows of a large matrix a streaming loop takes at a time:
 # linalg.column_residuals reads them for every per-column residual (the
 # error sweep, its bounds, the adaptive range finder's explicit residual
-# and bench_basis), and the oscillator generator fills them in place
+# and bench_basis), the oscillator generator fills them in place, and
+# as_matrix checks them for finiteness
 SWEEP_BLOCK = 64
+
+# as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this
+# many entries when those lines hold fewer: a 64 KB bool buffer, which
+# stays in cache
+FINITE_BLOCK = 1 << 16
 
 
 def as_matrix(a, name="matrix"):
-    """Coerce to a 2-d float64 array with finite entries."""
+    """Coerce to a 2-d float64 array with finite entries.
+
+    Finiteness is checked a block of lines at a time through one reused
+    bool buffer, lines being rows, or columns of a Fortran-ordered array
+    so that each block is read in memory order. A block holds SWEEP_BLOCK
+    lines, or more when they are short, up to FINITE_BLOCK entries, so a
+    narrow matrix is not checked in many tiny steps; no temporary the
+    size of the matrix is formed.
+    """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if m.size and not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    if m.size:
+        lines = m.T if m.flags.f_contiguous else m
+        step = max(SWEEP_BLOCK, FINITE_BLOCK // lines.shape[1])
+        buf = np.empty((min(step, lines.shape[0]), lines.shape[1]), dtype=bool)
+        for lo in range(0, lines.shape[0], step):
+            block = lines[lo : lo + step]
+            if not np.isfinite(block, out=buf[: block.shape[0]]).all():
+                raise ValueError(f"{name} contains non-finite entries")
     return m
 
 

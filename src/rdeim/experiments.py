@@ -11,6 +11,10 @@ generate keeps the last snapshot set it built and returns that same
 object while the generator arguments repeat, so the runs of one grid
 build their set once; it holds one set at most, and a generated set's
 arrays are read-only, so no run can change the set the next one reads.
+Next to that set it keeps the exact SVD bases built on it, one per rank
+and read-only too: an 'svd' basis and the reference of a bounded run
+are one factorization per (set, rank), and they are dropped with the
+set.
 """
 
 import time
@@ -300,8 +304,9 @@ class ExperimentSpec(AlgorithmSpec):
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
 
 
-# (key, SnapshotSet) of the last set generate built; one tuple, so a
-# reader sees a key with its own set
+# (key, SnapshotSet, {rank: OrthonormalBasis}) of the last set generate
+# built and the exact bases _exact_basis built on it; one tuple, so a
+# reader sees a key with its own set and that set's bases
 _last_set = None
 
 
@@ -312,8 +317,9 @@ def generate(spec):
     grid with the overrides applied, plus the seed for 'source'. A call
     with the same arguments as the previous one returns the same
     SnapshotSet object; any other call drops that set before building its
-    own, so at most one set is held. The matrix, params and space arrays
-    of a returned set are read-only: writing into one raises ValueError.
+    own, so at most one set is held, and with it the exact bases held
+    for the old set. The matrix, params and space arrays of a returned set
+    are read-only: writing into one raises ValueError.
     """
     global _last_set
     args = dict(SCALES[spec.example][spec.scale])
@@ -334,14 +340,36 @@ def generate(spec):
         snaps = gaussian_source_snapshots(seed=seed, **args)
     for array in (snaps.matrix, snaps.params, *snaps.space.values()):
         array.flags.writeable = False
-    _last_set = (key, snaps)
+    _last_set = (key, snaps, {})
     return snaps
 
 
+def _exact_basis(A, rank):
+    """svd_basis(A, rank), built once per rank when A is the matrix of the
+    set generate holds.
+
+    That basis is kept with the set, its matrix read-only like the set's
+    own arrays, and the same object is returned for the same rank until
+    generate drops the set. Any other A is factored on every call and
+    nothing is held.
+    """
+    last = _last_set
+    if last is None or A is not last[1].matrix:
+        return svd_basis(A, rank)
+    held = last[2]
+    rank = int(rank)
+    if rank not in held:
+        basis = svd_basis(A, rank)
+        basis.matrix.flags.writeable = False
+        held[rank] = basis
+    return held[rank]
+
+
 def build_basis(A, spec):
-    """Range-finder dispatch for a spec; 'basic' is subspace iteration at power 0."""
+    """Range-finder dispatch for a spec; 'basic' is subspace iteration at power 0.
+    An 'svd' basis of the set generate holds is built once per rank."""
     if spec.basis == "svd":
-        return svd_basis(A, spec.rank)
+        return _exact_basis(A, spec.rank)
     if spec.basis in ("basic", "subspace"):
         power = 0 if spec.basis == "basic" else spec.power
         return subspace_range_finder(A, spec.rank, spec.oversample, power, spec.seed)
@@ -410,8 +438,8 @@ def run_experiment(spec):
     S = select_points(basis, spec)
     P = build_projector(basis, S)
     reference = None
-    if spec.with_bounds:  # an svd basis is its own exact reference
-        reference = basis if spec.basis == "svd" else svd_basis(snaps.matrix, basis.rank)
+    if spec.with_bounds:  # an svd basis is its own reference: the held one
+        reference = _exact_basis(snaps.matrix, basis.rank)
     n_test = spec.n_test
     if n_test is None:
         n_test = SCALES[spec.example][spec.scale].get("n_test", 0)

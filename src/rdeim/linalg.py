@@ -218,7 +218,11 @@ def pivoted_qr(M):
     Q, _, info = orgqr(qr[:, :k], tau)
     if info != 0:
         raise ConvergenceError(f"orgqr failed on {A.shape} input (info={info})")
-    return Q, np.triu(qr[:k]), (jpvt - 1).astype(np.intp)
+    # the reflectors sit below the diagonal of the leading k x k block only,
+    # so R is a copy of qr[:k] with that block's lower part zeroed
+    R = qr[:k].copy(order="F")
+    R[:, :k] = np.triu(R[:, :k])
+    return Q, R, (jpvt - 1).astype(np.intp)
 
 
 def srrqr(M, rank, eta=2.0, max_swaps=None):
@@ -276,21 +280,24 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
             )
         if r == n:
             break
-        T = solve_triangular(R11, R[:r, r:], lower=False)
-        i, j = np.unravel_index(np.argmax(np.abs(T)), T.shape)
-        if abs(T[i, j]) <= eta:
+        T = np.abs(solve_triangular(R11, R[:r, r:], lower=False))
+        t_max = T.max()
+        if t_max <= eta:
             break
         if swaps == cap:
             raise ConvergenceError(
                 f"srrqr swap cap of {cap} (50 per column) exceeded at eta={eta}"
             )
+        # the first hit in C order, the entry np.argmax picks, without the
+        # C-order copy np.argmax makes of the Fortran-order T
+        i = np.flatnonzero((T == t_max).any(axis=1))[0]
+        j = np.flatnonzero(T[i] == t_max)[0]
         perm[[i, r + j]] = perm[[r + j, i]]
         Q, R = np.linalg.qr(A[:, perm], mode="reduced")  # wide input: R is min(m, n)-by-n
         swaps += 1
 
-    # normalize signs so the leading diagonal is strictly positive
-    Q = Q.copy()
-    R = R.copy()
+    # normalize signs so the leading diagonal is strictly positive; Q and R
+    # are this call's own arrays, so they are flipped in place
     for i in range(r):
         if R[i, i] < 0:
             R[i, :] *= -1.0

@@ -157,7 +157,8 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     error a failed run reports is always explicit. W is allocated for
     max_blocks blocks, of which only the rows written become resident,
     and B grows by one group at a time; both are filled in place. No
-    n x n_s temporary is formed, and the truncation reads A no more.
+    n x n_s temporary is formed, the finiteness check of A included, and
+    the truncation reads A no more.
 
     Parameters
     ----------

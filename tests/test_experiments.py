@@ -281,11 +281,30 @@ def test_generate_returns_the_last_set_read_only():
 
 
 def test_generate_holds_one_set():
-    spec = ExperimentSpec(example="corner", rank=5, overrides={"grid": 12, "param_grid": 6})
+    spec = ExperimentSpec(example="corner", rank=5, basis="svd", overrides={"grid": 12, "param_grid": 6})
     held = weakref.ref(generate(spec).matrix)
-    assert held() is not None
+    held_basis = weakref.ref(build_basis(generate(spec).matrix, spec))
+    assert held() is not None and held_basis() is not None
     generate(replace(spec, overrides={"grid": 13, "param_grid": 6}))
-    assert held() is None
+    # the exact bases held for a set go with it
+    assert held() is None and held_basis() is None
+
+
+def test_exact_basis_of_the_held_set_is_built_once_per_rank_read_only(monkeypatch):
+    spec = ExperimentSpec(example="corner", rank=5, basis="svd", overrides={"grid": 12, "param_grid": 6})
+    A = generate(spec).matrix
+    svds = _counting(monkeypatch, "thin_svd", rangefinder)
+    basis = build_basis(A, spec)
+    assert build_basis(A, spec) is basis
+    assert build_basis(A, replace(spec, rank=6)) is not basis
+    assert len(svds) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        basis.matrix[0, 0] = 0.0
+    # an equal matrix that is not the held set's is factored every time, and nothing is held
+    other = A.copy()
+    first = build_basis(other, spec)
+    assert build_basis(other, spec) is not first and len(svds) == 4
+    assert np.array_equal(first.matrix, basis.matrix) and first.matrix.flags.writeable
 
 
 def _sweep_paper_grid_at_desk():
@@ -307,11 +326,52 @@ def _sweep_paper_grid_at_desk():
 
 
 def test_run_experiment_is_the_same_with_a_warm_memo(monkeypatch):
-    for spec in _sweep_paper_grid_at_desk():
-        monkeypatch.setattr(experiments, "_last_set", None)
-        cold = run_experiment(spec)
-        warm = run_experiment(spec)
-        assert warm == cold
+    for with_bounds in (False, True):
+        specs = [replace(spec, with_bounds=with_bounds) for spec in _sweep_paper_grid_at_desk()]
+        cold = []
+        for spec in specs:
+            monkeypatch.setattr(experiments, "_last_set", None)
+            cold.append(run_experiment(spec))
+            assert run_experiment(spec) == cold[-1]
+        # in grid order the runs on one set share it and, bounded, its exact reference
+        assert [run_experiment(spec) for spec in specs] == cold
+
+
+def _bounds_desk_grid(overrides):
+    """The benchmark's bounds-desk operations (example x randomized basis,
+    selectors rotated, a seed per run) on small grids."""
+    for i in range(9):
+        example = ("osc", "corner", "source")[i // 3]
+        yield ExperimentSpec(
+            example=example, rank=5, basis=("basic", "subspace", "adaptive")[i % 3],
+            selector=SELECTORS[i % 5], samples=20, n_test=10, tol=1e-2, block=4, max_blocks=8,
+            with_bounds=True, overrides=overrides[example], seed=i,
+        )
+
+
+def test_bounded_grid_factors_each_set_once_per_rank(monkeypatch):
+    overrides = {
+        "osc": {"n_t": 120, "n_mu": 30},
+        "corner": {"grid": 10, "param_grid": 6},
+        "source": {"n_grid": 10, "n_train": 40},
+    }
+    monkeypatch.setattr(experiments, "_last_set", None)
+    svds = _counting(monkeypatch, "thin_svd", rangefinder)
+    for spec in _bounds_desk_grid(overrides):
+        run_experiment(spec)
+    # one osc set, one corner set and three source sets (the seed differs)
+    assert len(svds) == 5
+    # an svd run and a bounded randomized run on its set share one factorization
+    del svds[:]
+    monkeypatch.setattr(experiments, "_last_set", None)
+    spec = ExperimentSpec(example="corner", rank=5, basis="svd", overrides=overrides["corner"])
+    run_experiment(spec)
+    bounded = replace(spec, basis="subspace", with_bounds=True)
+    shared = run_experiment(bounded)
+    assert len(svds) == 1
+    # a cold bounded run factors again, to the same table
+    monkeypatch.setattr(experiments, "_last_set", None)
+    assert run_experiment(bounded) == shared and len(svds) == 2
 
 
 def test_build_basis_dispatch():
@@ -532,11 +592,15 @@ def test_bounded_svd_run_is_its_own_reference(monkeypatch, selector):
         example="corner", rank=5, basis="svd", selector=selector, with_bounds=True,
         overrides={"grid": 10, "param_grid": 5},
     )
+    monkeypatch.setattr(experiments, "_last_set", None)
     svds = _counting(monkeypatch, "thin_svd", rangefinder)
     sweeps = _counting(monkeypatch, "column_residuals", bounds)
     table = run_experiment(spec)
     assert len(svds) == 1
     assert [len(pairs) for _, pairs in sweeps] == [2]
+    # warm, the set and its exact basis are held: no factorization at all
+    assert run_experiment(spec) == table
+    assert len(svds) == 1
     monkeypatch.undo()
     # a second, equal reference object is swept as a pair of its own
     snaps = generate(spec)
@@ -589,12 +653,19 @@ def test_select_checks_the_basis_once(monkeypatch, tmp_path, selector):
 )
 def test_run_experiment_checks_each_basis_once(monkeypatch, basis, built, selector):
     # one OrthonormalBasis per run: the adaptive finder truncates its grown
-    # basis before constructing it. A bounded run adds the reference (an
-    # svd basis is its own), and the sweep's canonical angles use the
-    # projector's basis unchecked.
-    for with_bounds, expected in ((False, built), (True, built + (basis != "svd"))):
-        checks = _counting_checks(monkeypatch)
-        bases = _counting(monkeypatch, "__post_init__", OrthonormalBasis)
+    # basis before constructing it. A bounded run on a cold memo adds the
+    # reference (an svd basis is its own); on a warm one the reference, and
+    # an svd basis, are the ones held with the set. The sweep's canonical
+    # angles use the projector's basis unchecked.
+    reference = basis != "svd"
+    checks = _counting_checks(monkeypatch)
+    bases = _counting(monkeypatch, "__post_init__", OrthonormalBasis)
+    for with_bounds, cold, expected in (
+        (False, True, built), (True, True, built + reference), (True, False, built * reference)
+    ):
+        if cold:
+            monkeypatch.setattr(experiments, "_last_set", None)
+        del checks[:], bases[:]
         spec = ExperimentSpec(
             example="corner", rank=5, basis=basis, selector=selector, oversample=5,
             block=4, max_blocks=8, overrides={"grid": 10, "param_grid": 5},
@@ -605,7 +676,6 @@ def test_run_experiment_checks_each_basis_once(monkeypatch, basis, built, select
         assert table.summary["basis_rank"] == 5.0
         assert len(bases) == expected
         assert len(checks) == expected
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("selector", ["leverage", "hybrid"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import rdeim.linalg
 from rdeim.exceptions import ConvergenceError, RankDeficiencyError
-from rdeim._util import SWEEP_BLOCK
+from rdeim._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix
 from rdeim.linalg import (
     canonical_angles,
     column_residuals,
@@ -24,6 +26,43 @@ from oracles import (
     householder_pivoted_qr,
     jacobi_singular_values,
 )
+
+
+# --------------------------------------------------------------- as_matrix
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_as_matrix_finds_a_non_finite_entry_in_any_block(layout):
+    # rows and columns on both sides of every block edge: SWEEP_BLOCK rows
+    # of 1024 columns, or FINITE_BLOCK entries of 197 rows
+    n, n_s = 3 * SWEEP_BLOCK + 5, FINITE_BLOCK // SWEEP_BLOCK
+    base = random_matrix(n, 2 * n_s, seed=4)
+    A = base[:, ::2] if layout == "strided" else base[:, :n_s].copy(order=layout)
+    assert as_matrix(A) is A
+    rows = [0, SWEEP_BLOCK - 1, SWEEP_BLOCK, 2 * SWEEP_BLOCK, n - 1]
+    per_block = FINITE_BLOCK // n
+    cols = [0, per_block - 1, per_block, 3 * per_block, n_s - 1]
+    for i in rows:
+        for j in cols:
+            for bad in (np.nan, np.inf, -np.inf):
+                keep, A[i, j] = A[i, j], bad
+                with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+                    as_matrix(A, "A")
+                A[i, j] = keep
+    assert as_matrix(A) is A
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_as_matrix_checks_without_a_matrix_sized_temporary(order):
+    A = np.asarray(random_matrix(2000, 300, seed=5), order=order)
+    tracemalloc.start()
+    try:
+        as_matrix(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-matrix bool mask would take A.nbytes / 8
+    assert peak < A.nbytes / 32
 
 
 # ---------------------------------------------------------------- thin_svd
@@ -223,6 +262,8 @@ def test_pivoted_qr_contracts(shape, seed):
     diag = np.abs(np.diag(R[:, :k]))
     assert np.all(np.diff(diag) <= 1e-12 * diag[0])
     assert sorted(perm) == list(range(shape[1]))
+    # no reflector entry is left below the diagonal
+    assert not np.tril(R, -1).any()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -353,6 +394,26 @@ def test_srrqr_kahan_requires_and_performs_swaps():
     T = np.linalg.solve(fac.R11, fac.R12)
     assert np.max(np.abs(T)) <= 2.0 + 1e-12
     assert list(fac.perm[:6]) != [0, 1, 2, 3, 4, 5]
+
+
+def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
+    # |T| ties at (0, 2), (1, 0) and (1, 2): the swap takes (0, 2), the
+    # entry np.argmax picks, though (1, 0) comes first in the column-major
+    # layout solve_triangular returns
+    T = np.asfortranarray([[0.5, 1.0, 3.0], [3.0, 0.0, -3.0]])
+    solves = []
+
+    def crafted(R11, R12, lower):
+        solves.append(R12.shape)
+        return T if len(solves) == 1 else np.zeros(R12.shape)
+
+    M = random_matrix(2, 5, seed=0)
+    perm = pivoted_qr(M)[2]
+    monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
+    fac = srrqr(M, 2, eta=2.0)
+    perm[[0, 4]] = perm[[4, 0]]
+    assert solves == [(2, 3), (2, 3)]
+    assert list(fac.perm) == list(perm)
 
 
 def test_srrqr_selects_best_volume_pair():

@@ -11,9 +11,10 @@ generate keeps the last snapshot set it built and returns that same
 object while the generator arguments repeat, so the runs of one grid
 build their set once; it holds one set at most, and a generated set's
 arrays are read-only, so no run can change the set the next one reads.
-Next to that set it keeps the exact SVD bases built on it, one per rank
-and read-only too: an 'svd' basis and the reference of a bounded run
-are one factorization per (set, rank), and they are dropped with the
+Next to that set it keeps the exact SVD basis last built on it,
+read-only too: an 'svd' basis and the reference of a bounded run are
+one factorization per (set, rank) while the rank repeats, so a rank
+sweep holds one basis, not one per rank, and it is dropped with the
 set.
 """
 
@@ -171,22 +172,25 @@ def _source_columns(x, params):
     """exp(-((x1 - mu3)^2 + (x2 - mu4)^2) / mu5^2) for each parameter row,
     flattened with x1 varying fastest.
 
-    The per-axis squared distances are tabulated once (grid x n_cols).
-    The output is then filled one x2 grid line at a time, the exponent
-    divided by -(mu5^2) and exponentiated in place, so no temporary grows
-    with the column count and each line stays in cache.
+    The Gaussian is separable: each entry is exp(-d1 / mu5^2) times
+    exp(-d2 / mu5^2), d1 and d2 the squared distances along each axis. The
+    two factors are tabulated once per axis (grid x n_cols), so the
+    matrix takes 2 grid n_cols exponentials and one product per entry,
+    and is filled one x2 grid line at a time, so no temporary grows with
+    the row count. Both this and the unfactored exp(-a), a = (d1 + d2) /
+    mu5^2, round the exponent to about 5u relative (u the unit roundoff),
+    so they agree to a relative (10 a + 20) u. With tiny widths from
+    custom ranges, the factors underflow far from the centre, to zero or
+    to subnormal values, as the unfactored exponential does.
     """
     grid = x.size
-    d1 = (x[:, None] - params[None, :, 0]) ** 2
-    d2 = (x[:, None] - params[None, :, 1]) ** 2
     neg_width = -(params[:, 2] * params[:, 2])
+    e1 = np.exp((x[:, None] - params[None, :, 0]) ** 2 / neg_width)
+    e2 = np.exp((x[:, None] - params[None, :, 1]) ** 2 / neg_width)
     cols = np.empty((grid * grid, params.shape[0]))
     for j in range(grid):
-        # rows i + grid * j: d1 runs over x1 (i), d2 over x2 (j)
-        line = cols[j * grid : (j + 1) * grid]
-        np.add(d1, d2[j], out=line)
-        np.divide(line, neg_width, out=line)
-        np.exp(line, out=line)
+        # rows i + grid * j: e1 runs over x1 (i), e2 over x2 (j)
+        np.multiply(e1, e2[j], out=cols[j * grid : (j + 1) * grid])
     return cols
 
 
@@ -305,8 +309,9 @@ class ExperimentSpec(AlgorithmSpec):
 
 
 # (key, SnapshotSet, {rank: OrthonormalBasis}) of the last set generate
-# built and the exact bases _exact_basis built on it; one tuple, so a
-# reader sees a key with its own set and that set's bases
+# built and the exact basis _exact_basis last built on it, the dict
+# holding one rank at most; one tuple, so a reader sees a key with its
+# own set and that set's basis
 _last_set = None
 
 
@@ -317,7 +322,7 @@ def generate(spec):
     grid with the overrides applied, plus the seed for 'source'. A call
     with the same arguments as the previous one returns the same
     SnapshotSet object; any other call drops that set before building its
-    own, so at most one set is held, and with it the exact bases held
+    own, so at most one set is held, and with it the exact basis held
     for the old set. The matrix, params and space arrays of a returned set
     are read-only: writing into one raises ValueError.
     """
@@ -345,13 +350,13 @@ def generate(spec):
 
 
 def _exact_basis(A, rank):
-    """svd_basis(A, rank), built once per rank when A is the matrix of the
-    set generate holds.
+    """svd_basis(A, rank), built once while the rank repeats when A is the
+    matrix of the set generate holds.
 
     That basis is kept with the set, its matrix read-only like the set's
     own arrays, and the same object is returned for the same rank until
-    generate drops the set. Any other A is factored on every call and
-    nothing is held.
+    another rank is asked for, which replaces it, or generate drops the
+    set. Any other A is factored on every call and nothing is held.
     """
     last = _last_set
     if last is None or A is not last[1].matrix:
@@ -361,13 +366,14 @@ def _exact_basis(A, rank):
     if rank not in held:
         basis = svd_basis(A, rank)
         basis.matrix.flags.writeable = False
+        held.clear()
         held[rank] = basis
     return held[rank]
 
 
 def build_basis(A, spec):
     """Range-finder dispatch for a spec; 'basic' is subspace iteration at power 0.
-    An 'svd' basis of the set generate holds is built once per rank."""
+    An 'svd' basis of the set generate holds is built once while its rank repeats."""
     if spec.basis == "svd":
         return _exact_basis(A, spec.rank)
     if spec.basis in ("basic", "subspace"):

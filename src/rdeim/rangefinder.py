@@ -4,9 +4,10 @@ Two constructions of an orthonormal basis approximating the dominant
 column span of A (n-by-n_s): a Gaussian sketch driven through q power
 (subspace) iterations, where q = 0 is the single sketch that
 ``--basis basic`` names (its provenance is 'subspace-iteration'), and an
-adaptive block variant (randQB_FP) that grows the basis until a
-Frobenius-norm criterion holds, reading A twice per group of sketch
-blocks and once per residual check. Every sketch is orthonormalized by
+adaptive block variant that grows the basis until a Frobenius-norm
+criterion holds, reading A twice per group of sketch blocks, for the
+sketch and for the group's rows of W'A, from which every residual check
+is taken without another read. Every sketch is orthonormalized by
 linalg.thin_qr, and every sketch product A X is formed as (X' A')', with
 A's rows as BLAS's M operand. Both end with the same step: a QB pair
 (Q, B = Q'A) is rotated onto the leading left singular directions of B
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._util import (
     OrthonormalBasis,
@@ -125,40 +125,34 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
 def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     """Grow a basis block-by-block until a Frobenius criterion holds.
 
-    The basis grows by randQB_FP (Yu, Gu & Li, SIMAX 2018), one sketch
-    group at a time. A group's Gaussian draws are made together (the same
-    stream as one draw per block, never past max_blocks), and A is read
-    twice for them: G = A Omega and H = A'G. Each block of `block`
-    columns of G is then orthogonalized against the current basis W,
-    twice and a third time if needed, which gives G_i = W P + Q R. Its
-    rows of B = W'A follow without reading A again, by one triangular
-    solve: B_i = R^-T (H_i - B'P)'. The captured energy is tracked
-    through the accumulated ||B_i||_F^2, as in randQB_EI (Martinsson &
-    Voronin, SISC 2016). Before returning, the criterion is re-verified
-    from the exact W'A, and extra blocks are absorbed if the accumulator
-    was optimistic, so the postcondition
-    ``||A - W W' A||_F^2 <= tol^2 ||A||_F^2`` always holds on success.
-    The check runs once the accumulator is within its rounding of
-    (1 - tol^2) ||A||_F^2, so a tol whose square lies below the unit
-    roundoff is still checked. With a rank below the grown width, W is
-    then rotated onto the leading left singular directions of the exact
-    W'A that final check formed and truncated to rank columns.
+    The basis grows one sketch group at a time, with the exact rows of
+    C = W'A as in randQB_EI (Martinsson & Voronin, SISC 2016). A group's
+    Gaussian draws are made together (the same stream as one draw per
+    block, never past max_blocks). Its sketch G = A Omega is projected off
+    the basis W by W'G = C Omega, then explicitly, a third time if
+    max|W'Q| > 1e-12, with one thin QR of the group's columns each time;
+    the leading columns of a QR keep the nested span of each leading run
+    of blocks. The group's rows of C are then one product. Blocks are
+    judged one at a time: once the accumulated ||C_i||_F^2 is within its
+    rounding of (1 - tol^2) ||A||_F^2 (so a tol whose square lies below
+    the unit roundoff is still checked), the criterion is checked from
+    the C formed so far, and W and C are cut at the first block that
+    meets it, so ``||A - W W' A||_F^2 <= tol^2 ||A||_F^2`` always holds on
+    success. With a rank below the grown width, W is then rotated onto
+    the leading left singular directions of C and cut to rank columns.
 
-    Cost: A is read twice per group of SKETCH_GROUP blocks and once per
-    residual check. ||A||_F^2 is read twice more: as one dot product,
-    which sets the target, and as column dots whose sum math.fsum rounds
-    once. A residual check forms C = W'A and W'W and takes
-    ||A - W W'A||_F^2 from them and that sum: ||A||_F^2 - ||C||_F^2,
-    plus tr(C'(W'W - I)C) for the loss of orthogonality (see
-    _gram_residual). Only when that value lies within its rounding
-    margin of the target, where it cannot decide, does one
-    linalg.column_residuals call read A again, in blocks of SWEEP_BLOCK
-    rows; either way the decision is the explicit residual's, and the
-    error a failed run reports is always explicit. W is allocated for
-    max_blocks blocks, of which only the rows written become resident,
-    and B grows by one group at a time; both are filled in place. No
-    n x n_s temporary is formed, the finiteness check of A included, and
-    the truncation reads A no more.
+    Cost: A is read twice per group of SKETCH_GROUP blocks (G and the
+    group's rows of C), once for ||A||_F^2 as column dots whose sum
+    math.fsum rounds once, and once by the finiteness check. A residual
+    check forms W'W and takes ||A - W C||_F^2 as ||A||_F^2 - ||C||_F^2 +
+    tr(C'(W'W - I)C) (see _gram_residual). Only when that value lies
+    within its rounding margin of the target, where it cannot decide, does
+    one linalg.column_residuals call read A again, in blocks of
+    SWEEP_BLOCK rows; either way the decision is the explicit residual's,
+    and the error a failed run reports is always explicit. W' and C are
+    allocated for max_blocks blocks, of which only the rows written become
+    resident, and G is freed before the group's rows of C are formed. No
+    n x n_s temporary is formed, and the truncation reads A no more.
 
     Parameters
     ----------
@@ -201,102 +195,91 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     if rank is not None:
         check_at_least(rank, 1, "rank")
     rng = np.random.default_rng(seed)
-    alpha = float(np.vdot(A, A))
+    alpha = math.fsum(np.einsum("ij,ij->j", A, A))
     if alpha == 0.0:
         raise ValueError("A is identically zero; no basis to find")
     target = tol * tol * alpha
 
-    # the Gram route's ||A||_F^2, summed accurately; alpha keeps its bits
-    norm2 = math.fsum(np.einsum("ij,ij->j", A, A))
-
-    # beta sums k n_s rounded squares and alpha is rounded too, and tol^2
-    # may lie below the unit roundoff u: the check runs once beta is within
-    # (n + k n_s) u alpha of alpha (1 - tol^2)
+    # beta sums k n_s rounded squares and tol^2 may lie below the unit
+    # roundoff u: the check runs once beta is within (n + k n_s) u alpha of
+    # alpha (1 - tol^2)
     u = np.finfo(np.float64).eps / 2
 
-    # W' has room for every block, but a row becomes resident only once it
-    # is written; B grows by one sketch group at a time
+    # W' and C = W'A have room for every block, but a row becomes resident
+    # only once it is written
     Wt = np.empty((block * max_blocks, n))
-    B = np.empty((0, n_s))
+    C = np.empty((block * max_blocks, n_s))
     k = 0
     beta = 0.0
-    blocks = 0
-    while True:
+    met = False
+    while not met:
         W = Wt[:k].T
-        # the accumulator can drift, so the loop ends only once the residual
-        # check confirms it; the exact W'A that check forms is kept
-        WtA = None
-        if beta > alpha * (1.0 - tol * tol) - (n + k * n_s) * u * alpha:
-            res, margin, WtA = _gram_residual(A, W, norm2)
-            if abs(res - target) <= margin:
-                res = _explicit_residual(A, W, WtA)
-            if res <= target:
-                break
-        if blocks == max_blocks:
-            if WtA is None:
-                WtA = W.T @ A
-            rel = float(np.sqrt(_explicit_residual(A, W, WtA) / alpha))
+        if k == block * max_blocks:
+            rel = float(np.sqrt(_explicit_residual(A, W, C[:k]) / alpha))
             raise AdaptiveRangeError(
                 f"tolerance {tol} not reached after {max_blocks} blocks "
                 f"(relative residual {rel:.3e})",
                 partial_basis=W,
                 residual=rel,
             )
-        i = blocks % SKETCH_GROUP
-        if i == 0:
-            omegas = rng.standard_normal((min(SKETCH_GROUP, max_blocks - blocks), n_s, block))
-            # the concatenated draw is freed as soon as G exists
-            G = _times(A, np.concatenate(omegas, axis=1))
-            H = (G.T @ A).T
-            B = np.concatenate([B[:k], np.empty((G.shape[1], n_s))])
-        cols = slice(i * block, (i + 1) * block)
-        if k == 0:
-            Q, R = thin_qr(G[:, cols])
-            X = H[:, cols]
-        else:
-            # G_i = W P + Q R, with P = B omega_i plus the coefficients each
-            # re-orthogonalization removes
-            P = B[:k] @ omegas[i]
-            Q, R = thin_qr(G[:, cols] - _times(W, P))
-            for again in (False, True):
-                S = W.T @ Q
-                if again and np.max(np.abs(S)) <= 1e-12:
+        omega = np.concatenate(
+            rng.standard_normal((min(SKETCH_GROUP, max_blocks - k // block), n_s, block)), axis=1
+        )
+        G = _times(A, omega)
+        if k:
+            # W'G = C omega, so the first projection reads A no more
+            G -= _times(W, C[:k] @ omega)
+        Q, _ = thin_qr(G)
+        del G
+        # then off W explicitly, a third time if W'Q is not yet negligible
+        for again in (False, True) if k else ():
+            S = W.T @ Q
+            if again and np.max(np.abs(S)) <= 1e-12:
+                break
+            Q -= _times(W, S)
+            Q, _ = thin_qr(Q)
+        end = k + Q.shape[1]
+        Wt[k:end] = Q.T
+        del Q
+        np.matmul(Wt[k:end], A, out=C[k:end])
+        # k runs over the group's block ends, and stops at the first that
+        # meets the tolerance
+        for k in range(k + block, end + 1, block):
+            beta += float(np.vdot(C[k - block : k], C[k - block : k]))
+            if beta > alpha * (1.0 - tol * tol) - (n + k * n_s) * u * alpha:
+                W = Wt[:k].T
+                res, margin = _gram_residual(W, C[:k], alpha)
+                if abs(res - target) <= margin:
+                    res = _explicit_residual(A, W, C[:k])
+                met = res <= target
+                if met:
                     break
-                Q, T = thin_qr(Q - _times(W, S))
-                P += S @ R
-                R = T @ R
-            X = H[:, cols] - B[:k].T @ P
-        # B_i = Q'A = R^-T (G_i'A - P'W'A) = R^-T (H_i - B'P)'
-        Bp = solve_triangular(R, X.T, trans="T")
-        Wt[k : k + block] = Q.T
-        B[k : k + block] = Bp
-        k += block
-        beta += float(np.sum(Bp * Bp))
-        blocks += 1
 
+    W = Wt[:k].T
     if rank is not None and rank < k:
-        W = _rotate_qb(W, WtA, rank)
+        W = _rotate_qb(W, C[:k], rank)
     else:
         W = W.copy(order="F")  # holds none of the unused rows of W'
     config = {"tol": tol, "block": block, "max_blocks": max_blocks, "seed": seed, "rank": rank}
     return OrthonormalBasis(W, "adaptive", config)
 
 
-def _gram_residual(A, W, norm2):
-    """(g, margin, C): C = W'A, the Gram value g of ||A - W C||_F^2, and a
-    margin such that g and the explicit residual lie on the same side of
-    any target farther than margin from g.
+def _gram_residual(W, C, norm2):
+    """(g, margin): the Gram value g of ||A - W C||_F^2 for C = W'A as
+    formed, and a margin such that g and the explicit residual lie on the
+    same side of any target farther than margin from g.
 
     For any W and C the residual R = ||A - W C||_F^2, which the explicit
     kernel evaluates, equals ||A||_F^2 - ||C||_F^2 + 2<C, D> +
     tr(C'(W'W - I)C), where D = C - W'A is the rounding of the product
     C. The Gram value g = norm2 - ||C||_F^2 + tr(C'(W'W - I)C), with
     norm2 the accurately summed ||A||_F^2, omits <C, D> and rounds the
-    rest. With u the unit roundoff, g_m = m u / (1 - m u) and
+    rest. With u the unit roundoff, g_m = m u / (1 - m u), A n x n_s and
     k = W.shape[1], |g - R| <= e_gram, the sum of
       - norm2, a correctly rounded sum of n-term column dots: g_(n+2) norm2;
       - ||C||_F^2, one dot of k n_s terms: g_(k n_s) ||C||_F^2;
-      - 2|<C, D>| with |D| <= g_n |W|'|A|: 2 g_n ||W||_F ||A||_F ||C||_F;
+      - 2|<C, D>| with |D| <= g_n |W|'|A|, which holds for every row of C
+        formed as an n-term dot product: 2 g_n ||W||_F ||A||_F ||C||_F;
       - fl(W'W) - W'W, entrywise below g_n |W|'|W|, so of spectral norm
         below g_n ||W||_F^2: g_n ||W||_F^2 ||C||_F^2;
       - E = fl(W'W) - I times C and dotted with C:
@@ -312,9 +295,8 @@ def _gram_residual(A, W, norm2):
     computed squares and evaluating the bounds in floating point moves
     them by a relative O((n + k n_s) u), which the slack covers.
     """
-    n, n_s = A.shape
-    k = W.shape[1]
-    C = W.T @ A
+    n, k = W.shape
+    n_s = C.shape[1]
     E = W.T @ W
     w2 = float(np.trace(E))
     E[np.diag_indices(k)] -= 1.0
@@ -338,7 +320,7 @@ def _gram_residual(A, W, norm2):
     h = g(k) * w * c
     r = math.sqrt(abs(gram) + e_gram)
     e_explicit = g(n + n_s + 3) * (r + h) ** 2 + 2.0 * r * h + h * h
-    return gram, 1.01 * (e_gram + e_explicit), C
+    return gram, 1.01 * (e_gram + e_explicit)
 
 
 def _explicit_residual(A, W, C):

@@ -6,17 +6,17 @@ exhaustive greedy projection search and from a step-by-step Householder
 loop, and the greedy point sequence from a straight-line pseudoinverse
 form. Agreement between these and the library is evidence, not tautology.
 The exceptions are the adaptive finder's two references:
-reference_randqb_fp, its randQB_FP loop written straight through, which
-pins the library's basis bit for bit, and reference_adaptive_range_finder,
-its earlier randQB_EI loop, which the library must match in block count,
-subspace and residual. Both share the library's residual kernel and
-sketch grouping on purpose.
+reference_grouped_qb, its loop written straight through, which pins the
+library's basis bit for bit, and reference_adaptive_range_finder, its
+earlier block-by-block randQB_EI loop, which the library must match in
+block count, subspace and residual. Both share the library's residual
+kernel and sketch grouping on purpose.
 """
 
 import itertools
+import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from rdeim.linalg import column_residuals
 from rdeim.rangefinder import SKETCH_GROUP
@@ -206,7 +206,7 @@ def reference_adaptive_range_finder(A, tol, block, max_blocks, seed, rank=None):
 
     It draws the same sketch groups and makes the same rotation as
     rangefinder.adaptive_range_finder and decides with the same residual
-    kernel, so the library's randQB_FP basis must grow by the same blocks,
+    kernel, so the library's grouped basis must grow by the same blocks,
     leave the same residual and, cut to a rank inside the captured
     spectrum, span the same subspace to roundoff. Returns (W, rel): the
     basis, rotated and truncated when rank is below its width, and None;
@@ -263,85 +263,71 @@ def reference_adaptive_range_finder(A, tol, block, max_blocks, seed, rank=None):
     return W, None
 
 
-def reference_randqb_fp(A, tol, block, max_blocks, seed, rank=None):
-    """The adaptive finder as randQB_FP (Yu, Gu & Li, SIMAX 2018), written
-    straight through: per sketch group G = A Omega and H = A'G, and each
-    block's rows of B from G and H by a triangular solve.
+def reference_grouped_qb(A, tol, block, max_blocks, seed, rank=None):
+    """The adaptive finder's loop written straight through: per sketch
+    group G = A Omega, projected off the basis by C Omega and then
+    explicitly (a third time when max|W'Q| > 1e-12), one QR of the
+    group's columns each time, and the group's rows of C = W'A as one
+    product; the blocks are then judged one at a time.
 
     Like reference_adaptive_range_finder it draws the library's sketch
-    groups, forms the same products, decides every check with the
-    explicit residual kernel and rotates with the check's W'A, so the
-    library's basis must equal it bit for bit. Returns (W, rel): the
-    basis, rotated and truncated when rank is below its width, and None;
-    or, when max_blocks blocks do not reach tol, the partial basis and its
-    relative residual.
+    groups, forms the same products and decides every check with the
+    explicit residual kernel, and it rotates with the C of the accepting
+    check, so the library's basis must equal it bit for bit. Returns
+    (W, rel): the basis, rotated and truncated when rank is below its
+    width, and None; or, when max_blocks blocks do not reach tol, the
+    partial basis and its relative residual.
     """
     A = np.asarray(A, dtype=np.float64)
     n, n_s = A.shape
     rng = np.random.default_rng(seed)
-    alpha = float(np.vdot(A, A))
+    alpha = math.fsum(np.einsum("ij,ij->j", A, A))
     target = tol * tol * alpha
     u = np.finfo(np.float64).eps / 2
 
-    def explicit(W):
-        C = W.T @ A
+    def explicit(W, C):
         _, (res,) = column_residuals(A, [(W, C)])
-        return float(res.sum()), C
+        return float(res.sum())
 
     def qr(M):
         # Q in Fortran order, as LAPACK's orgqr writes it: the layout
         # decides the bits of the products W'Q that follow
-        Q, R = np.linalg.qr(M)
-        return np.asfortranarray(Q), R
+        return np.asfortranarray(np.linalg.qr(M)[0])
+
+    def times(M, X):
+        return (X.T @ M.T).T
 
     W = np.zeros((n, 0), order="F")
-    B = np.zeros((0, n_s))
+    C = np.zeros((0, n_s))
     beta = 0.0
-    blocks = 0
-    while True:
+    while W.shape[1] < block * max_blocks:
         k = W.shape[1]
-        res = None
-        if beta > alpha * (1.0 - tol * tol) - (n + k * n_s) * u * alpha:
-            res, WtA = explicit(W)
-            if res <= target:
-                break
-        if blocks == max_blocks:
-            if res is None:
-                res, _ = explicit(W)
-            return W, float(np.sqrt(res / alpha))
-        i = blocks % SKETCH_GROUP
-        if i == 0:
-            omegas = rng.standard_normal((min(SKETCH_GROUP, max_blocks - blocks), n_s, block))
-            G = (np.concatenate(omegas, axis=1).T @ A.T).T
-            H = (G.T @ A).T
-        G_i = G[:, i * block : (i + 1) * block]
-        H_i = H[:, i * block : (i + 1) * block]
+        groups = min(SKETCH_GROUP, max_blocks - k // block)
+        omega = np.concatenate(rng.standard_normal((groups, n_s, block)), axis=1)
+        G = times(A, omega)
         if k == 0:
-            Q, R = qr(G_i)
-            B_i = solve_triangular(R, H_i.T, trans="T")
+            Q = qr(G)
         else:
-            # G_i = W P + Q R: P starts as B omega_i and takes in the
-            # coefficients each re-orthogonalization removes
-            P = B @ omegas[i]
-            Q, R = qr(G_i - (P.T @ W.T).T)
-            S = W.T @ Q
-            Q, T = qr(Q - (S.T @ W.T).T)
-            P = P + S @ R
-            R = T @ R
+            Q = qr(G - times(W, C @ omega))
+            Q = qr(Q - times(W, W.T @ Q))
             S = W.T @ Q
             if np.max(np.abs(S)) > 1e-12:
-                Q, T = qr(Q - (S.T @ W.T).T)
-                P = P + S @ R
-                R = T @ R
-            B_i = solve_triangular(R, (H_i - B.T @ P).T, trans="T")
-        W = np.asfortranarray(np.hstack([W, Q]))
-        B = np.vstack([B, B_i])
-        beta += float(np.sum(B_i * B_i))
-        blocks += 1
-    if rank is not None and rank < W.shape[1]:
-        Ub, _, _ = np.linalg.svd(WtA, full_matrices=False)
-        W = W @ Ub[:, :rank]
-    return W, None
+                Q = qr(Q - times(W, S))
+        C_group = Q.T @ A
+        for i in range(1, groups + 1):
+            C_i = C_group[(i - 1) * block : i * block]
+            beta += float(np.vdot(C_i, C_i))
+            W_cut = np.asfortranarray(np.hstack([W, Q[:, : i * block]]))
+            C_cut = np.vstack([C, C_group[: i * block]])
+            cut = k + i * block
+            if beta > alpha * (1.0 - tol * tol) - (n + cut * n_s) * u * alpha:
+                if explicit(W_cut, C_cut) <= target:
+                    if rank is not None and rank < cut:
+                        Ub, _, _ = np.linalg.svd(C_cut, full_matrices=False)
+                        W_cut = W_cut @ Ub[:, :rank]
+                    return W_cut, None
+        W, C = W_cut, C_cut
+    return W, float(np.sqrt(explicit(W, C) / alpha))
 
 
 def reference_subspace_basis(A, rank, oversample, power, seed):
@@ -358,25 +344,23 @@ def reference_subspace_basis(A, rank, oversample, power, seed):
     return Q @ Ub[:, :rank]
 
 
-def truncated_basis(basis, A, rank):
-    """Rotate a basis onto the leading directions of W'A and truncate to
-    rank, forming W'A from scratch: the adaptive finder's truncation as a
-    separate pass over A. Returns the n x rank matrix."""
-    W = basis.matrix
-    Ub, _, _ = np.linalg.svd(W.T @ np.asarray(A, dtype=np.float64), full_matrices=False)
-    return W @ Ub[:, :rank]
+def truncated_basis(basis, C, rank):
+    """Rotate a basis onto the leading left singular directions of a given
+    C = W'A and truncate to rank: the adaptive finder's truncation as a
+    separate step. Returns the n x rank matrix."""
+    Ub, _, _ = np.linalg.svd(C, full_matrices=False)
+    return basis.matrix @ Ub[:, :rank]
 
 
 def columnwise_source_columns(x, params):
-    """The Gaussian source formula evaluated one parameter row at a time
-    on the full (grid, grid) mesh, flattened with x1 varying fastest."""
-    grid = x.size
-    X1 = np.broadcast_to(x[:, None], (grid, grid))
-    X2 = np.broadcast_to(x[None, :], (grid, grid))
-    cols = np.empty((grid * grid, params.shape[0]))
+    """The Gaussian source in its separable form, one parameter row at a
+    time: the outer product of exp(-(x - mu3)^2 / mu5^2) over x1 and
+    exp(-(x - mu4)^2 / mu5^2) over x2, flattened with x1 varying fastest."""
+    cols = np.empty((x.size * x.size, params.shape[0]))
     for k, (m3, m4, m5) in enumerate(params):
-        f = np.exp(-(((X1 - m3) ** 2) + ((X2 - m4) ** 2)) / (m5 * m5))
-        cols[:, k] = f.ravel(order="F")
+        e1 = np.exp((x - m3) ** 2 / -(m5 * m5))
+        e2 = np.exp((x - m4) ** 2 / -(m5 * m5))
+        cols[:, k] = np.outer(e1, e2).ravel(order="F")
     return cols
 
 

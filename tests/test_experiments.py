@@ -172,6 +172,26 @@ def test_source_matches_columnwise_oracle(n_train):
     assert np.array_equal(test.matrix, columnwise_source_columns(test.space["x1"], test.params))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_separable_source_is_within_a_derived_bound_of_the_formula(seed):
+    # each side rounds its exponent a = (d1 + d2) / w^2 within about 5u
+    # relative, which moves the exponential by about 5u a, and exp and the
+    # product add a few units: |s - f| <= (10 a + 20) u f on the default
+    # ranges, where a stays below 140 and nothing underflows
+    snaps = gaussian_source_snapshots(n_grid=40, n_train=200, seed=seed)
+    test = source_test_points(snaps, 50, seed=seed + 1)
+    u = np.finfo(np.float64).eps / 2
+    for s in (snaps, test):
+        x = s.space["x1"]
+        d1 = (x[:, None] - s.params[:, 0]) ** 2
+        d2 = (x[:, None] - s.params[:, 1]) ** 2
+        # rows i + grid * j pair d1[i] with d2[j]
+        a = ((d1[None, :, :] + d2[:, None, :]) / (s.params[:, 2] ** 2)).reshape(s.matrix.shape)
+        f = np.array([math.exp(-v) for v in a.ravel()]).reshape(a.shape)
+        assert a.max() < 140 and f.min() > 0.0
+        assert np.all(np.abs(s.matrix - f) <= (10.0 * a + 20.0) * u * f)
+
+
 def test_source_params_within_ranges():
     snaps = gaussian_source_snapshots(n_grid=5, n_train=30, seed=2)
     for d, (lo, hi) in enumerate(SOURCE_RANGES):
@@ -300,11 +320,24 @@ def test_exact_basis_of_the_held_set_is_built_once_per_rank_read_only(monkeypatc
     assert len(svds) == 2
     with pytest.raises(ValueError, match="read-only"):
         basis.matrix[0, 0] = 0.0
+    # rank 6 replaced the held rank-5 basis, so rank 5 is factored again
+    again = build_basis(A, spec)
+    assert again is not basis and np.array_equal(again.matrix, basis.matrix) and len(svds) == 3
     # an equal matrix that is not the held set's is factored every time, and nothing is held
     other = A.copy()
     first = build_basis(other, spec)
-    assert build_basis(other, spec) is not first and len(svds) == 4
+    assert build_basis(other, spec) is not first and len(svds) == 5
     assert np.array_equal(first.matrix, basis.matrix) and first.matrix.flags.writeable
+
+
+def test_rank_sweep_holds_one_exact_basis():
+    spec = ExperimentSpec(example="source", rank=5, basis="svd", overrides={"n_grid": 12, "n_train": 40})
+    A = generate(spec).matrix
+    held = [weakref.ref(build_basis(A, replace(spec, rank=r))) for r in range(5, 30, 5)]
+    # only the basis of the last rank is still alive, and it is the held one
+    assert [ref() is not None for ref in held] == [False] * 4 + [True]
+    assert list(experiments._last_set[2]) == [25]
+    assert build_basis(A, replace(spec, rank=25)) is held[-1]()
 
 
 def _sweep_paper_grid_at_desk():

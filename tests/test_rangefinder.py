@@ -32,7 +32,7 @@ from oracles import (
     batch_sketch,
     blockwise_adaptive_basis,
     reference_adaptive_range_finder,
-    reference_randqb_fp,
+    reference_grouped_qb,
     truncated_basis,
 )
 
@@ -319,8 +319,9 @@ def _assert_same_residual(A, W, W_ei):
 
 
 def _assert_matches_randqb_ei(A, W, W_ei):
-    """The randQB_FP basis W has the width of the randQB_EI basis W_ei,
-    spans its subspace to roundoff and leaves the same residual."""
+    """The library's basis W, one QR per sketch group, has the width of
+    the block-by-block randQB_EI basis W_ei, spans its subspace to
+    roundoff and leaves the same residual."""
     assert W.shape == W_ei.shape
     assert canonical_angles(W, W_ei).sin_theta_max <= 1e-10
     _assert_same_residual(A, W, W_ei)
@@ -346,7 +347,11 @@ def test_adaptive_failure_matches_blockwise_oracle(max_blocks):
     assert blocks == max_blocks and res is not None
     with pytest.raises(AdaptiveRangeError) as exc:
         adaptive_range_finder(A, tol=1e-9, block=5, max_blocks=max_blocks, seed=7)
-    assert np.max(np.abs(exc.value.partial_basis - W_ref)) <= 1e-12
+    # one QR of a whole sketch group picks some column signs unlike one QR
+    # per block; each column is the same direction
+    P = exc.value.partial_basis
+    signs = np.sign(np.sum(P * W_ref, axis=0))
+    assert np.max(np.abs(P - W_ref * signs)) <= 1e-12
     assert exc.value.residual == pytest.approx(res, rel=1e-10)
 
 
@@ -394,11 +399,13 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("example", ["osc", "corner", "source"])
 def test_adaptive_matches_randqb_fp_reference(example, seed):
+    # named for the earlier randQB_FP loop; the oracle is the library's
+    # grouped loop written straight through, bit for bit
     spec = ExperimentSpec(example=example, rank=12, basis="adaptive", seed=seed)
     A = generate(spec).matrix
     for rank in (None, spec.rank):
         W = adaptive_range_finder(A, spec.tol, spec.block, spec.max_blocks, seed, rank=rank)
-        W_ref, rel = reference_randqb_fp(A, spec.tol, spec.block, spec.max_blocks, seed, rank)
+        W_ref, rel = reference_grouped_qb(A, spec.tol, spec.block, spec.max_blocks, seed, rank)
         assert rel is None and np.array_equal(W.matrix, W_ref)
 
 
@@ -420,22 +427,86 @@ def test_adaptive_matches_explicit_check_reference(example, seed):
     _assert_matches_randqb_ei(A, W, W_ref)
 
 
+def _accepting_check(monkeypatch, A, *args, **kwargs):
+    """Grow a basis and return it with the (W, C, norm2) its accepting
+    residual check took: the C the finder formed."""
+    checks = _counting(monkeypatch, "_gram_residual")
+    basis = adaptive_range_finder(A, *args, **kwargs)
+    monkeypatch.undo()
+    return basis, checks[-1]
+
+
 def test_residual_near_the_target_falls_back_to_the_explicit_kernel(monkeypatch):
     A, _ = gap_matrix(120, 150, rank=6, gamma=0.3, seed=0, tail="decay")
     cfg = dict(block=5, max_blocks=20, seed=0)
-    W_loose, _ = reference_randqb_fp(A, 1e-3, **cfg)
-    norm2 = math.fsum(np.einsum("ij,ij->j", A, A))
-    gram, margin, _ = rangefinder._gram_residual(A, W_loose, norm2)
+    loose, (W, C, norm2) = _accepting_check(monkeypatch, A, 1e-3, **cfg)
+    gram, margin = rangefinder._gram_residual(W, C, norm2)
     # a target half a margin above the Gram value of that basis: only the
     # explicit residual can decide it
-    tol = math.sqrt((gram + 0.5 * margin) / np.vdot(A, A))
+    tol = math.sqrt((gram + 0.5 * margin) / norm2)
     fallbacks = _counting(monkeypatch, "column_residuals")
     W = adaptive_range_finder(A, tol, **cfg)
     assert len(fallbacks) == 1
     monkeypatch.undo()
-    W_ref, rel = reference_randqb_fp(A, tol, **cfg)
+    W_ref, rel = reference_grouped_qb(A, tol, **cfg)
     assert rel is None and np.array_equal(W.matrix, W_ref)
-    assert np.array_equal(W.matrix, W_loose)
+    assert np.array_equal(W.matrix, loose.matrix)
+
+
+@pytest.mark.parametrize("example", ["osc", "corner", "source"])
+def test_check_takes_rows_within_the_rounding_of_a_fresh_product(monkeypatch, example):
+    # the margin of _gram_residual assumes |C - W'A| <= g_n |W|'|A|
+    # entrywise for the C the finder formed group by group; W'A is formed
+    # afresh in extended precision
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("no extended precision to form W'A in")
+    spec = ExperimentSpec(example=example, rank=12, basis="adaptive")
+    A = generate(spec).matrix
+    _, (W, C, _) = _accepting_check(monkeypatch, A, spec.tol, spec.block, spec.max_blocks)
+    n = A.shape[0]
+    Wl, Al = W.astype(np.longdouble), A.astype(np.longdouble)
+    u = np.finfo(np.float64).eps / 2
+    bound = n * u / (1 - n * u) * (np.abs(Wl).T @ np.abs(Al))
+    assert np.all(np.abs(C - Wl.T @ Al) <= bound)
+
+
+def test_adaptive_reads_the_matrix_twice_per_sketch_group(monkeypatch):
+    # desk source grows by 10 blocks over 3 sketch groups; A is read in
+    # full by the finiteness check, the one norm and two products a group
+    # (G = A Omega and the group's rows of C), and by nothing else
+    spec = ExperimentSpec(example="source", rank=12, basis="adaptive")
+    A = generate(spec).matrix
+    reads = []
+
+    class Counted(np.ndarray):
+        """A view of A that records each numpy call reading all of it."""
+
+        def _plain(self, args, name):
+            if any(isinstance(a, Counted) and a.size == A.size for a in args):
+                reads.append(name)
+            return [a.view(np.ndarray) if isinstance(a, Counted) else a for a in args]
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if "out" in kwargs:
+                kwargs["out"] = tuple(self._plain(kwargs["out"], None))
+            return getattr(ufunc, method)(*self._plain(inputs, ufunc.__name__), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            return func(*self._plain(args, func.__name__), **kwargs)
+
+    real = rangefinder.as_matrix
+
+    def as_counted(a, name):
+        reads.append("as_matrix")
+        return real(a, name).view(Counted)
+
+    monkeypatch.setattr(rangefinder, "as_matrix", as_counted)
+    fallbacks = _counting(monkeypatch, "column_residuals")
+    for rank in (None, spec.rank):
+        del reads[:]
+        W = adaptive_range_finder(A, spec.tol, spec.block, spec.max_blocks, rank=rank)
+        assert W.rank == (100 if rank is None else rank) and fallbacks == []
+        assert reads == ["as_matrix", "einsum"] + ["matmul", "matmul"] * 3
 
 
 def test_paper_corner_check_needs_no_explicit_residual(monkeypatch):
@@ -464,10 +535,17 @@ def test_adaptive_postcondition_holds(n, n_s, r, noise, block, tol, seed):
     alpha = float(np.sum(A * A))
     # each check records "gram", each explicit residual then "explicit"
     events = []
+    checks = []
 
     def record(mp, name, event):
         real = getattr(rangefinder, name)
-        mp.setattr(rangefinder, name, lambda *args: events.append(event) or real(*args))
+
+        def recorded(*args):
+            events.append(event)
+            checks.append(args) if event == "gram" else None
+            return real(*args)
+
+        mp.setattr(rangefinder, name, recorded)
 
     with pytest.MonkeyPatch.context() as mp:
         record(mp, "_gram_residual", "gram")
@@ -486,8 +564,12 @@ def test_adaptive_postcondition_holds(n, n_s, r, noise, block, tol, seed):
     E = A - W @ (W.T @ A)
     res = float(np.sum(E * E))
     assert res <= tol * tol * alpha
-    gram, margin, _ = rangefinder._gram_residual(A, W, math.fsum((A * A).ravel()))
-    assert abs(gram - res) <= margin
+    # the accepting check's Gram value, from the C the finder formed
+    W_check, C, norm2 = checks[-1]
+    assert np.array_equal(W_check, W) and norm2 == math.fsum(np.einsum("ij,ij->j", A, A))
+    gram, margin = rangefinder._gram_residual(W, C, norm2)
+    E = A - W @ C
+    assert abs(gram - float(np.sum(E * E))) <= margin
     # the margin is at least (n + 2) u ||A||_F^2 and the Gram value at
     # least -margin / 1.01, so below 1% of that floor no target can be met
     # by the Gram value: the accepting check fell back
@@ -530,17 +612,17 @@ def test_truncate_basis_aligns_with_leading_directions():
 
 
 @pytest.mark.parametrize("example", ["osc", "corner", "source"])
-def test_adaptive_build_matches_truncation_oracle(example):
-    # the finder truncates with the W'A of its final residual check; the
-    # oracle forms W'A again from scratch, and the bits agree
+def test_adaptive_build_matches_truncation_oracle(monkeypatch, example):
+    # the finder truncates with the C = W'A its accepting residual check
+    # took; the oracle rotates the grown basis by that C, and the bits agree
     spec = ExperimentSpec(example=example, rank=12, basis="adaptive")
     A = generate(spec).matrix
     cfg = dict(tol=spec.tol, block=spec.block, max_blocks=spec.max_blocks, seed=spec.seed)
-    grown = adaptive_range_finder(A, **cfg)
-    assert grown.rank > spec.rank
+    grown, (W_check, C, _) = _accepting_check(monkeypatch, A, **cfg)
+    assert grown.rank > spec.rank and np.array_equal(W_check, grown.matrix)
     W = build_basis(A, spec)
     assert W.rank == spec.rank
-    assert np.array_equal(W.matrix, truncated_basis(grown, A, spec.rank))
+    assert np.array_equal(W.matrix, truncated_basis(grown, C, spec.rank))
 
 
 def test_adaptive_rank_at_least_width_is_unrotated():

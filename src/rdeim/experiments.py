@@ -308,10 +308,9 @@ class ExperimentSpec(AlgorithmSpec):
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
 
 
-# (key, SnapshotSet, {rank: OrthonormalBasis}) of the last set generate
-# built and the exact basis _exact_basis last built on it, the dict
-# holding one rank at most; one tuple, so a reader sees a key with its
-# own set and that set's basis
+# (key, SnapshotSet, (rank, OrthonormalBasis) or None) of the last set
+# generate built and the exact basis _exact_basis last built on it; one
+# tuple, so a reader sees a key with its own set and that set's basis
 _last_set = None
 
 
@@ -345,7 +344,7 @@ def generate(spec):
         snaps = gaussian_source_snapshots(seed=seed, **args)
     for array in (snaps.matrix, snaps.params, *snaps.space.values()):
         array.flags.writeable = False
-    _last_set = (key, snaps, {})
+    _last_set = (key, snaps, None)
     return snaps
 
 
@@ -358,17 +357,17 @@ def _exact_basis(A, rank):
     another rank is asked for, which replaces it, or generate drops the
     set. Any other A is factored on every call and nothing is held.
     """
+    global _last_set
     last = _last_set
     if last is None or A is not last[1].matrix:
         return svd_basis(A, rank)
-    held = last[2]
     rank = int(rank)
-    if rank not in held:
-        basis = svd_basis(A, rank)
-        basis.matrix.flags.writeable = False
-        held.clear()
-        held[rank] = basis
-    return held[rank]
+    if last[2] is not None and last[2][0] == rank:
+        return last[2][1]
+    basis = svd_basis(A, rank)
+    basis.matrix.flags.writeable = False
+    _last_set = (last[0], last[1], (rank, basis))
+    return basis
 
 
 def build_basis(A, spec):

@@ -353,6 +353,8 @@ def test_adaptive_failure_matches_blockwise_oracle(max_blocks):
     signs = np.sign(np.sum(P * W_ref, axis=0))
     assert np.max(np.abs(P - W_ref * signs)) <= 1e-12
     assert exc.value.residual == pytest.approx(res, rel=1e-10)
+    W_g, rel = reference_grouped_qb(A, 1e-9, 5, max_blocks, 7)
+    assert np.array_equal(P, W_g) and exc.value.residual == rel
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-9])
@@ -399,8 +401,6 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("example", ["osc", "corner", "source"])
 def test_adaptive_matches_randqb_fp_reference(example, seed):
-    # named for the earlier randQB_FP loop; the oracle is the library's
-    # grouped loop written straight through, bit for bit
     spec = ExperimentSpec(example=example, rank=12, basis="adaptive", seed=seed)
     A = generate(spec).matrix
     for rank in (None, spec.rank):

@@ -1,6 +1,7 @@
 """The BENCH record collector and comparer under tools/, on made-up runs."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def test_record_splits_layers_and_keeps_the_end_to_end_run(tmp_path):
         "linalg.thin_qr.calls": 7, "linalg.thin_qr.self_s": 0.5, "share.selection": 0.1,
         "trace.overhead_s": 0.01,
     })
-    rec = bench_record.record(tmp_path, 0, ["w"])
+    rec = bench_record.record(tmp_path, ["w"])
     assert rec["git_sha"] == "abc123" and rec["src_sha256"] == "f00d"
     assert "git_sha" not in rec["environment"] and rec["environment"]["numpy"] == "2.0"
     w = rec["workloads"]["w"]
@@ -43,12 +44,12 @@ def test_record_refuses_runs_of_different_sources(tmp_path):
     _write_run(tmp_path, "w", 0, {"wall_s": 2.0})
     _write_run(tmp_path, "w", 1, {}, src_sha256="beef")
     with pytest.raises(SystemExit, match="different sources"):
-        bench_record.record(tmp_path, 0, ["w"])
+        bench_record.record(tmp_path, ["w"])
 
 
-def _bench(wall, rss, calls):
+def _bench(wall, rss, calls, ok_frac=1.0):
     return {"git_sha": "x", "workloads": {"w": {
-        "end_to_end": {"wall_s": wall, "peak_rss_mb": rss, "ok_frac": 1.0},
+        "end_to_end": {"wall_s": wall, "peak_rss_mb": rss, "ok_frac": ok_frac},
         "layers": {"a.f": {"calls": calls, "self_s": 0.2}, "a.unused": {"calls": 0, "self_s": 0.0}},
     }}}
 
@@ -61,6 +62,12 @@ def test_compare_flags_moves_beyond_the_bounds_only(tmp_path, capsys):
     assert rows["wall_s"][4:] == (0.5, "better")
     assert rows["peak_rss_mb"][4] == pytest.approx(-0.06) and rows["peak_rss_mb"][5] == "WORSE"
     assert rows["ok_frac"][4:] == (0.0, "")
+    # a move off zero is beyond any bound, flagged by the metric's direction
+    rows = {r[1]: r for r in bench_compare.end_to_end_rows(
+        _bench(0.0, 0.0, 3, ok_frac=0.0), _bench(1.0, 0.0, 3, ok_frac=1.0), metrics)}
+    assert rows["wall_s"][4:] == (-math.inf, "WORSE")
+    assert rows["ok_frac"][4:] == (math.inf, "better")
+    assert rows["peak_rss_mb"][4:] == (0.0, "")
     assert bench_compare.layer_rows(old, new) == [("w", "a.f", 0.2, 0.2, 3, 4)]
     paths = []
     for n, rec in ((14, old), (15, new)):

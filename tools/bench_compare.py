@@ -16,6 +16,7 @@ script only reports: it always exits 0 once both records are read.
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -37,8 +38,9 @@ def newest_records(root):
 def end_to_end_rows(old, new, metrics):
     """(workload, metric, old, new, gain, flag) per workload and bounded metric.
 
-    gain is the relative change, positive when the new value is better;
-    flag is "WORSE" or "better" when |gain| exceeds the metric's bound.
+    gain is the relative change, positive when the new value is better,
+    and infinite when the old value is 0 and the new one is not; flag is
+    "WORSE" or "better" when |gain| exceeds the metric's bound.
     """
     rows = []
     for workload, new_w in new["workloads"].items():
@@ -50,7 +52,10 @@ def end_to_end_rows(old, new, metrics):
             if a is None or b is None:
                 continue
             sign = -1.0 if m["better"] == "lower" else 1.0
-            gain = sign * (b - a) / abs(a) if a else 0.0
+            if a:
+                gain = sign * (b - a) / abs(a)
+            else:  # a move off zero has no relative size: it is beyond any bound
+                gain = sign * math.copysign(math.inf, b) if b else 0.0
             flag = ""
             if abs(gain) > m["bound"]:
                 flag = "better" if gain > 0 else "WORSE"

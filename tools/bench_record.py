@@ -2,7 +2,7 @@
 """Collect one perfbench run per workload and trace mode into BENCH_<n>.json.
 
 Run each workload of BENCHMARK.json once with --trace 0 and once with
---trace 1 at the same seed, then record them, from the repository root:
+--trace 1 at seed 0, then record them, from the repository root:
 
     for w in sweep-paper bounds-desk select-cli; do
         for t in 0 1; do
@@ -26,13 +26,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0  # the workload seed of every record
 
 
-def _load(bench_out, workload, seed, trace):
-    path = bench_out / f"{workload}-seed{seed}-trace{trace}.json"
+def _load(bench_out, workload, trace):
+    path = bench_out / f"{workload}-seed{SEED}-trace{trace}.json"
     if not path.is_file():
         sys.exit(f"bench_record: missing {path}; run perfbench/run.py --workload {workload} "
-                 f"--seed {seed} --trace {trace} first")
+                 f"--seed {SEED} --trace {trace} first")
     return json.loads(path.read_text())
 
 
@@ -48,13 +49,13 @@ def _layers(metrics):
     return layers, other
 
 
-def record(bench_out, seed, workloads):
+def record(bench_out, workloads):
     """The BENCH record of the runs under bench_out, as a dict."""
-    out = {"seed": seed, "workloads": {}}
+    out = {"seed": SEED, "workloads": {}}
     digests = set()
     for workload in workloads:
-        plain = _load(bench_out, workload, seed, 0)
-        traced = _load(bench_out, workload, seed, 1)
+        plain = _load(bench_out, workload, 0)
+        traced = _load(bench_out, workload, 1)
         layers, other = _layers(traced["metrics"])
         out["workloads"][workload] = {
             "seconds": plain["seconds"],
@@ -77,7 +78,6 @@ def record(bench_out, seed, workloads):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("index", type=int, help="n of the BENCH_<n>.json to write")
-    ap.add_argument("--seed", type=int, default=0, help="workload seed of the runs (default 0)")
     ap.add_argument("--bench-out", type=Path, default=ROOT / ".bench_out",
                     help="directory of the perfbench result files (default .bench_out)")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
@@ -85,7 +85,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    result = {"bench": args.index, **record(args.bench_out, args.seed, workloads)}
+    result = {"bench": args.index, **record(args.bench_out, workloads)}
     path = args.out_dir / f"BENCH_{args.index}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")

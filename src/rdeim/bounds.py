@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import as_matrix, check_at_least, check_open_unit, orthonormal_basis
 from .exceptions import SpectralGapError
-from .linalg import canonical_angles, column_residuals, spectral_norm, thin_svd
+from .linalg import _svd, canonical_angles, column_residuals, spectral_norm, thin_svd
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
         raise ValueError(f"rank must be in [1, {min(A.shape)}], got {rank}")
     if numerator not in ("projected", "full"):
         raise ValueError(f"numerator must be 'projected' or 'full', got {numerator!r}")
-    sv_a = np.linalg.svd(A, compute_uv=False)
+    sv_a = _svd(A, "A", compute_uv=False)
     fh = thin_svd(Ah, r)
     sigma_r = fh.singular_values[r - 1]
     sigma_next = sv_a[r] if r < sv_a.size else 0.0

@@ -12,7 +12,8 @@ class RdeimError(Exception):
 
 
 class ConvergenceError(RdeimError):
-    """An iterative kernel failed to converge within its iteration budget."""
+    """A dense kernel failed: an SVD did not converge, a LAPACK routine
+    returned a nonzero info, or the srrqr swap loop hit its budget."""
 
 
 class RankDeficiencyError(RdeimError):

@@ -11,7 +11,9 @@ whose greedy largest-residual pivot rule is the documented contract. The
 strong rank-revealing swap refinement on top of it is written out here.
 selection.pqr_select takes its points from the ``geqp3`` pivots and
 selection.srrqr_select from ``geqp3`` plus those swaps; the greedy DEIM
-selector is LAPACK ``getrf`` and lives in selection.
+selector is LAPACK ``getrf`` and lives in selection. Every SVD of the
+library runs through _svd and every LAPACK routine here through _lapack,
+so a failure is a ConvergenceError naming its operand and shape.
 """
 
 from dataclasses import dataclass
@@ -106,20 +108,34 @@ def thin_svd(A, rank=None):
     if not 1 <= r <= k:
         raise ValueError(f"rank must be in [1, {k}], got {rank}")
     qr, tau, ormqr = _householder_qr(A, "ormqr")
-    try:
-        Ur, s, Vt = np.linalg.svd(np.triu(qr[:k]), full_matrices=False)
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"SVD of the R factor did not converge on {A.shape} input: {err}") from err
+    Ur, s, Vt = _svd(np.triu(qr[:k]), "the R factor", full_matrices=False)
     C = np.zeros((m, r), order="F")
     C[:k] = Ur[:, :r]
     reflectors = qr[:, :k]
-    _, work, info = ormqr("L", "N", reflectors, tau, C, -1)
-    if info != 0:
-        raise ConvergenceError(f"ormqr workspace query failed on {A.shape} input (info={info})")
-    U, _, info = ormqr("L", "N", reflectors, tau, C, int(work[0]), overwrite_c=True)
-    if info != 0:
-        raise ConvergenceError(f"ormqr failed on {A.shape} input (info={info})")
+    _, work, _ = _lapack(ormqr, A.shape, "L", "N", reflectors, tau, C, -1)
+    U, _, _ = _lapack(ormqr, A.shape, "L", "N", reflectors, tau, C, int(work[0]), overwrite_c=True)
     return ThinSVD(U=U, singular_values=s, V=Vt[:r].T)
+
+
+def _svd(M, operand, **kwargs):
+    """np.linalg.svd(M, **kwargs), with a LinAlgError raised as a
+    ConvergenceError naming the operand and its shape. The library's one
+    SVD call: every dense SVD goes through here."""
+    try:
+        return np.linalg.svd(M, **kwargs)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"SVD of {operand} {M.shape} did not converge: {err}") from err
+
+
+def _lapack(routine, shape, *args, **kwargs):
+    """routine(*args, **kwargs) for a routine get_lapack_funcs returned, its
+    outputs with info last; a nonzero info raises a ConvergenceError naming
+    the routine and the shape of its operand."""
+    out = routine(*args, **kwargs)
+    info = out[-1]
+    if info != 0:
+        raise ConvergenceError(f"LAPACK {routine.__name__} failed on {shape} input (info={info})")
+    return out
 
 
 def _householder_qr(A, then):
@@ -130,12 +146,8 @@ def _householder_qr(A, then):
     A = np.array(A, dtype=np.float64, order="F")  # owned, so geqrf may overwrite it
     geqrf, geqrf_lwork, routine = get_lapack_funcs(("geqrf", "geqrf_lwork", then), (A,))
     # the default workspace of the scipy wrapper runs geqrf unblocked
-    work, info = geqrf_lwork(*A.shape)
-    if info != 0:
-        raise ConvergenceError(f"geqrf workspace query failed on {A.shape} input (info={info})")
-    qr, tau, _, info = geqrf(A, lwork=int(work), overwrite_a=True)
-    if info != 0:
-        raise ConvergenceError(f"geqrf failed on {A.shape} input (info={info})")
+    work, _ = _lapack(geqrf_lwork, A.shape, *A.shape)
+    qr, tau, _, _ = _lapack(geqrf, A.shape, A, lwork=int(work), overwrite_a=True)
     return qr, tau, routine
 
 
@@ -169,12 +181,8 @@ def thin_qr(A):
     qr, tau, orgqr = _householder_qr(A, "orgqr")
     R = np.triu(qr[:n])
     # a workspace query reads nothing, so it need not copy qr
-    _, work, info = orgqr(qr, tau, lwork=-1, overwrite_a=True)
-    if info != 0:
-        raise ConvergenceError(f"orgqr workspace query failed on {qr.shape} input (info={info})")
-    Q, _, info = orgqr(qr, tau, lwork=int(work[0]), overwrite_a=True)
-    if info != 0:
-        raise ConvergenceError(f"orgqr failed on {qr.shape} input (info={info})")
+    _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1, overwrite_a=True)
+    Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]), overwrite_a=True)
     return Q, R
 
 
@@ -211,13 +219,9 @@ def pivoted_qr(M):
     if k == 0:  # LAPACK rejects a zero leading dimension
         return np.zeros((m, 0)), np.zeros((0, n)), np.arange(n, dtype=np.intp)
     geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), (A,))
-    qr, jpvt, tau, _, info = geqp3(A, overwrite_a=True)
-    if info != 0:
-        raise ConvergenceError(f"geqp3 failed on {A.shape} input (info={info})")
+    qr, jpvt, tau, _, _ = _lapack(geqp3, A.shape, A, overwrite_a=True)
     # orgqr copies its input, so Q does not keep the n-wide geqp3 buffer alive
-    Q, _, info = orgqr(qr[:, :k], tau)
-    if info != 0:
-        raise ConvergenceError(f"orgqr failed on {A.shape} input (info={info})")
+    Q, _, _ = _lapack(orgqr, A.shape, qr[:, :k], tau)
     # the reflectors sit below the diagonal of the leading k x k block only,
     # so R is a copy of qr[:k] with that block's lower part zeroed
     R = qr[:k].copy(order="F")
@@ -310,10 +314,7 @@ def spectral_norm(M):
     M = as_matrix(M, "M")
     if M.size == 0 or not M.any():
         return 0.0
-    try:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"SVD did not converge computing a norm: {err}") from err
+    return float(_svd(M, "a norm operand", compute_uv=False)[0])
 
 
 def canonical_angles(W, Wh):
@@ -344,7 +345,7 @@ def canonical_angles(W, Wh):
     if np.array_equal(W, Wh):
         return CanonicalAngles(cosines=np.ones(W.shape[1]), sin_theta_max=0.0)
     M = W.T @ Wh
-    cos = np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
+    cos = np.clip(_svd(M, "W'Wh", compute_uv=False), 0.0, 1.0)
     sin_max = min(1.0, spectral_norm(Wh - W @ M))
     return CanonicalAngles(cosines=cos, sin_theta_max=sin_max)
 

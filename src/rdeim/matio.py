@@ -47,10 +47,7 @@ def read_matrix(path):
             f"for a {rows} x {cols} matrix"
         )
     data = np.frombuffer(payload, dtype="<f8")
-    A = data.reshape((rows, cols), order="F").astype(np.float64)
-    if A.size and not np.isfinite(A).all():
-        raise ValueError(f"{path}: matrix contains non-finite entries")
-    return A
+    return as_matrix(data.reshape((rows, cols), order="F").astype(np.float64), f"{path}: matrix")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._util import OrthonormalBasis, orthonormal_basis
 from .exceptions import DegenerateSelectionError
-from .linalg import spectral_norm
+from .linalg import _svd, spectral_norm
 from .selection import SelectionOperator
 
 
@@ -119,7 +119,7 @@ def build_projector(W, S):
     if S.s < r:
         raise ValueError(f"selection has {S.s} points, fewer than the basis rank {r}")
     cross = Wm[S.indices, :] * S.weights[:, None]
-    U, s, Vt = np.linalg.svd(cross, full_matrices=False)
+    U, s, Vt = _svd(cross, "the cross matrix S'W", full_matrices=False)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise DegenerateSelectionError(
             f"cross matrix S' W is rank deficient "

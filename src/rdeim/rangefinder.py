@@ -30,8 +30,8 @@ from ._util import (
     check_open_unit,
     check_seed,
 )
-from .exceptions import AdaptiveRangeError, ConvergenceError
-from .linalg import column_residuals, thin_qr, thin_svd
+from .exceptions import AdaptiveRangeError
+from .linalg import _svd, column_residuals, thin_qr, thin_svd
 
 # sketch blocks the adaptive range finder draws and applies to A together
 SKETCH_GROUP = 4
@@ -79,10 +79,7 @@ def _times(A, X):
 def _rotate_qb(Q, B, rank):
     """Rotate a QB pair (Q, B = Q'A) onto the leading left singular
     directions of B and keep rank of them: Q @ U_B[:, :rank]."""
-    try:
-        Ub, _, _ = np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"SVD of the projected matrix Q'A failed: {err}") from err
+    Ub, _, _ = _svd(B, "the projected matrix Q'A", full_matrices=False)
     return Q @ Ub[:, :rank]
 
 

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import rdeim.experiments
 from rdeim.bounds import srrqr_constant
 from rdeim.cli import main
 from rdeim.matio import read_matrix, write_matrix
@@ -107,6 +108,25 @@ def test_approx_with_bounds_header(tmp_path):
     assert rc == 0
     header = out.read_text().split("\n", 1)[0]
     assert header == "column,norm,abs_error,rel_error,bound_plain,bound_perturbed,sin_theta_max"
+
+
+def test_approx_reports_a_projector_svd_failure_on_one_line(monkeypatch, tmp_path, capsys):
+    real = rdeim.experiments.build_projector
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def build_projector(W, S):  # the SVD of S'W is the first one it takes
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        return real(W, S)
+
+    monkeypatch.setattr(rdeim.experiments, "build_projector", build_projector)
+    out = tmp_path / "sweep.csv"
+    rc = main(["approx", "--example", "osc", "--rank", "8", "--basis", "basic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists()
+    assert err.startswith("rdeim approx: SVD of the cross matrix S'W (8, 8)")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bounds_prints_library_value(capsys):

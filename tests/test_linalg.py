@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rdeim.experiments
 import rdeim.linalg
+import rdeim.selection
+from rdeim.bounds import wedin_angle_bound
 from rdeim.exceptions import ConvergenceError, RankDeficiencyError
 from rdeim._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix
+from rdeim.experiments import SELECTORS, ExperimentSpec, run_experiment
 from rdeim.linalg import (
     canonical_angles,
     column_residuals,
@@ -18,8 +23,10 @@ from rdeim.linalg import (
     thin_qr,
     thin_svd,
 )
+from rdeim.projector import build_projector
+from rdeim.selection import SelectionOperator
 
-from conftest import random_matrix, random_orthonormal
+from conftest import random_matrix, random_orthonormal, spectrum_matrix
 from oracles import (
     best_volume_pair,
     greedy_pivot_sequence,
@@ -156,25 +163,6 @@ def test_thin_svd_svd_failure_is_typed(monkeypatch):
         thin_svd(random_matrix(8, 5, seed=1), 2)
 
 
-@pytest.mark.parametrize("routine", ["geqrf", "ormqr"])
-def test_thin_svd_lapack_failure_is_typed(monkeypatch, routine):
-    real = rdeim.linalg.get_lapack_funcs
-
-    def failing(names, arrays):
-        funcs = dict(zip(names, real(names, arrays)))
-        good = funcs[routine]
-
-        def broken(*args, **kwargs):
-            return (*good(*args, **kwargs)[:-1], -5)
-
-        funcs[routine] = broken
-        return tuple(funcs[name] for name in names)
-
-    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
-    with pytest.raises(ConvergenceError, match=routine):
-        thin_svd(random_matrix(8, 5, seed=2), 2)
-
-
 # the range finders' sketch shapes: paper sketches of 10, 34 and 40
 # columns, and desk osc, corner and source sketches and blocks
 @pytest.mark.parametrize(
@@ -192,25 +180,6 @@ def test_thin_qr_equals_numpy_qr(shape):
 def test_thin_qr_rejects_a_wide_matrix():
     with pytest.raises(ValueError, match="tall matrix"):
         thin_qr(random_matrix(3, 5, seed=0))
-
-
-@pytest.mark.parametrize("routine", ["geqrf", "orgqr"])
-def test_thin_qr_lapack_failure_is_typed(monkeypatch, routine):
-    real = rdeim.linalg.get_lapack_funcs
-
-    def failing(names, arrays):
-        funcs = dict(zip(names, real(names, arrays)))
-        good = funcs[routine]
-
-        def broken(*args, **kwargs):
-            return (*good(*args, **kwargs)[:-1], -3)
-
-        funcs[routine] = broken
-        return tuple(funcs[name] for name in names)
-
-    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
-    with pytest.raises(ConvergenceError, match=routine):
-        thin_qr(random_matrix(12, 4, seed=2))
 
 
 @st.composite
@@ -346,18 +315,6 @@ def test_pivoted_qr_greedy_pivot_property(M):
         Qj = Q[:, :j]
         res = np.linalg.norm(P[:, j:] - Qj @ (Qj.T @ P[:, j:]), axis=0)
         assert res[0] >= res.max() * (1.0 - 1e-12) - 1e-13 * scale
-
-
-def test_pivoted_qr_lapack_failure_is_typed(monkeypatch):
-    def failing(names, arrays):
-        def geqp3(a, overwrite_a=False):
-            return a, np.zeros(a.shape[1], dtype=np.int32), np.zeros(min(a.shape)), np.ones(1), -4
-
-        return geqp3, None
-
-    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
-    with pytest.raises(ConvergenceError, match="geqp3"):
-        pivoted_qr(np.eye(3))
 
 
 # ------------------------------------------------------------------- srrqr
@@ -582,3 +539,102 @@ def test_column_residuals_without_pairs_or_columns():
     assert res == [] and np.allclose(norms, np.sum(A * A, axis=0), rtol=1e-13)
     norms, (r0,) = column_residuals(A[:, :0], [(A[:, :2], np.zeros((2, 0)))])
     assert norms.shape == r0.shape == (0,)
+
+
+# --------------------------------------------------------- failure gateway
+
+
+def _fail_one_call(monkeypatch):
+    """Count every np.linalg.svd call and every call of a routine that
+    get_lapack_funcs returns in rdeim.linalg and rdeim.selection.
+
+    Once state["fail_at"] is k, call k (from 0) fails: the SVD raises
+    LinAlgError, the routine returns info = -1. state["expect"] is then
+    what the error must name: the SVD operand's shape or the routine.
+    """
+    state = {"calls": 0, "fail_at": None, "expect": None}
+
+    def fails(expect):
+        state["calls"] += 1
+        if state["calls"] - 1 != state["fail_at"]:
+            return False
+        state["expect"] = expect
+        return True
+
+    real_svd = np.linalg.svd
+
+    def svd(M, *args, **kwargs):
+        if fails(str(M.shape)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(M, *args, **kwargs)
+
+    def counted(name, routine):
+        @functools.wraps(routine)
+        def call(*args, **kwargs):
+            out = routine(*args, **kwargs)
+            return (*out[:-1], -1) if fails(name) else out
+
+        return call
+
+    def lookup(real):
+        def get_lapack_funcs(names, arrays):
+            if isinstance(names, str):
+                return counted(names, real(names, arrays))
+            return tuple(map(counted, names, real(names, arrays)))
+
+        return get_lapack_funcs
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for module in (rdeim.linalg, rdeim.selection):
+        monkeypatch.setattr(module, "get_lapack_funcs", lookup(module.get_lapack_funcs))
+    return state
+
+
+def _wedin_case():
+    A = spectrum_matrix(10, 8, [8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05], seed=9)
+    return wedin_angle_bound(A, A + 1e-3 * random_matrix(10, 8, seed=10), 3)
+
+
+_FAULT_CASES = {
+    f"osc-{basis}-{selector}-{'bounds' if bounds else 'plain'}": functools.partial(
+        run_experiment,
+        ExperimentSpec(
+            example="osc", rank=8, basis=basis, selector=selector, samples=30,
+            with_bounds=bounds, overrides={"n_t": 500, "n_mu": 40},
+        ),
+    )
+    for basis in ("svd", "basic", "adaptive")
+    for selector in SELECTORS
+    for bounds in (False, True)
+}
+_FAULT_CASES.update(
+    thin_svd=lambda: thin_svd(random_matrix(8, 5, seed=1), 2),
+    thin_qr=lambda: thin_qr(random_matrix(12, 4, seed=2)),
+    pivoted_qr=lambda: pivoted_qr(random_matrix(6, 9, seed=3)),
+    srrqr=lambda: srrqr(random_matrix(6, 9, seed=4), 3),
+    spectral_norm=lambda: spectral_norm(random_matrix(7, 5, seed=5)),
+    canonical_angles=lambda: canonical_angles(
+        random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)
+    ),
+    build_projector=lambda: build_projector(
+        random_orthonormal(12, 3, seed=8), SelectionOperator(np.arange(3), np.ones(3), 12)
+    ),
+    wedin_angle_bound=_wedin_case,
+)
+
+
+@pytest.mark.parametrize("call", list(_FAULT_CASES.values()), ids=list(_FAULT_CASES))
+def test_every_factorization_failure_is_a_typed_error(monkeypatch, call):
+    # a run on a fresh snapshot set makes the same calls each time, so
+    # call k is the same SVD or routine in every run
+    state = _fail_one_call(monkeypatch)
+    monkeypatch.setattr(rdeim.experiments, "_last_set", None)
+    call()
+    reached = state["calls"]
+    assert reached > 0
+    for k in range(reached):
+        monkeypatch.setattr(rdeim.experiments, "_last_set", None)
+        state.update(calls=0, fail_at=k)
+        with pytest.raises(ConvergenceError) as err:
+            call()
+        assert state["expect"] in str(err.value), (k, str(err.value))

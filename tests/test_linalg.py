@@ -163,6 +163,32 @@ def test_thin_svd_svd_failure_is_typed(monkeypatch):
         thin_svd(random_matrix(8, 5, seed=1), 2)
 
 
+def _break_routine(monkeypatch, routine, info):
+    """Make the LAPACK routine named routine, as get_lapack_funcs returns
+    it in rdeim.linalg, report info after doing its work."""
+    real = rdeim.linalg.get_lapack_funcs
+
+    def failing(names, arrays):
+        funcs = dict(zip(names, real(names, arrays)))
+        good = funcs[routine]
+
+        @functools.wraps(good)
+        def broken(*args, **kwargs):
+            return (*good(*args, **kwargs)[:-1], info)
+
+        funcs[routine] = broken
+        return tuple(funcs[name] for name in names)
+
+    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs", failing)
+
+
+@pytest.mark.parametrize("routine", ["geqrf", "ormqr"])
+def test_thin_svd_lapack_failure_is_typed(monkeypatch, routine):
+    _break_routine(monkeypatch, routine, -5)
+    with pytest.raises(ConvergenceError, match=routine):
+        thin_svd(random_matrix(8, 5, seed=2), 2)
+
+
 # the range finders' sketch shapes: paper sketches of 10, 34 and 40
 # columns, and desk osc, corner and source sketches and blocks
 @pytest.mark.parametrize(
@@ -180,6 +206,13 @@ def test_thin_qr_equals_numpy_qr(shape):
 def test_thin_qr_rejects_a_wide_matrix():
     with pytest.raises(ValueError, match="tall matrix"):
         thin_qr(random_matrix(3, 5, seed=0))
+
+
+@pytest.mark.parametrize("routine", ["geqrf", "orgqr"])
+def test_thin_qr_lapack_failure_is_typed(monkeypatch, routine):
+    _break_routine(monkeypatch, routine, -3)
+    with pytest.raises(ConvergenceError, match=routine):
+        thin_qr(random_matrix(12, 4, seed=2))
 
 
 @st.composite

@@ -55,7 +55,6 @@ from .bounds import (
     BoundReport,
     angle_bound_constant,
     column_bounds,
-    constant_bound,
     deviation_constant,
     expected_angle_bound,
     hybrid_constant,

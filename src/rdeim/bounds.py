@@ -231,7 +231,7 @@ def min_power_iterations(eps, gamma, constant):
     return max(0, int(math.ceil(0.5 * math.log(arg) / math.log(gamma))))
 
 
-def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
+def wedin_angle_bound(A, A_hat, rank):
     """Perturbation bound on the largest angle between leading subspaces.
 
     sin(theta_max) <= max(||(A - A_hat) Z1_hat||, ||(A - A_hat)' W1_hat||)
@@ -239,8 +239,8 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
     with W1_hat/Z1_hat the leading r left/right singular vectors of A_hat.
     The residuals are taken from A_hat's vectors, so Wedin's theorem (BIT
     1972; Stewart & Sun, Thm V.4.4) separates A_hat's kept singular values
-    from A's discarded ones. numerator='full' uses the looser
-    ||A - A_hat||_2 instead of the two projected norms.
+    from A's discarded ones. Each projected norm is at most
+    ||A - A_hat||_2, so this is the tighter of the theorem's two forms.
 
     Raises
     ------
@@ -255,8 +255,6 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
     r = int(rank)
     if not 1 <= r <= min(A.shape):
         raise ValueError(f"rank must be in [1, {min(A.shape)}], got {rank}")
-    if numerator not in ("projected", "full"):
-        raise ValueError(f"numerator must be 'projected' or 'full', got {numerator!r}")
     sv_a = _svd(A, "A", compute_uv=False)
     fh = thin_svd(Ah, r)
     sigma_r = fh.singular_values[r - 1]
@@ -267,13 +265,7 @@ def wedin_angle_bound(A, A_hat, rank, numerator="projected"):
             f"gap sigma_r(A_hat) - sigma_(r+1)(A) = {gap:.3e} is not positive"
         )
     E = A - Ah
-    if numerator == "full":
-        num = spectral_norm(E)
-    else:
-        num = max(
-            spectral_norm(E @ fh.V),
-            spectral_norm(E.T @ fh.U),
-        )
+    num = max(spectral_norm(E @ fh.V), spectral_norm(E.T @ fh.U))
     return float(num / gap)
 
 
@@ -299,12 +291,13 @@ def leverage_constant(n, samples, beta, eps):
 
 def hybrid_constant(n, samples, beta, eps, eta, rank):
     """High-probability constant for the two-stage selection:
-    leverage_constant * sqrt(1 + eta^2 r (c - r))."""
+    leverage_constant(n, c, beta, eps) * srrqr_constant(eta, r, c), the
+    second factor for strong RRQR on the c sampled rows."""
     c, r = int(samples), int(rank)
     if not 1 <= r <= c:
         raise ValueError(f"rank must be in [1, samples={c}], got {r}")
-    check_at_least(eta, 1, "eta")
-    return leverage_constant(n, c, beta, eps) * math.sqrt(1.0 + eta * eta * r * (c - r))
+    pruning = srrqr_constant(eta, r, c)  # checks eta before the leverage parameters
+    return leverage_constant(n, c, beta, eps) * pruning
 
 
 def deviation_constant(rank, oversample, delta, n_snapshots):
@@ -320,32 +313,6 @@ def deviation_constant(rank, oversample, delta, n_snapshots):
     lift = (2.0 / delta) ** (1.0 / (p + 1.0))
     tail = math.sqrt(n_s - r) + math.sqrt(r + p) + math.sqrt(2.0 * math.log(2.0 / delta))
     return lead * lift * tail
-
-
-_CONSTANT_KINDS = {
-    "srrqr": (srrqr_constant, ("eta", "rank", "n")),
-    "leverage": (leverage_constant, ("n", "samples", "beta", "eps")),
-    "hybrid": (hybrid_constant, ("n", "samples", "beta", "eps", "eta", "rank")),
-    "deviation": (deviation_constant, ("rank", "oversample", "delta", "n_snapshots")),
-}
-
-
-def constant_bound(kind, **params):
-    """Dispatch to one of the named selection/deviation constants.
-
-    kind is one of 'srrqr', 'leverage', 'hybrid', 'deviation'; params must
-    supply exactly the fields that constant needs.
-    """
-    if kind not in _CONSTANT_KINDS:
-        raise ValueError(f"unknown constant kind {kind!r}; choose from {sorted(_CONSTANT_KINDS)}")
-    fn, names = _CONSTANT_KINDS[kind]
-    missing = [nm for nm in names if nm not in params]
-    if missing:
-        raise ValueError(f"constant {kind!r} needs parameters {missing}")
-    extra = [nm for nm in params if nm not in names]
-    if extra:
-        raise ValueError(f"constant {kind!r} does not take {extra}")
-    return fn(**{nm: params[nm] for nm in names})
 
 
 def rsvd_expected_error(sv, rank, oversample):

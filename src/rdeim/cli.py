@@ -8,9 +8,10 @@ commands exit 0 on success and nonzero with a message on stderr otherwise.
 
 import argparse
 import dataclasses
+import inspect
 import sys
 
-from . import bounds as bounds_mod
+from .bounds import deviation_constant, hybrid_constant, leverage_constant, srrqr_constant
 from .exceptions import RdeimError
 from .experiments import (
     BASES,
@@ -28,6 +29,16 @@ from .experiments import (
 from .matio import ResultTable, emit_csv, read_matrix, write_matrix
 from .projector import build_projector
 from .rangefinder import OrthonormalBasis
+
+
+# the constants `rdeim bounds` evaluates; each takes its parameters from
+# the options of the same names
+_CONSTANTS = {
+    "srrqr": srrqr_constant,
+    "leverage": leverage_constant,
+    "hybrid": hybrid_constant,
+    "deviation": deviation_constant,
+}
 
 
 def _add_common(p):
@@ -96,7 +107,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form constant")
-    p.add_argument("--kind", choices=tuple(bounds_mod._CONSTANT_KINDS), required=True)
+    p.add_argument("--kind", choices=tuple(_CONSTANTS), required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--n-snapshots", type=int)
     p.add_argument("--rank", type=int)
@@ -163,14 +174,14 @@ def _cmd_approx(args):
 
 
 def _cmd_bounds(args):
+    constant = _CONSTANTS[args.kind]
     params = {}
-    for name in bounds_mod._CONSTANT_KINDS[args.kind][1]:
+    for name in inspect.signature(constant).parameters:
         val = getattr(args, name)
         if val is None:
             raise ValueError(f"--kind {args.kind} requires --{name.replace('_', '-')}")
         params[name] = val
-    value = bounds_mod.constant_bound(args.kind, **params)
-    print(f"{args.kind} {value!r}")
+    print(f"{args.kind} {constant(**params)!r}")
     return 0
 
 

@@ -4,8 +4,6 @@ Parameter-domain violations raise plain ValueError; the classes below mark
 algorithmic failures that callers may want to catch and handle.
 """
 
-import numpy as np
-
 
 class RdeimError(Exception):
     """Base class for algorithmic failures in this package."""
@@ -40,7 +38,7 @@ class AdaptiveRangeError(RdeimError):
     Frobenius residual they achieve, so callers can inspect or keep them.
     """
 
-    def __init__(self, message, partial_basis=None, residual=None):
+    def __init__(self, message, partial_basis, residual):
         super().__init__(message)
-        self.partial_basis = partial_basis if partial_basis is not None else np.zeros((0, 0))
+        self.partial_basis = partial_basis
         self.residual = residual

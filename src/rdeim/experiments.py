@@ -67,13 +67,16 @@ class SnapshotSet:
     """A snapshot matrix plus the grids that generated it.
 
     matrix is n-by-n_s; params holds one row of parameter values per
-    column; space maps coordinate names to grid arrays.
+    column; space maps coordinate names to grid arrays. ranges is the box
+    a sampled set's params were drawn from, one (lo, hi) pair per
+    parameter, and None for a set on a fixed parameter grid.
     """
 
     matrix: np.ndarray
     params: np.ndarray
     param_names: tuple
     space: dict
+    ranges: Optional[tuple] = None
 
 
 def oscillator_snapshots(n_t=10000, n_mu=100):
@@ -198,8 +201,9 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
     """Movable Gaussian source s(x; mu) = exp(-((x1-mu3)^2 + (x2-mu4)^2)/mu5^2).
 
     Parameters are Latin-hypercube sampled from the given ranges (center
-    coordinates and width). The spatial grid is n_grid x n_grid on the
-    unit square, flattened with x1 varying fastest.
+    coordinates and width), which the set records as its ranges. The
+    spatial grid is n_grid x n_grid on the unit square, flattened with x1
+    varying fastest.
     """
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
@@ -212,14 +216,15 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
         params=params,
         param_names=("mu3", "mu4", "mu5"),
         space={"x1": x, "x2": x},
+        ranges=tuple((float(lo), float(hi)) for lo, hi in ranges),
     )
 
 
 def source_test_points(snaps, n_test, seed):
-    """Held-out source snapshots at parameters drawn uniformly over the box."""
+    """Held-out source snapshots at parameters drawn uniformly over the box
+    the training set snaps was sampled from."""
     rng = np.random.default_rng(check_seed(seed))
-    lo = np.array([r[0] for r in SOURCE_RANGES])
-    hi = np.array([r[1] for r in SOURCE_RANGES])
+    lo, hi = np.array(snaps.ranges).T
     params = lo + (hi - lo) * rng.uniform(size=(n_test, 3))
     x = snaps.space["x1"]
     return SnapshotSet(
@@ -227,6 +232,7 @@ def source_test_points(snaps, n_test, seed):
         params=params,
         param_names=snaps.param_names,
         space=snaps.space,
+        ranges=snaps.ranges,
     )
 
 

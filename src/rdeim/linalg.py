@@ -8,7 +8,8 @@ is a Householder QR (LAPACK ``geqrf``) followed by numpy's SVD of the
 small R factor, the thin QR of the range finders is ``geqrf`` plus
 ``orgqr``, and the column-pivoted QR is LAPACK ``geqp3``,
 whose greedy largest-residual pivot rule is the documented contract. The
-strong rank-revealing swap refinement on top of it is written out here.
+strong rank-revealing swap refinement on top of it is written out here,
+refactoring after each swap with ``geqrf`` plus ``orgqr``.
 selection.pqr_select takes its points from the ``geqp3`` pivots and
 selection.srrqr_select from ``geqp3`` plus those swaps; the greedy DEIM
 selector is LAPACK ``getrf`` and lives in selection. Every SVD of the
@@ -156,7 +157,7 @@ def thin_qr(A):
     ``geqrf`` and one ``orgqr``, both with their queried optimal
     workspace.
 
-    The factors are bit for bit those of ``np.linalg.qr(A)``, which runs
+    The factors are bit for bit those of numpy's reduced QR, which runs
     the same two routines; Q comes back in Fortran order. The range
     finders orthonormalize every sketch through this.
 
@@ -220,23 +221,39 @@ def pivoted_qr(M):
         return np.zeros((m, 0)), np.zeros((0, n)), np.arange(n, dtype=np.intp)
     geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), (A,))
     qr, jpvt, tau, _, _ = _lapack(geqp3, A.shape, A, overwrite_a=True)
-    # orgqr copies its input, so Q does not keep the n-wide geqp3 buffer alive
-    Q, _, _ = _lapack(orgqr, A.shape, qr[:, :k], tau)
+    Q, R = _reduced_factors(qr, tau, orgqr)
+    return Q, R, (jpvt - 1).astype(np.intp)
+
+
+def _reduced_factors(qr, tau, orgqr):
+    """Q (m-by-k) and R (k-by-n), k = min(m, n), from the m-by-n output
+    qr, tau of a Householder QR (``geqp3`` or ``geqrf``); Q is formed by
+    one ``orgqr`` call."""
+    k = min(qr.shape)
+    # orgqr copies its input, so Q does not keep the n-wide qr buffer alive
+    Q, _, _ = _lapack(orgqr, qr.shape, qr[:, :k], tau)
     # the reflectors sit below the diagonal of the leading k x k block only,
     # so R is a copy of qr[:k] with that block's lower part zeroed
     R = qr[:k].copy(order="F")
     R[:, :k] = np.triu(R[:, :k])
-    return Q, R, (jpvt - 1).astype(np.intp)
+    return Q, R
 
 
-def srrqr(M, rank, eta=2.0, max_swaps=None):
+# srrqr's swap budget, per column of its input
+_SWAPS_PER_COLUMN = 50
+
+
+def srrqr(M, rank, eta=2.0):
     """Strong rank-revealing QR (pivoted QR plus pairwise swap refinement).
 
     Starting from column-pivoted QR, columns of the leading block are
     swapped against trailing columns while any entry of ``inv(R11) @ R12``
-    exceeds eta; each swap strictly grows the volume of the selected
-    column set, so the loop terminates for eta > 1. On exit the entrywise
-    bound guarantees
+    exceeds eta. Each swap takes the largest entry, the first in row order
+    on ties, and refactors the permuted matrix with one Householder QR,
+    ``geqrf`` and ``orgqr`` through _lapack. Each swap strictly grows the
+    volume of the selected column set, so the loop terminates for
+    eta > 1; it is capped at 50 swaps per column of M. On exit the
+    entrywise bound guarantees
     ``sigma_min(R11) >= sigma_rank(M) / sqrt(1 + eta^2 rank (n - rank))``.
 
     Parameters
@@ -247,8 +264,6 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
     eta : float, >= 1
         Entrywise interaction bound. 2.0 keeps the swap count low while
         staying within a constant factor of the optimal volume.
-    max_swaps : int, optional
-        Swap budget; defaults to 50 * n.
 
     Returns
     -------
@@ -260,9 +275,9 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
         If the leading block is numerically singular (matrix rank below
         the requested rank).
     ConvergenceError
-        If the swap budget is exhausted (only reachable for eta at the
-        degenerate limit 1 with adversarial near-ties); the message names
-        the cap.
+        If LAPACK reports a failure, or the swap budget is exhausted (only
+        reachable for eta at the degenerate limit 1 with adversarial
+        near-ties); the message names the cap.
     """
     A = as_matrix(M, "M")
     m, n = A.shape
@@ -270,7 +285,7 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
     check_at_least(eta, 1, "eta")
-    cap = 50 * n if max_swaps is None else int(max_swaps)
+    cap = _SWAPS_PER_COLUMN * n
 
     Q, R, perm = pivoted_qr(A)
     swaps = 0
@@ -290,14 +305,11 @@ def srrqr(M, rank, eta=2.0, max_swaps=None):
             break
         if swaps == cap:
             raise ConvergenceError(
-                f"srrqr swap cap of {cap} (50 per column) exceeded at eta={eta}"
+                f"srrqr swap cap of {cap} ({_SWAPS_PER_COLUMN} per column) exceeded at eta={eta}"
             )
-        # the first hit in C order, the entry np.argmax picks, without the
-        # C-order copy np.argmax makes of the Fortran-order T
-        i = np.flatnonzero((T == t_max).any(axis=1))[0]
-        j = np.flatnonzero(T[i] == t_max)[0]
+        i, j = np.unravel_index(np.argmax(T), T.shape)
         perm[[i, r + j]] = perm[[r + j, i]]
-        Q, R = np.linalg.qr(A[:, perm], mode="reduced")  # wide input: R is min(m, n)-by-n
+        Q, R = _reduced_factors(*_householder_qr(A[:, perm], "orgqr"))
         swaps += 1
 
     # normalize signs so the leading diagonal is strictly positive; Q and R

@@ -10,15 +10,18 @@ reference_grouped_qb, its loop written straight through, which pins the
 library's basis bit for bit, and reference_adaptive_range_finder, its
 earlier block-by-block randQB_EI loop, which the library must match in
 block count, subspace and residual. Both share the library's residual
-kernel and sketch grouping on purpose.
+kernel and sketch grouping on purpose. reference_srrqr, the strong RRQR
+swap loop refactoring with np.linalg.qr, starts from the library's
+pivoted_qr on purpose too: it pins the refactoring after a swap.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from rdeim.linalg import column_residuals
+from rdeim.linalg import column_residuals, pivoted_qr
 from rdeim.rangefinder import SKETCH_GROUP
 
 
@@ -107,6 +110,32 @@ def householder_pivoted_qr(M):
         A[j:, j:] -= 2.0 * np.outer(v, v @ A[j:, j:])
         Q[:, j:] -= 2.0 * np.outer(Q[:, j:] @ v, v)
     return Q[:, :k], np.triu(A[:k, :]), perm
+
+
+def reference_srrqr(M, rank, eta):
+    """Strong RRQR with every swap refactored by np.linalg.qr.
+
+    From pivoted_qr(M), while max |inv(R11) R12| exceeds eta, swap the
+    leading and trailing columns of its first largest entry in row order
+    and refactor M[:, perm] by np.linalg.qr; then flip signs so diag(R11)
+    is positive. Returns (Q, R11, R12, perm, swaps).
+    """
+    M = np.asarray(M, dtype=np.float64)
+    r = rank
+    Q, R, perm = pivoted_qr(M)
+    swaps = 0
+    while r < M.shape[1]:
+        T = np.abs(solve_triangular(R[:r, :r], R[:r, r:]))
+        if T.max() <= eta:
+            break
+        i, j = np.unravel_index(np.argmax(T), T.shape)
+        perm[[i, r + j]] = perm[[r + j, i]]
+        Q, R = np.linalg.qr(M[:, perm])
+        swaps += 1
+    signs = np.where(np.diag(R)[:r] < 0, -1.0, 1.0)
+    Q[:, :r] *= signs
+    R[:r] *= signs[:, None]
+    return Q, R[:r, :r], R[:r, r:], perm, swaps
 
 
 def best_volume_pair(M):

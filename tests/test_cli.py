@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rdeim.experiments
-from rdeim.bounds import srrqr_constant
+from rdeim.bounds import deviation_constant, hybrid_constant, leverage_constant, srrqr_constant
 from rdeim.cli import main
 from rdeim.matio import read_matrix, write_matrix
 
@@ -129,12 +129,35 @@ def test_approx_reports_a_projector_svd_failure_on_one_line(monkeypatch, tmp_pat
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_bounds_prints_library_value(capsys):
-    rc = main(["bounds", "--kind", "srrqr", "--rank", "5", "--n", "50"])
+# each kind's options, and its value at the option defaults --eta 2,
+# --beta 0.5, --eps 0.9 and --delta 0.1
+_CONSTANT_RUNS = {
+    "srrqr": (["--rank", "5", "--n", "50"], lambda: srrqr_constant(2.0, 5, 50)),
+    "leverage": (["--n", "2500", "--samples", "284"], lambda: leverage_constant(2500, 284, 0.5, 0.9)),
+    "hybrid": (
+        ["--n", "2500", "--samples", "284", "--rank", "12"],
+        lambda: hybrid_constant(2500, 284, 0.5, 0.9, 2.0, 12),
+    ),
+    "deviation": (
+        ["--rank", "5", "--oversample", "10", "--n-snapshots", "60"],
+        lambda: deviation_constant(5, 10, 0.1, 60),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CONSTANT_RUNS))
+def test_bounds_prints_library_value(capsys, kind):
+    options, value = _CONSTANT_RUNS[kind]
+    rc = main(["bounds", "--kind", kind] + options)
     assert rc == 0
-    kind, value = capsys.readouterr().out.split()
-    assert kind == "srrqr"
-    assert float(value) == srrqr_constant(2.0, 5, 50)
+    assert capsys.readouterr().out == f"{kind} {value()!r}\n"
+
+
+def test_bounds_rejects_an_unknown_kind(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bounds", "--kind", "gap", "--rank", "5"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'gap'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [[], ["--basis", "subspace"]])

@@ -201,12 +201,31 @@ def test_source_params_within_ranges():
 
 def test_source_test_points():
     snaps = gaussian_source_snapshots(n_grid=6, n_train=10, seed=0)
+    assert snaps.ranges == SOURCE_RANGES
     test = source_test_points(snaps, 8, seed=1)
     assert test.matrix.shape == (36, 8)
+    # uniform draws over the default box, bit for bit
+    lo, hi = np.array(SOURCE_RANGES).T
+    assert np.array_equal(test.params, lo + (hi - lo) * np.random.default_rng(1).uniform(size=(8, 3)))
     for d, (lo, hi) in enumerate(SOURCE_RANGES):
         assert test.params[:, d].min() >= lo and test.params[:, d].max() <= hi
     other = source_test_points(snaps, 8, seed=2)
     assert not np.array_equal(test.params, other.params)
+
+
+def test_source_test_points_follow_a_ranges_override():
+    box = [[0.6, 0.8], [0.6, 0.8], [0.3, 0.35]]
+    overrides = {"n_grid": 20, "n_train": 60, "ranges": box}
+    spec = ExperimentSpec(example="source", rank=5, n_test=40, overrides=overrides)
+    snaps = generate(spec)
+    assert snaps.ranges == ((0.6, 0.8), (0.6, 0.8), (0.3, 0.35))
+    test = source_test_points(snaps, 40, seed=spec.seed + 1)
+    lo, hi = np.array(box).T
+    assert np.all((test.params >= lo) & (test.params <= hi))
+    assert test.ranges == snaps.ranges
+    # drawn from the default box, every point missed the training box and
+    # the mean relative error was 0.84; inside it, it is 0.021
+    assert run_experiment(spec).summary["rel_error_mean"] < 0.05
 
 
 # ------------------------------------------------------------ spec/driver

@@ -32,6 +32,7 @@ from oracles import (
     greedy_pivot_sequence,
     householder_pivoted_qr,
     jacobi_singular_values,
+    reference_srrqr,
 )
 
 
@@ -406,6 +407,36 @@ def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
     assert list(fac.perm) == list(perm)
 
 
+def _wide_kahan():
+    # Kahan(8, c=0.6) ahead of 32 small columns: an 8 x 40 input that swaps
+    tail = 1e-3 * random_matrix(8, 32, seed=0)
+    return np.hstack([_kahan(8, c=0.6), tail])
+
+
+# every input swaps at least once: the Kahan matrices at eta = 2, and a
+# random wide matrix at eta = 1.05
+_SWAPPING = {
+    "kahan12": (lambda: _kahan(12, c=0.5), 6, 2.0),
+    "kahan20": (lambda: _kahan(20, c=0.5), 10, 2.0),
+    "kahan30": (lambda: _kahan(30, c=0.5), 15, 2.0),
+    "wide-kahan-8x40": (_wide_kahan, 5, 2.0),
+    "random-8x40": (lambda: random_matrix(8, 40, seed=0), 5, 1.05),
+}
+
+
+@pytest.mark.parametrize("make, rank, eta", list(_SWAPPING.values()), ids=list(_SWAPPING))
+def test_srrqr_matches_the_numpy_qr_oracle(make, rank, eta):
+    # the swap refactoring runs geqrf and orgqr through the gateway; it
+    # gives the bits np.linalg.qr gives
+    M = make()
+    Q, R11, R12, perm, swaps = reference_srrqr(M, rank, eta)
+    fac = srrqr(M, rank, eta)
+    assert swaps > 0
+    assert np.array_equal(fac.perm, perm)
+    assert np.array_equal(fac.Q, Q)
+    assert np.array_equal(fac.R11, R11) and np.array_equal(fac.R12, R12)
+
+
 def test_srrqr_selects_best_volume_pair():
     eps = 1e-3
     M = np.array([[1.0, 0.0, eps], [0.0, 1.0, eps]])
@@ -443,10 +474,11 @@ def test_srrqr_rank_deficient_raises():
         srrqr(M, 2, eta=2.0)
 
 
-def test_srrqr_swap_cap_names_cap():
+def test_srrqr_swap_cap_names_cap(monkeypatch):
     K = _kahan(12, c=0.5)  # needs at least one swap at eta = 2
+    monkeypatch.setattr(rdeim.linalg, "_SWAPS_PER_COLUMN", 0)
     with pytest.raises(ConvergenceError, match="cap"):
-        srrqr(K, 6, eta=2.0, max_swaps=0)
+        srrqr(K, 6, eta=2.0)
 
 
 def test_srrqr_parameter_errors():
@@ -645,6 +677,8 @@ _FAULT_CASES.update(
     thin_qr=lambda: thin_qr(random_matrix(12, 4, seed=2)),
     pivoted_qr=lambda: pivoted_qr(random_matrix(6, 9, seed=3)),
     srrqr=lambda: srrqr(random_matrix(6, 9, seed=4), 3),
+    # one swap: the geqrf and orgqr of the refactoring fail in turn too
+    srrqr_swap=lambda: srrqr(_kahan(12, c=0.5), 6),
     spectral_norm=lambda: spectral_norm(random_matrix(7, 5, seed=5)),
     canonical_angles=lambda: canonical_angles(
         random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)

@@ -10,6 +10,7 @@ from .exceptions import (
     ConvergenceError,
     DegenerateBasisError,
     DegenerateSelectionError,
+    OverflowingProductError,
     RankDeficiencyError,
     RdeimError,
     SpectralGapError,

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import OverflowingProductError
+
 # rows of a large matrix a streaming loop takes at a time:
 # linalg.column_residuals reads them for every per-column residual (the
 # error sweep, its bounds, the adaptive range finder's explicit residual
@@ -18,6 +20,34 @@ SWEEP_BLOCK = 64
 FINITE_BLOCK = 1 << 16
 
 
+def as_2d(a, name="matrix"):
+    """Coerce to a 2-d float64 array, without checking its entries.
+
+    A kernel that takes its input through this tests finiteness on a
+    product it forms anyway, with finite_product.
+    """
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+    return m
+
+
+def finite_product(product, A, name, what):
+    """product, if all its entries are finite.
+
+    product is formed from A (under np.errstate, so that a non-finite
+    entry warns nothing) such that a NaN or an infinity in A leaves an
+    entry of it non-finite. If one is, A's block check (as_matrix) runs
+    and raises its "contains non-finite entries" ValueError, named by
+    name; if A is finite, the product overflowed, and
+    OverflowingProductError names it (what) and its shape.
+    """
+    if not np.isfinite(product).all():
+        as_matrix(A, name)
+        raise OverflowingProductError(f"{what} {product.shape} overflowed on a finite {name}")
+    return product
+
+
 def as_matrix(a, name="matrix"):
     """Coerce to a 2-d float64 array with finite entries.
 
@@ -28,9 +58,7 @@ def as_matrix(a, name="matrix"):
     narrow matrix is not checked in many tiny steps; no temporary the
     size of the matrix is formed.
     """
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+    m = as_2d(a, name)
     if m.size:
         lines = m.T if m.flags.f_contiguous else m
         step = max(SWEEP_BLOCK, FINITE_BLOCK // lines.shape[1])
@@ -59,14 +87,18 @@ def check_orthonormal(W, name="basis"):
     The library's one orthonormality check, at its one tolerance. It runs
     when an OrthonormalBasis is constructed, and nowhere else.
     """
-    W = as_matrix(W, name)
+    W = as_2d(W, name)
     if W.shape[1] == 0:
         raise ValueError(f"{name} has no columns ({W.shape[0]} x 0)")
     if W.shape[0] < W.shape[1]:
         raise ValueError(f"{name} has more columns than rows ({W.shape})")
-    gram = W.T @ W
-    err = np.max(np.abs(gram - np.eye(W.shape[1])))
-    if err > 1e-8:
+    # a NaN or an infinity in W leaves a diagonal entry of W'W, and so
+    # err, non-finite; W itself is read only when the check fails, so that
+    # a non-finite entry is named as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
+    if not err <= 1e-8:
+        as_matrix(W, name)
         raise ValueError(f"{name} columns are not orthonormal (deviation {err:.3e} > 1e-8)")
     return W
 

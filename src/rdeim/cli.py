@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import sys
 
+from ._util import check_at_least, check_open_unit
 from .bounds import deviation_constant, hybrid_constant, leverage_constant, srrqr_constant
 from .exceptions import RdeimError
 from .experiments import (
@@ -174,6 +175,10 @@ def _cmd_approx(args):
 
 
 def _cmd_bounds(args):
+    # every option is checked, also one the chosen constant does not read
+    for name in ("beta", "eps", "delta"):
+        check_open_unit(getattr(args, name), f"--{name}")
+    check_at_least(args.eta, 1, "--eta")
     constant = _CONSTANTS[args.kind]
     params = {}
     for name in inspect.signature(constant).parameters:

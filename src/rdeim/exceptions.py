@@ -14,6 +14,11 @@ class ConvergenceError(RdeimError):
     returned a nonzero info, or the srrqr swap loop hit its budget."""
 
 
+class OverflowingProductError(RdeimError):
+    """A product a kernel forms of a finite input overflowed to a
+    non-finite entry."""
+
+
 class RankDeficiencyError(RdeimError):
     """A factorization met a numerically singular leading block."""
 

@@ -157,9 +157,11 @@ def thin_qr(A):
     ``geqrf`` and one ``orgqr``, both with their queried optimal
     workspace.
 
-    The factors are bit for bit those of numpy's reduced QR, which runs
-    the same two routines; Q comes back in Fortran order. The range
-    finders orthonormalize every sketch through this.
+    numpy's reduced QR runs the same two routines, but numpy and scipy
+    link separate BLAS builds: the factors are bit for bit numpy's on the
+    range finders' sketches, the shapes the tests pin, and not in general
+    (on a 500 x 200 input even R differed). Q comes back in Fortran
+    order. The range finders orthonormalize every sketch through this.
 
     Parameters
     ----------

@@ -5,6 +5,8 @@ RDMXMAT1 layout: 8-byte magic b"RDMXMAT1", then rows and cols as unsigned
 in column-major order. Round-trips are bit-exact.
 """
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -13,6 +15,7 @@ import numpy as np
 from ._util import as_matrix
 
 MAGIC = b"RDMXMAT1"
+HEADER_BYTES = 24
 
 
 def write_matrix(path, A):
@@ -28,8 +31,16 @@ def write_matrix(path, A):
 def read_matrix(path):
     """Read an RDMXMAT1 file back into an ndarray.
 
-    Raises ValueError naming the path on a bad magic, a truncated payload,
-    or non-finite entries.
+    The payload is read by one readinto straight into the final array, a
+    Fortran-ordered float64 matrix, which is then checked for finiteness;
+    the file is neither re-read nor copied. A regular file's size is
+    checked against the header before anything is allocated, so a header
+    that claims more than the file holds costs no allocation; a pipe is
+    read to its end and checked by the byte count.
+
+    Raises ValueError naming the path on a bad magic, a truncated header,
+    a payload of another size than the header gives, or non-finite
+    entries.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -39,15 +50,27 @@ def read_matrix(path):
         if len(dims) != 16:
             raise ValueError(f"{path}: truncated header")
         rows, cols = struct.unpack("<QQ", dims)
-        payload = fh.read()
-    expected = 8 * rows * cols
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected} "
-            f"for a {rows} x {cols} matrix"
-        )
-    data = np.frombuffer(payload, dtype="<f8")
-    return as_matrix(data.reshape((rows, cols), order="F").astype(np.float64), f"{path}: matrix")
+        expected = 8 * rows * cols
+
+        def wrong_size(held):
+            return ValueError(
+                f"{path}: payload holds {held} bytes, expected {expected} "
+                f"for a {rows} x {cols} matrix"
+            )
+
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - HEADER_BYTES != expected:
+            raise wrong_size(info.st_size - HEADER_BYTES)
+        try:
+            data = np.empty((cols, rows), dtype="<f8")
+        except (MemoryError, ValueError) as err:
+            raise ValueError(f"{path}: no room for a {rows} x {cols} matrix ({err})") from err
+        held = fh.readinto(data)
+        if held != expected:
+            raise wrong_size(held)
+        if fh.read(1):
+            raise wrong_size(f"more than {expected}")
+    return as_matrix(data.T, f"{path}: matrix")
 
 
 @dataclass

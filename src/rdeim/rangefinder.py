@@ -24,17 +24,24 @@ import numpy as np
 
 from ._util import (
     OrthonormalBasis,
+    as_2d,
     as_matrix,
     as_vector,
     check_at_least,
     check_open_unit,
     check_seed,
+    finite_product,
 )
 from .exceptions import AdaptiveRangeError
 from .linalg import _svd, column_residuals, thin_qr, thin_svd
 
 # sketch blocks the adaptive range finder draws and applies to A together
 SKETCH_GROUP = 4
+
+# the adaptive finder rescales A when tol^2 ||A||_F^2 lies below this,
+# 2^-970: at or above it, the n n_s squares a residual at the tolerance is
+# made of are normal numbers for any n n_s below 2^52
+_TARGET_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def gaussian_matrix(rows, cols, seed):
@@ -58,13 +65,18 @@ def _sketch_basis(A, rank, oversample, power, seed):
             f"rank + oversample = {ell} exceeds the column count {n_s}"
         )
     omega = gaussian_matrix(n_s, ell, seed)
-    Q, _ = thin_qr(_times(A, omega))
-    for _ in range(power):
-        # re-orthonormalize after every half-iteration to keep the
-        # powered sketch numerically full rank
-        Q, _ = thin_qr(A.T @ Q)
-        Q, _ = thin_qr(_times(A, Q))
-    return _rotate_qb(Q, Q.T @ A, rank)
+    # a NaN or an infinity in A leaves the sketch non-finite, and so does an
+    # overflow, there or (through the power steps) in Q'A; finite_product
+    # tells the two apart, and no product warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, _ = thin_qr(finite_product(_times(A, omega), A, "A", "the sketch A Omega"))
+        for _ in range(power):
+            # re-orthonormalize after every half-iteration to keep the
+            # powered sketch numerically full rank
+            Q, _ = thin_qr(A.T @ Q)
+            Q, _ = thin_qr(_times(A, Q))
+        B = finite_product(Q.T @ A, A, "A", "the projected matrix Q'A")
+    return _rotate_qb(Q, B, rank)
 
 
 def _times(A, X):
@@ -92,6 +104,9 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     and the leading r directions of the projected matrix are rotated back
     into the ambient space.
 
+    Cost: A is read 2 + 2q times, once per product; its finiteness is
+    tested on the sketch A Omega, and Q'A, not by a read of its own.
+
     Parameters
     ----------
     A : ndarray, shape (n, n_s)
@@ -108,12 +123,19 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     -------
     OrthonormalBasis with provenance 'subspace-iteration'; its config is
     the dict of rank, oversample, power and seed.
+
+    Raises
+    ------
+    ValueError
+        If A has a non-finite entry.
+    OverflowingProductError
+        If A is finite but the sketch or Q'A overflows.
     """
     check_at_least(rank, 1, "rank")
     check_at_least(oversample, 1, "oversample")
     check_at_least(power, 0, "power")
     check_seed(seed)
-    A = as_matrix(A, "A")
+    A = as_2d(A, "A")
     W = _sketch_basis(A, rank, oversample, power, seed)
     config = {"rank": rank, "oversample": oversample, "power": power, "seed": seed}
     return OrthonormalBasis(W, "subspace-iteration", config)
@@ -138,9 +160,16 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     success. With a rank below the grown width, W is then rotated onto
     the leading left singular directions of C and cut to rank columns.
 
+    ||A||_F^2 is the sum of A's column dots, rounded once by math.fsum;
+    a non-finite dot is A's finiteness check. If a dot or the sum
+    overflows, or tol^2 ||A||_F^2 lies below 2^-970 (so that squares at
+    the tolerance would underflow; ||A||_F^2 rounding to 0 included), the
+    finder works on a copy of A scaled by an exact power of two to
+    max|a_ij| in [1/2, 1). The basis is that of the scaled copy; its bits
+    may differ from those of an unscaled run.
+
     Cost: A is read twice per group of SKETCH_GROUP blocks (G and the
-    group's rows of C), once for ||A||_F^2 as column dots whose sum
-    math.fsum rounds once, and once by the finiteness check. A residual
+    group's rows of C), and once for ||A||_F^2. A residual
     check forms W'W and takes ||A - W C||_F^2 as ||A||_F^2 - ||C||_F^2 +
     tr(C'(W'W - I)C) (see _gram_residual). Only when that value lies
     within its rounding margin of the target, where it cannot decide, does
@@ -174,6 +203,8 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
 
     Raises
     ------
+    ValueError
+        If A has a non-finite entry or is identically zero.
     AdaptiveRangeError
         If max_blocks blocks do not reach the tolerance. The exception
         carries the partial basis and the relative residual it achieves.
@@ -182,7 +213,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     check_at_least(block, 1, "block")
     check_at_least(max_blocks, 1, "max_blocks")
     check_seed(seed)
-    A = as_matrix(A, "A")
+    A = as_2d(A, "A")
     n, n_s = A.shape
     if block * max_blocks > n:
         raise ValueError(
@@ -192,9 +223,12 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     if rank is not None:
         check_at_least(rank, 1, "rank")
     rng = np.random.default_rng(seed)
-    alpha = math.fsum(np.einsum("ij,ij->j", A, A))
-    if alpha == 0.0:
-        raise ValueError("A is identically zero; no basis to find")
+    alpha = _squared_norm(A)
+    if not _TARGET_FLOOR <= tol * tol * alpha < math.inf:
+        if not A.any():
+            raise ValueError("A is identically zero; no basis to find")
+        A = np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
+        alpha = _squared_norm(A)
     target = tol * tol * alpha
 
     # beta sums k n_s rounded squares and tol^2 may lie below the unit
@@ -259,6 +293,21 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
         W = W.copy(order="F")  # holds none of the unused rows of W'
     config = {"tol": tol, "block": block, "max_blocks": max_blocks, "seed": seed, "rank": rank}
     return OrthonormalBasis(W, "adaptive", config)
+
+
+def _squared_norm(A):
+    """||A||_F^2 as the math.fsum of A's column dots; inf if a dot or the
+    sum overflows. A NaN or an infinity in A leaves a dot non-finite, and
+    then as_matrix raises its non-finite-entries ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.einsum("ij,ij->j", A, A)
+    if not np.isfinite(dots).all():
+        as_matrix(A, "A")
+        return math.inf
+    try:
+        return math.fsum(dots)
+    except OverflowError:
+        return math.inf
 
 
 def _gram_residual(W, C, norm2):

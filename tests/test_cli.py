@@ -188,6 +188,23 @@ def test_approx_rejects_an_option_the_choice_does_not_read(tmp_path, capsys, opt
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--beta", "7", "--delta", "3"], "--beta must lie in (0, 1)"),
+        (["--eps", "0"], "--eps must lie in (0, 1)"),
+        (["--delta", "1"], "--delta must lie in (0, 1)"),
+        (["--eta", "0.5"], "--eta must be >= 1"),
+    ],
+)
+def test_bounds_rejects_an_option_the_kind_does_not_read(capsys, options, message):
+    # srrqr reads only --eta, --rank and --n; every other option is checked too
+    rc = main(["bounds", "--kind", "srrqr", "--rank", "5", "--n", "50"] + options)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_bounds_missing_parameter(capsys):
     rc = main(["bounds", "--kind", "deviation", "--rank", "5"])
     assert rc == 1

@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -58,8 +60,76 @@ def test_read_rejects_short_payload(tmp_path):
     write_matrix(path, A)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="short.rdmx"):
+    with pytest.raises(ValueError, match="short.rdmx: payload holds 120 bytes, expected 128"):
         read_matrix(path)
+
+
+def test_read_rejects_overlong_payload(tmp_path):
+    path = tmp_path / "long.rdmx"
+    write_matrix(path, random_matrix(4, 4, seed=2))
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="long.rdmx: payload holds 136 bytes, expected 128"):
+        read_matrix(path)
+
+
+def test_read_rejects_a_lying_header_before_allocating(tmp_path):
+    # 2^31 x 2^31 doubles would be 2^65 bytes; the file holds 16 after the header
+    path = tmp_path / "huge.rdmx"
+    path.write_bytes(MAGIC + struct.pack("<QQ", 2**31, 2**31) + b"\x00" * 16)
+    assert path.stat().st_size == 40
+    with pytest.raises(ValueError, match="huge.rdmx: payload holds 16 bytes"):
+        read_matrix(path)
+
+
+def _through_fifo(tmp_path, data):
+    """A named pipe in tmp_path that a thread fills with data, and the thread."""
+    path = tmp_path / "pipe.rdmx"
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fh:
+            try:
+                fh.write(data)
+            except BrokenPipeError:  # the reader may stop early
+                pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    return path, writer
+
+
+def test_pipe_round_trip_bit_exact(tmp_path):
+    A = random_matrix(300, 7, seed=3)  # past one pipe buffer of 64 KB
+    path = tmp_path / "a.rdmx"
+    write_matrix(path, A)
+    pipe, writer = _through_fifo(tmp_path, path.read_bytes())
+    B = read_matrix(pipe)
+    writer.join()
+    assert A.tobytes() == np.ascontiguousarray(B).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data[:-8], "payload holds 120 bytes, expected 128"),
+        (lambda data: data + b"\x00", "payload holds more than 128 bytes"),
+        (lambda data: data[:8] + struct.pack("<QQ", 2**31, 2**31) + data[24:], "no room for"),
+    ],
+)
+def test_pipe_of_the_wrong_size_is_rejected(tmp_path, edit, message):
+    path = tmp_path / "a.rdmx"
+    write_matrix(path, random_matrix(4, 4, seed=2))
+    pipe, writer = _through_fifo(tmp_path, edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"pipe.rdmx: {message}"):
+        read_matrix(pipe)
+    writer.join()
+
+
+def test_read_returns_fortran_ordered_float64(tmp_path):
+    path = tmp_path / "f.rdmx"
+    write_matrix(path, random_matrix(5, 3, seed=4))
+    B = read_matrix(path)
+    assert B.dtype == np.float64 and B.flags.f_contiguous and B.flags.writeable
 
 
 def test_read_rejects_nonfinite(tmp_path):

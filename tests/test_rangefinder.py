@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rdeim import rangefinder
-from rdeim.exceptions import AdaptiveRangeError, ConvergenceError
+from rdeim.exceptions import AdaptiveRangeError, ConvergenceError, OverflowingProductError
 from rdeim.experiments import AlgorithmSpec, ExperimentSpec, build_basis, generate
 from rdeim.linalg import canonical_angles, spectral_norm, thin_svd
 from rdeim.rangefinder import (
@@ -300,8 +301,99 @@ def test_adaptive_rejects_overgrown_budget():
 
 
 def test_adaptive_rejects_zero_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identically zero"):
         adaptive_range_finder(np.zeros((30, 10)), tol=0.1, block=5, max_blocks=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        # each column dot is finite, their sum overflows
+        np.full((4, 2), 5e153),
+        # each column dot overflows
+        np.full((4, 3), 1e200),
+    ],
+)
+def test_adaptive_rescales_a_norm_that_overflows(A):
+    W = adaptive_range_finder(A, 0.1, block=1, max_blocks=2)
+    assert W.rank == 1
+    assert np.allclose(np.abs(W.matrix[:, 0]), 0.5, rtol=0, atol=1e-15)
+
+
+def test_adaptive_rescales_a_norm_that_underflows():
+    # every square underflows to 0 on a nonzero matrix
+    B = np.random.default_rng(0).standard_normal((40, 8))
+    W = adaptive_range_finder(B * 1e-170, 0.1, block=2, max_blocks=4)
+    V = adaptive_range_finder(B, 0.1, block=2, max_blocks=4)
+    assert W.rank == V.rank
+    assert canonical_angles(W, V).sin_theta_max <= 1e-12
+    # across the edge where the squares turn subnormal, and then 0; with the
+    # rescaling only for a norm of 0, 2^-539 B would give 8 columns, not 14
+    B = np.random.default_rng(1).standard_normal((20, 60))
+    V = adaptive_range_finder(B, 0.5, block=2, max_blocks=10)
+    for k in range(-560, -500):
+        W = adaptive_range_finder(np.ldexp(B, k), 0.5, block=2, max_blocks=10)
+        assert W.rank == V.rank == 14
+        assert canonical_angles(W, V).sin_theta_max <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(8, 40),
+    wide=st.integers(2, 4),
+    block=st.integers(1, 4),
+    tol=st.sampled_from([0.7, 0.5, 0.3]),
+    k=st.integers(-600, 600),
+    seed=st.integers(0, 2**16),
+)
+def test_adaptive_width_does_not_depend_on_the_scale(n, wide, block, tol, k, seed):
+    # a wide Gaussian A has well-conditioned sketches, so the span of every
+    # leading run of columns is fixed to rounding; 2^k A overflows the norm
+    # for k above about 500 and underflows it below about -530
+    A = np.random.default_rng(seed).standard_normal((n, wide * n))
+    max_blocks = n // block
+    V = adaptive_range_finder(A, tol, block, max_blocks, seed)
+    W = adaptive_range_finder(np.ldexp(A, k), tol, block, max_blocks, seed)
+    assert W.rank == V.rank
+    assert canonical_angles(W, V).sin_theta_max <= 1e-12
+
+
+def test_subspace_overflow_is_a_typed_error():
+    A = np.random.default_rng(0).standard_normal((40, 20)) * 1e307
+    # the QR of the finite sketch overflows (its column norms pass 1.8e308),
+    # and the NaNs it leaves show in Q'A
+    with pytest.raises(OverflowingProductError, match=r"Q'A \(15, 20\) overflowed on a finite A"):
+        subspace_range_finder(A, rank=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(12, 60),
+    n_s=st.integers(6, 40),
+    value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    seed=st.integers(0, 2**16),
+)
+def test_one_non_finite_entry_is_named(n, n_s, value, at, seed):
+    # the finders and the orthonormality check test finiteness on a product
+    # they form anyway; a NaN or an infinity anywhere makes it non-finite
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n_s))
+    A[int(at[0] * n), int(at[1] * n_s)] = value
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 4)))
+    Q[int(at[0] * n), int(at[1] * 4)] = value
+    builds = (
+        lambda: subspace_range_finder(A, rank=2, oversample=3, power=1, seed=seed),
+        lambda: adaptive_range_finder(A, 0.1, block=2, max_blocks=n // 2, seed=seed),
+        lambda: OrthonormalBasis(Q, "probe"),
+        lambda: OrthonormalBasis(np.asfortranarray(Q), "probe"),
+    )
+    for build in builds:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="contains non-finite entries"):
+                build()
+        assert caught == []
 
 
 def test_adaptive_deterministic():
@@ -470,12 +562,10 @@ def test_check_takes_rows_within_the_rounding_of_a_fresh_product(monkeypatch, ex
     assert np.all(np.abs(C - Wl.T @ Al) <= bound)
 
 
-def test_adaptive_reads_the_matrix_twice_per_sketch_group(monkeypatch):
-    # desk source grows by 10 blocks over 3 sketch groups; A is read in
-    # full by the finiteness check, the one norm and two products a group
-    # (G = A Omega and the group's rows of C), and by nothing else
-    spec = ExperimentSpec(example="source", rank=12, basis="adaptive")
-    A = generate(spec).matrix
+def _count_reads(monkeypatch, A):
+    """The list of numpy calls that read all of A inside a range finder,
+    which takes A through as_2d, and of its as_matrix checks; it grows as
+    the finder runs."""
     reads = []
 
     class Counted(np.ndarray):
@@ -494,19 +584,39 @@ def test_adaptive_reads_the_matrix_twice_per_sketch_group(monkeypatch):
         def __array_function__(self, func, types, args, kwargs):
             return func(*self._plain(args, func.__name__), **kwargs)
 
-    real = rangefinder.as_matrix
+    real, check = rangefinder.as_2d, rangefinder.as_matrix
+    monkeypatch.setattr(rangefinder, "as_2d", lambda a, name: real(a, name).view(Counted))
+    monkeypatch.setattr(
+        rangefinder, "as_matrix", lambda a, name: reads.append("as_matrix") or check(a, name)
+    )
+    return reads
 
-    def as_counted(a, name):
-        reads.append("as_matrix")
-        return real(a, name).view(Counted)
 
-    monkeypatch.setattr(rangefinder, "as_matrix", as_counted)
+def test_adaptive_reads_the_matrix_twice_per_sketch_group(monkeypatch):
+    # desk source grows by 10 blocks over 3 sketch groups; A is read in
+    # full by the one norm, whose column dots are also its finiteness
+    # check, and two products a group (G = A Omega and the group's rows of
+    # C), and by nothing else
+    spec = ExperimentSpec(example="source", rank=12, basis="adaptive")
+    A = generate(spec).matrix
+    reads = _count_reads(monkeypatch, A)
     fallbacks = _counting(monkeypatch, "column_residuals")
     for rank in (None, spec.rank):
         del reads[:]
         W = adaptive_range_finder(A, spec.tol, spec.block, spec.max_blocks, rank=rank)
         assert W.rank == (100 if rank is None else rank) and fallbacks == []
-        assert reads == ["as_matrix", "einsum"] + ["matmul", "matmul"] * 3
+        assert reads == ["einsum"] + ["matmul", "matmul"] * 3
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_subspace_reads_the_matrix_once_per_product(monkeypatch, power):
+    # the sketch, two products per power step and Q'A; the finiteness test
+    # is taken from the sketch and Q'A, not from a read of its own
+    A = generate(ExperimentSpec(example="corner", rank=12)).matrix
+    reads = _count_reads(monkeypatch, A)
+    W = subspace_range_finder(A, 12, power=power)
+    assert W.rank == 12
+    assert reads == ["matmul"] * (2 + 2 * power)
 
 
 def test_paper_corner_check_needs_no_explicit_residual(monkeypatch):

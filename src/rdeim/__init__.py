@@ -51,7 +51,7 @@ from .selection import (
     sample_count_bound,
     srrqr_select,
 )
-from .projector import DeimProjector, build_projector
+from .projector import DeimProjector, build_projector, check_full_rank
 from .bounds import (
     BoundReport,
     angle_bound_constant,

@@ -16,7 +16,8 @@ SWEEP_BLOCK = 64
 
 # as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this
 # many entries when those lines hold fewer: a 64 KB bool buffer, which
-# stays in cache
+# stays in cache. linalg.srrqr solves the columns of R12 in blocks by the
+# same rule, 512 KB of float64, which keeps the number of solves small
 FINITE_BLOCK = 1 << 16
 
 

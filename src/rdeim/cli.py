@@ -28,7 +28,7 @@ from .experiments import (
     select_points,
 )
 from .matio import ResultTable, emit_csv, read_matrix, write_matrix
-from .projector import build_projector
+from .projector import check_full_rank
 from .rangefinder import OrthonormalBasis
 
 
@@ -149,9 +149,8 @@ def _cmd_select(args):
     # projector trust the OrthonormalBasis it yields
     basis = OrthonormalBasis(read_matrix(args.basis_file), args.basis_file)
     S = select_points(basis, _spec(args, rank=basis.rank))
-    # building the projector verifies the selection exposes full rank;
     # a degenerate selection fails here, before anything is written
-    build_projector(basis, S)
+    check_full_rank(basis, S)
     table = ResultTable(
         columns=("position", "index", "weight"),
         rows=[(k, int(S.indices[k]), float(S.weights[k])) for k in range(S.s)],

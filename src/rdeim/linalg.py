@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import SWEEP_BLOCK, as_matrix, check_at_least, orthonormal_basis
+from ._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix, check_at_least, orthonormal_basis
 from .exceptions import ConvergenceError, RankDeficiencyError
 
 
@@ -47,7 +47,9 @@ class SRRQRFactors:
     ``Q @ [[R11, R12]]`` (padded with the trailing rows of R) reconstructs
     the permuted matrix; R11 is rank-by-rank upper triangular with strictly
     positive diagonal, and every entry of ``inv(R11) @ R12`` is bounded by
-    eta in absolute value.
+    eta in absolute value. swaps counts the column swaps made after the
+    pivoted QR, and max_interaction is the final max |inv(R11) @ R12|
+    (0.0 when rank == n).
     """
 
     Q: np.ndarray
@@ -55,6 +57,8 @@ class SRRQRFactors:
     R12: np.ndarray
     perm: np.ndarray
     eta: float
+    swaps: int
+    max_interaction: float
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,8 @@ def pivoted_qr(M):
     Q : ndarray, shape (m, k) with k = min(m, n)
     R : ndarray, shape (k, n)
         ``Q @ R = M[:, perm]``; the diagonal magnitudes |R[i, i]| are
-        nonincreasing.
+        nonincreasing. For a wide M (m <= n), R is the array ``geqp3``
+        factored in place, so no k-by-n copy is made.
     perm : ndarray of intp, shape (n,)
         Pivot order applied to the columns of M.
 
@@ -230,13 +235,14 @@ def pivoted_qr(M):
 def _reduced_factors(qr, tau, orgqr):
     """Q (m-by-k) and R (k-by-n), k = min(m, n), from the m-by-n output
     qr, tau of a Householder QR (``geqp3`` or ``geqrf``); Q is formed by
-    one ``orgqr`` call."""
+    one ``orgqr`` call. qr must be owned by the caller: for a wide input
+    (m <= n) it becomes R in place."""
     k = min(qr.shape)
     # orgqr copies its input, so Q does not keep the n-wide qr buffer alive
     Q, _, _ = _lapack(orgqr, qr.shape, qr[:, :k], tau)
-    # the reflectors sit below the diagonal of the leading k x k block only,
-    # so R is a copy of qr[:k] with that block's lower part zeroed
-    R = qr[:k].copy(order="F")
+    # the reflectors sit below the diagonal of the leading k x k block only;
+    # a wide qr is R once they are zeroed, a tall one has rows below R
+    R = qr if k == qr.shape[0] else qr[:k].copy(order="F")
     R[:, :k] = np.triu(R[:, :k])
     return Q, R
 
@@ -258,6 +264,12 @@ def srrqr(M, rank, eta=2.0):
     entrywise bound guarantees
     ``sigma_min(R11) >= sigma_rank(M) / sqrt(1 + eta^2 rank (n - rank))``.
 
+    ``inv(R11) @ R12`` is never formed whole: its largest entry is found
+    a block of R12's columns at a time (_max_interaction), so beyond the
+    copy of M that the QR factors in place (and which becomes R for a wide
+    M), the working memory is one block of at most
+    max(FINITE_BLOCK, rank * SWEEP_BLOCK) entries.
+
     Parameters
     ----------
     M : ndarray, shape (m, n)
@@ -270,6 +282,7 @@ def srrqr(M, rank, eta=2.0):
     Returns
     -------
     SRRQRFactors
+        With the swap count and the final max |inv(R11) @ R12|.
 
     Raises
     ------
@@ -292,35 +305,56 @@ def srrqr(M, rank, eta=2.0):
     Q, R, perm = pivoted_qr(A)
     swaps = 0
     while True:
-        R11 = R[:r, :r]
-        dmin = np.min(np.abs(np.diag(R11)))
+        dmin = np.min(np.abs(np.diag(R[:r, :r])))
         if dmin <= max(m, n) * np.finfo(np.float64).eps * abs(R[0, 0]) or R[0, 0] == 0.0:
             raise RankDeficiencyError(
                 f"leading {r} x {r} block is numerically singular "
                 f"(matrix rank below {r})"
             )
-        if r == n:
-            break
-        T = np.abs(solve_triangular(R11, R[:r, r:], lower=False))
-        t_max = T.max()
+        t_max, i, j = _max_interaction(R, r)
         if t_max <= eta:
             break
         if swaps == cap:
             raise ConvergenceError(
                 f"srrqr swap cap of {cap} ({_SWAPS_PER_COLUMN} per column) exceeded at eta={eta}"
             )
-        i, j = np.unravel_index(np.argmax(T), T.shape)
         perm[[i, r + j]] = perm[[r + j, i]]
         Q, R = _reduced_factors(*_householder_qr(A[:, perm], "orgqr"))
         swaps += 1
 
     # normalize signs so the leading diagonal is strictly positive; Q and R
     # are this call's own arrays, so they are flipped in place
-    for i in range(r):
-        if R[i, i] < 0:
-            R[i, :] *= -1.0
-            Q[:, i] *= -1.0
-    return SRRQRFactors(Q=Q, R11=R[:r, :r], R12=R[:r, r:], perm=perm, eta=float(eta))
+    signs = np.where(np.diag(R)[:r] < 0, -1.0, 1.0)
+    Q[:, :r] *= signs
+    R[:r] *= signs[:, None]
+    return SRRQRFactors(
+        Q=Q, R11=R[:r, :r], R12=R[:r, r:], perm=perm, eta=float(eta),
+        swaps=swaps, max_interaction=float(t_max),
+    )
+
+
+def _max_interaction(R, r):
+    """(t, i, j): the largest |entry| t of inv(R11) @ R12, with R11 =
+    R[:r, :r] and R12 = R[:r, r:], and its position, the first in row
+    order on ties; (0.0, 0, 0) when R12 has no columns.
+
+    R12 is solved a block of columns at a time, as as_matrix checks
+    lines: SWEEP_BLOCK columns, or more when r is small, up to
+    FINITE_BLOCK entries, so no r x (n - r) temporary is formed and few
+    solves are made. A block's np.argmax is its first maximal entry in
+    row order; across blocks, a tie goes to the lower row, and in one row
+    to the earlier block.
+    """
+    R11 = R[:r, :r]
+    step = max(SWEEP_BLOCK, FINITE_BLOCK // r)
+    t, i, j = 0.0, 0, 0
+    for lo in range(r, R.shape[1], step):
+        T = solve_triangular(R11, R[:r, lo : lo + step], lower=False)
+        np.abs(T, out=T)
+        bi, bj = np.unravel_index(np.argmax(T), T.shape)
+        if T[bi, bj] > t or (T[bi, bj] == t and bi < i):
+            t, i, j = T[bi, bj], bi, lo - r + bj
+    return t, i, j
 
 
 def spectral_norm(M):

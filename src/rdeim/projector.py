@@ -16,6 +16,9 @@ from .exceptions import DegenerateSelectionError
 from .linalg import _svd, spectral_norm
 from .selection import SelectionOperator
 
+# the operand a ConvergenceError of either SVD of S'W names
+_CROSS = "the cross matrix S'W"
+
 
 @dataclass(frozen=True)
 class DeimProjector:
@@ -103,7 +106,7 @@ def build_projector(W, S):
     ----------
     W : OrthonormalBasis or ndarray, shape (n, r)
     S : SelectionOperator with s >= r points over the same n; the cross
-        matrix S' W must have full rank r: sigma_min above 1e-12 sigma_1.
+        matrix S' W must have full rank r (see check_full_rank).
 
     Raises
     ------
@@ -112,19 +115,9 @@ def build_projector(W, S):
         basis.
     """
     W = orthonormal_basis(W, "W")
-    Wm = W.matrix
-    n, r = Wm.shape
-    if S.n != n:
-        raise ValueError(f"selection is over {S.n} rows but the basis has {n}")
-    if S.s < r:
-        raise ValueError(f"selection has {S.s} points, fewer than the basis rank {r}")
-    cross = Wm[S.indices, :] * S.weights[:, None]
-    U, s, Vt = _svd(cross, "the cross matrix S'W", full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-        raise DegenerateSelectionError(
-            f"cross matrix S' W is rank deficient "
-            f"(sigma_min/sigma_1 = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
-        )
+    r = W.rank
+    U, s, Vt = _svd(_cross_matrix(W, S), _CROSS, full_matrices=False)
+    _require_full_rank(s)
     mode = "interpolatory" if (S.s == r and S.is_unit_weight) else "sampled"
     return DeimProjector(
         orthonormal=W,
@@ -135,3 +128,38 @@ def build_projector(W, S):
         rank=r,
         mode=mode,
     )
+
+
+def check_full_rank(W, S):
+    """Require the cross matrix S' W to have full rank r: sigma_min above
+    1e-12 sigma_1, the test build_projector applies, decided from the
+    singular values alone (no singular vectors are formed).
+
+    Raises
+    ------
+    DegenerateSelectionError
+        If S' W is rank deficient.
+    """
+    _require_full_rank(_svd(_cross_matrix(orthonormal_basis(W, "W"), S), _CROSS, compute_uv=False))
+
+
+def _cross_matrix(W, S):
+    """S' W for an OrthonormalBasis W and a selection of at least r points
+    over its n rows."""
+    Wm = W.matrix
+    n, r = Wm.shape
+    if S.n != n:
+        raise ValueError(f"selection is over {S.n} rows but the basis has {n}")
+    if S.s < r:
+        raise ValueError(f"selection has {S.s} points, fewer than the basis rank {r}")
+    return Wm[S.indices, :] * S.weights[:, None]
+
+
+def _require_full_rank(s):
+    """The one rank test of a selection, on the nonincreasing singular
+    values s of S' W: sigma_min above 1e-12 sigma_1."""
+    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+        raise DegenerateSelectionError(
+            f"cross matrix S' W is rank deficient "
+            f"(sigma_min/sigma_1 = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
+        )

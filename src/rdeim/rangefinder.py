@@ -66,17 +66,25 @@ def _sketch_basis(A, rank, oversample, power, seed):
         )
     omega = gaussian_matrix(n_s, ell, seed)
     # a NaN or an infinity in A leaves the sketch non-finite, and so does an
-    # overflow, there or (through the power steps) in Q'A; finite_product
-    # tells the two apart, and no product warns
+    # overflow, in a product or in the QR of one; each is checked where it
+    # is formed, finite_product tells the two causes apart and names the
+    # first step that overflowed, and no product warns
     with np.errstate(over="ignore", invalid="ignore"):
-        Q, _ = thin_qr(finite_product(_times(A, omega), A, "A", "the sketch A Omega"))
+        Q = _checked_qr(_times(A, omega), A, "the sketch A Omega")
         for _ in range(power):
             # re-orthonormalize after every half-iteration to keep the
             # powered sketch numerically full rank
-            Q, _ = thin_qr(A.T @ Q)
-            Q, _ = thin_qr(_times(A, Q))
+            Q = _checked_qr(A.T @ Q, A, "the power product A'Q")
+            Q = _checked_qr(_times(A, Q), A, "the power product AQ")
         B = finite_product(Q.T @ A, A, "A", "the projected matrix Q'A")
     return _rotate_qb(Q, B, rank)
+
+
+def _checked_qr(Y, A, what):
+    """The Q factor of thin_qr(Y) for a product Y of A named what, each
+    checked for finiteness by finite_product."""
+    Q, _ = thin_qr(finite_product(Y, A, "A", what))
+    return finite_product(Q, A, "A", f"the QR of {what}")
 
 
 def _times(A, X):
@@ -105,7 +113,8 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     into the ambient space.
 
     Cost: A is read 2 + 2q times, once per product; its finiteness is
-    tested on the sketch A Omega, and Q'A, not by a read of its own.
+    tested on the products and QR factors the finder forms, not by a read
+    of its own.
 
     Parameters
     ----------

@@ -92,10 +92,11 @@ class SelectionOperator:
 def leverage_scores(W):
     """Row leverage scores of an orthonormal basis: l_j = ||W[j, :]||^2.
 
-    They sum to the basis rank; their maximum is the coherence.
+    They sum to the basis rank; their maximum is the coherence. Each is
+    one dot product of a row with itself, so no n x r temporary is formed.
     """
     W = orthonormal_basis(W, "W").matrix
-    return np.sum(W * W, axis=1)
+    return np.einsum("ij,ij->i", W, W)
 
 
 def mixed_pmf(leverage, rank, beta):
@@ -208,7 +209,8 @@ def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
     DegenerateSelectionError
         If the strong RRQR stage finds the sampled rows rank deficient
         against the basis. The rank of the final S' W is not checked here:
-        projector.build_projector is the one check of it.
+        the projector module's rank test (build_projector and
+        check_full_rank) is the one check of it.
     """
     W = orthonormal_basis(W, "W")
     Wm = W.matrix

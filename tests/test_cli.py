@@ -71,6 +71,26 @@ def test_select_rank_deficient_writes_nothing(tmp_path, capsys):
     assert not points.exists()
 
 
+@pytest.mark.parametrize("selector", ["greedy", "pqr", "srrqr", "leverage", "hybrid"])
+def test_select_checks_rank_from_singular_values_alone(tmp_path, monkeypatch, selector):
+    # the rank check reads sigma_min / sigma_1 only, so the one SVD a
+    # select makes forms no singular vectors
+    basis = tmp_path / "w.rdmx"
+    write_matrix(basis, np.linalg.qr(random_matrix(60, 5, seed=2))[0])
+    calls = []
+    real_svd = np.linalg.svd
+
+    def svd(M, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real_svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    points = tmp_path / "pts.csv"
+    rc = main(["select", "--basis-file", str(basis), "--select", selector, "--out", str(points)])
+    assert rc == 0 and points.exists()
+    assert calls == [False]
+
+
 def test_select_leverage_weights(tmp_path):
     basis = tmp_path / "w.rdmx"
     W, _ = np.linalg.qr(random_matrix(60, 5, seed=1))

@@ -23,7 +23,7 @@ from rdeim.linalg import (
     thin_qr,
     thin_svd,
 )
-from rdeim.projector import build_projector
+from rdeim.projector import build_projector, check_full_rank
 from rdeim.selection import SelectionOperator
 
 from conftest import random_matrix, random_orthonormal, spectrum_matrix
@@ -361,6 +361,9 @@ def test_srrqr_identity_any_rank():
         assert np.allclose(np.diag(fac.R11), 1.0)
         T = np.linalg.solve(fac.R11, fac.R12)
         assert T.size == 0 or np.max(np.abs(T)) <= 2.0
+        assert fac.swaps == 0
+        # no trailing columns at rank 6, and exact zeros before it
+        assert fac.max_interaction == 0.0
 
 
 def _kahan(n, c=0.285):
@@ -407,6 +410,56 @@ def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
     assert list(fac.perm) == list(perm)
 
 
+@pytest.mark.parametrize(
+    "T, swap",
+    [
+        # ties at (1, 0) in the first block and (0, 2) in the second: the
+        # lower row wins though its block is solved later
+        ([[0.5, 1.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 2),
+        # ties at (0, 1) and (0, 2) in one row: the earlier block wins
+        ([[0.5, 3.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 1),
+    ],
+)
+def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(monkeypatch, T, swap):
+    # R12's four columns are solved two at a time; the first check sees T,
+    # the check after the swap sees zeros
+    T = np.asarray(T)
+    solves = []
+
+    def crafted(R11, R12, lower):
+        solves.append(R12.shape)
+        lo = 2 * (len(solves) - 1)
+        return T[:, lo : lo + 2].copy() if lo < T.shape[1] else np.zeros(R12.shape)
+
+    M = random_matrix(2, 6, seed=0)
+    perm = pivoted_qr(M)[2]
+    monkeypatch.setattr(rdeim.linalg, "SWEEP_BLOCK", 2)
+    monkeypatch.setattr(rdeim.linalg, "FINITE_BLOCK", 2)
+    monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
+    fac = srrqr(M, 2, eta=2.0)
+    perm[[0, 2 + swap]] = perm[[2 + swap, 0]]
+    assert solves == [(2, 2)] * 4
+    assert list(fac.perm) == list(perm)
+    assert fac.swaps == 1 and fac.max_interaction == 0.0
+
+
+@pytest.mark.parametrize("factor", ["pivoted_qr", "srrqr"])
+def test_wide_factorizations_keep_r_in_place(factor):
+    # R is the array geqp3 factors in place, and srrqr finds its largest
+    # interaction a block of columns at a time: about one copy of M. A
+    # k x n copy of R, or the whole inv(R11) R12 and its absolute value,
+    # would each add another M.nbytes
+    M = random_matrix(64, 20000, seed=1)
+    call = {"pivoted_qr": lambda: pivoted_qr(M), "srrqr": lambda: srrqr(M, 64)}[factor]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * M.nbytes
+
+
 def _wide_kahan():
     # Kahan(8, c=0.6) ahead of 32 small columns: an 8 x 40 input that swaps
     tail = 1e-3 * random_matrix(8, 32, seed=0)
@@ -431,10 +484,12 @@ def test_srrqr_matches_the_numpy_qr_oracle(make, rank, eta):
     M = make()
     Q, R11, R12, perm, swaps = reference_srrqr(M, rank, eta)
     fac = srrqr(M, rank, eta)
-    assert swaps > 0
+    assert swaps > 0 and fac.swaps == swaps
     assert np.array_equal(fac.perm, perm)
     assert np.array_equal(fac.Q, Q)
     assert np.array_equal(fac.R11, R11) and np.array_equal(fac.R12, R12)
+    assert fac.max_interaction <= eta
+    assert fac.max_interaction == pytest.approx(np.abs(np.linalg.solve(R11, R12)).max(), rel=1e-12)
 
 
 def test_srrqr_selects_best_volume_pair():
@@ -461,6 +516,9 @@ def test_srrqr_contracts(seed):
     assert np.all(np.diag(fac.R11) > 0)
     T = np.linalg.solve(fac.R11, fac.R12)
     assert np.max(np.abs(T)) <= 2.0 + 1e-12
+    # the reported interaction is the one the swap loop stopped at
+    assert fac.max_interaction <= 2.0
+    assert fac.max_interaction == pytest.approx(np.max(np.abs(T)), rel=1e-12)
     # spectral guarantee
     sv = np.linalg.svd(M, compute_uv=False)
     smin = np.linalg.svd(fac.R11, compute_uv=False)[-1]
@@ -684,6 +742,9 @@ _FAULT_CASES.update(
         random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)
     ),
     build_projector=lambda: build_projector(
+        random_orthonormal(12, 3, seed=8), SelectionOperator(np.arange(3), np.ones(3), 12)
+    ),
+    check_full_rank=lambda: check_full_rank(
         random_orthonormal(12, 3, seed=8), SelectionOperator(np.arange(3), np.ones(3), 12)
     ),
     wedin_angle_bound=_wedin_case,

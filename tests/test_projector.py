@@ -3,7 +3,7 @@ import pytest
 
 from rdeim.exceptions import DegenerateSelectionError
 from rdeim.linalg import spectral_norm
-from rdeim.projector import build_projector
+from rdeim.projector import build_projector, check_full_rank
 from rdeim.selection import (
     SelectionOperator,
     deim_greedy_select,
@@ -41,11 +41,27 @@ def test_build_modes():
 def test_build_validation():
     W = random_orthonormal(10, 3, seed=1)
     S = SelectionOperator(np.array([0, 4]), np.ones(2), n=10)
-    with pytest.raises(ValueError):
-        build_projector(W, S)  # too few points
     S12 = SelectionOperator(np.array([0, 4, 7]), np.ones(3), n=12)
-    with pytest.raises(ValueError):
-        build_projector(W, S12)  # mismatched n
+    for check in (build_projector, check_full_rank):
+        with pytest.raises(ValueError):
+            check(W, S)  # too few points
+        with pytest.raises(ValueError):
+            check(W, S12)  # mismatched n
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-13, 2e-12, 1e-3])
+def test_rank_check_without_vectors_is_the_projectors(delta):
+    # S'W = diag(1, 1, delta), rank deficient for delta <= 1e-12: both
+    # checks decide alike, with or without singular vectors
+    W = np.eye(10)[:, :3]
+    W[2, 2], W[9, 2] = delta, np.sqrt(1.0 - delta * delta)
+    S = SelectionOperator(np.arange(3), np.ones(3), n=10)
+    for check in (build_projector, check_full_rank):
+        if delta <= 1e-12:
+            with pytest.raises(DegenerateSelectionError, match="rank deficient"):
+                check(W, S)
+        else:
+            check(W, S)
 
 
 def test_build_degenerate_selection():

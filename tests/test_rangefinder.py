@@ -360,10 +360,13 @@ def test_adaptive_width_does_not_depend_on_the_scale(n, wide, block, tol, k, see
 
 def test_subspace_overflow_is_a_typed_error():
     A = np.random.default_rng(0).standard_normal((40, 20)) * 1e307
-    # the QR of the finite sketch overflows (its column norms pass 1.8e308),
-    # and the NaNs it leaves show in Q'A
-    with pytest.raises(OverflowingProductError, match=r"Q'A \(15, 20\) overflowed on a finite A"):
-        subspace_range_finder(A, rank=5)
+    # the sketch is finite (max 1.52e308), but its column norms pass
+    # 1.8e308, so its QR is the step that overflows, and the error names it
+    # rather than a later product the NaNs run through
+    match = r"the QR of the sketch A Omega \(40, 15\) overflowed on a finite A"
+    for power in (0, 1):
+        with pytest.raises(OverflowingProductError, match=match):
+            subspace_range_finder(A, rank=5, power=power)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -61,9 +61,7 @@ from .bounds import (
     hybrid_constant,
     interpolation_error_bound,
     leverage_constant,
-    min_power_iterations,
     perturbed_basis_bound,
-    perturbed_pair_bound,
     rsvd_expected_error,
     srrqr_constant,
     wedin_angle_bound,

@@ -147,47 +147,6 @@ def perturbed_basis_bound(P_hat, W_ref, f):
     )
 
 
-def perturbed_pair_bound(P_ref, P_hat, f):
-    """Bound when both the basis and the points are perturbed (s = r).
-
-    ||f - D_hat f|| <= ||D|| ||(I - P_W) f||
-                      + ||D|| ||D_hat|| (sin(psi_max) ||(I - P_W) f||
-                                         + sin(theta_max) ||P_S f||),
-    with theta_max the angle between the bases and psi_max the angle
-    between the selected coordinate subspaces. Requires both projectors
-    interpolatory with the same rank.
-    """
-    if P_ref.selection.n != P_hat.selection.n:
-        raise ValueError("projectors live on different ambient dimensions")
-    if P_ref.rank != P_hat.rank:
-        raise ValueError(f"ranks differ: {P_ref.rank} vs {P_hat.rank}")
-    for P, name in ((P_ref, "reference"), (P_hat, "perturbed")):
-        if P.selection.s != P.rank:
-            raise ValueError(f"{name} projector must use s = r points, got s={P.selection.s}")
-    b = _vector_bounds(P_hat, f, P_ref.orthonormal)
-    sel_idx = np.unique(P_ref.selection.indices)
-    # two coordinate subspaces coincide, or one holds an axis orthogonal to the other
-    sin_psi = 0.0 if np.array_equal(sel_idx, np.unique(P_hat.selection.indices)) else 1.0
-    orth_norm, sin_theta = b["orth"], b["sin_theta_max"]
-    sel_norm = float(np.linalg.norm(np.asarray(f, dtype=np.float64)[sel_idx]))
-    d_ref = P_ref.error_constant()
-    d_hat = b["error_constant"]
-    bound = d_ref * orth_norm + d_ref * d_hat * (sin_psi * orth_norm + sin_theta * sel_norm)
-    return BoundReport(
-        actual_error=b["abs_error"],
-        bound_value=bound,
-        constants={
-            "error_constant_ref": d_ref,
-            "error_constant_hat": d_hat,
-            "sin_theta_max": sin_theta,
-            "sin_psi_max": sin_psi,
-            "orthogonal_part": orth_norm,
-            "selected_part": sel_norm,
-        },
-        inputs={"rank": P_ref.rank},
-    )
-
-
 def angle_bound_constant(rank, oversample, n_snapshots):
     """The constant C = sqrt(r/(p-1)) + e sqrt((r+p)(n_s - r)) / p."""
     r, p, n_s = int(rank), int(oversample), int(n_snapshots)
@@ -212,23 +171,6 @@ def expected_angle_bound(gamma, rank, oversample, power, n_snapshots):
     C = angle_bound_constant(rank, oversample, n_snapshots)
     raw = gamma ** (2 * q + 1) * C / (1.0 - gamma)
     return min(1.0, raw)
-
-
-def min_power_iterations(eps, gamma, constant):
-    """Smallest iteration count q with gamma^(2q+1) C / (1-gamma) <= eps.
-
-    q = ceil(0.5 * log(eps (1-gamma) / (gamma C)) / log(gamma)), floored
-    at 0.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    check_open_unit(gamma, "gamma")
-    if constant <= 0.0:
-        raise ValueError(f"constant must be positive, got {constant}")
-    arg = eps * (1.0 - gamma) / (gamma * constant)
-    if arg >= 1.0:
-        return 0
-    return max(0, int(math.ceil(0.5 * math.log(arg) / math.log(gamma))))
 
 
 def wedin_angle_bound(A, A_hat, rank):

@@ -23,7 +23,15 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix, check_at_least, orthonormal_basis
+from ._util import (
+    FINITE_BLOCK,
+    SWEEP_BLOCK,
+    as_2d,
+    as_matrix,
+    check_at_least,
+    finite_product,
+    orthonormal_basis,
+)
 from .exceptions import ConvergenceError, RankDeficiencyError
 
 
@@ -47,8 +55,8 @@ class SRRQRFactors:
     ``Q @ [[R11, R12]]`` (padded with the trailing rows of R) reconstructs
     the permuted matrix; R11 is rank-by-rank upper triangular with strictly
     positive diagonal, and every entry of ``inv(R11) @ R12`` is bounded by
-    eta in absolute value. swaps counts the column swaps made after the
-    pivoted QR, and max_interaction is the final max |inv(R11) @ R12|
+    srrqr's eta in absolute value. swaps counts the column swaps made after
+    the pivoted QR, and max_interaction is the final max |inv(R11) @ R12|
     (0.0 when rank == n).
     """
 
@@ -56,7 +64,6 @@ class SRRQRFactors:
     R11: np.ndarray
     R12: np.ndarray
     perm: np.ndarray
-    eta: float
     swaps: int
     max_interaction: float
 
@@ -218,10 +225,12 @@ def pivoted_qr(M):
 
     Raises
     ------
+    OverflowingProductError
+        If R overflows on a finite M. M is read for finiteness only then.
     ConvergenceError
         If LAPACK reports a failure (nonzero info).
     """
-    A = np.array(as_matrix(M, "M"), order="F")  # owned, so geqp3 may overwrite it
+    A = np.array(as_2d(M, "M"), order="F")  # owned, so geqp3 may overwrite it
     m, n = A.shape
     k = min(m, n)
     if k == 0:  # LAPACK rejects a zero leading dimension
@@ -229,6 +238,7 @@ def pivoted_qr(M):
     geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), (A,))
     qr, jpvt, tau, _, _ = _lapack(geqp3, A.shape, A, overwrite_a=True)
     Q, R = _reduced_factors(qr, tau, orgqr)
+    finite_product(R, M, "M", "the pivoted QR of M")  # M, which geqp3 left intact
     return Q, R, (jpvt - 1).astype(np.intp)
 
 
@@ -286,6 +296,8 @@ def srrqr(M, rank, eta=2.0):
 
     Raises
     ------
+    OverflowingProductError
+        If the pivoted QR of a finite M overflows.
     RankDeficiencyError
         If the leading block is numerically singular (matrix rank below
         the requested rank).
@@ -294,7 +306,7 @@ def srrqr(M, rank, eta=2.0):
         reachable for eta at the degenerate limit 1 with adversarial
         near-ties); the message names the cap.
     """
-    A = as_matrix(M, "M")
+    A = as_2d(M, "M")  # pivoted_qr checks it for finiteness
     m, n = A.shape
     r = int(rank)
     if not 1 <= r <= min(m, n):
@@ -328,8 +340,7 @@ def srrqr(M, rank, eta=2.0):
     Q[:, :r] *= signs
     R[:r] *= signs[:, None]
     return SRRQRFactors(
-        Q=Q, R11=R[:r, :r], R12=R[:r, r:], perm=perm, eta=float(eta),
-        swaps=swaps, max_interaction=float(t_max),
+        Q=Q, R11=R[:r, :r], R12=R[:r, r:], perm=perm, swaps=swaps, max_interaction=float(t_max),
     )
 
 
@@ -343,13 +354,14 @@ def _max_interaction(R, r):
     FINITE_BLOCK entries, so no r x (n - r) temporary is formed and few
     solves are made. A block's np.argmax is its first maximal entry in
     row order; across blocks, a tie goes to the lower row, and in one row
-    to the earlier block.
+    to the earlier block. The solves skip scipy's finiteness check:
+    pivoted_qr checked R, and a swap refactors the same columns.
     """
     R11 = R[:r, :r]
     step = max(SWEEP_BLOCK, FINITE_BLOCK // r)
     t, i, j = 0.0, 0, 0
     for lo in range(r, R.shape[1], step):
-        T = solve_triangular(R11, R[:r, lo : lo + step], lower=False)
+        T = solve_triangular(R11, R[:r, lo : lo + step], lower=False, check_finite=False)
         np.abs(T, out=T)
         bi, bj = np.unravel_index(np.argmax(T), T.shape)
         if T[bi, bj] > t or (T[bi, bj] == t and bi < i):

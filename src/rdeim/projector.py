@@ -93,11 +93,6 @@ class DeimProjector:
         """Upper bound ||(S' W)^+||_2 * ||S||_2 on the error constant."""
         return float(1.0 / self.cross_s.min()) * self.selection.two_norm()
 
-    def dense(self):
-        """Materialize D as an n-by-n array (tests and small problems only)."""
-        G = self.cross_v @ (self.cross_u.T / self.cross_s[:, None])
-        return self.basis @ G @ self.selection.dense().T
-
 
 def build_projector(W, S):
     """Assemble the oblique projector from a basis and a selection.

@@ -434,10 +434,6 @@ class SketchState:
     Y: np.ndarray
     absorbed: np.ndarray = field(repr=False)
 
-    @property
-    def columns_absorbed(self):
-        return int(self.absorbed.sum())
-
 
 def sketch_init(n, n_s, ell, seed):
     """Fresh sketch state for an n-by-n_s matrix with an n_s-by-ell Omega."""

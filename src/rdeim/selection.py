@@ -69,19 +69,6 @@ class SelectionOperator:
         x = np.asarray(x, dtype=np.float64)
         return self.weights * x[self.indices] if x.ndim == 1 else self.weights[:, None] * x[self.indices]
 
-    def expand(self, y):
-        """Apply S: scatter weighted entries into R^n (duplicates add)."""
-        y = np.asarray(y, dtype=np.float64)
-        out = np.zeros(self.n)
-        np.add.at(out, self.indices, self.weights * y)
-        return out
-
-    def dense(self):
-        """Materialize S as an n-by-s array (small cases / tests)."""
-        S = np.zeros((self.n, self.s))
-        S[self.indices, np.arange(self.s)] = self.weights
-        return S
-
     def two_norm(self):
         """||S||_2; S S' is diagonal, so this is a max over accumulated weights."""
         acc = np.zeros(self.n)

@@ -173,6 +173,14 @@ def batch_sketch(A, omega):
     return np.asarray(A, dtype=np.float64) @ np.asarray(omega, dtype=np.float64)
 
 
+def dense_selection(S):
+    """The n-by-s array of a SelectionOperator: column k is weights[k]
+    times the indices[k]-th standard basis vector."""
+    D = np.zeros((S.n, S.s))
+    D[S.indices, np.arange(S.s)] = S.weights
+    return D
+
+
 def dense_oblique_projector(W, indices, weights=None):
     """Assemble D = W (S'W)^+ S' densely via numpy.linalg.pinv."""
     W = np.asarray(W, dtype=np.float64)

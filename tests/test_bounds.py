@@ -14,9 +14,7 @@ from rdeim.bounds import (
     hybrid_constant,
     interpolation_error_bound,
     leverage_constant,
-    min_power_iterations,
     perturbed_basis_bound,
-    perturbed_pair_bound,
     rsvd_expected_error,
     srrqr_constant,
     wedin_angle_bound,
@@ -29,7 +27,6 @@ from rdeim.rangefinder import subspace_range_finder, svd_basis
 from rdeim.selection import (
     SelectionOperator,
     deim_greedy_select,
-    leverage_select,
     pqr_select,
     srrqr_select,
 )
@@ -150,65 +147,6 @@ def test_perturbed_basis_bound_shape_check():
         perturbed_basis_bound(P_hat, W.matrix[:, :4], np.ones(60))
 
 
-# ---------------------------------------------------- perturbed_pair_bound
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_pair_bound_dominates(seed):
-    A, W, _, P_hat = _perturbed_pair(seed)
-    P_ref = build_projector(W, deim_greedy_select(W))
-    for j in (2, 17, 30):
-        rep = perturbed_pair_bound(P_ref, P_hat, A[:, j])
-        assert rep.bound_value >= rep.actual_error - 1e-12
-
-
-def test_pair_bound_angle_terms_vanish_when_identical():
-    A = _snapshots(4)
-    W = svd_basis(A, 5)
-    P = build_projector(W, deim_greedy_select(W))
-    rep = perturbed_pair_bound(P, P, A[:, 9])
-    assert rep.constants["sin_theta_max"] == 0.0
-    assert rep.constants["sin_psi_max"] == 0.0
-    base = interpolation_error_bound(P, A[:, 9])
-    assert rep.bound_value == pytest.approx(base.bound_value, rel=1e-12)
-
-
-def test_pair_bound_point_angle_compares_the_index_sets():
-    A = _snapshots(4)
-    W = svd_basis(A, 5)
-    P = build_projector(W, deim_greedy_select(W))
-    idx = P.selection.indices
-
-    def sin_psi(points):
-        Q = build_projector(W, SelectionOperator(indices=points, weights=np.ones(5), n=60))
-        return perturbed_pair_bound(P, Q, A[:, 9]).constants["sin_psi_max"]
-
-    assert sin_psi(idx[::-1]) == 0.0
-    other = next(j for j in range(60) if j not in idx)
-    assert sin_psi(np.append(idx[:4], other)) == 1.0
-
-
-def test_pair_bound_requires_square_selections():
-    A = _snapshots(2)
-    W = svd_basis(A, 5)
-    P_ref = build_projector(W, deim_greedy_select(W))
-    S = leverage_select(W, 12, beta=0.5, seed=0)
-    P_smp = build_projector(W, S)
-    with pytest.raises(ValueError):
-        perturbed_pair_bound(P_ref, P_smp, A[:, 0])
-    with pytest.raises(ValueError):
-        perturbed_pair_bound(P_smp, P_ref, A[:, 0])
-
-
-def test_pair_bound_rank_mismatch():
-    A = _snapshots(2)
-    W5, W6 = svd_basis(A, 5), svd_basis(A, 6)
-    P5 = build_projector(W5, deim_greedy_select(W5))
-    P6 = build_projector(W6, deim_greedy_select(W6))
-    with pytest.raises(ValueError):
-        perturbed_pair_bound(P5, P6, A[:, 0])
-
-
 # ------------------------------------------------ every BoundReport holds
 
 
@@ -253,19 +191,11 @@ def test_every_bound_report_holds_and_matches_the_sweep(case):
     snaps = SnapshotSet(matrix=F, params=params, param_names=("k",), space={})
     table = error_sweep(P, snaps, reference_basis=W)
     C = P.error_constant()
-    square = P.selection.s == P.rank
-    P_ref = build_projector(W, pqr_select(W)) if square else None
     for j, (_, norm, abs_error, _, bound_plain, bound_perturbed, sin_max) in enumerate(table.rows):
         f = F[:, j]
         plain = interpolation_error_bound(P, f)
         pert = perturbed_basis_bound(P, W, f)
         reports = [plain, pert]
-        if square:
-            pair = perturbed_pair_bound(P_ref, P, f)
-            reports.append(pair)
-            # the same reference basis, so the same residual and angle
-            assert pair.constants["orthogonal_part"] == pert.constants["orthogonal_part"]
-            assert pair.constants["sin_theta_max"] == sin_max
         for rep in reports:
             assert rep.actual_error <= rep.bound_value + 1e-10 * (1.0 + C) * norm
         # the per-vector reports and the sweep are one evaluator on other shapes
@@ -313,31 +243,6 @@ def test_expected_angle_bound_validation():
         expected_angle_bound(1.0, 5, 10, 1, 60)
     with pytest.raises(ValueError):
         expected_angle_bound(0.5, 5, 10, -1, 60)
-
-
-def test_min_power_iterations_value():
-    assert min_power_iterations(0.1, 0.5, 10.0) == 4
-
-
-def test_min_power_iterations_floor_and_validation():
-    assert min_power_iterations(10.0, 0.5, 1.0) == 0
-    with pytest.raises(ValueError):
-        min_power_iterations(0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        min_power_iterations(0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        min_power_iterations(0.1, 0.5, 0.0)
-
-
-def test_min_power_iterations_consistent_with_bound():
-    gamma, r, p, n_s = 0.4, 5, 10, 60
-    C = angle_bound_constant(r, p, n_s)
-    for eps in (0.3, 0.05, 1e-3, 1e-6):
-        q = min_power_iterations(eps, gamma, C)
-        assert expected_angle_bound(gamma, r, p, q, n_s) <= eps + 1e-15
-        if q > 0:
-            raw_prev = gamma ** (2 * (q - 1) + 1) * C / (1 - gamma)
-            assert raw_prev > eps
 
 
 # --------------------------------------------------------------------- wedin

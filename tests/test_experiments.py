@@ -44,7 +44,12 @@ from rdeim.rangefinder import OrthonormalBasis, svd_basis
 from rdeim.selection import SelectionOperator, deim_greedy_select, mixed_pmf, pqr_select
 
 from conftest import gap_matrix, random_orthonormal
-from oracles import columnwise_corner_peak, columnwise_source_columns, oscillator_formula
+from oracles import (
+    columnwise_corner_peak,
+    columnwise_source_columns,
+    dense_oblique_projector,
+    oscillator_formula,
+)
 
 
 # ------------------------------------------------------------------ osc
@@ -525,7 +530,7 @@ def test_error_sweep_matches_the_dense_projector(case):
     P, W_ref, snaps = case
     table = error_sweep(P, snaps, reference_basis=W_ref)
     A = snaps.matrix
-    D = P.dense()
+    D = dense_oblique_projector(P.basis, P.selection.indices, P.selection.weights)
     C = np.linalg.norm(D, 2)
     sin_max = np.linalg.norm(P.basis - W_ref @ (W_ref.T @ P.basis), 2)
     P_ref_A = W_ref @ (W_ref.T @ A)
@@ -854,8 +859,10 @@ print(json.dumps(picked))
 
 def test_selected_points_do_not_depend_on_blas_threads():
     # bit-for-bit results hold per (seed, BLAS build, thread count): the
-    # floats may move in the last bits between thread counts, the points
-    # chosen from them must not
+    # floats may move in the last bits between thread counts, and so may
+    # the points where pivots tie to within those bits, as on corner's
+    # exactly paired singular values. These configs have no such tie, so
+    # their points must not move
     configs = [
         dict(example="source", rank=12, basis="subspace", selector="srrqr", seed=3, with_bounds=True),
         dict(example="corner", rank=10, basis="adaptive", selector="greedy", seed=3, with_bounds=True),

@@ -1,17 +1,19 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
 
 import rdeim.experiments
 import rdeim.linalg
 import rdeim.selection
 from rdeim.bounds import wedin_angle_bound
-from rdeim.exceptions import ConvergenceError, RankDeficiencyError
+from rdeim.exceptions import ConvergenceError, OverflowingProductError, RankDeficiencyError
 from rdeim._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix
 from rdeim.experiments import SELECTORS, ExperimentSpec, run_experiment
 from rdeim.linalg import (
@@ -397,7 +399,7 @@ def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
     T = np.asfortranarray([[0.5, 1.0, 3.0], [3.0, 0.0, -3.0]])
     solves = []
 
-    def crafted(R11, R12, lower):
+    def crafted(R11, R12, lower, check_finite):
         solves.append(R12.shape)
         return T if len(solves) == 1 else np.zeros(R12.shape)
 
@@ -426,7 +428,7 @@ def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(monkeypatch
     T = np.asarray(T)
     solves = []
 
-    def crafted(R11, R12, lower):
+    def crafted(R11, R12, lower, check_finite):
         solves.append(R12.shape)
         lo = 2 * (len(solves) - 1)
         return T[:, lo : lo + 2].copy() if lo < T.shape[1] else np.zeros(R12.shape)
@@ -499,30 +501,56 @@ def test_srrqr_selects_best_volume_pair():
     assert set(fac.perm[:2]) == best_volume_pair(M)
 
 
+@st.composite
+def _srrqr_cases(draw):
+    """(m, n, rank, eta, family, c) with m <= n and rank in [1, m]. The
+    family is "random" entries; "kahan", the Kahan matrix of parameter c
+    ahead of n - m small columns, at m >= 5 and rank < m, where the
+    pivoted QR mostly leaves an interaction above eta, so that srrqr
+    swaps; or "near-tie", unit-norm columns whose second half copies the
+    first to 1e-12, so that pivots tie to roundoff, at a rank within the
+    ceil(n / 2) distinct columns."""
+    family = draw(st.sampled_from(["kahan", "near-tie", "random"]))
+    m = draw(st.integers(5 if family == "kahan" else 1, 10))
+    n = draw(st.integers(m, 24))
+    top = {"kahan": m - 1, "near-tie": min(m, (n + 1) // 2)}.get(family, m)
+    rank = draw(st.integers(1, top))
+    eta = draw(st.sampled_from([1.1, 2.0, 4.0]))
+    return m, n, rank, eta, family, draw(st.floats(0.6, 0.8))
+
+
+def _srrqr_input(m, n, family, c, seed):
+    M = random_matrix(m, n, seed=seed)
+    if family == "kahan":
+        return np.hstack([_kahan(m, c), 1e-3 * M[:, : n - m]])
+    if family == "near-tie":
+        M /= np.linalg.norm(M, axis=0)
+        k = (n + 1) // 2
+        M[:, k:] = M[:, : n - k] * (1.0 + 1e-12 * random_matrix(1, n - k, seed=seed + 1))
+    return M
+
+
+# the six seeds of the random entries; hypothesis draws the rest
 @pytest.mark.parametrize("seed", range(6))
-def test_srrqr_contracts(seed):
-    M = random_matrix(9, 14, seed=seed)
-    r = 5
-    fac = srrqr(M, r, eta=2.0)
-    # reconstruction: Q R = M[:, perm] with R reassembled
-    k = fac.Q.shape[1]
-    R = np.zeros((k, 14))
-    R[:r, :r] = fac.R11
-    R[:r, r:] = fac.R12
-    resid = fac.Q[:, :r] @ R[:r] - M[:, fac.perm]
-    # rows beyond r live in the trailing factor; compare projected parts
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_srrqr_cases())
+def test_srrqr_contracts(seed, case):
+    m, n, r, eta, family, c = case
+    M = _srrqr_input(m, n, family, c, seed)
+    fac = srrqr(M, r, eta=eta)
+    # reconstruction: the leading r rows of R are Q's leading columns
+    # applied to M[:, perm]; the rows beyond r live in the trailing factor
     proj = fac.Q[:, :r].T @ M[:, fac.perm]
     assert np.max(np.abs(np.hstack([fac.R11, fac.R12]) - proj)) < 1e-10
     assert np.all(np.diag(fac.R11) > 0)
-    T = np.linalg.solve(fac.R11, fac.R12)
-    assert np.max(np.abs(T)) <= 2.0 + 1e-12
     # the reported interaction is the one the swap loop stopped at
-    assert fac.max_interaction <= 2.0
-    assert fac.max_interaction == pytest.approx(np.max(np.abs(T)), rel=1e-12)
+    T = solve_triangular(fac.R11, fac.R12)
+    assert fac.max_interaction <= eta
+    assert fac.max_interaction == pytest.approx(np.max(np.abs(T), initial=0.0), rel=1e-12)
     # spectral guarantee
     sv = np.linalg.svd(M, compute_uv=False)
     smin = np.linalg.svd(fac.R11, compute_uv=False)[-1]
-    bound = sv[r - 1] / np.sqrt(1.0 + 4.0 * r * (14 - r))
+    bound = sv[r - 1] / np.sqrt(1.0 + eta * eta * r * (n - r))
     assert smin >= bound * (1.0 - 1e-12)
 
 
@@ -547,6 +575,49 @@ def test_srrqr_parameter_errors():
         srrqr(M, 6, eta=2.0)
     with pytest.raises(ValueError):
         srrqr(M, 2, eta=0.5)
+
+
+def test_pivoted_factorizations_raise_a_typed_overflow():
+    # every entry is finite, but the column norms pass 1.8e308: geqp3
+    # leaves R non-finite, which srrqr used to read as a rank deficiency
+    M = np.random.default_rng(1).uniform(0.5, 1, (5, 30)) * 1e308
+    match = r"the pivoted QR of M \(5, 30\) overflowed on a finite M"
+    with pytest.raises(OverflowingProductError, match=match):
+        pivoted_qr(M)
+    with pytest.raises(OverflowingProductError, match=match):
+        srrqr(M, 3)
+
+
+_LAYOUTS = {
+    "tall": lambda m: st.integers(1, m - 1),
+    "square": lambda m: st.just(m),
+    "wide": lambda m: st.integers(m + 1, 15),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    seed=st.integers(0, 2**16),
+)
+def test_one_non_finite_entry_is_named_by_the_pivoted_factorizations(layout, data, value, at, seed):
+    # pivoted_qr tests finiteness on the R that geqp3 forms, not on M: a
+    # NaN or an infinity anywhere in M must leave R non-finite. That rests
+    # on how this BLAS build's nrm2 propagates a NaN, which this pins
+    m = data.draw(st.integers(2 if layout == "tall" else 1, 11))
+    n = data.draw(_LAYOUTS[layout](m))
+    rank = data.draw(st.integers(1, min(m, n)))
+    M = np.random.default_rng(seed).standard_normal((m, n))
+    M[int(at[0] * m), int(at[1] * n)] = value
+    for factor in (lambda: pivoted_qr(M), lambda: srrqr(M, rank)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="M contains non-finite entries"):
+                factor()
+        assert caught == []
 
 
 # ----------------------------------------------------------- spectral_norm

@@ -804,7 +804,7 @@ def test_sketch_absorb_all_matches_batch():
         sketch_absorb(st, int(j), A[:, j])
     Y = batch_sketch(A, st.omega)
     assert np.max(np.abs(st.Y - Y)) <= 1e-12 * np.max(np.abs(Y))
-    assert st.columns_absorbed == 18
+    assert st.absorbed.sum() == 18
 
 
 def test_sketch_replace_matches_from_scratch():

@@ -1,4 +1,5 @@
-"""The BENCH record collector and comparer under tools/, on made-up runs."""
+"""The BENCH record collector and comparer under tools/, on made-up runs,
+and the reach report, on a made-up package."""
 
 import json
 import math
@@ -11,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_compare  # noqa: E402
 import bench_record  # noqa: E402
+import reach  # noqa: E402
 
 ENV = {"python": "3.11", "numpy": "2.0", "git_sha": "abc123", "src_sha256": "f00d"}
 
@@ -83,3 +85,59 @@ def test_compare_defaults_to_the_two_newest_records_by_number(tmp_path):
     for name in ("BENCH_9.json", "BENCH_10.json", "BENCH_2.json", "BENCH_x.json"):
         (tmp_path / name).write_text("{}")
     assert bench_compare.newest_records(tmp_path) == (tmp_path / "BENCH_9.json", tmp_path / "BENCH_10.json")
+
+
+_MADE_UP = {
+    "__init__.py": "from .core import used\n",
+    "core.py": """import functools
+
+
+def used():
+    def inner():
+        return 1
+
+    return inner() + Box().size
+
+
+def unused(x):
+    if x:
+        def nested():
+            return x
+        return nested
+    return None
+
+
+class Box:
+    @property
+    def size(self):
+        return 1
+
+    @functools.cache
+    def never(self):
+        return 2
+""",
+}
+
+
+def test_reach_lists_the_functions_that_never_ran(tmp_path, monkeypatch):
+    pkg = tmp_path / "madeup"
+    pkg.mkdir()
+    for name, text in _MADE_UP.items():
+        (pkg / name).write_text(text)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import madeup
+
+    missed = reach.unreached(pkg, madeup.used)
+    # a decorated method counts from its decorator, a nested def is found
+    # at any depth, and a run def is not listed
+    assert [(p.name, name, first, last) for p, name, first, last in missed] == [
+        ("core.py", "unused", 11, 16),
+        ("core.py", "unused.nested", 13, 14),
+        ("core.py", "Box.never", 24, 26),
+    ]
+    assert reach.report(pkg, missed).splitlines() == [
+        "core.py:11 unused 6",
+        "core.py:13 unused.nested 2",
+        "core.py:24 Box.never 3",
+        "3 functions never ran, 11 lines",
+    ]

@@ -116,13 +116,11 @@ class OrthonormalBasis:
     provenance is 'exact-svd', 'subspace-iteration' or 'adaptive' for a
     basis the library built (``--basis basic`` is subspace iteration at
     power 0), or the path of the file the columns were read from; it also
-    names the basis in the error message. config is a dict of the
-    arguments the basis was built with.
+    names the basis in the error message.
     """
 
     matrix: np.ndarray
     provenance: str
-    config: dict = None
 
     def __post_init__(self):
         W = check_orthonormal(self.matrix, name=f"{self.provenance} basis")

@@ -26,7 +26,6 @@ class BoundReport:
     actual_error: float
     bound_value: float
     constants: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
 
 
 def column_bounds(P, F, reference=None):
@@ -109,7 +108,6 @@ def interpolation_error_bound(P, f):
         actual_error=b["abs_error"],
         bound_value=b["bound_plain"],
         constants={"error_constant": b["error_constant"], "best_approx_error": b["best"]},
-        inputs={"rank": P.rank, "points": P.selection.s, "mode": P.mode},
     )
 
 
@@ -143,7 +141,6 @@ def perturbed_basis_bound(P_hat, W_ref, f):
             "projected_part": proj_norm,
             "kappa": kappa,
         },
-        inputs={"rank": P_hat.rank, "points": P_hat.selection.s},
     )
 
 

@@ -74,7 +74,6 @@ class SnapshotSet:
 
     matrix: np.ndarray
     params: np.ndarray
-    param_names: tuple
     space: dict
     ranges: Optional[tuple] = None
 
@@ -101,7 +100,7 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
         np.exp(tm, out=tm)
         tm *= 10.0
         tm *= wave
-    return SnapshotSet(matrix=F, params=mu[:, None], param_names=("mu",), space={"t": t})
+    return SnapshotSet(matrix=F, params=mu[:, None], space={"t": t})
 
 
 def _corner_h(z, mu):
@@ -148,7 +147,7 @@ def corner_peak_snapshots(grid=100, param_grid=25):
             if k:
                 block += g
     params = np.column_stack([np.tile(mus, param_grid), np.repeat(mus, param_grid)])
-    return SnapshotSet(matrix=F, params=params, param_names=("mu1", "mu2"), space={"x1": x, "x2": x})
+    return SnapshotSet(matrix=F, params=params, space={"x1": x, "x2": x})
 
 
 def latin_hypercube(n_samples, ranges, seed):
@@ -214,7 +213,6 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
     return SnapshotSet(
         matrix=_source_columns(x, params),
         params=params,
-        param_names=("mu3", "mu4", "mu5"),
         space={"x1": x, "x2": x},
         ranges=tuple((float(lo), float(hi)) for lo, hi in ranges),
     )
@@ -230,7 +228,6 @@ def source_test_points(snaps, n_test, seed):
     return SnapshotSet(
         matrix=_source_columns(x, params),
         params=params,
-        param_names=snaps.param_names,
         space=snaps.space,
         ranges=snaps.ranges,
     )

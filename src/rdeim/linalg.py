@@ -9,7 +9,8 @@ small R factor, the thin QR of the range finders is ``geqrf`` plus
 ``orgqr``, and the column-pivoted QR is LAPACK ``geqp3``,
 whose greedy largest-residual pivot rule is the documented contract. The
 strong rank-revealing swap refinement on top of it is written out here,
-refactoring after each swap with ``geqrf`` plus ``orgqr``.
+refactoring after each swap with one ``geqrf``. The pivoted
+factorizations return R and the permutation only: no Q is formed.
 selection.pqr_select takes its points from the ``geqp3`` pivots and
 selection.srrqr_select from ``geqp3`` plus those swaps; the greedy DEIM
 selector is LAPACK ``getrf`` and lives in selection. Every SVD of the
@@ -50,17 +51,16 @@ class ThinSVD:
 
 @dataclass(frozen=True)
 class SRRQRFactors:
-    """Strong rank-revealing QR of ``M[:, perm]``.
+    """The leading rank rows ``[R11, R12]`` of the R factor of a strong
+    rank-revealing QR of ``M[:, perm]``.
 
-    ``Q @ [[R11, R12]]`` (padded with the trailing rows of R) reconstructs
-    the permuted matrix; R11 is rank-by-rank upper triangular with strictly
+    R11 is rank-by-rank upper triangular with strictly
     positive diagonal, and every entry of ``inv(R11) @ R12`` is bounded by
     srrqr's eta in absolute value. swaps counts the column swaps made after
     the pivoted QR, and max_interaction is the final max |inv(R11) @ R12|
     (0.0 when rank == n).
     """
 
-    Q: np.ndarray
     R11: np.ndarray
     R12: np.ndarray
     perm: np.ndarray
@@ -70,13 +70,9 @@ class SRRQRFactors:
 
 @dataclass(frozen=True)
 class CanonicalAngles:
-    """Principal angles between two equally sized subspaces.
+    """Principal angles between two equally sized subspaces: sin_theta_max
+    is the sine of the largest angle."""
 
-    cosines are sorted nonincreasing; sin_theta_max is the sine of the
-    largest angle.
-    """
-
-    cosines: np.ndarray
     sin_theta_max: float
 
 
@@ -93,7 +89,8 @@ def thin_svd(A, rank=None):
     Parameters
     ----------
     A : ndarray, shape (m, n)
-        Matrix with finite entries.
+        Matrix with finite entries; it is read for finiteness only when R
+        is not finite.
     rank : int, optional
         Singular vectors to keep, 1 <= rank <= min(m, n); None keeps all
         k = min(m, n).
@@ -106,12 +103,14 @@ def thin_svd(A, rank=None):
 
     Raises
     ------
+    OverflowingProductError
+        If R overflows on a finite A.
     ConvergenceError
         If LAPACK reports a failure or the SVD of R does not converge. The
         failure is explicit; no silently truncated factorization is
         returned.
     """
-    A = as_matrix(A, "A")
+    A = as_2d(A, "A")
     m, n = A.shape
     k = min(m, n)
     if k == 0:  # LAPACK rejects a zero leading dimension
@@ -120,7 +119,9 @@ def thin_svd(A, rank=None):
     if not 1 <= r <= k:
         raise ValueError(f"rank must be in [1, {k}], got {rank}")
     qr, tau, ormqr = _householder_qr(A, "ormqr")
-    Ur, s, Vt = _svd(np.triu(qr[:k]), "the R factor", full_matrices=False)
+    # A, which geqrf factored a copy of, is read only if R is not finite
+    R = finite_product(np.triu(qr[:k]), A, "A", "the QR of A")
+    Ur, s, Vt = _svd(R, "the R factor", full_matrices=False)
     C = np.zeros((m, r), order="F")
     C[:k] = Ur[:, :r]
     reflectors = qr[:, :k]
@@ -150,17 +151,17 @@ def _lapack(routine, shape, *args, **kwargs):
     return out
 
 
-def _householder_qr(A, then):
+def _householder_qr(A, *then):
     """LAPACK ``geqrf`` of an owned Fortran-order copy of A, run with its
-    queried optimal (blocked) workspace: (qr, tau, routine), with the
+    queried optimal (blocked) workspace: (qr, tau, *routines), with the
     reflectors below the diagonal of qr and R on and above it, and the
-    LAPACK routine named then, which applies or forms Q."""
+    LAPACK routines named in then, which apply or form Q."""
     A = np.array(A, dtype=np.float64, order="F")  # owned, so geqrf may overwrite it
-    geqrf, geqrf_lwork, routine = get_lapack_funcs(("geqrf", "geqrf_lwork", then), (A,))
+    geqrf, geqrf_lwork, *routines = get_lapack_funcs(("geqrf", "geqrf_lwork", *then), (A,))
     # the default workspace of the scipy wrapper runs geqrf unblocked
     work, _ = _lapack(geqrf_lwork, A.shape, *A.shape)
     qr, tau, _, _ = _lapack(geqrf, A.shape, A, lwork=int(work), overwrite_a=True)
-    return qr, tau, routine
+    return (qr, tau, *routines)
 
 
 def thin_qr(A):
@@ -215,11 +216,11 @@ def pivoted_qr(M):
 
     Returns
     -------
-    Q : ndarray, shape (m, k) with k = min(m, n)
-    R : ndarray, shape (k, n)
-        ``Q @ R = M[:, perm]``; the diagonal magnitudes |R[i, i]| are
-        nonincreasing. For a wide M (m <= n), R is the array ``geqp3``
-        factored in place, so no k-by-n copy is made.
+    R : ndarray, shape (k, n) with k = min(m, n)
+        ``Q @ R = M[:, perm]`` for an orthonormal Q that is not formed; the
+        diagonal magnitudes |R[i, i]| are nonincreasing. For a wide M
+        (m <= n), R is the array ``geqp3`` factored in place, so no k-by-n
+        copy is made.
     perm : ndarray of intp, shape (n,)
         Pivot order applied to the columns of M.
 
@@ -234,27 +235,24 @@ def pivoted_qr(M):
     m, n = A.shape
     k = min(m, n)
     if k == 0:  # LAPACK rejects a zero leading dimension
-        return np.zeros((m, 0)), np.zeros((0, n)), np.arange(n, dtype=np.intp)
-    geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), (A,))
-    qr, jpvt, tau, _, _ = _lapack(geqp3, A.shape, A, overwrite_a=True)
-    Q, R = _reduced_factors(qr, tau, orgqr)
-    finite_product(R, M, "M", "the pivoted QR of M")  # M, which geqp3 left intact
-    return Q, R, (jpvt - 1).astype(np.intp)
+        return np.zeros((0, n)), np.arange(n, dtype=np.intp)
+    geqp3 = get_lapack_funcs("geqp3", (A,))
+    qr, jpvt, _, _, _ = _lapack(geqp3, A.shape, A, overwrite_a=True)
+    # M, which geqp3 left intact, is read only if R is not finite
+    R = finite_product(_upper_factor(qr), M, "M", "the pivoted QR of M")
+    return R, (jpvt - 1).astype(np.intp)
 
 
-def _reduced_factors(qr, tau, orgqr):
-    """Q (m-by-k) and R (k-by-n), k = min(m, n), from the m-by-n output
-    qr, tau of a Householder QR (``geqp3`` or ``geqrf``); Q is formed by
-    one ``orgqr`` call. qr must be owned by the caller: for a wide input
-    (m <= n) it becomes R in place."""
+def _upper_factor(qr):
+    """R (k-by-n), k = min(m, n), from the m-by-n output qr of a
+    Householder QR (``geqp3`` or ``geqrf``). qr must be owned by the
+    caller: for a wide input (m <= n) it becomes R in place."""
     k = min(qr.shape)
-    # orgqr copies its input, so Q does not keep the n-wide qr buffer alive
-    Q, _, _ = _lapack(orgqr, qr.shape, qr[:, :k], tau)
     # the reflectors sit below the diagonal of the leading k x k block only;
     # a wide qr is R once they are zeroed, a tall one has rows below R
     R = qr if k == qr.shape[0] else qr[:k].copy(order="F")
     R[:, :k] = np.triu(R[:, :k])
-    return Q, R
+    return R
 
 
 # srrqr's swap budget, per column of its input
@@ -267,8 +265,8 @@ def srrqr(M, rank, eta=2.0):
     Starting from column-pivoted QR, columns of the leading block are
     swapped against trailing columns while any entry of ``inv(R11) @ R12``
     exceeds eta. Each swap takes the largest entry, the first in row order
-    on ties, and refactors the permuted matrix with one Householder QR,
-    ``geqrf`` and ``orgqr`` through _lapack. Each swap strictly grows the
+    on ties, and refactors the permuted matrix with one ``geqrf`` through
+    _lapack, of which only R is kept. Each swap strictly grows the
     volume of the selected column set, so the loop terminates for
     eta > 1; it is capped at 50 swaps per column of M. On exit the
     entrywise bound guarantees
@@ -314,7 +312,7 @@ def srrqr(M, rank, eta=2.0):
     check_at_least(eta, 1, "eta")
     cap = _SWAPS_PER_COLUMN * n
 
-    Q, R, perm = pivoted_qr(A)
+    R, perm = pivoted_qr(A)
     swaps = 0
     while True:
         dmin = np.min(np.abs(np.diag(R[:r, :r])))
@@ -331,16 +329,14 @@ def srrqr(M, rank, eta=2.0):
                 f"srrqr swap cap of {cap} ({_SWAPS_PER_COLUMN} per column) exceeded at eta={eta}"
             )
         perm[[i, r + j]] = perm[[r + j, i]]
-        Q, R = _reduced_factors(*_householder_qr(A[:, perm], "orgqr"))
+        R = _upper_factor(_householder_qr(A[:, perm])[0])
         swaps += 1
 
-    # normalize signs so the leading diagonal is strictly positive; Q and R
-    # are this call's own arrays, so they are flipped in place
-    signs = np.where(np.diag(R)[:r] < 0, -1.0, 1.0)
-    Q[:, :r] *= signs
-    R[:r] *= signs[:, None]
+    # normalize signs so the leading diagonal is strictly positive; R is
+    # this call's own array, so it is flipped in place
+    R[:r] *= np.where(np.diag(R)[:r] < 0, -1.0, 1.0)[:, None]
     return SRRQRFactors(
-        Q=Q, R11=R[:r, :r], R12=R[:r, r:], perm=perm, swaps=swaps, max_interaction=float(t_max),
+        R11=R[:r, :r], R12=R[:r, r:], perm=perm, swaps=swaps, max_interaction=float(t_max),
     )
 
 
@@ -378,15 +374,15 @@ def spectral_norm(M):
 
 
 def canonical_angles(W, Wh):
-    """Canonical (principal) angles between two orthonormal column spans.
+    """The largest canonical (principal) angle between two orthonormal
+    column spans.
 
-    Cosines are the singular values of ``W.T @ Wh`` clamped into [0, 1].
-    The largest-angle sine is ``||Wh - W (W.T @ Wh)||_2`` clamped into
-    [0, 1] (Bjorck & Golub, Math. Comp. 1973), accurate to roundoff at
-    every angle; sqrt(1 - min(cos)^2) would sit on a grid of about
-    sqrt(k * 2.2e-16), so a sine below about 1e-7 would be noise. When the
-    two arrays are identical the angles are returned as exact zeros, so
-    the degenerate case does not pick up SVD round-off.
+    Its sine is ``||Wh - W (W.T @ Wh)||_2`` clamped into [0, 1] (Bjorck &
+    Golub, Math. Comp. 1973), one SVD, accurate to roundoff at every
+    angle; sqrt(1 - min(cos)^2) from the singular values of ``W.T @ Wh``
+    would sit on a grid of about sqrt(k * 2.2e-16), so a sine below about
+    1e-7 would be noise. When the two arrays are identical the sine is an
+    exact zero, so the degenerate case does not pick up SVD round-off.
 
     Parameters
     ----------
@@ -403,11 +399,8 @@ def canonical_angles(W, Wh):
     if W.shape != Wh.shape:
         raise ValueError(f"subspace dimensions differ: {W.shape} vs {Wh.shape}")
     if np.array_equal(W, Wh):
-        return CanonicalAngles(cosines=np.ones(W.shape[1]), sin_theta_max=0.0)
-    M = W.T @ Wh
-    cos = np.clip(_svd(M, "W'Wh", compute_uv=False), 0.0, 1.0)
-    sin_max = min(1.0, spectral_norm(Wh - W @ M))
-    return CanonicalAngles(cosines=cos, sin_theta_max=sin_max)
+        return CanonicalAngles(sin_theta_max=0.0)
+    return CanonicalAngles(sin_theta_max=min(1.0, spectral_norm(Wh - W @ (W.T @ Wh))))
 
 
 def column_residuals(A, pairs):

@@ -26,8 +26,7 @@ class DeimProjector:
 
     orthonormal is the OrthonormalBasis W the projector was built on, so
     a consumer that needs W checked (canonical_angles) does not check it
-    again; basis is its matrix. mode is 'interpolatory' for unit-weight
-    square selections (s == r) and 'sampled' otherwise.
+    again; basis is its matrix.
     """
 
     orthonormal: OrthonormalBasis
@@ -36,7 +35,6 @@ class DeimProjector:
     cross_s: np.ndarray
     cross_v: np.ndarray
     rank: int
-    mode: str
 
     @property
     def basis(self):
@@ -113,16 +111,7 @@ def build_projector(W, S):
     r = W.rank
     U, s, Vt = _svd(_cross_matrix(W, S), _CROSS, full_matrices=False)
     _require_full_rank(s)
-    mode = "interpolatory" if (S.s == r and S.is_unit_weight) else "sampled"
-    return DeimProjector(
-        orthonormal=W,
-        selection=S,
-        cross_u=U,
-        cross_s=s,
-        cross_v=Vt.T,
-        rank=r,
-        mode=mode,
-    )
+    return DeimProjector(orthonormal=W, selection=S, cross_u=U, cross_s=s, cross_v=Vt.T, rank=r)
 
 
 def check_full_rank(W, S):

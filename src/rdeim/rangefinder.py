@@ -130,8 +130,7 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
 
     Returns
     -------
-    OrthonormalBasis with provenance 'subspace-iteration'; its config is
-    the dict of rank, oversample, power and seed.
+    OrthonormalBasis with provenance 'subspace-iteration'.
 
     Raises
     ------
@@ -146,8 +145,7 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     check_seed(seed)
     A = as_2d(A, "A")
     W = _sketch_basis(A, rank, oversample, power, seed)
-    config = {"rank": rank, "oversample": oversample, "power": power, "seed": seed}
-    return OrthonormalBasis(W, "subspace-iteration", config)
+    return OrthonormalBasis(W, "subspace-iteration")
 
 
 def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
@@ -207,8 +205,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     Returns
     -------
     OrthonormalBasis with provenance 'adaptive'; the basis dimension is a
-    multiple of block, or rank if that is smaller. Its config is the dict
-    of tol, block, max_blocks, seed and rank.
+    multiple of block, or rank if that is smaller.
 
     Raises
     ------
@@ -300,8 +297,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
         W = _rotate_qb(W, C[:k], rank)
     else:
         W = W.copy(order="F")  # holds none of the unused rows of W'
-    config = {"tol": tol, "block": block, "max_blocks": max_blocks, "seed": seed, "rank": rank}
-    return OrthonormalBasis(W, "adaptive", config)
+    return OrthonormalBasis(W, "adaptive")
 
 
 def _squared_norm(A):
@@ -387,8 +383,7 @@ def _explicit_residual(A, W, C):
 def svd_basis(A, rank):
     """Leading left singular vectors of A as an OrthonormalBasis; only the
     rank kept vectors are formed (see thin_svd)."""
-    r = int(rank)
-    return OrthonormalBasis(thin_svd(A, r).U, "exact-svd", {"rank": r})
+    return OrthonormalBasis(thin_svd(A, int(rank)).U, "exact-svd")
 
 
 def truncation_rank(sv, eps):
@@ -409,7 +404,7 @@ def truncation_rank(sv, eps):
         raise ValueError("singular values must be nonnegative")
     if np.any(np.diff(sv) > 1e-12 * sv[0]):
         raise ValueError("singular values must be sorted nonincreasing")
-    if eps <= 0.0:
+    if not eps > 0.0:  # a NaN fails this too
         raise ValueError(f"eps must be positive, got {eps}")
     energy = sv * sv
     total = float(energy.sum())

@@ -60,10 +60,6 @@ class SelectionOperator:
     def s(self):
         return self.indices.size
 
-    @property
-    def is_unit_weight(self):
-        return bool(np.all(self.weights == 1.0))
-
     def restrict(self, x):
         """Apply S': pick and scale the selected entries of x."""
         x = np.asarray(x, dtype=np.float64)
@@ -109,7 +105,7 @@ def mixed_pmf(leverage, rank, beta):
     lev = np.asarray(leverage, dtype=np.float64)
     if lev.ndim != 1 or lev.size == 0:
         raise ValueError("leverage must be a nonempty 1-d array")
-    if (lev < 0).any():
+    if not (lev >= 0).all():  # a NaN fails this too
         raise ValueError("leverage scores must be nonnegative")
     check_open_unit(beta, "beta")
     r = int(check_at_least(rank, 1, "rank"))
@@ -162,11 +158,7 @@ def leverage_select(W, s, beta, seed):
     of S is e_{t_k} / sqrt(s * probs[t_k]), which makes E[S S'] = I.
     Duplicate draws are kept.
     """
-    return _sample_rows(orthonormal_basis(W, "W"), s, beta, seed)
-
-
-def _sample_rows(W, s, beta, seed):
-    """s weighted rows of the OrthonormalBasis W drawn from its mixed pmf."""
+    W = orthonormal_basis(W, "W")
     n, r = W.matrix.shape
     probs = mixed_pmf(leverage_scores(W), r, beta)
     s = int(check_at_least(s, 1, "samples"))
@@ -205,7 +197,7 @@ def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
     c_ls = int(c_ls)
     if c_ls < r:
         raise ValueError(f"c_ls must be at least the basis rank {r}, got {c_ls}")
-    S1 = _sample_rows(W, c_ls, beta, seed)
+    S1 = leverage_select(W, c_ls, beta, seed)
     M = (Wm[S1.indices, :] * S1.weights[:, None]).T  # r x c_ls, equals W' S1
     try:
         fac = srrqr(M, r, eta)
@@ -223,7 +215,7 @@ def pqr_select(W):
     """Deterministic selection from column-pivoted QR of W'."""
     Wm = orthonormal_basis(W, "W").matrix
     r = Wm.shape[1]
-    _, _, perm = pivoted_qr(Wm.T)
+    _, perm = pivoted_qr(Wm.T)
     return SelectionOperator(indices=perm[:r], weights=np.ones(r), n=Wm.shape[0])
 
 

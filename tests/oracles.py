@@ -86,14 +86,13 @@ def householder_pivoted_qr(M):
 
     Every step recomputes the trailing residual norms from the updated
     block (no downdating) and takes the largest, first index on ties, then
-    applies a rank-one Householder update. Returns (Q, R, perm) with
-    Q @ R = M[:, perm], the same contract as the library's pivoted_qr.
+    applies a rank-one Householder update. Returns (R, perm), R being the
+    R factor of M[:, perm], the same contract as the library's pivoted_qr.
     """
     A = np.array(M, dtype=np.float64, copy=True)
     m, n = A.shape
     k = min(m, n)
     perm = np.arange(n)
-    Q = np.eye(m)
     for j in range(k):
         norms = np.linalg.norm(A[j:, j:], axis=0)
         pivot = j + int(np.argmax(norms))
@@ -108,8 +107,7 @@ def householder_pivoted_qr(M):
         v[0] += nx if x[0] >= 0 else -nx
         v /= np.linalg.norm(v)
         A[j:, j:] -= 2.0 * np.outer(v, v @ A[j:, j:])
-        Q[:, j:] -= 2.0 * np.outer(Q[:, j:] @ v, v)
-    return Q[:, :k], np.triu(A[:k, :]), perm
+    return np.triu(A[:k, :]), perm
 
 
 def reference_srrqr(M, rank, eta):
@@ -117,12 +115,12 @@ def reference_srrqr(M, rank, eta):
 
     From pivoted_qr(M), while max |inv(R11) R12| exceeds eta, swap the
     leading and trailing columns of its first largest entry in row order
-    and refactor M[:, perm] by np.linalg.qr; then flip signs so diag(R11)
-    is positive. Returns (Q, R11, R12, perm, swaps).
+    and refactor M[:, perm] by np.linalg.qr, keeping R; then flip signs so
+    diag(R11) is positive. Returns (R11, R12, perm, swaps).
     """
     M = np.asarray(M, dtype=np.float64)
     r = rank
-    Q, R, perm = pivoted_qr(M)
+    R, perm = pivoted_qr(M)
     swaps = 0
     while r < M.shape[1]:
         T = np.abs(solve_triangular(R[:r, :r], R[:r, r:]))
@@ -130,12 +128,10 @@ def reference_srrqr(M, rank, eta):
             break
         i, j = np.unravel_index(np.argmax(T), T.shape)
         perm[[i, r + j]] = perm[[r + j, i]]
-        Q, R = np.linalg.qr(M[:, perm])
+        R = np.linalg.qr(M[:, perm], mode="r")
         swaps += 1
-    signs = np.where(np.diag(R)[:r] < 0, -1.0, 1.0)
-    Q[:, :r] *= signs
-    R[:r] *= signs[:, None]
-    return Q, R[:r, :r], R[:r, r:], perm, swaps
+    R[:r] *= np.where(np.diag(R)[:r] < 0, -1.0, 1.0)[:, None]
+    return R[:r, :r], R[:r, r:], perm, swaps
 
 
 def best_volume_pair(M):

@@ -188,7 +188,7 @@ def _bound_cases(draw):
 def test_every_bound_report_holds_and_matches_the_sweep(case):
     W, P, F = case
     params = np.arange(F.shape[1])[:, None]
-    snaps = SnapshotSet(matrix=F, params=params, param_names=("k",), space={})
+    snaps = SnapshotSet(matrix=F, params=params, space={})
     table = error_sweep(P, snaps, reference_basis=W)
     C = P.error_constant()
     for j, (_, norm, abs_error, _, bound_plain, bound_perturbed, sin_max) in enumerate(table.rows):

@@ -449,7 +449,7 @@ def test_select_points_dispatch():
     for selector, expect_s in (("greedy", 5), ("pqr", 5), ("srrqr", 5)):
         spec = ExperimentSpec(example="osc", rank=5, selector=selector)
         S = select_points(W, spec)
-        assert S.s == expect_s and S.is_unit_weight
+        assert S.s == expect_s and np.all(S.weights == 1.0)
     spec = ExperimentSpec(example="osc", rank=5, selector="leverage")
     S = select_points(W, spec)
     assert S.s == min(50, 25)  # ceil(3 * 5 ln 5) = 25
@@ -466,7 +466,7 @@ def _toy_snaps(with_zero_column=False):
     if with_zero_column:
         A = A.copy()
         A[:, 7] = 0.0
-    return SnapshotSet(matrix=A, params=np.arange(12)[:, None], param_names=("k",), space={})
+    return SnapshotSet(matrix=A, params=np.arange(12)[:, None], space={})
 
 
 def test_error_sweep_skips_zero_columns():
@@ -520,7 +520,7 @@ def _sweep_cases(draw):
         extra = rng.integers(0, n, size=draw(st.integers(1, 2 * r)))
         idx = np.concatenate([S.indices, extra, extra[:1]])
         S = SelectionOperator(idx, 10.0 ** rng.uniform(-1, 1, size=idx.size), n)
-    snaps = SnapshotSet(matrix=A, params=np.arange(n_s)[:, None], param_names=("k",), space={})
+    snaps = SnapshotSet(matrix=A, params=np.arange(n_s)[:, None], space={})
     return build_projector(W, S), W_ref, snaps
 
 
@@ -559,7 +559,7 @@ def test_error_sweep_matches_the_dense_projector(case):
 
 def test_error_sweep_memory_stays_well_below_the_matrix():
     A, _ = gap_matrix(4000, 300, rank=10, gamma=0.1, seed=5)
-    snaps = SnapshotSet(matrix=A, params=np.arange(300)[:, None], param_names=("k",), space={})
+    snaps = SnapshotSet(matrix=A, params=np.arange(300)[:, None], space={})
     W = svd_basis(A, 10)
     P = build_projector(W, deim_greedy_select(W))
     reference = svd_basis(A, 10)
@@ -620,7 +620,7 @@ def _counting(monkeypatch, name, *owners):
 @pytest.mark.parametrize("n_s", [12, SWEEP_BLOCK, 3 * SWEEP_BLOCK + 5])
 def test_error_sweep_computes_invariants_once(monkeypatch, n_s):
     A, _ = gap_matrix(80, n_s, rank=5, gamma=0.1, seed=2)
-    snaps = SnapshotSet(matrix=A, params=np.arange(n_s)[:, None], param_names=("k",), space={})
+    snaps = SnapshotSet(matrix=A, params=np.arange(n_s)[:, None], space={})
     W = svd_basis(A, 5)
     P = build_projector(W, deim_greedy_select(W))
     constants = _counting(monkeypatch, "error_constant", DeimProjector)
@@ -746,7 +746,7 @@ def test_sampled_selection_at_rank_one_asks_for_samples(selector):
 
 def test_error_sweep_checks_a_raw_reference_once(monkeypatch):
     A, _ = gap_matrix(80, 30, rank=5, gamma=0.1, seed=2)
-    snaps = SnapshotSet(matrix=A, params=np.arange(30)[:, None], param_names=("k",), space={})
+    snaps = SnapshotSet(matrix=A, params=np.arange(30)[:, None], space={})
     W = svd_basis(A, 5)
     P = build_projector(W, deim_greedy_select(W))
     W_ref = np.array(W.matrix)

@@ -26,7 +26,7 @@ from rdeim.linalg import (
     thin_svd,
 )
 from rdeim.projector import build_projector, check_full_rank
-from rdeim.selection import SelectionOperator
+from rdeim.selection import SelectionOperator, pqr_select, srrqr_select
 
 from conftest import random_matrix, random_orthonormal, spectrum_matrix
 from oracles import (
@@ -244,7 +244,7 @@ def test_thin_svd_factor_property(case):
 
 
 def test_pivoted_qr_identity_first_max_ties():
-    Q, R, perm = pivoted_qr(np.eye(5))
+    R, perm = pivoted_qr(np.eye(5))
     # all residual norms tie at every step; first index must win
     assert list(perm) == [0, 1, 2, 3, 4]
     assert np.allclose(np.abs(np.diag(R)), 1.0)
@@ -252,7 +252,7 @@ def test_pivoted_qr_identity_first_max_ties():
 
 def test_pivoted_qr_matches_greedy_oracle():
     M = random_matrix(4, 6, seed=7)
-    _, _, perm = pivoted_qr(M)
+    _, perm = pivoted_qr(M)
     assert list(perm[:4]) == greedy_pivot_sequence(M)
 
 
@@ -260,10 +260,11 @@ def test_pivoted_qr_matches_greedy_oracle():
 @pytest.mark.parametrize("shape", [(6, 10), (10, 6), (7, 7)])
 def test_pivoted_qr_contracts(shape, seed):
     M = random_matrix(*shape, seed=seed)
-    Q, R, perm = pivoted_qr(M)
+    R, perm = pivoted_qr(M)
     k = min(shape)
-    assert np.max(np.abs(Q.T @ Q - np.eye(k))) < 1e-12
-    assert np.max(np.abs(Q @ R - M[:, perm])) < 1e-12
+    # M[:, perm] = Q R with orthonormal Q, so R'R is the Gram matrix of M[:, perm]
+    P = M[:, perm]
+    assert np.max(np.abs(R.T @ R - P.T @ P)) < 1e-12
     diag = np.abs(np.diag(R[:, :k]))
     assert np.all(np.diff(diag) <= 1e-12 * diag[0])
     assert sorted(perm) == list(range(shape[1]))
@@ -274,20 +275,20 @@ def test_pivoted_qr_contracts(shape, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_pivoted_qr_oracle_sweep(seed):
     M = random_matrix(5, 9, seed=100 + seed)
-    _, _, perm = pivoted_qr(M)
+    _, perm = pivoted_qr(M)
     assert list(perm[:5]) == greedy_pivot_sequence(M)
 
 
 def test_pivoted_qr_zero_matrix():
-    Q, R, perm = pivoted_qr(np.zeros((3, 4)))
+    R, perm = pivoted_qr(np.zeros((3, 4)))
     assert np.max(np.abs(R)) == 0.0
     assert sorted(perm) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
 def test_pivoted_qr_empty(shape):
-    Q, R, perm = pivoted_qr(np.zeros(shape))
-    assert Q.shape == (shape[0], 0) and R.shape == (0, shape[1])
+    R, perm = pivoted_qr(np.zeros(shape))
+    assert R.shape == (0, shape[1])
     assert list(perm) == list(range(shape[1]))
 
 
@@ -296,7 +297,7 @@ def test_pivoted_qr_repeated_columns_first_wins():
     a = 3.0 * rng.standard_normal(6)
     b, c = rng.standard_normal(6), rng.standard_normal(6)
     M = np.column_stack([b, a, c, a])
-    Q, R, perm = pivoted_qr(M)
+    R, perm = pivoted_qr(M)
     # the two copies of a tie exactly; the first must win, and once it is
     # chosen its copy has no residual left, so it comes last
     assert perm[0] == 1
@@ -313,8 +314,8 @@ def test_pivoted_qr_matches_householder_oracle():
         r = int(rng.integers(1, 31))
         n = int(rng.integers(r + 1, 401))
         M = random_orthonormal(n, r, seed).T
-        got = pivoted_qr(M)[2][:r]
-        want = householder_pivoted_qr(M)[2][:r]
+        got = pivoted_qr(M)[1][:r]
+        want = householder_pivoted_qr(M)[1][:r]
         if not np.array_equal(got, want):
             mismatches.append((seed, n, r))
     assert mismatches == []
@@ -334,22 +335,22 @@ def _pivot_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_pivot_matrices())
 def test_pivoted_qr_greedy_pivot_property(M):
-    Q, R, perm = pivoted_qr(M)
+    R, perm = pivoted_qr(M)
     m, n = M.shape
     k = min(m, n)
     scale = max(np.linalg.norm(M), 1.0)
     assert perm.dtype == np.intp
     assert sorted(perm) == list(range(n))
-    assert np.max(np.abs(Q.T @ Q - np.eye(k))) < 1e-12
-    assert np.max(np.abs(Q @ R - M[:, perm])) < 1e-12 * scale
+    # M[:, perm] = Q R with orthonormal Q, so R'R is the Gram matrix of M[:, perm]
+    P = M[:, perm]
+    assert np.max(np.abs(R.T @ R - P.T @ P)) < 1e-12 * scale * scale
     diag = np.abs(np.diag(R))
     assert np.all(np.diff(diag) <= 1e-12 * scale)
-    P = M[:, perm]
     for j in range(k):
-        # residual norms of the not yet chosen columns after step j - 1;
-        # the absolute term is the roundoff floor of computing them
-        Qj = Q[:, :j]
-        res = np.linalg.norm(P[:, j:] - Qj @ (Qj.T @ P[:, j:]), axis=0)
+        # residual norms of the not yet chosen columns after step j - 1,
+        # ||P[:, j'] - Q_j Q_j' P[:, j']|| = ||R[j:, j']||; the absolute
+        # term is the roundoff floor of computing them
+        res = np.linalg.norm(R[j:, j:], axis=0)
         assert res[0] >= res.max() * (1.0 - 1e-12) - 1e-13 * scale
 
 
@@ -404,7 +405,7 @@ def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
         return T if len(solves) == 1 else np.zeros(R12.shape)
 
     M = random_matrix(2, 5, seed=0)
-    perm = pivoted_qr(M)[2]
+    perm = pivoted_qr(M)[1]
     monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
     fac = srrqr(M, 2, eta=2.0)
     perm[[0, 4]] = perm[[4, 0]]
@@ -434,7 +435,7 @@ def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(monkeypatch
         return T[:, lo : lo + 2].copy() if lo < T.shape[1] else np.zeros(R12.shape)
 
     M = random_matrix(2, 6, seed=0)
-    perm = pivoted_qr(M)[2]
+    perm = pivoted_qr(M)[1]
     monkeypatch.setattr(rdeim.linalg, "SWEEP_BLOCK", 2)
     monkeypatch.setattr(rdeim.linalg, "FINITE_BLOCK", 2)
     monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
@@ -481,14 +482,13 @@ _SWAPPING = {
 
 @pytest.mark.parametrize("make, rank, eta", list(_SWAPPING.values()), ids=list(_SWAPPING))
 def test_srrqr_matches_the_numpy_qr_oracle(make, rank, eta):
-    # the swap refactoring runs geqrf and orgqr through the gateway; it
-    # gives the bits np.linalg.qr gives
+    # the swap refactoring runs geqrf through the gateway; its R has the
+    # bits np.linalg.qr gives
     M = make()
-    Q, R11, R12, perm, swaps = reference_srrqr(M, rank, eta)
+    R11, R12, perm, swaps = reference_srrqr(M, rank, eta)
     fac = srrqr(M, rank, eta)
     assert swaps > 0 and fac.swaps == swaps
     assert np.array_equal(fac.perm, perm)
-    assert np.array_equal(fac.Q, Q)
     assert np.array_equal(fac.R11, R11) and np.array_equal(fac.R12, R12)
     assert fac.max_interaction <= eta
     assert fac.max_interaction == pytest.approx(np.abs(np.linalg.solve(R11, R12)).max(), rel=1e-12)
@@ -538,10 +538,12 @@ def test_srrqr_contracts(seed, case):
     m, n, r, eta, family, c = case
     M = _srrqr_input(m, n, family, c, seed)
     fac = srrqr(M, r, eta=eta)
-    # reconstruction: the leading r rows of R are Q's leading columns
-    # applied to M[:, perm]; the rows beyond r live in the trailing factor
-    proj = fac.Q[:, :r].T @ M[:, fac.perm]
-    assert np.max(np.abs(np.hstack([fac.R11, fac.R12]) - proj)) < 1e-10
+    # reconstruction without Q: M[:, perm] = Q R, so the leading r columns
+    # are Q1 R11 and R11' [R11, R12] = (Q1 R11)' M[:, perm] is their Gram
+    # block with every column; with diag(R11) > 0 that fixes R11 and R12
+    P = M[:, fac.perm]
+    lead = np.hstack([fac.R11, fac.R12])
+    assert np.max(np.abs(fac.R11.T @ lead - P[:, :r].T @ P)) < 1e-10
     assert np.all(np.diag(fac.R11) > 0)
     # the reported interaction is the one the swap loop stopped at
     T = solve_triangular(fac.R11, fac.R12)
@@ -620,6 +622,38 @@ def test_one_non_finite_entry_is_named_by_the_pivoted_factorizations(layout, dat
         assert caught == []
 
 
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    seed=st.integers(0, 2**16),
+)
+def test_one_non_finite_entry_is_named_by_thin_svd(layout, data, value, at, seed):
+    # thin_svd tests finiteness on the R that geqrf forms, not on A: a NaN
+    # or an infinity anywhere in A must leave R non-finite. That rests on
+    # how this BLAS build's nrm2 propagates a NaN, which this pins
+    m = data.draw(st.integers(2 if layout == "tall" else 1, 11))
+    n = data.draw(_LAYOUTS[layout](m))
+    A = np.random.default_rng(seed).standard_normal((m, n))
+    A[int(at[0] * m), int(at[1] * n)] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="A contains non-finite entries"):
+            thin_svd(A, data.draw(st.integers(1, min(m, n))))
+    assert caught == []
+
+
+def test_thin_svd_raises_a_typed_overflow():
+    # every entry is finite, but the column norms pass 1.8e308: geqrf
+    # leaves R non-finite, which the SVD of R used to report as a failure
+    # to converge
+    A = np.random.default_rng(1).uniform(0.5, 1, (30, 5)) * 1e308
+    with pytest.raises(OverflowingProductError, match=r"the QR of A \(5, 5\) overflowed on a finite A"):
+        thin_svd(A)
+
+
 # ----------------------------------------------------------- spectral_norm
 
 
@@ -644,7 +678,6 @@ def test_canonical_angles_identical_is_exact_zero():
     W = random_orthonormal(9, 3, seed=5)
     ang = canonical_angles(W, W)
     assert ang.sin_theta_max == 0.0
-    assert np.all(ang.cosines == 1.0)
 
 
 def test_canonical_angles_known_rotation():
@@ -655,7 +688,6 @@ def test_canonical_angles_known_rotation():
     Wh[0, 0] = 1.0
     Wh[1, 1] = Wh[2, 1] = 1.0 / np.sqrt(2.0)
     ang = canonical_angles(W, Wh)
-    assert np.max(np.abs(ang.cosines - np.array([1.0, 1.0 / np.sqrt(2.0)]))) < 1e-14
     assert abs(ang.sin_theta_max - 1.0 / np.sqrt(2.0)) < 1e-14
 
 
@@ -677,7 +709,6 @@ def test_canonical_angles_orthogonal_subspaces():
     Wh = np.eye(6)[:, 3:5]
     ang = canonical_angles(W, Wh)
     assert abs(ang.sin_theta_max - 1.0) < 1e-14
-    assert np.max(np.abs(ang.cosines)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -686,7 +717,6 @@ def test_canonical_angles_symmetry_and_projector_identity(seed):
     Wh = random_orthonormal(12, 4, seed=seed + 50)
     a = canonical_angles(W, Wh)
     b = canonical_angles(Wh, W)
-    assert np.max(np.abs(a.cosines - b.cosines)) < 1e-12
     assert abs(a.sin_theta_max - b.sin_theta_max) < 1e-12
     # sin theta_max equals the projector-difference norm and the
     # one-sided projected norm
@@ -694,8 +724,9 @@ def test_canonical_angles_symmetry_and_projector_identity(seed):
     Ph = Wh @ Wh.T
     assert abs(a.sin_theta_max - spectral_norm(Pw - Ph)) < 1e-10
     assert abs(a.sin_theta_max - spectral_norm((np.eye(12) - Pw) @ Ph)) < 1e-10
-    assert np.all(np.diff(a.cosines) <= 0)
-    assert abs(a.sin_theta_max - np.sqrt(1.0 - a.cosines[-1] ** 2)) < 1e-12
+    # and the sine of the smallest cosine, a singular value of W'Wh
+    cos_min = np.linalg.svd(W.T @ Wh, compute_uv=False)[-1]
+    assert abs(a.sin_theta_max - np.sqrt(1.0 - cos_min**2)) < 1e-12
 
 
 def test_canonical_angles_validates():
@@ -740,15 +771,17 @@ def test_column_residuals_without_pairs_or_columns():
 
 def _fail_one_call(monkeypatch):
     """Count every np.linalg.svd call and every call of a routine that
-    get_lapack_funcs returns in rdeim.linalg and rdeim.selection.
+    get_lapack_funcs returns in rdeim.linalg and rdeim.selection, and log
+    each in state["log"] by name: "svd" or the routine's.
 
     Once state["fail_at"] is k, call k (from 0) fails: the SVD raises
     LinAlgError, the routine returns info = -1. state["expect"] is then
     what the error must name: the SVD operand's shape or the routine.
     """
-    state = {"calls": 0, "fail_at": None, "expect": None}
+    state = {"calls": 0, "fail_at": None, "expect": None, "log": []}
 
-    def fails(expect):
+    def fails(name, expect):
+        state["log"].append(name)
         state["calls"] += 1
         if state["calls"] - 1 != state["fail_at"]:
             return False
@@ -758,7 +791,7 @@ def _fail_one_call(monkeypatch):
     real_svd = np.linalg.svd
 
     def svd(M, *args, **kwargs):
-        if fails(str(M.shape)):
+        if fails("svd", str(M.shape)):
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(M, *args, **kwargs)
 
@@ -766,7 +799,7 @@ def _fail_one_call(monkeypatch):
         @functools.wraps(routine)
         def call(*args, **kwargs):
             out = routine(*args, **kwargs)
-            return (*out[:-1], -1) if fails(name) else out
+            return (*out[:-1], -1) if fails(name, name) else out
 
         return call
 
@@ -806,7 +839,7 @@ _FAULT_CASES.update(
     thin_qr=lambda: thin_qr(random_matrix(12, 4, seed=2)),
     pivoted_qr=lambda: pivoted_qr(random_matrix(6, 9, seed=3)),
     srrqr=lambda: srrqr(random_matrix(6, 9, seed=4), 3),
-    # one swap: the geqrf and orgqr of the refactoring fail in turn too
+    # one swap: the geqrf of the refactoring fails in turn too
     srrqr_swap=lambda: srrqr(_kahan(12, c=0.5), 6),
     spectral_norm=lambda: spectral_norm(random_matrix(7, 5, seed=5)),
     canonical_angles=lambda: canonical_angles(
@@ -837,3 +870,25 @@ def test_every_factorization_failure_is_a_typed_error(monkeypatch, call):
         with pytest.raises(ConvergenceError) as err:
             call()
         assert state["expect"] in str(err.value), (k, str(err.value))
+
+
+def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkeypatch):
+    # the selectors read the pivots and R, and a bound reads the largest
+    # angle: no orgqr forms a Q, and no SVD of W'Wh forms the cosines
+    state = _fail_one_call(monkeypatch)
+
+    def calls(run):
+        state["log"] = []
+        return run(), state["log"]
+
+    W = random_orthonormal(60, 6, seed=11)
+    assert calls(lambda: pqr_select(W))[1] == ["geqp3"]
+    assert srrqr(W.T, 6).swaps == 0
+    assert calls(lambda: srrqr_select(W))[1] == ["geqp3"]
+    # each swap refactors with one geqrf, after its workspace query
+    fac, log = calls(lambda: srrqr(_kahan(12, c=0.5), 6))
+    assert fac.swaps > 0
+    assert log == ["geqp3"] + ["geqrf_lwork", "geqrf"] * fac.swaps
+    # the one SVD is the spectral norm of Wh - W (W'Wh)
+    pair = random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)
+    assert calls(lambda: canonical_angles(*pair))[1] == ["svd"]

@@ -43,11 +43,6 @@ def test_operator_two_norm_with_duplicates():
     assert S.two_norm() == pytest.approx(spectral_norm(dense_selection(S)))
 
 
-def test_operator_unit_weight_flag():
-    assert SelectionOperator(np.array([2, 0]), np.ones(2), n=3).is_unit_weight
-    assert not SelectionOperator(np.array([2, 0]), np.array([1.0, 2.0]), n=3).is_unit_weight
-
-
 def test_operator_validation():
     with pytest.raises(ValueError):
         SelectionOperator(np.array([3]), np.array([1.0]), n=3)
@@ -105,6 +100,12 @@ def test_mixed_pmf_validation():
     assert mixed_pmf(lev * (1.0 + 5e-9), 2, 0.5).sum() == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
         mixed_pmf(np.array([2.5, -0.5]), 2, 0.5)
+
+
+def test_mixed_pmf_rejects_a_nan_score():
+    # a NaN makes the sum NaN, which the rank-sum check does not catch
+    with pytest.raises(ValueError, match="nonnegative"):
+        mixed_pmf(np.array([np.nan, 1.0]), 1, 0.5)
 
 
 def test_sample_count_bound_value():
@@ -225,7 +226,7 @@ def test_hybrid_validation():
 def test_pqr_select_contract():
     W = random_orthonormal(25, 6, seed=5)
     S = pqr_select(W)
-    assert S.s == 6 and S.is_unit_weight
+    assert S.s == 6 and np.all(S.weights == 1.0)
     assert np.unique(S.indices).size == 6
     lev = leverage_scores(W)
     assert S.indices[0] == int(np.argmax(lev))
@@ -240,7 +241,7 @@ def test_srrqr_select_norm_guarantee(seed):
     S = srrqr_select(W, eta=eta)
     inv_norm = spectral_norm(np.linalg.inv(W[S.indices, :]))
     assert inv_norm <= np.sqrt(1.0 + eta * eta * r * (n - r)) + 1e-8
-    assert S.is_unit_weight and np.unique(S.indices).size == r
+    assert np.all(S.weights == 1.0) and np.unique(S.indices).size == r
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -249,7 +250,7 @@ def test_greedy_matches_reference(seed):
     S = deim_greedy_select(W)
     assert np.array_equal(S.indices, reference_greedy_points(W))
     assert S.indices[0] == int(np.argmax(np.abs(W[:, 0])))
-    assert S.is_unit_weight
+    assert np.all(S.weights == 1.0)
 
 
 def test_greedy_on_trigonometric_basis():

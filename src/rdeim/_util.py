@@ -1,6 +1,8 @@
 """Input validation helpers shared across modules, and the OrthonormalBasis
 type that carries a passed orthonormality check."""
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +12,54 @@ from .exceptions import OverflowingProductError
 # rows of a large matrix a streaming loop takes at a time:
 # linalg.column_residuals reads them for every per-column residual (the
 # error sweep, its bounds, the adaptive range finder's explicit residual
-# and bench_basis), the oscillator generator fills them in place, and
-# as_matrix checks them for finiteness
+# and bench_basis), the oscillator generator fills them in place (through
+# fill_in_parts), and as_matrix checks them for finiteness
 SWEEP_BLOCK = 64
+
+
+def fill_in_parts(fill, n_blocks, scratch=tuple):
+    """Call fill(lo, hi, *scratch()) over contiguous parts [lo, hi) of
+    range(n_blocks), one part per CPU the process may run on and at most
+    one per block.
+
+    The snapshot generators fill their matrix through this, one
+    independent row block at a time, with elementwise ufuncs that release
+    the GIL, so the parts run at once. The first part runs on the calling
+    thread and the others on worker threads; scratch is called here, once
+    per part, so a part's buffers are not allocated on a worker. fill must
+    not call BLAS or LAPACK (each worker thread would hold its own
+    buffers) nor a traced library function (the benchmark's span stack is
+    one per process). Every thread is joined before this returns or
+    raises, and the first exception a part raised is raised again here.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    n_parts = max(1, min(cpus, n_blocks))
+    cuts = [n_blocks * k // n_parts for k in range(n_parts + 1)]
+    parts = [(cuts[k], cuts[k + 1], *scratch()) for k in range(n_parts)]
+    errors = []
+
+    def run(args):
+        try:
+            fill(*args)
+        except BaseException as err:  # raised again on the calling thread
+            errors.append(err)
+
+    workers = []
+    try:
+        for args in parts[1:]:
+            worker = threading.Thread(target=run, args=(args,))
+            worker.start()
+            workers.append(worker)
+        run(parts[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+
 
 # as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this
 # many entries when those lines hold fewer: a 64 KB bool buffer, which
@@ -41,11 +88,11 @@ def finite_product(product, A, name, what):
     entry of it non-finite. If one is, A's block check (as_matrix) runs
     and raises its "contains non-finite entries" ValueError, named by
     name; if A is finite, the product overflowed, and
-    OverflowingProductError names it (what) and its shape.
+    OverflowingProductError names it (what), and A by name and shape.
     """
     if not np.isfinite(product).all():
         as_matrix(A, name)
-        raise OverflowingProductError(f"{what} {product.shape} overflowed on a finite {name}")
+        raise OverflowingProductError(f"{what} overflowed on a finite {name} {A.shape}")
     return product
 
 
@@ -79,6 +126,18 @@ def as_vector(a, name="vector"):
     if v.size and not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def as_singular_values(sv, name="sv"):
+    """Coerce to a 1-d float64 array of singular values: finite,
+    nonnegative and nonincreasing, up to 1e-12 of the largest. The one
+    check of every function that takes a spectrum."""
+    sv = as_vector(sv, name)
+    if not (sv >= 0.0).all():
+        raise ValueError("singular values must be nonnegative")
+    if sv.size and not (np.diff(sv) <= 1e-12 * sv[0]).all():
+        raise ValueError("singular values must be sorted nonincreasing")
+    return sv
 
 
 def check_orthonormal(W, name="basis"):

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_matrix, check_at_least, check_open_unit, orthonormal_basis
+from ._util import (
+    as_matrix,
+    as_singular_values,
+    check_at_least,
+    check_open_unit,
+    orthonormal_basis,
+)
 from .exceptions import SpectralGapError
 from .linalg import _svd, canonical_angles, column_residuals, spectral_norm, thin_svd
 
@@ -257,10 +263,11 @@ def deviation_constant(rank, oversample, delta, n_snapshots):
 def rsvd_expected_error(sv, rank, oversample):
     """Expected spectral residual of the basic sketch with r+p columns:
     (1 + sqrt(r/(p-1))) sigma_{r+1} + (e sqrt(r+p)/p) sqrt(sum_{j>r} sigma_j^2).
+
+    sv is checked as truncation_rank checks it: finite, nonnegative and
+    nonincreasing.
     """
-    sv = np.asarray(sv, dtype=np.float64)
-    if sv.ndim != 1:
-        raise ValueError("sv must be 1-d")
+    sv = as_singular_values(sv)
     r, p = int(check_at_least(rank, 1, "rank")), int(oversample)
     if p < 2:
         raise ValueError(f"oversample must be >= 2 for the expectation bound, got {p}")

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import SWEEP_BLOCK, check_at_least, check_open_unit, check_seed
+from ._util import SWEEP_BLOCK, check_at_least, check_open_unit, check_seed, fill_in_parts
 from .bounds import column_bounds
 from .linalg import column_residuals
 from .matio import ResultTable
@@ -83,23 +83,32 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
 
     t runs over [1, 6] with n_t points, mu over [0, pi] with n_mu points.
     The matrix holds t mu and is then filled in place SWEEP_BLOCK rows at
-    a time, with 4 t mu formed once per block, so no temporary grows with
-    n_t.
+    a time, with 4 t mu formed once per block in a part's own two scratch
+    blocks, so no temporary grows with n_t. The blocks are filled through
+    fill_in_parts, and the bits do not depend on the part count.
     """
     if n_t < 2 or n_mu < 2:
         raise ValueError(f"need at least 2 grid points per axis, got n_t={n_t}, n_mu={n_mu}")
     t = np.linspace(1.0, 6.0, n_t)
     mu = np.linspace(0.0, np.pi, n_mu)
     F = np.multiply.outer(t, mu)
-    for lo in range(0, n_t, SWEEP_BLOCK):
-        tm = F[lo : lo + SWEEP_BLOCK]
-        arg = 4.0 * tm
-        wave = np.cos(arg)
-        wave += np.sin(arg, out=arg)
-        np.negative(tm, out=tm)
-        np.exp(tm, out=tm)
-        tm *= 10.0
-        tm *= wave
+
+    def fill(lo, hi, arg, wave):
+        for b in range(lo, hi):
+            tm = F[b * SWEEP_BLOCK : (b + 1) * SWEEP_BLOCK]
+            a, w = arg[: tm.shape[0]], wave[: tm.shape[0]]
+            np.multiply(tm, 4.0, out=a)
+            np.cos(a, out=w)
+            w += np.sin(a, out=a)
+            np.negative(tm, out=tm)
+            np.exp(tm, out=tm)
+            tm *= 10.0
+            tm *= w
+
+    def scratch():
+        return np.empty((SWEEP_BLOCK, n_mu)), np.empty((SWEEP_BLOCK, n_mu))
+
+    fill_in_parts(fill, -(-n_t // SWEEP_BLOCK), scratch)
     return SnapshotSet(matrix=F, params=mu[:, None], space={"t": t})
 
 
@@ -120,8 +129,10 @@ def corner_peak_snapshots(grid=100, param_grid=25):
 
     h is tabulated once per axis, for (x, mu) and for the reflected
     (1 - x, 1 - mu). The matrix is then filled in place one x2 value at a
-    time: those grid rows hold every column, so no temporary grows with
-    the column count.
+    time, through fill_in_parts: those grid rows hold every column, and
+    each part sums its terms in its own grid x param_grid^2 scratch
+    block, so no temporary grows with the column count and the bits do
+    not depend on the part count.
     """
     if grid < 2 or param_grid < 2:
         raise ValueError(f"need at least 2 points per axis, got grid={grid}, param_grid={param_grid}")
@@ -131,21 +142,24 @@ def corner_peak_snapshots(grid=100, param_grid=25):
     h_r = _corner_h(1.0 - x, 1.0 - mus)
 
     F = np.empty((grid * grid, param_grid * param_grid))
-    g = np.empty((grid, param_grid, param_grid))
     # (x1, mu1) and (x2, mu2) tables of the four terms, in summation order
     terms = ((h, h), (h_r, h_r), (h_r, h), (h, h_r))
-    for j in range(grid):
-        # rows i + grid * j as [i, p2, p1]: column p1 + param_grid * p2
-        # holds (mu1, mu2) = (mus[p1], mus[p2])
-        block = F[j * grid : (j + 1) * grid].reshape(grid, param_grid, param_grid)
-        for k, (h1, h2) in enumerate(terms):
-            out = g if k else block
-            np.add(h1[:, None, :], h2[j][None, :, None], out=out)
-            np.add(out, 0.01, out=out)
-            np.sqrt(out, out=out)
-            np.divide(1.0, out, out=out)
-            if k:
-                block += g
+
+    def fill(lo, hi, g):
+        for j in range(lo, hi):
+            # rows i + grid * j as [i, p2, p1]: column p1 + param_grid * p2
+            # holds (mu1, mu2) = (mus[p1], mus[p2])
+            block = F[j * grid : (j + 1) * grid].reshape(grid, param_grid, param_grid)
+            for k, (h1, h2) in enumerate(terms):
+                out = g if k else block
+                np.add(h1[:, None, :], h2[j][None, :, None], out=out)
+                np.add(out, 0.01, out=out)
+                np.sqrt(out, out=out)
+                np.divide(1.0, out, out=out)
+                if k:
+                    block += g
+
+    fill_in_parts(fill, grid, lambda: (np.empty((grid, param_grid, param_grid)),))
     params = np.column_stack([np.tile(mus, param_grid), np.repeat(mus, param_grid)])
     return SnapshotSet(matrix=F, params=params, space={"x1": x, "x2": x})
 
@@ -178,8 +192,9 @@ def _source_columns(x, params):
     exp(-d2 / mu5^2), d1 and d2 the squared distances along each axis. The
     two factors are tabulated once per axis (grid x n_cols), so the
     matrix takes 2 grid n_cols exponentials and one product per entry,
-    and is filled one x2 grid line at a time, so no temporary grows with
-    the row count. Both this and the unfactored exp(-a), a = (d1 + d2) /
+    and is filled one x2 grid line at a time, through fill_in_parts, so
+    no temporary grows with the row count and the bits do not depend on
+    the part count. Both this and the unfactored exp(-a), a = (d1 + d2) /
     mu5^2, round the exponent to about 5u relative (u the unit roundoff),
     so they agree to a relative (10 a + 20) u. With tiny widths from
     custom ranges, the factors underflow far from the centre, to zero or
@@ -190,9 +205,13 @@ def _source_columns(x, params):
     e1 = np.exp((x[:, None] - params[None, :, 0]) ** 2 / neg_width)
     e2 = np.exp((x[:, None] - params[None, :, 1]) ** 2 / neg_width)
     cols = np.empty((grid * grid, params.shape[0]))
-    for j in range(grid):
-        # rows i + grid * j: e1 runs over x1 (i), e2 over x2 (j)
-        np.multiply(e1, e2[j], out=cols[j * grid : (j + 1) * grid])
+
+    def fill(lo, hi):
+        for j in range(lo, hi):
+            # rows i + grid * j: e1 runs over x1 (i), e2 over x2 (j)
+            np.multiply(e1, e2[j], out=cols[j * grid : (j + 1) * grid])
+
+    fill_in_parts(fill, grid)
     return cols
 
 

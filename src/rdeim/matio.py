@@ -19,13 +19,18 @@ HEADER_BYTES = 24
 
 
 def write_matrix(path, A):
-    """Write a dense matrix to an RDMXMAT1 file."""
+    """Write a dense matrix to an RDMXMAT1 file.
+
+    The column-major payload is A' in row-major order, written from one
+    buffer: a Fortran-ordered A is written as it is, any other is copied
+    once.
+    """
     A = as_matrix(A, "A")
     rows, cols = A.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(np.asfortranarray(A, dtype="<f8").tobytes(order="F"))
+        fh.write(np.ascontiguousarray(A.T, dtype="<f8"))
 
 
 def read_matrix(path):

@@ -26,6 +26,7 @@ from ._util import (
     OrthonormalBasis,
     as_2d,
     as_matrix,
+    as_singular_values,
     as_vector,
     check_at_least,
     check_open_unit,
@@ -397,13 +398,9 @@ def truncation_rank(sv, eps):
         Energy-ratio tolerance: the result is the smallest r with
         ``sum(sv[r:]**2) <= eps * sum(sv**2)``.
     """
-    sv = as_vector(sv, "sv")
+    sv = as_singular_values(sv)
     if sv.size == 0 or np.all(sv == 0.0):
         raise ValueError("sv must contain at least one nonzero singular value")
-    if np.any(sv < 0.0):
-        raise ValueError("singular values must be nonnegative")
-    if np.any(np.diff(sv) > 1e-12 * sv[0]):
-        raise ValueError("singular values must be sorted nonincreasing")
     if not eps > 0.0:  # a NaN fails this too
         raise ValueError(f"eps must be positive, got {eps}")
     energy = sv * sv

@@ -433,3 +433,56 @@ def oscillator_formula(n_t, n_mu):
     mu = np.linspace(0.0, np.pi, n_mu)
     tm = t[:, None] * mu[None, :]
     return 10.0 * np.exp(-tm) * (np.cos(4.0 * tm) + np.sin(4.0 * tm))
+
+
+def serial_oscillator(n_t, n_mu, block):
+    """The oscillator filled in place one block of rows at a time on one
+    thread, each block's temporaries allocated afresh."""
+    t = np.linspace(1.0, 6.0, n_t)
+    mu = np.linspace(0.0, np.pi, n_mu)
+    F = np.multiply.outer(t, mu)
+    for lo in range(0, n_t, block):
+        tm = F[lo : lo + block]
+        arg = 4.0 * tm
+        wave = np.cos(arg)
+        wave += np.sin(arg, out=arg)
+        np.negative(tm, out=tm)
+        np.exp(tm, out=tm)
+        tm *= 10.0
+        tm *= wave
+    return F
+
+
+def serial_corner_peak(grid, param_grid):
+    """The corner peak filled in place one x2 grid line at a time on one
+    thread, with one scratch block for every line."""
+    x = np.linspace(0.0, 1.0, grid)
+    mus = np.linspace(0.0, 1.0, param_grid)
+    h = ((1.0 - x)[:, None] - (0.99 * mus - 1.0)[None, :]) ** 2
+    h_r = ((1.0 - (1.0 - x))[:, None] - (0.99 * (1.0 - mus) - 1.0)[None, :]) ** 2
+    F = np.empty((grid * grid, param_grid * param_grid))
+    g = np.empty((grid, param_grid, param_grid))
+    for j in range(grid):
+        block = F[j * grid : (j + 1) * grid].reshape(grid, param_grid, param_grid)
+        for k, (h1, h2) in enumerate(((h, h), (h_r, h_r), (h_r, h), (h, h_r))):
+            out = g if k else block
+            np.add(h1[:, None, :], h2[j][None, :, None], out=out)
+            np.add(out, 0.01, out=out)
+            np.sqrt(out, out=out)
+            np.divide(1.0, out, out=out)
+            if k:
+                block += g
+    return F
+
+
+def serial_source_columns(x, params):
+    """The separable Gaussian source filled one x2 grid line at a time on
+    one thread."""
+    grid = x.size
+    neg_width = -(params[:, 2] * params[:, 2])
+    e1 = np.exp((x[:, None] - params[None, :, 0]) ** 2 / neg_width)
+    e2 = np.exp((x[:, None] - params[None, :, 1]) ** 2 / neg_width)
+    cols = np.empty((grid * grid, params.shape[0]))
+    for j in range(grid):
+        np.multiply(e1, e2[j], out=cols[j * grid : (j + 1) * grid])
+    return cols

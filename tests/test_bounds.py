@@ -23,7 +23,7 @@ from rdeim.exceptions import SpectralGapError
 from rdeim.experiments import ExperimentSpec, SnapshotSet, build_basis, error_sweep, generate
 from rdeim.linalg import canonical_angles
 from rdeim.projector import build_projector
-from rdeim.rangefinder import subspace_range_finder, svd_basis
+from rdeim.rangefinder import subspace_range_finder, svd_basis, truncation_rank
 from rdeim.selection import (
     SelectionOperator,
     deim_greedy_select,
@@ -343,3 +343,20 @@ def test_rsvd_expected_error_validation():
         rsvd_expected_error(np.array([1.0, 0.5]), 1, 1)
     with pytest.raises(ValueError):
         rsvd_expected_error(np.array([1.0, 0.5]), 0, 5)
+
+
+@pytest.mark.parametrize(
+    "sv, message",
+    [
+        ([1.0, np.nan, 0.5], "non-finite"),
+        ([1.0, np.inf, 0.5], "non-finite"),
+        ([1.0, -0.5], "nonnegative"),
+        ([0.5, 1.0], "nonincreasing"),
+    ],
+)
+def test_rsvd_expected_error_checks_the_spectrum_as_truncation_rank_does(sv, message):
+    # a NaN used to come back as the bound
+    with pytest.raises(ValueError, match=message):
+        rsvd_expected_error(np.array(sv), 1, 5)
+    with pytest.raises(ValueError, match=message):
+        truncation_rank(np.array(sv), 0.1)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -49,6 +50,9 @@ from oracles import (
     columnwise_source_columns,
     dense_oblique_projector,
     oscillator_formula,
+    serial_corner_peak,
+    serial_oscillator,
+    serial_source_columns,
 )
 
 
@@ -231,6 +235,116 @@ def test_source_test_points_follow_a_ranges_override():
     # drawn from the default box, every point missed the training box and
     # the mean relative error was 0.84; inside it, it is 0.021
     assert run_experiment(spec).summary["rel_error_mean"] < 0.05
+
+
+# ------------------------------------------------------------ parallel fill
+
+
+def _generated(example, args):
+    """The matrix of one generator call, with the source's held-out set
+    stacked on its training set."""
+    if example == "osc":
+        return oscillator_snapshots(**args).matrix
+    if example == "corner":
+        return corner_peak_snapshots(**args).matrix
+    snaps = gaussian_source_snapshots(**args)
+    return np.hstack([snaps.matrix, source_test_points(snaps, 30, seed=7).matrix])
+
+
+def _serial(example, args):
+    if example == "osc":
+        return serial_oscillator(args["n_t"], args["n_mu"], SWEEP_BLOCK)
+    if example == "corner":
+        return serial_corner_peak(args["grid"], args["param_grid"])
+    snaps = gaussian_source_snapshots(**args)
+    test = source_test_points(snaps, 30, seed=7)
+    x = snaps.space["x1"]
+    return np.hstack([serial_source_columns(x, snaps.params), serial_source_columns(x, test.params)])
+
+
+# desk scale, a 7 x 3 corner grid and an oscillator whose last row block
+# holds 5 of SWEEP_BLOCK rows
+_FILLS = [
+    ("osc", {"n_t": 2000, "n_mu": 100}),
+    ("osc", {"n_t": 3 * SWEEP_BLOCK + 5, "n_mu": 17}),
+    ("corner", {"grid": 50, "param_grid": 15}),
+    ("corner", {"grid": 7, "param_grid": 3}),
+    ("source", {"n_grid": 40, "n_train": 200, "seed": 0}),
+]
+
+
+def _blocks(example, args):
+    if example == "osc":
+        return -(-args["n_t"] // SWEEP_BLOCK)
+    return args["grid"] if example == "corner" else args["n_grid"]
+
+
+def _patch_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("example, args", _FILLS, ids=lambda v: v if isinstance(v, str) else "")
+def test_generators_fill_their_blocks_as_the_serial_loop_does(monkeypatch, example, args):
+    expected = _serial(example, args).tobytes()
+    # one part, two, three, and more CPUs than blocks: one part per block,
+    # so more threads than cores, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, _blocks(example, args) + 5):
+            _patch_cpus(monkeypatch, cpus)
+            assert _generated(example, args).tobytes() == expected, cpus
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "cpus, n_blocks, parts",
+    [
+        (1, 5, [(0, 5)]),
+        (2, 5, [(0, 2), (2, 5)]),
+        (3, 10, [(0, 3), (3, 6), (6, 10)]),
+        (8, 3, [(0, 1), (1, 2), (2, 3)]),
+        (4, 0, [(0, 0)]),
+    ],
+)
+def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus, n_blocks, parts):
+    _patch_cpus(monkeypatch, cpus)
+    seen, threads = [], []
+
+    def fill(lo, hi, buf):
+        seen.append((lo, hi))
+        threads.append(threading.current_thread())
+        buf[:] = lo
+
+    buffers = []
+
+    def scratch():
+        buffers.append(np.empty(2))
+        return (buffers[-1],)
+
+    _util.fill_in_parts(fill, n_blocks, scratch)
+    assert sorted(seen) == parts
+    # every part has its own scratch, and the first runs on the calling thread
+    assert [buf[0] for buf in buffers] == [lo for lo, _ in parts]
+    assert threads[seen.index(parts[0])] is threading.current_thread()
+    assert len(set(threads)) == len(parts)
+
+
+def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
+    _patch_cpus(monkeypatch, 3)
+    before = threading.active_count()
+    done = []
+
+    def fill(lo, hi):
+        if lo > 0 and hi == 6:
+            raise ArithmeticError(f"part [{lo}, {hi})")
+        done.append(lo)
+
+    with pytest.raises(ArithmeticError, match=r"part \[4, 6\)"):
+        _util.fill_in_parts(fill, 6)
+    assert threading.active_count() == before
+    assert sorted(done) == [0, 2]
 
 
 # ------------------------------------------------------------ spec/driver

@@ -1,6 +1,7 @@
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,26 @@ def test_write_accepts_row_major_input(tmp_path):
     path = tmp_path / "c.rdmx"
     write_matrix(path, A)
     assert np.array_equal(read_matrix(path), A)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_write_copies_the_payload_at_most_once(tmp_path, layout):
+    A = random_matrix(400, 60, seed=2)
+    reference = tmp_path / "reference.rdmx"
+    write_matrix(reference, A)
+    B = {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A)}.get(layout)
+    if B is None:
+        B = np.repeat(A, 2, axis=1)[:, ::2]
+    path = tmp_path / f"{layout}.rdmx"
+    tracemalloc.start()
+    try:
+        write_matrix(path, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == reference.read_bytes()
+    # a Fortran-ordered matrix is written as it is, any other from one copy
+    assert peak < (0.5 if layout == "F" else 1.5) * A.nbytes
 
 
 def test_read_rejects_bad_magic(tmp_path):

@@ -363,7 +363,7 @@ def test_subspace_overflow_is_a_typed_error():
     # the sketch is finite (max 1.52e308), but its column norms pass
     # 1.8e308, so its QR is the step that overflows, and the error names it
     # rather than a later product the NaNs run through
-    match = r"the QR of the sketch A Omega \(40, 15\) overflowed on a finite A"
+    match = r"the QR of the sketch A Omega overflowed on a finite A \(40, 20\)"
     for power in (0, 1):
         with pytest.raises(OverflowingProductError, match=match):
             subspace_range_finder(A, rank=5, power=power)

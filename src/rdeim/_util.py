@@ -1,9 +1,12 @@
 """Input validation helpers shared across modules, and the OrthonormalBasis
 type that carries a passed orthonormality check."""
 
+import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -13,47 +16,90 @@ from .exceptions import OverflowingProductError
 # linalg.column_residuals reads them for every per-column residual (the
 # error sweep, its bounds, the adaptive range finder's explicit residual
 # and bench_basis), the oscillator generator fills them in place (through
-# fill_in_parts), and as_matrix checks them for finiteness
+# fill_in_parts), as_matrix checks them for finiteness, and the range
+# finders cut their products with A into parts at its multiples
 SWEEP_BLOCK = 64
 
 
-def fill_in_parts(fill, n_blocks, scratch=tuple):
+def usable_cpus():
+    """The number of CPUs the process may run on: its affinity mask, or
+    the machine's count where the platform has none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_get_num_threads():
+    """The get_num_threads function of the OpenBLAS that numpy's wheel
+    bundles, or None where there is none to find (numpy linked to a
+    system BLAS, MKL or Accelerate). Loading the library numpy has loaded
+    returns that same library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = ()
+                return fn
+    return None
+
+
+def blas_threads():
+    """The thread count numpy's OpenBLAS runs a call on, read on every
+    call, so that a change made at run time is seen; None where it cannot
+    be read."""
+    fn = _openblas_get_num_threads()
+    return None if fn is None else fn()
+
+
+def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     """Call fill(lo, hi, *scratch()) over contiguous parts [lo, hi) of
-    range(n_blocks), one part per CPU the process may run on and at most
-    one per block.
+    range(n_blocks): parts of them (by default one per CPU the process may
+    run on), and at most one per block.
 
     The snapshot generators fill their matrix through this, one
     independent row block at a time, with elementwise ufuncs that release
-    the GIL, so the parts run at once. The first part runs on the calling
-    thread and the others on worker threads; scratch is called here, once
-    per part, so a part's buffers are not allocated on a worker. fill must
-    not call BLAS or LAPACK (each worker thread would hold its own
-    buffers) nor a traced library function (the benchmark's span stack is
-    one per process). Every thread is joined before this returns or
-    raises, and the first exception a part raised is raised again here.
+    the GIL, so the parts run at once; the range finders form their
+    products with A in line blocks through it, with one BLAS call a part.
+    The first part runs on the calling thread and the others on worker
+    threads, each under the calling thread's np.errstate; scratch is
+    called here, once per part, so a part's buffers are not allocated on a
+    worker. fill may call BLAS: each worker thread that does holds its own
+    OpenBLAS buffers, which moved the peak RSS of the paper-scale
+    benchmark workload (sweep-paper, 195 MB) by -0.7 to +2.1 MB, +0.5 MB
+    in the median of 10 runs. It must not call a traced library function
+    (the benchmark's span stack is one per process).
+    Every thread is joined before this returns or raises, and the first
+    exception a part raised is raised again here.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    n_parts = max(1, min(cpus, n_blocks))
+    n_parts = max(1, min(usable_cpus() if parts is None else parts, n_blocks))
     cuts = [n_blocks * k // n_parts for k in range(n_parts + 1)]
-    parts = [(cuts[k], cuts[k + 1], *scratch()) for k in range(n_parts)]
+    args = [(cuts[k], cuts[k + 1], *scratch()) for k in range(n_parts)]
     errors = []
+    errstate = np.geterr()
 
-    def run(args):
+    def run(part):
         try:
-            fill(*args)
+            with np.errstate(**errstate):
+                fill(*part)
         except BaseException as err:  # raised again on the calling thread
             errors.append(err)
 
     workers = []
     try:
-        for args in parts[1:]:
-            worker = threading.Thread(target=run, args=(args,))
+        for part in args[1:]:
+            worker = threading.Thread(target=run, args=(part,))
             worker.start()
             workers.append(worker)
-        run(parts[0])
+        run(args[0])
     finally:
         for worker in workers:
             worker.join()

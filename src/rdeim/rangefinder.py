@@ -9,7 +9,9 @@ criterion holds, reading A twice per group of sketch blocks, for the
 sketch and for the group's rows of W'A, from which every residual check
 is taken without another read. Every sketch is orthonormalized by
 linalg.thin_qr, and every sketch product A X is formed as (X' A')', with
-A's rows as BLAS's M operand. Both end with the same step: a QB pair
+A's rows as BLAS's M operand; on one BLAS thread it and the power step's
+A'Q are formed in one part per usable CPU, with the bits of one call
+(see _part_count). Both end with the same step: a QB pair
 (Q, B = Q'A) is rotated onto the leading left singular directions of B
 and truncated to r columns. Each returns an OrthonormalBasis, whose
 constructor runs the library's one orthonormality check at its one
@@ -23,17 +25,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import (
+    SWEEP_BLOCK,
     OrthonormalBasis,
     as_2d,
     as_matrix,
     as_singular_values,
     as_vector,
+    blas_threads,
     check_at_least,
     check_open_unit,
     check_seed,
+    fill_in_parts,
     finite_product,
+    usable_cpus,
 )
-from .exceptions import AdaptiveRangeError
+from .exceptions import AdaptiveRangeError, OverflowingProductError
 from .linalg import _svd, column_residuals, thin_qr, thin_svd
 
 # sketch blocks the adaptive range finder draws and applies to A together
@@ -43,6 +49,11 @@ SKETCH_GROUP = 4
 # 2^-970: at or above it, the n n_s squares a residual at the tolerance is
 # made of are normal numbers for any n n_s below 2^52
 _TARGET_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+# a product with A is formed in parts only where each part holds at least
+# this many of A's entries and this many of its lines (see _part_count)
+PART_ENTRIES = 1 << 20
+PART_LINES = 4 * SWEEP_BLOCK
 
 
 def gaussian_matrix(rows, cols, seed):
@@ -75,7 +86,7 @@ def _sketch_basis(A, rank, oversample, power, seed):
         for _ in range(power):
             # re-orthonormalize after every half-iteration to keep the
             # powered sketch numerically full rank
-            Q = _checked_qr(A.T @ Q, A, "the power product A'Q")
+            Q = _checked_qr(_transposed_times(A, Q), A, "the power product A'Q")
             Q = _checked_qr(_times(A, Q), A, "the power product AQ")
         B = finite_product(Q.T @ A, A, "A", "the projected matrix Q'A")
     return _rotate_qb(Q, B, rank)
@@ -93,8 +104,63 @@ def _times(A, X):
     rows are BLAS's M operand. On one BLAS thread that is faster (19.7 ->
     13.0 ms for the paper source matrix times 10 columns, 2.7 -> 0.9 ms
     for a 10000 x 110 basis times 10 columns), and the subspace finder's
-    sketches of the paper matrices keep the bits of A @ X."""
-    return (X.T @ A.T).T
+    sketches of the paper matrices keep the bits of A @ X.
+
+    Where _part_count gives more than one part, each part forms rows
+    [lo, hi) of the product as X' A[lo:hi]' into its columns of one
+    (X' A')' array, on its own thread. Every entry is still the dot the
+    one call forms, so the part count never enters the bits."""
+    parts = _part_count(A, A.shape[0])
+    if parts == 1:
+        return (X.T @ A.T).T
+    out = np.empty((X.shape[1], A.shape[0]))
+    _over_lines(lambda lo, hi: np.matmul(X.T, A[lo:hi].T, out=out[:, lo:hi]), A.shape[0], parts)
+    return out.T
+
+
+def _transposed_times(A, Q):
+    """A' Q, the power step's product, in _part_count parts over A's
+    columns, each writing the rows [lo, hi) as A[:, lo:hi]' Q, with the
+    bits of the one call."""
+    parts = _part_count(A, A.shape[1])
+    if parts == 1:
+        return A.T @ Q
+    out = np.empty((A.shape[1], Q.shape[1]))
+    _over_lines(lambda lo, hi: np.matmul(A[:, lo:hi].T, Q, out=out[lo:hi]), A.shape[1], parts)
+    return out
+
+
+def _part_count(A, lines):
+    """How many parts a product with A is formed in, split over A's lines
+    (rows for A X, columns for A' Q): one per usable CPU where numpy's
+    OpenBLAS runs one thread, each part holding at least PART_ENTRIES of
+    A's entries and PART_LINES lines; 1, the one BLAS call, where BLAS
+    runs more threads or the count cannot be read.
+
+    Measured on numpy's OpenBLAS 0.3.31 (SkylakeX kernels) on one thread,
+    the parts kept the bits of the one call on the paper matrices and on
+    random shapes with any n mod 64, n_s mod 8 and width. The floors keep
+    every part in the regime the one call is in: without them, small
+    parts (below about 10^6 multiply-adds) took OpenBLAS's small-matrix
+    kernels, and a last part of A X with 192 rows or fewer took another
+    path for its last n mod 8 rows; both changed those rows' last bits.
+    On two BLAS threads, parts changed bits and were no faster.
+    """
+    if blas_threads() != 1:
+        return 1
+    return max(1, min(usable_cpus(), A.size // PART_ENTRIES, lines // PART_LINES))
+
+
+def _over_lines(form, lines, parts):
+    """form(lo, hi) over parts contiguous runs [lo, hi) of range(lines),
+    cut at multiples of SWEEP_BLOCK, through fill_in_parts; the short
+    tail of the lines joins the last block."""
+    blocks = lines // SWEEP_BLOCK
+
+    def fill(lo, hi):
+        form(lo * SWEEP_BLOCK, lines if hi == blocks else hi * SWEEP_BLOCK)
+
+    fill_in_parts(fill, blocks, parts=parts)
 
 
 def _rotate_qb(Q, B, rank):
@@ -115,7 +181,10 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
 
     Cost: A is read 2 + 2q times, once per product; its finiteness is
     tested on the products and QR factors the finder forms, not by a read
-    of its own.
+    of its own. Where a product of a finite A overflows, the finder runs
+    again on a copy of A scaled by an exact power of two to max|a_ij| in
+    [1/2, 1), as the adaptive finder does, and returns that copy's basis;
+    a run whose products stay finite reads A no more and keeps its bits.
 
     Parameters
     ----------
@@ -137,15 +206,16 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     ------
     ValueError
         If A has a non-finite entry.
-    OverflowingProductError
-        If A is finite but the sketch or Q'A overflows.
     """
     check_at_least(rank, 1, "rank")
     check_at_least(oversample, 1, "oversample")
     check_at_least(power, 0, "power")
     check_seed(seed)
     A = as_2d(A, "A")
-    W = _sketch_basis(A, rank, oversample, power, seed)
+    try:
+        W = _sketch_basis(A, rank, oversample, power, seed)
+    except OverflowingProductError:
+        W = _sketch_basis(_unit_scaled(A), rank, oversample, power, seed)
     return OrthonormalBasis(W, "subspace-iteration")
 
 
@@ -232,9 +302,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     rng = np.random.default_rng(seed)
     alpha = _squared_norm(A)
     if not _TARGET_FLOOR <= tol * tol * alpha < math.inf:
-        if not A.any():
-            raise ValueError("A is identically zero; no basis to find")
-        A = np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
+        A = _unit_scaled(A)
         alpha = _squared_norm(A)
     target = tol * tol * alpha
 
@@ -299,6 +367,15 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     else:
         W = W.copy(order="F")  # holds none of the unused rows of W'
     return OrthonormalBasis(W, "adaptive")
+
+
+def _unit_scaled(A):
+    """A copy of a finite A scaled by an exact power of two to max|a_ij|
+    in [1/2, 1), so that neither its products nor its squared norm
+    overflow; the range finders' one rescale."""
+    if not A.any():
+        raise ValueError("A is identically zero; no basis to find")
+    return np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
 
 
 def _squared_norm(A):

@@ -1,8 +1,11 @@
+import ctypes
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from rdeim import _util
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -44,3 +47,24 @@ def spectrum_matrix(n, n_s, sv, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the test, as the benchmark runs
+    it: the products are split only then, and the tier-1 suite does not
+    pin the count."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    names = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+             "openblas_set_num_threads")
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        found = [getattr(lib, name) for name in names if hasattr(lib, name)]
+        threads = _util.blas_threads()
+        if found and threads is not None:
+            found[0].argtypes = (ctypes.c_int,)
+            found[0](1)
+            yield
+            found[0](threads)
+            return
+    pytest.skip("numpy links a BLAS whose thread count cannot be set here")

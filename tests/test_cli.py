@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -46,6 +47,35 @@ def test_gen_basis_select_round_trip(tmp_path, capsys):
         assert int(pos) == k
         assert 0 <= int(idx) < 2000
         assert float(w) == 1.0
+
+
+@pytest.mark.parametrize(
+    "options", [["--basis", "subspace"], ["--basis", "adaptive", "--block", "2", "--max-blocks", "10"]]
+)
+def test_basis_of_a_finite_matrix_whose_products_overflow(tmp_path, options):
+    # the finders rescale such a matrix by a power of two, not fail on it
+    mat = tmp_path / "huge.rdmx"
+    write_matrix(mat, random_matrix(40, 20, seed=0) * 1e307)
+    out = tmp_path / "basis.rdmx"
+    assert main(["basis", "--matrix", str(mat), "--rank", "4", *options, "--out", str(out)]) == 0
+    W = read_matrix(out)
+    assert W.shape == (40, 4)
+    assert np.max(np.abs(W.T @ W - np.eye(4))) < 1e-12
+
+
+@pytest.mark.parametrize("basis", ["subspace", "adaptive"])
+def test_basis_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, one_blas_thread, basis):
+    # on one BLAS thread the products with a matrix of 2^21 entries or more
+    # are formed in one part per usable CPU, and one part writes the same file
+    mat = tmp_path / "wide.rdmx"
+    write_matrix(mat, random_matrix(2500, 30, seed=3) @ random_matrix(30, 841, seed=4))
+    files = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        files.append(tmp_path / f"basis-{cpus}.rdmx")
+        assert main(["basis", "--matrix", str(mat), "--rank", "12", "--basis", basis,
+                     "--out", str(files[-1])]) == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_select_rejects_skew_basis(tmp_path, capsys):

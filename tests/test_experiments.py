@@ -331,6 +331,29 @@ def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus
     assert len(set(threads)) == len(parts)
 
 
+def test_fill_in_parts_takes_a_part_count(monkeypatch):
+    # a count below the CPUs is kept, one above them too, and blocks cap it
+    _patch_cpus(monkeypatch, 8)
+    for parts, n_blocks, count in ((2, 9, 2), (12, 20, 12), (5, 3, 3), (0, 4, 1)):
+        seen = []
+        _util.fill_in_parts(lambda lo, hi: seen.append((lo, hi)), n_blocks, parts=parts)
+        assert len(seen) == count and sorted(seen)[-1][1] == n_blocks
+
+
+def test_fill_in_parts_runs_every_part_under_the_callers_errstate(monkeypatch):
+    # the products that check finiteness themselves ignore an overflow; a
+    # worker thread would otherwise warn under numpy's default
+    _patch_cpus(monkeypatch, 3)
+
+    def fill(lo, hi):
+        np.multiply(np.full(4, 1e300), 1e300)
+
+    with np.errstate(over="ignore"):
+        _util.fill_in_parts(fill, 3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _util.fill_in_parts(fill, 3)
+
+
 def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
     _patch_cpus(monkeypatch, 3)
     before = threading.active_count()

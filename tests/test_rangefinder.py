@@ -2,17 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rdeim import rangefinder
+from rdeim import _util, rangefinder
 from rdeim.exceptions import AdaptiveRangeError, ConvergenceError, OverflowingProductError
 from rdeim.experiments import AlgorithmSpec, ExperimentSpec, build_basis, generate
 from rdeim.linalg import canonical_angles, spectral_norm, thin_svd
@@ -362,11 +363,51 @@ def test_subspace_overflow_is_a_typed_error():
     A = np.random.default_rng(0).standard_normal((40, 20)) * 1e307
     # the sketch is finite (max 1.52e308), but its column norms pass
     # 1.8e308, so its QR is the step that overflows, and the error names it
-    # rather than a later product the NaNs run through
+    # rather than a later product the NaNs run through; the finder runs
+    # again on a scaled copy after this error
     match = r"the QR of the sketch A Omega overflowed on a finite A \(40, 20\)"
     for power in (0, 1):
         with pytest.raises(OverflowingProductError, match=match):
-            subspace_range_finder(A, rank=5, power=power)
+            rangefinder._sketch_basis(A, rank=5, oversample=10, power=power, seed=0)
+
+
+def test_subspace_rescales_a_finite_matrix_whose_products_overflow():
+    A = np.random.default_rng(0).standard_normal((40, 20)) * 1e307
+    scaled = np.ldexp(A, -math.frexp(np.max(np.abs(A)))[1])
+    for power in (0, 1):
+        W = subspace_range_finder(A, 4, power=power)
+        assert W.rank == 4
+        # the basis of the copy scaled to max|a_ij| in [1/2, 1), bit for bit
+        assert np.array_equal(W.matrix, subspace_range_finder(scaled, 4, power=power).matrix)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(20, 60),
+    n_s=st.integers(12, 40),
+    rank=st.integers(1, 5),
+    power=st.integers(0, 2),
+    k=st.integers(-600, 1020),
+    seed=st.integers(0, 2**16),
+)
+@example(n=40, n_s=20, rank=4, power=1, k=1020, seed=0)
+@example(n=40, n_s=20, rank=4, power=0, k=-600, seed=0)
+def test_range_finders_do_not_depend_on_the_scale(n, n_s, rank, power, k, seed):
+    # singular values decaying by 0.8 fix the leading spans to rounding,
+    # and A is scaled to max|a_ij| in [4, 8): 2^k A overflows a subspace
+    # product for k near 1020, where that finder works on a scaled copy,
+    # and the adaptive norm for k above about 505
+    A = spectrum_matrix(n, n_s, 0.8 ** np.arange(min(n, n_s)), seed)
+    A = np.ldexp(A, 3 - math.frexp(np.max(np.abs(A)))[1])
+    B = np.ldexp(A, k)
+    builds = (
+        lambda M: subspace_range_finder(M, rank, oversample=2, power=power, seed=seed),
+        lambda M: adaptive_range_finder(M, 0.1, block=rank, max_blocks=n // rank, seed=seed),
+    )
+    for build in builds:
+        V, W = build(A), build(B)
+        assert W.rank == V.rank
+        assert canonical_angles(W, V).sin_theta_max <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -688,6 +729,147 @@ def test_adaptive_postcondition_holds(n, n_s, r, noise, block, tol, seed):
     # by the Gram value: the accepting check fell back
     if tol * tol < 0.01 * (n + 2) * np.finfo(np.float64).eps / 2:
         assert events[-2:] == ["gram", "explicit"]
+
+
+# ------------------------------------------------- products with A in parts
+
+
+def _patch_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _paper_matrix(example):
+    return generate(ExperimentSpec(example=example, scale="paper", rank=24)).matrix
+
+
+# (A, width of X and Q): the paper matrices at their sketch widths, and odd
+# shapes with n mod 64 != 0, n_s mod 8 != 0, odd widths, either memory
+# order. The last two are one part by the floors of _part_count: split,
+# 317 x 6700 at 64 lines a part and 1290 x 80 at 2^14 entries a part
+# changed the bits of their last n mod 8 rows of A X
+_PRODUCTS = [
+    ("source", 34),
+    ("corner", 138),
+    ("osc", 20),
+    ((2500, 841, "C"), 11),
+    ((3100, 1017, "F"), 13),
+    ((1100, 3001, "C"), 1),
+    ((700, 3003, "F"), 35),
+    ((317, 6700, "C"), 13),
+    ((1290, 80, "C"), 16),
+]
+
+
+@pytest.mark.parametrize("matrix, ell", _PRODUCTS, ids=lambda v: str(v))
+def test_products_in_parts_keep_the_bits_of_one_call(monkeypatch, one_blas_thread, matrix, ell):
+    if isinstance(matrix, str):
+        A = _paper_matrix(matrix)
+    else:
+        n, n_s, order = matrix
+        A = np.asarray(random_matrix(n, n_s, seed=n), order=order)
+    n, n_s = A.shape
+    rng = np.random.default_rng(ell)
+    X = rng.standard_normal((n_s, ell))
+    Q = np.asfortranarray(rng.standard_normal((n, ell)))
+    products = (
+        (rangefinder._times, X, (X.T @ A.T).T, n),
+        (rangefinder._transposed_times, Q, A.T @ Q, n_s),
+    )
+    # one part, two, three, and more CPUs than any part count: one thread a
+    # part, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 64):
+            _patch_cpus(monkeypatch, cpus)
+            for product, right, expected, lines in products:
+                parts = min(cpus, A.size >> 20, lines // (4 * 64))
+                assert rangefinder._part_count(A, lines) == max(1, parts)
+                got = product(A, right)
+                assert got.flags.f_contiguous == expected.flags.f_contiguous
+                assert got.tobytes() == expected.tobytes(), (product.__name__, cpus)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [2, None])
+def test_products_are_one_call_unless_blas_runs_one_thread(monkeypatch, threads):
+    A = random_matrix(3100, 1017, seed=0)
+    X = random_matrix(1017, 7, seed=1)
+    Q = random_matrix(3100, 7, seed=2)
+    monkeypatch.setattr(rangefinder, "blas_threads", lambda: 1)
+    _patch_cpus(monkeypatch, 4)
+    assert rangefinder._part_count(A, 3100) == 3
+    # two BLAS threads, or a count that cannot be read, leave one part
+    monkeypatch.setattr(rangefinder, "blas_threads", lambda: threads)
+    assert rangefinder._part_count(A, 3100) == rangefinder._part_count(A, 1017) == 1
+
+    def no_parts(*args, **kwargs):
+        raise AssertionError("a product was split")
+
+    monkeypatch.setattr(rangefinder, "fill_in_parts", no_parts)
+    assert np.array_equal(rangefinder._times(A, X), (X.T @ A.T).T)
+    assert np.array_equal(rangefinder._transposed_times(A, Q), A.T @ Q)
+
+
+def test_blas_threads_reads_the_count_on_every_call(one_blas_thread):
+    # the fixture set numpy's OpenBLAS to one thread after the import
+    assert _util.blas_threads() == 1
+
+
+def test_products_in_parts_raise_from_a_worker_and_leave_no_thread(monkeypatch):
+    _patch_cpus(monkeypatch, 3)
+    before = threading.active_count()
+    done = []
+
+    def form(lo, hi):
+        if hi == 6 * 64 + 5:
+            raise ArithmeticError(f"lines [{lo}, {hi})")
+        done.append((lo, hi))
+
+    # six blocks in three parts, the five-line tail joining the last
+    with pytest.raises(ArithmeticError, match=r"lines \[256, 389\)"):
+        rangefinder._over_lines(form, 6 * 64 + 5, 3)
+    assert threading.active_count() == before
+    assert sorted(done) == [(0, 128), (128, 256)]
+
+
+_PARTED_BASES = """
+import hashlib, os, sys
+import numpy as np
+from rdeim import _util, rangefinder
+from rdeim.experiments import AlgorithmSpec, ExperimentSpec, build_basis, generate
+
+A = generate(ExperimentSpec(example="source", scale="paper", rank=24)).matrix
+if _util.blas_threads() is None:
+    print("unread")
+    sys.exit()
+for cpus in (1, 2):
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+    print(rangefinder._part_count(A, A.shape[0]), rangefinder._part_count(A, A.shape[1]))
+    for basis in ("subspace", "adaptive"):
+        W = build_basis(A, AlgorithmSpec(rank=24, basis=basis, power=1)).matrix
+        print(basis, hashlib.sha256(W.tobytes()).hexdigest())
+"""
+
+
+def test_paper_bases_are_the_same_on_one_cpu_and_two():
+    # one BLAS thread, as the benchmark pins it: the subspace (q = 1) and
+    # adaptive bases of the paper source matrix, with their products in one
+    # part and in two
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    path = [str(tests.parent / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARTED_BASES], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if lines == ["unread"]:
+        pytest.skip("numpy links a BLAS whose thread count cannot be read")
+    assert lines[0] == "1 1" and lines[3] == "2 2"
+    assert lines[1:3] == lines[4:6]
 
 
 # ------------------------------------------------ svd_basis/adaptive rank

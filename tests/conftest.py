@@ -1,4 +1,5 @@
 import ctypes
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +43,11 @@ def spectrum_matrix(n, n_s, sv, seed):
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
     V, _ = np.linalg.qr(rng.standard_normal((n_s, k)))
     return (U * sv) @ V.T
+
+
+def patch_cpus(monkeypatch, cpus):
+    """Make the process see cpus usable CPUs, as fill_in_parts counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ from rdeim.bounds import deviation_constant, hybrid_constant, leverage_constant,
 from rdeim.cli import main
 from rdeim.matio import read_matrix, write_matrix
 
-from conftest import random_matrix
+from conftest import patch_cpus, random_matrix
 
 
 def test_gen_writes_matrix(tmp_path, capsys):
@@ -71,7 +70,7 @@ def test_basis_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, one_blas_t
     write_matrix(mat, random_matrix(2500, 30, seed=3) @ random_matrix(30, 841, seed=4))
     files = []
     for cpus in (2, 1):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch_cpus(monkeypatch, cpus)
         files.append(tmp_path / f"basis-{cpus}.rdmx")
         assert main(["basis", "--matrix", str(mat), "--rank", "12", "--basis", basis,
                      "--out", str(files[-1])]) == 0

@@ -44,7 +44,7 @@ from rdeim.projector import DeimProjector, build_projector
 from rdeim.rangefinder import OrthonormalBasis, svd_basis
 from rdeim.selection import SelectionOperator, deim_greedy_select, mixed_pmf, pqr_select
 
-from conftest import gap_matrix, random_orthonormal
+from conftest import gap_matrix, patch_cpus, random_orthonormal
 from oracles import (
     columnwise_corner_peak,
     columnwise_source_columns,
@@ -279,10 +279,6 @@ def _blocks(example, args):
     return args["grid"] if example == "corner" else args["n_grid"]
 
 
-def _patch_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 @pytest.mark.parametrize("example, args", _FILLS, ids=lambda v: v if isinstance(v, str) else "")
 def test_generators_fill_their_blocks_as_the_serial_loop_does(monkeypatch, example, args):
     expected = _serial(example, args).tobytes()
@@ -292,7 +288,7 @@ def test_generators_fill_their_blocks_as_the_serial_loop_does(monkeypatch, examp
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2, 3, _blocks(example, args) + 5):
-            _patch_cpus(monkeypatch, cpus)
+            patch_cpus(monkeypatch, cpus)
             assert _generated(example, args).tobytes() == expected, cpus
     finally:
         sys.setswitchinterval(interval)
@@ -309,7 +305,7 @@ def test_generators_fill_their_blocks_as_the_serial_loop_does(monkeypatch, examp
     ],
 )
 def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus, n_blocks, parts):
-    _patch_cpus(monkeypatch, cpus)
+    patch_cpus(monkeypatch, cpus)
     seen, threads = [], []
 
     def fill(lo, hi, buf):
@@ -333,7 +329,7 @@ def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus
 
 def test_fill_in_parts_takes_a_part_count(monkeypatch):
     # a count below the CPUs is kept, one above them too, and blocks cap it
-    _patch_cpus(monkeypatch, 8)
+    patch_cpus(monkeypatch, 8)
     for parts, n_blocks, count in ((2, 9, 2), (12, 20, 12), (5, 3, 3), (0, 4, 1)):
         seen = []
         _util.fill_in_parts(lambda lo, hi: seen.append((lo, hi)), n_blocks, parts=parts)
@@ -343,7 +339,7 @@ def test_fill_in_parts_takes_a_part_count(monkeypatch):
 def test_fill_in_parts_runs_every_part_under_the_callers_errstate(monkeypatch):
     # the products that check finiteness themselves ignore an overflow; a
     # worker thread would otherwise warn under numpy's default
-    _patch_cpus(monkeypatch, 3)
+    patch_cpus(monkeypatch, 3)
 
     def fill(lo, hi):
         np.multiply(np.full(4, 1e300), 1e300)
@@ -355,7 +351,7 @@ def test_fill_in_parts_runs_every_part_under_the_callers_errstate(monkeypatch):
 
 
 def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
-    _patch_cpus(monkeypatch, 3)
+    patch_cpus(monkeypatch, 3)
     before = threading.active_count()
     done = []
 

@@ -29,7 +29,7 @@ from rdeim.rangefinder import (
     truncation_rank,
 )
 
-from conftest import gap_matrix, random_matrix, spectrum_matrix
+from conftest import gap_matrix, patch_cpus, random_matrix, spectrum_matrix
 from oracles import (
     batch_sketch,
     blockwise_adaptive_basis,
@@ -734,10 +734,6 @@ def test_adaptive_postcondition_holds(n, n_s, r, noise, block, tol, seed):
 # ------------------------------------------------- products with A in parts
 
 
-def _patch_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _paper_matrix(example):
     return generate(ExperimentSpec(example=example, scale="paper", rank=24)).matrix
 
@@ -781,7 +777,7 @@ def test_products_in_parts_keep_the_bits_of_one_call(monkeypatch, one_blas_threa
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2, 3, 64):
-            _patch_cpus(monkeypatch, cpus)
+            patch_cpus(monkeypatch, cpus)
             for product, right, expected, lines in products:
                 parts = min(cpus, A.size >> 20, lines // (4 * 64))
                 assert rangefinder._part_count(A, lines) == max(1, parts)
@@ -798,7 +794,7 @@ def test_products_are_one_call_unless_blas_runs_one_thread(monkeypatch, threads)
     X = random_matrix(1017, 7, seed=1)
     Q = random_matrix(3100, 7, seed=2)
     monkeypatch.setattr(rangefinder, "blas_threads", lambda: 1)
-    _patch_cpus(monkeypatch, 4)
+    patch_cpus(monkeypatch, 4)
     assert rangefinder._part_count(A, 3100) == 3
     # two BLAS threads, or a count that cannot be read, leave one part
     monkeypatch.setattr(rangefinder, "blas_threads", lambda: threads)
@@ -818,7 +814,7 @@ def test_blas_threads_reads_the_count_on_every_call(one_blas_thread):
 
 
 def test_products_in_parts_raise_from_a_worker_and_leave_no_thread(monkeypatch):
-    _patch_cpus(monkeypatch, 3)
+    patch_cpus(monkeypatch, 3)
     before = threading.active_count()
     done = []
 

@@ -15,10 +15,16 @@ from .exceptions import OverflowingProductError
 # rows of a large matrix a streaming loop takes at a time:
 # linalg.column_residuals reads them for every per-column residual (the
 # error sweep, its bounds, the adaptive range finder's explicit residual
-# and bench_basis), the oscillator generator fills them in place (through
-# fill_in_parts), as_matrix checks them for finiteness, and the range
-# finders cut their products with A into parts at its multiples
+# and bench_basis), the oscillator generator fills them in place, as_matrix
+# checks them for finiteness, and _over_lines cuts the range finders'
+# products with A into parts at its multiples; the sweep and the fills
+# split their blocks over fill_in_parts too
 SWEEP_BLOCK = 64
+
+# a pass over A is made in parts only where each part holds at least this
+# many of A's entries and this many of its lines (see _part_count)
+PART_ENTRIES = 1 << 20
+PART_LINES = 4 * SWEEP_BLOCK
 
 
 def usable_cpus():
@@ -68,7 +74,8 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     The snapshot generators fill their matrix through this, one
     independent row block at a time, with elementwise ufuncs that release
     the GIL, so the parts run at once; the range finders form their
-    products with A in line blocks through it, with one BLAS call a part.
+    products with A in line blocks through it (_over_lines), with one BLAS
+    call a part, and linalg.column_residuals sums its row blocks of A.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate; scratch is
     called here, once per part, so a part's buffers are not allocated on a
@@ -105,6 +112,42 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
             worker.join()
     if errors:
         raise errors[0]
+
+
+def _part_count(A, lines):
+    """How many parts a pass over A is made in, split over A's lines
+    (rows for A X and the residual sweep, columns for A' Q and X A): one
+    per usable CPU where numpy's OpenBLAS runs one thread, each part
+    holding at least PART_ENTRIES of A's entries and PART_LINES lines; 1,
+    the one BLAS call, where BLAS runs more threads or the count cannot be
+    read.
+
+    Measured on numpy's OpenBLAS 0.3.31 (SkylakeX kernels) on one thread,
+    the parts kept the bits of the one call on the paper matrices and on
+    random shapes with any n mod 64, n_s mod 8 and width. The floors keep
+    every part in the regime the one call is in: without them, small
+    parts (below about 10^6 multiply-adds) took OpenBLAS's small-matrix
+    kernels, and a last part of A X with 192 rows or fewer took another
+    path for its last n mod 8 rows; both changed those rows' last bits.
+    Split over A's columns with no floor, Q'A changed bits in 19 of 200
+    random shapes, desk corner's last column among them. On two BLAS
+    threads, parts changed bits and were no faster.
+    """
+    if blas_threads() != 1:
+        return 1
+    return max(1, min(usable_cpus(), A.size // PART_ENTRIES, lines // PART_LINES))
+
+
+def _over_lines(form, lines, parts):
+    """form(lo, hi) over parts contiguous runs [lo, hi) of range(lines),
+    cut at multiples of SWEEP_BLOCK, through fill_in_parts; the short
+    tail of the lines joins the last block."""
+    blocks = lines // SWEEP_BLOCK
+
+    def fill(lo, hi):
+        form(lo * SWEEP_BLOCK, lines if hi == blocks else hi * SWEEP_BLOCK)
+
+    fill_in_parts(fill, blocks, parts=parts)
 
 
 # as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this

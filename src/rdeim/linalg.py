@@ -27,9 +27,11 @@ from scipy.linalg.lapack import get_lapack_funcs
 from ._util import (
     FINITE_BLOCK,
     SWEEP_BLOCK,
+    _part_count,
     as_2d,
     as_matrix,
     check_at_least,
+    fill_in_parts,
     finite_product,
     orthonormal_basis,
 )
@@ -409,8 +411,15 @@ def column_residuals(A, pairs):
 
     A is (n, n_s); each W is (n, r_k) and each C (r_k, n_s). A is read
     SWEEP_BLOCK rows at a time, contiguous for a C-ordered A, and every
-    residual block W[rows] @ C is formed in one reused SWEEP_BLOCK x n_s
-    buffer, so no n x n_s temporary is formed.
+    residual block W[rows] @ C is formed in a reused SWEEP_BLOCK x n_s
+    buffer, so no n x n_s temporary is formed. The blocks are summed in
+    _part_count parts of consecutive blocks (one per usable CPU on one
+    BLAS thread, for a large A), through fill_in_parts, each part with its
+    own buffer. A part writes each block's column sums into its own rows
+    of one (n_blocks, len(pairs) + 1, n_s) array, 1/64 of A's size per
+    pair and one more for the norms, which the calling thread then adds up
+    in block order: the additions of a serial loop, so the part count
+    never enters the bits.
 
     Returns
     -------
@@ -418,16 +427,24 @@ def column_residuals(A, pairs):
         per pair, in order.
     """
     n, n_s = A.shape
-    norms = np.zeros(n_s)
-    residuals = [np.zeros(n_s) for _ in pairs]
-    E = np.empty((min(SWEEP_BLOCK, n), n_s))
-    for lo in range(0, n, SWEEP_BLOCK):
-        A_rows = A[lo : lo + SWEEP_BLOCK]
-        E_rows = E[: A_rows.shape[0]]
-        for (W, C), acc in zip(pairs, residuals):
-            np.matmul(W[lo : lo + SWEEP_BLOCK], C, out=E_rows)
-            np.subtract(A_rows, E_rows, out=E_rows)
-            acc += np.einsum("ij,ij->j", E_rows, E_rows)
-        # after the first subtraction the rows are in cache
-        norms += np.einsum("ij,ij->j", A_rows, A_rows)
-    return norms, residuals
+    n_blocks = -(-n // SWEEP_BLOCK)
+    sums = np.empty((n_blocks, len(pairs) + 1, n_s))
+
+    def fill(lo, hi, E):
+        for b in range(lo, hi):
+            rows = slice(b * SWEEP_BLOCK, (b + 1) * SWEEP_BLOCK)
+            A_rows = A[rows]
+            E_rows = E[: A_rows.shape[0]]
+            for (W, C), out in zip(pairs, sums[b]):
+                np.matmul(W[rows], C, out=E_rows)
+                np.subtract(A_rows, E_rows, out=E_rows)
+                np.einsum("ij,ij->j", E_rows, E_rows, out=out)
+            # after the first subtraction the rows are in cache
+            np.einsum("ij,ij->j", A_rows, A_rows, out=sums[b, -1])
+
+    fill_in_parts(fill, n_blocks, lambda: (np.empty((min(SWEEP_BLOCK, n), n_s)),),
+                  parts=_part_count(A, n))
+    totals = np.zeros((len(pairs) + 1, n_s))
+    for block_sums in sums:
+        totals += block_sums
+    return totals[-1], list(totals[:-1])

@@ -9,9 +9,10 @@ criterion holds, reading A twice per group of sketch blocks, for the
 sketch and for the group's rows of W'A, from which every residual check
 is taken without another read. Every sketch is orthonormalized by
 linalg.thin_qr, and every sketch product A X is formed as (X' A')', with
-A's rows as BLAS's M operand; on one BLAS thread it and the power step's
-A'Q are formed in one part per usable CPU, with the bits of one call
-(see _part_count). Both end with the same step: a QB pair
+A's rows as BLAS's M operand. On one BLAS thread every product with A
+(A X, the power step's A'Q, Q'A and the adaptive rows of W'A) is formed
+in one part per usable CPU, with the bits of one call (see
+_util._part_count). Both end with the same step: a QB pair
 (Q, B = Q'A) is rotated onto the leading left singular directions of B
 and truncated to r columns. Each returns an OrthonormalBasis, whose
 constructor runs the library's one orthonormality check at its one
@@ -25,19 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import (
-    SWEEP_BLOCK,
     OrthonormalBasis,
+    _over_lines,
+    _part_count,
     as_2d,
     as_matrix,
     as_singular_values,
     as_vector,
-    blas_threads,
     check_at_least,
     check_open_unit,
     check_seed,
-    fill_in_parts,
     finite_product,
-    usable_cpus,
 )
 from .exceptions import AdaptiveRangeError, OverflowingProductError
 from .linalg import _svd, column_residuals, thin_qr, thin_svd
@@ -49,11 +48,6 @@ SKETCH_GROUP = 4
 # 2^-970: at or above it, the n n_s squares a residual at the tolerance is
 # made of are normal numbers for any n n_s below 2^52
 _TARGET_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-
-# a product with A is formed in parts only where each part holds at least
-# this many of A's entries and this many of its lines (see _part_count)
-PART_ENTRIES = 1 << 20
-PART_LINES = 4 * SWEEP_BLOCK
 
 
 def gaussian_matrix(rows, cols, seed):
@@ -88,7 +82,7 @@ def _sketch_basis(A, rank, oversample, power, seed):
             # powered sketch numerically full rank
             Q = _checked_qr(_transposed_times(A, Q), A, "the power product A'Q")
             Q = _checked_qr(_times(A, Q), A, "the power product AQ")
-        B = finite_product(Q.T @ A, A, "A", "the projected matrix Q'A")
+        B = finite_product(_left_times(Q.T, A), A, "A", "the projected matrix Q'A")
     return _rotate_qb(Q, B, rank)
 
 
@@ -130,37 +124,18 @@ def _transposed_times(A, Q):
     return out
 
 
-def _part_count(A, lines):
-    """How many parts a product with A is formed in, split over A's lines
-    (rows for A X, columns for A' Q): one per usable CPU where numpy's
-    OpenBLAS runs one thread, each part holding at least PART_ENTRIES of
-    A's entries and PART_LINES lines; 1, the one BLAS call, where BLAS
-    runs more threads or the count cannot be read.
-
-    Measured on numpy's OpenBLAS 0.3.31 (SkylakeX kernels) on one thread,
-    the parts kept the bits of the one call on the paper matrices and on
-    random shapes with any n mod 64, n_s mod 8 and width. The floors keep
-    every part in the regime the one call is in: without them, small
-    parts (below about 10^6 multiply-adds) took OpenBLAS's small-matrix
-    kernels, and a last part of A X with 192 rows or fewer took another
-    path for its last n mod 8 rows; both changed those rows' last bits.
-    On two BLAS threads, parts changed bits and were no faster.
-    """
-    if blas_threads() != 1:
-        return 1
-    return max(1, min(usable_cpus(), A.size // PART_ENTRIES, lines // PART_LINES))
-
-
-def _over_lines(form, lines, parts):
-    """form(lo, hi) over parts contiguous runs [lo, hi) of range(lines),
-    cut at multiples of SWEEP_BLOCK, through fill_in_parts; the short
-    tail of the lines joins the last block."""
-    blocks = lines // SWEEP_BLOCK
-
-    def fill(lo, hi):
-        form(lo * SWEEP_BLOCK, lines if hi == blocks else hi * SWEEP_BLOCK)
-
-    fill_in_parts(fill, blocks, parts=parts)
+def _left_times(X, A, out=None):
+    """X @ A for a short X, into out if given: Q'A, and the adaptive
+    finder's rows of W'A, written into a row slice of C. In _part_count
+    parts over A's columns, each writing the columns [lo, hi) as
+    X A[:, lo:hi], with the bits of the one call."""
+    parts = _part_count(A, A.shape[1])
+    if parts == 1:
+        return np.matmul(X, A, out=out)
+    if out is None:
+        out = np.empty((X.shape[0], A.shape[1]))
+    _over_lines(lambda lo, hi: np.matmul(X, A[:, lo:hi], out=out[:, lo:hi]), A.shape[1], parts)
+    return out
 
 
 def _rotate_qb(Q, B, rank):
@@ -347,7 +322,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
         end = k + Q.shape[1]
         Wt[k:end] = Q.T
         del Q
-        np.matmul(Wt[k:end], A, out=C[k:end])
+        _left_times(Wt[k:end], A, out=C[k:end])
         # k runs over the group's block ends, and stops at the first that
         # meets the tolerance
         for k in range(k + block, end + 1, block):

@@ -21,6 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from rdeim._util import SWEEP_BLOCK
 from rdeim.linalg import column_residuals, pivoted_qr
 from rdeim.rangefinder import SKETCH_GROUP
 
@@ -486,3 +487,22 @@ def serial_source_columns(x, params):
     for j in range(grid):
         np.multiply(e1, e2[j], out=cols[j * grid : (j + 1) * grid])
     return cols
+
+
+def serial_column_residuals(A, pairs):
+    """linalg.column_residuals as one loop over A's SWEEP_BLOCK-row blocks
+    on the calling thread, each block's column sums added straight into
+    the totals: the sums the parted kernel must match byte for byte."""
+    n, n_s = A.shape
+    norms = np.zeros(n_s)
+    residuals = [np.zeros(n_s) for _ in pairs]
+    E = np.empty((min(SWEEP_BLOCK, n), n_s))
+    for lo in range(0, n, SWEEP_BLOCK):
+        A_rows = A[lo : lo + SWEEP_BLOCK]
+        E_rows = E[: A_rows.shape[0]]
+        for (W, C), acc in zip(pairs, residuals):
+            np.matmul(W[lo : lo + SWEEP_BLOCK], C, out=E_rows)
+            np.subtract(A_rows, E_rows, out=E_rows)
+            acc += np.einsum("ij,ij->j", E_rows, E_rows)
+        norms += np.einsum("ij,ij->j", A_rows, A_rows)
+    return norms, residuals

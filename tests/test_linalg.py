@@ -1,4 +1,5 @@
 import functools
+import sys
 import tracemalloc
 import warnings
 
@@ -14,8 +15,9 @@ import rdeim.linalg
 import rdeim.selection
 from rdeim.bounds import wedin_angle_bound
 from rdeim.exceptions import ConvergenceError, OverflowingProductError, RankDeficiencyError
+from rdeim import _util
 from rdeim._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix
-from rdeim.experiments import SELECTORS, ExperimentSpec, run_experiment
+from rdeim.experiments import SELECTORS, ExperimentSpec, generate, run_experiment
 from rdeim.linalg import (
     canonical_angles,
     column_residuals,
@@ -28,13 +30,14 @@ from rdeim.linalg import (
 from rdeim.projector import build_projector, check_full_rank
 from rdeim.selection import SelectionOperator, pqr_select, srrqr_select
 
-from conftest import random_matrix, random_orthonormal, spectrum_matrix
+from conftest import patch_cpus, random_matrix, random_orthonormal, spectrum_matrix
 from oracles import (
     best_volume_pair,
     greedy_pivot_sequence,
     householder_pivoted_qr,
     jacobi_singular_values,
     reference_srrqr,
+    serial_column_residuals,
 )
 
 
@@ -764,6 +767,44 @@ def test_column_residuals_without_pairs_or_columns():
     assert res == [] and np.allclose(norms, np.sum(A * A, axis=0), rtol=1e-13)
     norms, (r0,) = column_residuals(A[:, :0], [(A[:, :2], np.zeros((2, 0)))])
     assert norms.shape == r0.shape == (0,)
+
+
+# paper corner (10000 x 625, two parts on two CPUs) and an odd shape with
+# n mod 64 != 0 in either memory order, with one pair or more
+@pytest.mark.parametrize(
+    "matrix, n_pairs",
+    [("corner", 1), ("corner", 3), ((3100, 1017, "C"), 2), ((3100, 1017, "F"), 2)],
+    ids=str,
+)
+def test_column_residuals_in_parts_keep_the_bytes_of_the_serial_loop(
+    monkeypatch, one_blas_thread, matrix, n_pairs
+):
+    if isinstance(matrix, str):
+        A = generate(ExperimentSpec(example=matrix, scale="paper", rank=24)).matrix
+    else:
+        n, n_s, order = matrix
+        A = np.asarray(random_matrix(n, n_s, seed=n), order=order)
+    n, n_s = A.shape
+    # a basis with its C = W'A, and unrelated pairs of other widths
+    W = random_orthonormal(n, 24, seed=0)
+    pairs = [(W, W.T @ A)]
+    for k in range(1, n_pairs):
+        pairs.append((random_matrix(n, 5 * k, seed=k), random_matrix(5 * k, n_s, seed=10 + k)))
+    norms, residuals = serial_column_residuals(A, pairs)
+    expected = [norms.tobytes()] + [r.tobytes() for r in residuals]
+    # one part, two, three, and more CPUs than any part count: one thread a
+    # part, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 64):
+            patch_cpus(monkeypatch, cpus)
+            parts = min(cpus, A.size >> 20, n // (4 * SWEEP_BLOCK))
+            assert _util._part_count(A, n) == max(1, parts)
+            norms, residuals = column_residuals(A, pairs)
+            assert [norms.tobytes()] + [r.tobytes() for r in residuals] == expected, cpus
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------- failure gateway

@@ -740,9 +740,9 @@ def _paper_matrix(example):
 
 # (A, width of X and Q): the paper matrices at their sketch widths, and odd
 # shapes with n mod 64 != 0, n_s mod 8 != 0, odd widths, either memory
-# order. The last two are one part by the floors of _part_count: split,
-# 317 x 6700 at 64 lines a part and 1290 x 80 at 2^14 entries a part
-# changed the bits of their last n mod 8 rows of A X
+# order. The last two form A X in one part by the floors of _part_count:
+# split, 317 x 6700 at 64 lines a part and 1290 x 80 at 2^14 entries a
+# part changed the bits of their last n mod 8 rows of A X
 _PRODUCTS = [
     ("source", 34),
     ("corner", 138),
@@ -767,9 +767,23 @@ def test_products_in_parts_keep_the_bits_of_one_call(monkeypatch, one_blas_threa
     rng = np.random.default_rng(ell)
     X = rng.standard_normal((n_s, ell))
     Q = np.asfortranarray(rng.standard_normal((n, ell)))
+    # the adaptive finder writes its rows of W'A into a row slice of the
+    # C-ordered C; the rows around the slice must stay as they were
+    rows = slice(3, 3 + ell)
+    C_expected = np.zeros((ell + 7, n_s))
+    np.matmul(Q.T, A, out=C_expected[rows])
+
+    def into_rows():
+        C = np.zeros((ell + 7, n_s))
+        C[rows] = np.nan
+        rangefinder._left_times(Q.T, A, out=C[rows])
+        return C
+
     products = (
-        (rangefinder._times, X, (X.T @ A.T).T, n),
-        (rangefinder._transposed_times, Q, A.T @ Q, n_s),
+        ("A X", lambda: rangefinder._times(A, X), (X.T @ A.T).T, n),
+        ("A'Q", lambda: rangefinder._transposed_times(A, Q), A.T @ Q, n_s),
+        ("Q'A", lambda: rangefinder._left_times(Q.T, A), Q.T @ A, n_s),
+        ("rows of W'A", into_rows, C_expected, n_s),
     )
     # one part, two, three, and more CPUs than any part count: one thread a
     # part, switching as often as they can
@@ -778,12 +792,12 @@ def test_products_in_parts_keep_the_bits_of_one_call(monkeypatch, one_blas_threa
     try:
         for cpus in (1, 2, 3, 64):
             patch_cpus(monkeypatch, cpus)
-            for product, right, expected, lines in products:
+            for name, form, expected, lines in products:
                 parts = min(cpus, A.size >> 20, lines // (4 * 64))
-                assert rangefinder._part_count(A, lines) == max(1, parts)
-                got = product(A, right)
+                assert _util._part_count(A, lines) == max(1, parts)
+                got = form()
                 assert got.flags.f_contiguous == expected.flags.f_contiguous
-                assert got.tobytes() == expected.tobytes(), (product.__name__, cpus)
+                assert got.tobytes() == expected.tobytes(), (name, cpus)
     finally:
         sys.setswitchinterval(interval)
 
@@ -793,19 +807,20 @@ def test_products_are_one_call_unless_blas_runs_one_thread(monkeypatch, threads)
     A = random_matrix(3100, 1017, seed=0)
     X = random_matrix(1017, 7, seed=1)
     Q = random_matrix(3100, 7, seed=2)
-    monkeypatch.setattr(rangefinder, "blas_threads", lambda: 1)
+    monkeypatch.setattr(_util, "blas_threads", lambda: 1)
     patch_cpus(monkeypatch, 4)
-    assert rangefinder._part_count(A, 3100) == 3
+    assert _util._part_count(A, 3100) == 3
     # two BLAS threads, or a count that cannot be read, leave one part
-    monkeypatch.setattr(rangefinder, "blas_threads", lambda: threads)
-    assert rangefinder._part_count(A, 3100) == rangefinder._part_count(A, 1017) == 1
+    monkeypatch.setattr(_util, "blas_threads", lambda: threads)
+    assert _util._part_count(A, 3100) == _util._part_count(A, 1017) == 1
 
     def no_parts(*args, **kwargs):
         raise AssertionError("a product was split")
 
-    monkeypatch.setattr(rangefinder, "fill_in_parts", no_parts)
+    monkeypatch.setattr(_util, "fill_in_parts", no_parts)
     assert np.array_equal(rangefinder._times(A, X), (X.T @ A.T).T)
     assert np.array_equal(rangefinder._transposed_times(A, Q), A.T @ Q)
+    assert np.array_equal(rangefinder._left_times(Q.T, A), Q.T @ A)
 
 
 def test_blas_threads_reads_the_count_on_every_call(one_blas_thread):
@@ -825,7 +840,7 @@ def test_products_in_parts_raise_from_a_worker_and_leave_no_thread(monkeypatch):
 
     # six blocks in three parts, the five-line tail joining the last
     with pytest.raises(ArithmeticError, match=r"lines \[256, 389\)"):
-        rangefinder._over_lines(form, 6 * 64 + 5, 3)
+        _util._over_lines(form, 6 * 64 + 5, 3)
     assert threading.active_count() == before
     assert sorted(done) == [(0, 128), (128, 256)]
 
@@ -833,7 +848,7 @@ def test_products_in_parts_raise_from_a_worker_and_leave_no_thread(monkeypatch):
 _PARTED_BASES = """
 import hashlib, os, sys
 import numpy as np
-from rdeim import _util, rangefinder
+from rdeim import _util
 from rdeim.experiments import AlgorithmSpec, ExperimentSpec, build_basis, generate
 
 A = generate(ExperimentSpec(example="source", scale="paper", rank=24)).matrix
@@ -842,7 +857,7 @@ if _util.blas_threads() is None:
     sys.exit()
 for cpus in (1, 2):
     os.sched_getaffinity = lambda pid: set(range(cpus))
-    print(rangefinder._part_count(A, A.shape[0]), rangefinder._part_count(A, A.shape[1]))
+    print(_util._part_count(A, A.shape[0]), _util._part_count(A, A.shape[1]))
     for basis in ("subspace", "adaptive"):
         W = build_basis(A, AlgorithmSpec(rank=24, basis=basis, power=1)).matrix
         print(basis, hashlib.sha256(W.tobytes()).hexdigest())

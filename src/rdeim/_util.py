@@ -73,13 +73,14 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
 
     The snapshot generators fill their matrix through this, one
     independent row block at a time, with elementwise ufuncs that release
-    the GIL, so the parts run at once; the range finders form their
-    products with A in line blocks through it (_over_lines), with one BLAS
+    the GIL, so the parts run at once; the range finders form every
+    product with A in line blocks through it (_over_lines), with one BLAS
     call a part, and linalg.column_residuals sums its row blocks of A.
     The first part runs on the calling thread and the others on worker
-    threads, each under the calling thread's np.errstate; scratch is
-    called here, once per part, so a part's buffers are not allocated on a
-    worker. fill may call BLAS: each worker thread that does holds its own
+    threads, each under the calling thread's np.errstate, so one part is
+    one call of fill on the calling thread and starts no thread; scratch
+    is called here, once per part, so a part's buffers are not allocated
+    on a worker. fill may call BLAS: each worker thread that does holds its own
     OpenBLAS buffers, which moved the peak RSS of the paper-scale
     benchmark workload (sweep-paper, 195 MB) by -0.7 to +2.1 MB, +0.5 MB
     in the median of 10 runs. It must not call a traced library function
@@ -138,16 +139,18 @@ def _part_count(A, lines):
     return max(1, min(usable_cpus(), A.size // PART_ENTRIES, lines // PART_LINES))
 
 
-def _over_lines(form, lines, parts):
-    """form(lo, hi) over parts contiguous runs [lo, hi) of range(lines),
-    cut at multiples of SWEEP_BLOCK, through fill_in_parts; the short
-    tail of the lines joins the last block."""
+def _over_lines(form, A, lines):
+    """form(lo, hi) over _part_count(A, lines) contiguous runs [lo, hi) of
+    range(lines), cut at multiples of SWEEP_BLOCK, through fill_in_parts;
+    the short tail of the lines joins the last block. At one part, fewer
+    than SWEEP_BLOCK lines included, this is the one call form(0, lines),
+    made on the calling thread."""
     blocks = lines // SWEEP_BLOCK
 
     def fill(lo, hi):
         form(lo * SWEEP_BLOCK, lines if hi == blocks else hi * SWEEP_BLOCK)
 
-    fill_in_parts(fill, blocks, parts=parts)
+    fill_in_parts(fill, blocks, parts=_part_count(A, lines))
 
 
 # as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this

@@ -9,10 +9,11 @@ criterion holds, reading A twice per group of sketch blocks, for the
 sketch and for the group's rows of W'A, from which every residual check
 is taken without another read. Every sketch is orthonormalized by
 linalg.thin_qr, and every sketch product A X is formed as (X' A')', with
-A's rows as BLAS's M operand. On one BLAS thread every product with A
-(A X, the power step's A'Q, Q'A and the adaptive rows of W'A) is formed
-in one part per usable CPU, with the bits of one call (see
-_util._part_count). Both end with the same step: a QB pair
+A's rows as BLAS's M operand. Every product with A (A X, the power step's
+A'Q, Q'A and the adaptive rows of W'A) goes through _util._over_lines:
+on one BLAS thread, for a large A, in one part per usable CPU, and
+otherwise in one part, which is the one call; either way with the bits
+of one call (see _util._part_count). Both end with the same step: a QB pair
 (Q, B = Q'A) is rotated onto the leading left singular directions of B
 and truncated to r columns. Each returns an OrthonormalBasis, whose
 constructor runs the library's one orthonormality check at its one
@@ -28,7 +29,6 @@ import numpy as np
 from ._util import (
     OrthonormalBasis,
     _over_lines,
-    _part_count,
     as_2d,
     as_matrix,
     as_singular_values,
@@ -98,43 +98,28 @@ def _times(A, X):
     rows are BLAS's M operand. On one BLAS thread that is faster (19.7 ->
     13.0 ms for the paper source matrix times 10 columns, 2.7 -> 0.9 ms
     for a 10000 x 110 basis times 10 columns), and the subspace finder's
-    sketches of the paper matrices keep the bits of A @ X.
-
-    Where _part_count gives more than one part, each part forms rows
-    [lo, hi) of the product as X' A[lo:hi]' into its columns of one
-    (X' A')' array, on its own thread. Every entry is still the dot the
-    one call forms, so the part count never enters the bits."""
-    parts = _part_count(A, A.shape[0])
-    if parts == 1:
-        return (X.T @ A.T).T
-    out = np.empty((X.shape[1], A.shape[0]))
-    _over_lines(lambda lo, hi: np.matmul(X.T, A[lo:hi].T, out=out[:, lo:hi]), A.shape[0], parts)
-    return out.T
+    sketches of the paper matrices keep the bits of A @ X. It is
+    _left_times on A', whose columns are A's rows."""
+    return _left_times(X.T, A.T).T
 
 
 def _transposed_times(A, Q):
-    """A' Q, the power step's product, in _part_count parts over A's
-    columns, each writing the rows [lo, hi) as A[:, lo:hi]' Q, with the
-    bits of the one call."""
-    parts = _part_count(A, A.shape[1])
-    if parts == 1:
-        return A.T @ Q
+    """A' Q, the power step's product, in parts over A's columns (see
+    _util._over_lines), each writing the rows [lo, hi) as A[:, lo:hi]' Q,
+    with the bits of the one call."""
     out = np.empty((A.shape[1], Q.shape[1]))
-    _over_lines(lambda lo, hi: np.matmul(A[:, lo:hi].T, Q, out=out[lo:hi]), A.shape[1], parts)
+    _over_lines(lambda lo, hi: np.matmul(A[:, lo:hi].T, Q, out=out[lo:hi]), A, A.shape[1])
     return out
 
 
 def _left_times(X, A, out=None):
-    """X @ A for a short X, into out if given: Q'A, and the adaptive
-    finder's rows of W'A, written into a row slice of C. In _part_count
-    parts over A's columns, each writing the columns [lo, hi) as
-    X A[:, lo:hi], with the bits of the one call."""
-    parts = _part_count(A, A.shape[1])
-    if parts == 1:
-        return np.matmul(X, A, out=out)
+    """X @ A for a short X, into out if given: Q'A, the adaptive finder's
+    rows of W'A, written into a row slice of C, and (X' A')' for _times.
+    In parts over A's columns (see _util._over_lines), each writing the
+    columns [lo, hi) as X A[:, lo:hi], with the bits of the one call."""
     if out is None:
         out = np.empty((X.shape[0], A.shape[1]))
-    _over_lines(lambda lo, hi: np.matmul(X, A[:, lo:hi], out=out[:, lo:hi]), A.shape[1], parts)
+    _over_lines(lambda lo, hi: np.matmul(X, A[:, lo:hi], out=out[:, lo:hi]), A, A.shape[1])
     return out
 
 

@@ -740,9 +740,11 @@ def _paper_matrix(example):
 
 # (A, width of X and Q): the paper matrices at their sketch widths, and odd
 # shapes with n mod 64 != 0, n_s mod 8 != 0, odd widths, either memory
-# order. The last two form A X in one part by the floors of _part_count:
+# order. The next two form A X in one part by the floors of _part_count:
 # split, 317 x 6700 at 64 lines a part and 1290 x 80 at 2^14 entries a
-# part changed the bits of their last n mod 8 rows of A X
+# part changed the bits of their last n mod 8 rows of A X. The last has
+# fewer than 64 columns, so A'Q, Q'A and the rows of W'A are the one call
+# _over_lines makes on a split axis of no whole block
 _PRODUCTS = [
     ("source", 34),
     ("corner", 138),
@@ -753,6 +755,7 @@ _PRODUCTS = [
     ((700, 3003, "F"), 35),
     ((317, 6700, "C"), 13),
     ((1290, 80, "C"), 16),
+    ((5000, 40, "C"), 7),
 ]
 
 
@@ -814,13 +817,20 @@ def test_products_are_one_call_unless_blas_runs_one_thread(monkeypatch, threads)
     monkeypatch.setattr(_util, "blas_threads", lambda: threads)
     assert _util._part_count(A, 3100) == _util._part_count(A, 1017) == 1
 
-    def no_parts(*args, **kwargs):
-        raise AssertionError("a product was split")
+    # every product still goes through fill_in_parts, in one part
+    fill_in_parts = _util.fill_in_parts
+    calls = []
 
-    monkeypatch.setattr(_util, "fill_in_parts", no_parts)
+    def one_part(fill, n_blocks, parts):
+        assert parts == 1, "a product was split"
+        calls.append(n_blocks)
+        fill_in_parts(fill, n_blocks, parts=parts)
+
+    monkeypatch.setattr(_util, "fill_in_parts", one_part)
     assert np.array_equal(rangefinder._times(A, X), (X.T @ A.T).T)
     assert np.array_equal(rangefinder._transposed_times(A, Q), A.T @ Q)
     assert np.array_equal(rangefinder._left_times(Q.T, A), Q.T @ A)
+    assert calls == [3100 // 64, 1017 // 64, 1017 // 64]
 
 
 def test_blas_threads_reads_the_count_on_every_call(one_blas_thread):
@@ -829,7 +839,7 @@ def test_blas_threads_reads_the_count_on_every_call(one_blas_thread):
 
 
 def test_products_in_parts_raise_from_a_worker_and_leave_no_thread(monkeypatch):
-    patch_cpus(monkeypatch, 3)
+    monkeypatch.setattr(_util, "_part_count", lambda A, lines: 3)
     before = threading.active_count()
     done = []
 
@@ -840,7 +850,7 @@ def test_products_in_parts_raise_from_a_worker_and_leave_no_thread(monkeypatch):
 
     # six blocks in three parts, the five-line tail joining the last
     with pytest.raises(ArithmeticError, match=r"lines \[256, 389\)"):
-        _util._over_lines(form, 6 * 64 + 5, 3)
+        _util._over_lines(form, None, 6 * 64 + 5)
     assert threading.active_count() == before
     assert sorted(done) == [(0, 128), (128, 256)]
 
@@ -1024,6 +1034,36 @@ def test_sketch_replace_matches_from_scratch():
     assert spectral_norm(Qs @ Qs.T - Qb @ Qb.T) < 1e-10
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    n_s=st.integers(1, 9),
+    ell=st.integers(1, 6),
+    ops=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2**32 - 1)), max_size=30),
+)
+def test_sketch_interleaved_updates_track_the_batch_product(n, n_s, ell, ops):
+    # each op absorbs column j if it is new and replaces it otherwise; A_now
+    # holds the columns absorbed so far (zero elsewhere), and `scale` the
+    # entrywise sum of |update| |omega_j| over every op, which bounds the
+    # partial sums the rounding is taken from
+    state = sketch_init(n, n_s, ell, seed=n_s)
+    A_now = np.zeros((n, n_s))
+    scale = np.zeros((n, ell))
+    for index, col_seed in ops:
+        j = index % n_s
+        col = np.random.default_rng(col_seed).standard_normal(n)
+        if state.absorbed[j]:
+            sketch_replace(state, j, A_now[:, j], col)
+            scale += np.outer(np.abs(col) + np.abs(A_now[:, j]), np.abs(state.omega[j]))
+        else:
+            sketch_absorb(state, j, col)
+            scale += np.outer(np.abs(col), np.abs(state.omega[j]))
+        A_now[:, j] = col
+    assert np.array_equal(state.absorbed, np.any(A_now != 0.0, axis=0))
+    err = np.abs(state.Y - batch_sketch(A_now, state.omega))
+    assert (err <= (len(ops) + n_s + 2) * np.finfo(np.float64).eps * scale).all()
+
+
 def test_sketch_precondition_errors():
     st = sketch_init(10, 5, ell=3, seed=0)
     col = np.ones(10)
@@ -1036,3 +1076,11 @@ def test_sketch_precondition_errors():
         sketch_absorb(st, 9, col)
     with pytest.raises(ValueError):
         sketch_absorb(st, 3, np.ones(4))
+    with pytest.raises(ValueError, match=r"column index 5 out of range \[0, 5\)"):
+        sketch_replace(st, 5, col, col)
+    with pytest.raises(ValueError, match="column length does not match sketch rows"):
+        sketch_replace(st, 2, np.ones(4), col)
+    with pytest.raises(ValueError, match="column length does not match sketch rows"):
+        sketch_replace(st, 2, col, np.ones(11))
+    # a rejected replace leaves the sketch as it was
+    assert np.array_equal(st.Y, np.outer(col, st.omega[2]))

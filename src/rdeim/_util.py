@@ -3,6 +3,7 @@ type that carries a passed orthonormality check."""
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -156,7 +157,10 @@ def _over_lines(form, A, lines):
 # as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this
 # many entries when those lines hold fewer: a 64 KB bool buffer, which
 # stays in cache. linalg.srrqr solves the columns of R12 in blocks by the
-# same rule, 512 KB of float64, which keeps the number of solves small
+# same rule, 512 KB of float64, which keeps the number of solves small;
+# linalg.pivoted_qr forms R's trailing columns, and the pivot search brings
+# its residuals up to date, by it too, and the search's pool of leading
+# columns holds this many entries
 FINITE_BLOCK = 1 << 16
 
 
@@ -208,6 +212,17 @@ def as_matrix(a, name="matrix"):
             if not np.isfinite(block, out=buf[: block.shape[0]]).all():
                 raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _unit_scaled(A):
+    """A copy of a finite A scaled by an exact power of two to max|a_ij|
+    in [1/2, 1), so that neither its products nor its squared norms
+    overflow or underflow at its largest entries; the library's one
+    rescale, used by the range finders and the pivot search
+    (linalg._pivot_order)."""
+    if not A.any():
+        raise ValueError("A is identically zero; no basis to find")
+    return np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
 
 
 def as_vector(a, name="vector"):

@@ -5,19 +5,24 @@ residuals every error sweep, bound and residual check is built on.
 Everything operates on plain float64 ndarrays; canonical_angles also takes
 an OrthonormalBasis, whose columns it does not check again. The thin SVD
 is a Householder QR (LAPACK ``geqrf``) followed by numpy's SVD of the
-small R factor, the thin QR of the range finders is ``geqrf`` plus
-``orgqr``, and the column-pivoted QR is LAPACK ``geqp3``,
-whose greedy largest-residual pivot rule is the documented contract. The
-strong rank-revealing swap refinement on top of it is written out here,
-refactoring after each swap with one ``geqrf``. The pivoted
-factorizations return R and the permutation only: no Q is formed.
-selection.pqr_select takes its points from the ``geqp3`` pivots and
-selection.srrqr_select from ``geqp3`` plus those swaps; the greedy DEIM
+small R factor, and the thin QR of the range finders is ``geqrf`` plus
+``orgqr``. The column pivots are a lazy search written out here
+(_pivot_order): the greedy largest-residual rule, the first position on
+ties to roundoff, which is the documented contract and gives the pivots
+of LAPACK ``geqp3``, while it brings up to date only the residuals that
+can still lead. pivoted_qr adds R from the pivot block (``geqrf`` and
+``orgqr`` of those columns, applied to the rest), and the strong
+rank-revealing swap refinement on top of it refactors after each swap
+with one ``geqrf``. The pivoted factorizations return R and the
+permutation only: no Q of M is formed. selection.pqr_select takes its
+points from the search alone, with no R and no LAPACK call, and
+selection.srrqr_select from pivoted_qr plus those swaps; the greedy DEIM
 selector is LAPACK ``getrf`` and lives in selection. Every SVD of the
 library runs through _svd and every LAPACK routine here through _lapack,
 so a failure is a ConvergenceError naming its operand and shape.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,7 @@ from ._util import (
     FINITE_BLOCK,
     SWEEP_BLOCK,
     _part_count,
+    _unit_scaled,
     as_2d,
     as_matrix,
     check_at_least,
@@ -204,13 +210,22 @@ def thin_qr(A):
 
 
 def pivoted_qr(M):
-    """Column-pivoted Householder QR, one LAPACK ``geqp3`` call.
+    """Column-pivoted QR: the pivot order of _pivot_order and the R factor
+    of the pivoted columns, with no Q returned.
 
-    At each step the pivot is the trailing column of largest residual norm,
-    first (lowest) position on exact ties, which makes the pivot sequence
-    deterministic. The residual norms are downdated from step to step
-    (and recomputed where the downdate loses accuracy), so columns whose
-    norms tie to within roundoff may resolve either way.
+    At each step the pivot is the trailing column whose residual off the
+    span of the pivots before it is largest, as recomputed by the search.
+    Squared residuals within 64 eps of the largest, measured against the
+    squared norm the largest was downdated from (their roundoff), tie, and
+    a tie goes to the first (lowest) position, which makes the pivot
+    sequence deterministic. Positions swap as LAPACK ``geqp3`` swaps its
+    pivots, so where no two residuals tie to roundoff the whole order is
+    ``geqp3``'s.
+
+    R is formed from the pivot block: one ``geqrf`` of M[:, perm[:k]] and,
+    for a wide M, the ``orgqr`` Q of that block applied to the trailing
+    columns a block at a time (as _max_interaction solves them), each
+    product written into the one k-by-n R.
 
     Parameters
     ----------
@@ -219,35 +234,169 @@ def pivoted_qr(M):
     Returns
     -------
     R : ndarray, shape (k, n) with k = min(m, n)
-        ``Q @ R = M[:, perm]`` for an orthonormal Q that is not formed; the
-        diagonal magnitudes |R[i, i]| are nonincreasing. For a wide M
-        (m <= n), R is the array ``geqp3`` factored in place, so no k-by-n
-        copy is made.
+        ``Q @ R = M[:, perm]`` for an orthonormal Q; R[:, :k] is upper
+        triangular and its diagonal magnitudes are nonincreasing. R is
+        the only k-by-n array formed, in Fortran order.
     perm : ndarray of intp, shape (n,)
         Pivot order applied to the columns of M.
 
     Raises
     ------
+    ValueError
+        If M has a non-finite entry. M is read for finiteness only when a
+        squared column norm is not finite.
     OverflowingProductError
-        If R overflows on a finite M. M is read for finiteness only then.
+        If R overflows on a finite M.
     ConvergenceError
         If LAPACK reports a failure (nonzero info).
     """
-    A = np.array(as_2d(M, "M"), order="F")  # owned, so geqp3 may overwrite it
+    A = as_2d(M, "M")
+    perm = _pivot_order(A)
     m, n = A.shape
     k = min(m, n)
-    if k == 0:  # LAPACK rejects a zero leading dimension
-        return np.zeros((0, n)), np.arange(n, dtype=np.intp)
-    geqp3 = get_lapack_funcs("geqp3", (A,))
-    qr, jpvt, _, _, _ = _lapack(geqp3, A.shape, A, overwrite_a=True)
-    # M, which geqp3 left intact, is read only if R is not finite
-    R = finite_product(_upper_factor(qr), M, "M", "the pivoted QR of M")
-    return R, (jpvt - 1).astype(np.intp)
+    if k == 0:
+        return np.zeros((0, n)), perm
+    qr, tau, orgqr = _householder_qr(A[:, perm[:k]], "orgqr")
+    if n == k:
+        R = _upper_factor(qr)
+    else:
+        # the pivot block is square: orgqr forms its Q from a copy of qr,
+        # and qr becomes R[:, :k] in place
+        _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1)
+        Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]))
+        R = np.empty((k, n), order="F")
+        R[:, :k] = _upper_factor(qr)
+        step = max(SWEEP_BLOCK, FINITE_BLOCK // k)
+        for lo in range(k, n, step):
+            # R[:, lo:hi]' is C-ordered: the product is written in place
+            np.matmul(A.T[perm[lo : lo + step]], Q, out=R[:, lo : lo + step].T)
+    # the search checked M; a non-finite R is an overflow
+    return finite_product(R, M, "M", "the pivoted QR of M"), perm
+
+
+# two squared residuals tie when they differ by at most this fraction of
+# the squared norm the larger was downdated from: the roundoff of the
+# downdate
+_TIE = 64 * np.finfo(np.float64).eps
+# a downdated squared residual below this fraction of the last one computed
+# explicitly is computed explicitly again (the tol3z guard of LAPACK geqp3)
+_RECOMPUTE = np.sqrt(np.finfo(np.float64).eps)
+
+
+def _pivot_order(M):
+    """The column pivot order of M (m-by-n) by the greedy largest-residual
+    rule, as pivoted_qr describes it, without forming R or calling LAPACK.
+
+    The search works on squared residuals ||m_j||^2 - ||Q'm_j||^2, Q the
+    directions of the pivots so far, each made by Gram-Schmidt with one
+    re-orthogonalization (CGS2) of its pivot column. A squared residual
+    only shrinks from step to step, so one computed at an earlier step
+    bounds it from above, and only the columns that can still lead are
+    brought up to date at each step. The search runs in blocks of steps. A
+    block starts with every residual brought up to date: one product of M'
+    with the directions added since the last block, a block of rows at a
+    time. It copies the columns of the largest residuals, FINITE_BLOCK
+    entries of them, as its pool, and keeps the largest residual outside
+    the pool as a bound. At each step only the pool is downdated, by one
+    matrix-vector product with the newest direction, and its largest
+    residual leads; once that falls within a tie of the bound, a column
+    outside the pool could lead, and a new block starts. A downdated
+    residual below _RECOMPUTE of the last one computed explicitly has lost
+    its accuracy: when one would lead or tie, a new block starts too, and
+    its update computes every such residual explicitly again, as
+    ||m_j - Q Q'm_j||^2, as geqp3 recomputes a column norm that lost its
+    accuracy. The search stops early when a pivot's residual is exactly
+    zero, leaving the trailing order as it is.
+
+    M is read through M', a row per column, so the W' that pqr_select
+    passes is read as W is stored; beyond the pool no copy of M is made.
+    When a squared column norm overflows or a nonzero one is subnormal,
+    the search runs on M scaled by an exact power of two (_unit_scaled),
+    which scales every residual alike. A non-finite entry raises
+    as_matrix's ValueError.
+    """
+    m, n = M.shape
+    k = min(m, n)
+    if k == 0:
+        return np.arange(n, dtype=np.intp)
+    Mt = M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.einsum("ij,ij->i", Mt, Mt)
+    tiny = np.finfo(np.float64).tiny
+    if not res.max() < math.inf or (res.min() < tiny and ((res > 0) & (res < tiny)).any()):
+        as_matrix(M, "M")
+        Mt = _unit_scaled(M).T
+        res = np.einsum("ij,ij->i", Mt, Mt)
+    order = np.arange(n, dtype=np.intp)  # the column at each position
+    where = order.copy()  # the position of each column
+    base = res.copy()  # each column's last explicit squared residual
+    Qt = np.empty((k, m))
+    a, e, t = np.empty(k), np.empty(m), np.empty(m)
+    size = max(1, FINITE_BLOCK // m)
+    start = i = 0
+    while i < k:
+        if i > start:
+            # bring every residual to step i; the pool's are there already
+            Q = Qt[start:i].T
+            step = max(SWEEP_BLOCK, FINITE_BLOCK // (i - start))
+            for lo in range(0, n, step):
+                P = Mt[lo : lo + step] @ Q
+                res[lo : lo + step] -= np.einsum("ij,ij->i", P, P)
+            res[cols] = pool
+            low = np.flatnonzero(res < _RECOMPUTE * base)
+            E = Mt[low] - (Mt[low] @ Qt[:i].T) @ Qt[:i]
+            res[low] = base[low] = np.einsum("ij,ij->i", E, E)
+            start = i
+        if n - i > size:
+            # the pool: the size largest residuals and any within a tie of
+            # them, so that no column outside it ties with its leader
+            top = np.partition(res, n - size)[n - size] - _TIE * base.max()
+            cols = np.flatnonzero(res >= top)
+            outside = res[res < top]
+            bound = outside.max() if outside.size else -np.inf
+        else:
+            cols = np.flatnonzero(res > -np.inf)
+            bound = -np.inf
+        G = Mt if cols.size == n else Mt[cols]  # a copy, unless it is all of M
+        pool = res[cols]
+        scale = base[cols]
+        p = np.empty(cols.size)
+        while i < k:
+            c = pool.argmax()
+            lead = pool[c]
+            cut = lead - _TIE * scale[c]
+            if cut <= bound:
+                break  # a column outside the pool may tie or lead
+            pool[c] = -np.inf
+            tied = pool[pool.argmax()] >= cut
+            pool[c] = lead
+            ties = np.flatnonzero(pool >= cut) if tied else c
+            if (pool[ties] < _RECOMPUTE * scale[ties]).any():
+                break  # a downdate that lost its accuracy would decide
+            if tied:  # the first position among the ties leads
+                c = ties[np.argmin(where[cols[ties]])]
+            j = cols[c]
+            pool[c] = res[j] = base[j] = -np.inf
+            # swap positions i and where[j], as geqp3 swaps its pivots
+            other, w = order[i], where[j]
+            order[i], order[w] = j, other
+            where[other], where[j] = w, i
+            # the pivot's direction, by CGS2
+            Q, g = Qt[:i], G[c]
+            np.subtract(g, np.matmul(np.matmul(Q, g, out=a[:i]), Q, out=t), out=e)
+            np.subtract(e, np.matmul(np.matmul(Q, e, out=a[:i]), Q, out=t), out=e)
+            norm = math.sqrt(e @ e)
+            if norm == 0.0:
+                return order  # every residual left is zero: the rest stays
+            q = np.divide(e, norm, out=Qt[i])
+            i += 1
+            np.subtract(pool, np.square(np.matmul(G, q, out=p), out=p), out=pool)
+    return order
 
 
 def _upper_factor(qr):
     """R (k-by-n), k = min(m, n), from the m-by-n output qr of a
-    Householder QR (``geqp3`` or ``geqrf``). qr must be owned by the
+    Householder QR (``geqrf``). qr must be owned by the
     caller: for a wide input (m <= n) it becomes R in place."""
     k = min(qr.shape)
     # the reflectors sit below the diagonal of the leading k x k block only;

@@ -29,6 +29,7 @@ import numpy as np
 from ._util import (
     OrthonormalBasis,
     _over_lines,
+    _unit_scaled,
     as_2d,
     as_matrix,
     as_singular_values,
@@ -327,15 +328,6 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     else:
         W = W.copy(order="F")  # holds none of the unused rows of W'
     return OrthonormalBasis(W, "adaptive")
-
-
-def _unit_scaled(A):
-    """A copy of a finite A scaled by an exact power of two to max|a_ij|
-    in [1/2, 1), so that neither its products nor its squared norm
-    overflow; the range finders' one rescale."""
-    if not A.any():
-        raise ValueError("A is identically zero; no basis to find")
-    return np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
 
 
 def _squared_norm(A):

@@ -7,10 +7,11 @@ Deterministic selectors produce distinct indices with unit weights;
 sampled selectors may repeat indices and carry the usual 1/sqrt(s * pi)
 scaling that makes E[S S'] the identity.
 
-Each deterministic selector reads its points from the pivots of one LAPACK
-factorization: greedy from the row pivots of ``getrf`` (LU with partial
-pivoting) on W, pqr from the column pivots of ``geqp3`` on W', and srrqr
-from ``geqp3`` on W' plus the swaps of linalg.srrqr.
+Each deterministic selector reads its points from pivots: greedy from the
+row pivots of LAPACK ``getrf`` (LU with partial pivoting) on W, pqr from
+the column pivots of linalg's pivot search on W' (the greedy
+largest-residual rule of column-pivoted QR, with no factor formed), and
+srrqr from those pivots plus the swaps of linalg.srrqr.
 """
 
 import warnings
@@ -26,7 +27,7 @@ from .exceptions import (
     DegenerateSelectionError,
     RankDeficiencyError,
 )
-from .linalg import pivoted_qr, srrqr
+from .linalg import _pivot_order, srrqr
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,11 @@ def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
 
 
 def pqr_select(W):
-    """Deterministic selection from column-pivoted QR of W'."""
+    """Deterministic selection from the column-pivoted QR of W': the first
+    r pivots of linalg's pivot search, which forms no R."""
     Wm = orthonormal_basis(W, "W").matrix
     r = Wm.shape[1]
-    _, perm = pivoted_qr(Wm.T)
+    perm = _pivot_order(Wm.T)
     return SelectionOperator(indices=perm[:r], weights=np.ones(r), n=Wm.shape[0])
 
 

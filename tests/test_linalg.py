@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,7 +18,7 @@ from rdeim.bounds import wedin_angle_bound
 from rdeim.exceptions import ConvergenceError, OverflowingProductError, RankDeficiencyError
 from rdeim import _util
 from rdeim._util import FINITE_BLOCK, SWEEP_BLOCK, as_matrix
-from rdeim.experiments import SELECTORS, ExperimentSpec, generate, run_experiment
+from rdeim.experiments import SELECTORS, ExperimentSpec, build_basis, generate, run_experiment
 from rdeim.linalg import (
     canonical_angles,
     column_residuals,
@@ -28,7 +29,13 @@ from rdeim.linalg import (
     thin_svd,
 )
 from rdeim.projector import build_projector, check_full_rank
-from rdeim.selection import SelectionOperator, pqr_select, srrqr_select
+from rdeim.selection import (
+    SelectionOperator,
+    leverage_select,
+    practical_sample_count,
+    pqr_select,
+    srrqr_select,
+)
 
 from conftest import patch_cpus, random_matrix, random_orthonormal, spectrum_matrix
 from oracles import (
@@ -308,19 +315,23 @@ def test_pivoted_qr_repeated_columns_first_wins():
     assert abs(R[-1, -1]) <= 1e-14 * abs(R[0, 0])
 
 
-def test_pivoted_qr_matches_householder_oracle():
-    # W' of an orthonormal basis with n > r, the shape every selector
-    # factors; the first r pivots must be the step-by-step loop's
-    mismatches = []
+def _random_wide_orthonormal():
+    """W' of 200 random orthonormal bases, r in [1, 30] and n in (r, 400]:
+    the shape every selector factors."""
     for seed in range(200):
         rng = np.random.default_rng(seed)
         r = int(rng.integers(1, 31))
         n = int(rng.integers(r + 1, 401))
-        M = random_orthonormal(n, r, seed).T
-        got = pivoted_qr(M)[1][:r]
-        want = householder_pivoted_qr(M)[1][:r]
-        if not np.array_equal(got, want):
-            mismatches.append((seed, n, r))
+        yield random_orthonormal(n, r, seed).T
+
+
+def test_pivoted_qr_matches_householder_oracle():
+    # the first r pivots must be the step-by-step loop's
+    mismatches = []
+    for case, M in enumerate(_random_wide_orthonormal()):
+        r = M.shape[0]
+        if not np.array_equal(pivoted_qr(M)[1][:r], householder_pivoted_qr(M)[1][:r]):
+            mismatches.append((case, M.shape))
     assert mismatches == []
 
 
@@ -451,10 +462,11 @@ def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(monkeypatch
 
 @pytest.mark.parametrize("factor", ["pivoted_qr", "srrqr"])
 def test_wide_factorizations_keep_r_in_place(factor):
-    # R is the array geqp3 factors in place, and srrqr finds its largest
+    # R is one k x n array, written a block of columns at a time, the pivot
+    # search copies no more than its pool, and srrqr finds its largest
     # interaction a block of columns at a time: about one copy of M. A
-    # k x n copy of R, or the whole inv(R11) R12 and its absolute value,
-    # would each add another M.nbytes
+    # second k x n array, a copy of M for the search, or the whole
+    # inv(R11) R12 and its absolute value, would each add another M.nbytes
     M = random_matrix(64, 20000, seed=1)
     call = {"pivoted_qr": lambda: pivoted_qr(M), "srrqr": lambda: srrqr(M, 64)}[factor]
     tracemalloc.start()
@@ -495,6 +507,40 @@ def test_srrqr_matches_the_numpy_qr_oracle(make, rank, eta):
     assert np.array_equal(fac.R11, R11) and np.array_equal(fac.R12, R12)
     assert fac.max_interaction <= eta
     assert fac.max_interaction == pytest.approx(np.abs(np.linalg.solve(R11, R12)).max(), rel=1e-12)
+
+
+def _desk_pivot_inputs():
+    """W' and hybrid's sampled W'S1 of the desk osc, corner and source bases
+    of every randomized kind, at seeds 0 and 3."""
+    for example in ("osc", "corner", "source"):
+        rank = 10 if example == "osc" else 24
+        for basis in ("basic", "subspace", "adaptive"):
+            for seed in (0, 3):
+                spec = ExperimentSpec(example=example, rank=rank, basis=basis, seed=seed)
+                W = build_basis(generate(spec).matrix, spec)
+                S1 = leverage_select(W, practical_sample_count(rank), spec.beta, seed)
+                yield W.matrix.T
+                yield (W.matrix[S1.indices] * S1.weights[:, None]).T
+
+
+_GEQP3_INPUTS = {
+    "random-orthonormal": _random_wide_orthonormal,
+    "kahan": lambda: (make() for make, _, _ in _SWAPPING.values()),
+    "desk-bases": _desk_pivot_inputs,
+}
+
+
+@pytest.mark.parametrize("family", list(_GEQP3_INPUTS))
+def test_pivot_search_keeps_the_geqp3_pivots(family):
+    # the pivot search keeps the pivots of LAPACK geqp3, which it replaced:
+    # on these inputs no two residuals tie to roundoff, except on the Kahan
+    # matrices, whose columns tie exactly and where both keep the first
+    # position. The pivots fix every swap, so the whole order agrees
+    mismatches = []
+    for case, M in enumerate(_GEQP3_INPUTS[family]()):
+        if not np.array_equal(pivoted_qr(M)[1], scipy.linalg.qr(M, pivoting=True, mode="r")[1]):
+            mismatches.append((case, M.shape))
+    assert mismatches == []
 
 
 def test_srrqr_selects_best_volume_pair():
@@ -583,8 +629,9 @@ def test_srrqr_parameter_errors():
 
 
 def test_pivoted_factorizations_raise_a_typed_overflow():
-    # every entry is finite, but the column norms pass 1.8e308: geqp3
-    # leaves R non-finite, which srrqr used to read as a rank deficiency
+    # every entry is finite, but the column norms pass 1.8e308: the search
+    # runs on a scaled copy, and the R of the pivot block is non-finite,
+    # which srrqr once read as a rank deficiency
     M = np.random.default_rng(1).uniform(0.5, 1, (5, 30)) * 1e308
     match = r"the pivoted QR of M overflowed on a finite M \(5, 30\)"
     with pytest.raises(OverflowingProductError, match=match):
@@ -609,9 +656,9 @@ _LAYOUTS = {
     seed=st.integers(0, 2**16),
 )
 def test_one_non_finite_entry_is_named_by_the_pivoted_factorizations(layout, data, value, at, seed):
-    # pivoted_qr tests finiteness on the R that geqp3 forms, not on M: a
-    # NaN or an infinity anywhere in M must leave R non-finite. That rests
-    # on how this BLAS build's nrm2 propagates a NaN, which this pins
+    # the pivot search tests finiteness on the squared column norms it
+    # forms, not on M: a NaN or an infinity anywhere in M must leave a norm
+    # non-finite, and M is then read to name it
     m = data.draw(st.integers(2 if layout == "tall" else 1, 11))
     n = data.draw(_LAYOUTS[layout](m))
     rank = data.draw(st.integers(1, min(m, n)))
@@ -914,8 +961,10 @@ def test_every_factorization_failure_is_a_typed_error(monkeypatch, call):
 
 
 def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkeypatch):
-    # the selectors read the pivots and R, and a bound reads the largest
-    # angle: no orgqr forms a Q, and no SVD of W'Wh forms the cosines
+    # pqr reads only the pivots, srrqr the pivots and R, and a bound the
+    # largest angle: the pivot search calls no LAPACK routine, R is the
+    # geqrf of the pivot block with the orgqr Q of that block only, and no
+    # SVD of W'Wh forms the cosines
     state = _fail_one_call(monkeypatch)
 
     def calls(run):
@@ -923,13 +972,15 @@ def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkey
         return run(), state["log"]
 
     W = random_orthonormal(60, 6, seed=11)
-    assert calls(lambda: pqr_select(W))[1] == ["geqp3"]
+    assert calls(lambda: pqr_select(W))[1] == []
     assert srrqr(W.T, 6).swaps == 0
-    assert calls(lambda: srrqr_select(W))[1] == ["geqp3"]
-    # each swap refactors with one geqrf, after its workspace query
+    pivot_block = ["geqrf_lwork", "geqrf", "orgqr", "orgqr"]  # orgqr after its workspace query
+    assert calls(lambda: srrqr_select(W))[1] == pivot_block
+    # a square input has no trailing columns, so no Q; each swap refactors
+    # with one geqrf, after its workspace query
     fac, log = calls(lambda: srrqr(_kahan(12, c=0.5), 6))
     assert fac.swaps > 0
-    assert log == ["geqp3"] + ["geqrf_lwork", "geqrf"] * fac.swaps
+    assert log == ["geqrf_lwork", "geqrf"] * (1 + fac.swaps)
     # the one SVD is the spectral norm of Wh - W (W'Wh)
     pair = random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)
     assert calls(lambda: canonical_angles(*pair))[1] == ["svd"]

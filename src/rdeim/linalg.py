@@ -260,16 +260,17 @@ def pivoted_qr(M):
     if n == k:
         R = _upper_factor(qr)
     else:
-        # the pivot block is square: orgqr forms its Q from a copy of qr,
-        # and qr becomes R[:, :k] in place
-        _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1)
-        Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]))
+        # the pivot block is square: R takes it whole, reflectors included,
+        # and orgqr forms its Q in place of qr
         R = np.empty((k, n), order="F")
-        R[:, :k] = _upper_factor(qr)
+        R[:, :k] = qr
+        _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1, overwrite_a=True)
+        Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]), overwrite_a=True)
         step = max(SWEEP_BLOCK, FINITE_BLOCK // k)
         for lo in range(k, n, step):
             # R[:, lo:hi]' is C-ordered: the product is written in place
             np.matmul(A.T[perm[lo : lo + step]], Q, out=R[:, lo : lo + step].T)
+        R = _upper_factor(R)
     # the search checked M; a non-finite R is an overflow
     return finite_product(R, M, "M", "the pivoted QR of M"), perm
 
@@ -336,7 +337,10 @@ def _pivot_order(M):
     start = i = 0
     while i < k:
         if i > start:
-            # bring every residual to step i; the pool's are there already
+            # bring every residual to step i; the pool's are there already.
+            # Each temporary is dropped once read, so that the search holds
+            # at most one pool or one block of products at a time
+            del G
             Q = Qt[start:i].T
             step = max(SWEEP_BLOCK, FINITE_BLOCK // (i - start))
             for lo in range(0, n, step):
@@ -346,14 +350,14 @@ def _pivot_order(M):
             low = np.flatnonzero(res < _RECOMPUTE * base)
             E = Mt[low] - (Mt[low] @ Qt[:i].T) @ Qt[:i]
             res[low] = base[low] = np.einsum("ij,ij->i", E, E)
+            del P, E
             start = i
         if n - i > size:
             # the pool: the size largest residuals and any within a tie of
             # them, so that no column outside it ties with its leader
             top = np.partition(res, n - size)[n - size] - _TIE * base.max()
             cols = np.flatnonzero(res >= top)
-            outside = res[res < top]
-            bound = outside.max() if outside.size else -np.inf
+            bound = res[res < top].max(initial=-np.inf)
         else:
             cols = np.flatnonzero(res > -np.inf)
             bound = -np.inf
@@ -382,8 +386,8 @@ def _pivot_order(M):
             order[i], order[w] = j, other
             where[other], where[j] = w, i
             # the pivot's direction, by CGS2
-            Q, g = Qt[:i], G[c]
-            np.subtract(g, np.matmul(np.matmul(Q, g, out=a[:i]), Q, out=t), out=e)
+            Q = Qt[:i]
+            np.subtract(G[c], np.matmul(np.matmul(Q, G[c], out=a[:i]), Q, out=t), out=e)
             np.subtract(e, np.matmul(np.matmul(Q, e, out=a[:i]), Q, out=t), out=e)
             norm = math.sqrt(e @ e)
             if norm == 0.0:

@@ -160,7 +160,8 @@ def _over_lines(form, A, lines):
 # same rule, 512 KB of float64, which keeps the number of solves small;
 # linalg.pivoted_qr forms R's trailing columns, and the pivot search brings
 # its residuals up to date, by it too, and the search's pool of leading
-# columns holds this many entries
+# columns, or a block of the columns whose residuals it computes again,
+# holds this many entries
 FINITE_BLOCK = 1 << 16
 
 

@@ -220,7 +220,9 @@ def pivoted_qr(M):
     a tie goes to the first (lowest) position, which makes the pivot
     sequence deterministic. Positions swap as LAPACK ``geqp3`` swaps its
     pivots, so where no two residuals tie to roundoff the whole order is
-    ``geqp3``'s.
+    ``geqp3``'s. Once every residual left is roundoff, at most 2^-40 of its
+    column's norm, the rest of the order stays as the swaps left it, where
+    ``geqp3`` would go on pivoting by that roundoff.
 
     R is formed from the pivot block: one ``geqrf`` of M[:, perm[:k]] and,
     for a wide M, the ``orgqr`` Q of that block applied to the trailing
@@ -282,6 +284,10 @@ _TIE = 64 * np.finfo(np.float64).eps
 # a downdated squared residual below this fraction of the last one computed
 # explicitly is computed explicitly again (the tol3z guard of LAPACK geqp3)
 _RECOMPUTE = np.sqrt(np.finfo(np.float64).eps)
+# a squared residual at most this fraction of its column's squared norm is
+# roundoff: the column lies in the span of the pivots to 2^-40 (about 5000
+# eps) of its norm
+_NEGLIGIBLE = 2.0**-80
 
 
 def _pivot_order(M):
@@ -289,8 +295,9 @@ def _pivot_order(M):
     rule, as pivoted_qr describes it, without forming R or calling LAPACK.
 
     The search works on squared residuals ||m_j||^2 - ||Q'm_j||^2, Q the
-    directions of the pivots so far, each made by Gram-Schmidt with one
-    re-orthogonalization (CGS2) of its pivot column. A squared residual
+    directions of the pivots so far, each made by Gram-Schmidt of its pivot
+    column, with a second pass when the first takes off more than half of
+    the column's norm. A squared residual
     only shrinks from step to step, so one computed at an earlier step
     bounds it from above, and only the columns that can still lead are
     brought up to date at each step. The search runs in blocks of steps. A
@@ -305,16 +312,20 @@ def _pivot_order(M):
     residual below _RECOMPUTE of the last one computed explicitly has lost
     its accuracy: when one would lead or tie, a new block starts too, and
     its update computes every such residual explicitly again, as
-    ||m_j - Q Q'm_j||^2, as geqp3 recomputes a column norm that lost its
-    accuracy. The search stops early when a pivot's residual is exactly
-    zero, leaving the trailing order as it is.
+    ||m_j - Q Q'm_j||^2, SWEEP_BLOCK columns at a time, as geqp3
+    recomputes a column norm that lost its accuracy. The search stops
+    early, leaving the trailing order as it is, when a pivot's residual is
+    exactly zero, or when a block starts with every residual left at most
+    _NEGLIGIBLE of its column's squared norm: past the numerical rank each
+    step would otherwise compute nearly every residual explicitly again.
 
     M is read through M', a row per column, so the W' that pqr_select
-    passes is read as W is stored; beyond the pool no copy of M is made.
-    When a squared column norm overflows or a nonzero one is subnormal,
-    the search runs on M scaled by an exact power of two (_unit_scaled),
-    which scales every residual alike. A non-finite entry raises
-    as_matrix's ValueError.
+    passes is read as W is stored; beyond the pool, or SWEEP_BLOCK columns
+    recomputed, no copy of M is made. When a squared column norm
+    overflows, or the square of a nonzero column underflows to a subnormal
+    or to zero, the search runs on M scaled by an exact power of two
+    (_unit_scaled), which scales every residual alike. A non-finite entry
+    raises as_matrix's ValueError.
     """
     m, n = M.shape
     k = min(m, n)
@@ -324,15 +335,17 @@ def _pivot_order(M):
     with np.errstate(over="ignore", invalid="ignore"):
         res = np.einsum("ij,ij->i", Mt, Mt)
     tiny = np.finfo(np.float64).tiny
-    if not res.max() < math.inf or (res.min() < tiny and ((res > 0) & (res < tiny)).any()):
+    # a square overflows, or underflows to a subnormal or to 0 on a nonzero
+    # column
+    if not res.max() < math.inf or (res.min() < tiny and Mt[res < tiny].any()):
         as_matrix(M, "M")
         Mt = _unit_scaled(M).T
         res = np.einsum("ij,ij->i", Mt, Mt)
     order = np.arange(n, dtype=np.intp)  # the column at each position
     where = order.copy()  # the position of each column
     base = res.copy()  # each column's last explicit squared residual
+    norms = res.copy()  # each column's squared norm
     Qt = np.empty((k, m))
-    a, e, t = np.empty(k), np.empty(m), np.empty(m)
     size = max(1, FINITE_BLOCK // m)
     start = i = 0
     while i < k:
@@ -340,17 +353,24 @@ def _pivot_order(M):
             # bring every residual to step i; the pool's are there already.
             # Each temporary is dropped once read, so that the search holds
             # at most one pool or one block of products at a time
-            del G
+            del G, g  # g is a row of G
             Q = Qt[start:i].T
             step = max(SWEEP_BLOCK, FINITE_BLOCK // (i - start))
             for lo in range(0, n, step):
                 P = Mt[lo : lo + step] @ Q
                 res[lo : lo + step] -= np.einsum("ij,ij->i", P, P)
+            del P
             res[cols] = pool
             low = np.flatnonzero(res < _RECOMPUTE * base)
-            E = Mt[low] - (Mt[low] @ Qt[:i].T) @ Qt[:i]
-            res[low] = base[low] = np.einsum("ij,ij->i", E, E)
-            del P, E
+            Q = Qt[:i]
+            for lo in range(0, low.size, SWEEP_BLOCK):
+                rows = low[lo : lo + SWEEP_BLOCK]
+                E = Mt[rows]
+                E -= (E @ Q.T) @ Q
+                res[rows] = base[rows] = np.einsum("ij,ij->i", E, E)
+                del E
+            if not (res > _NEGLIGIBLE * norms).any():
+                return order  # every residual left is roundoff: the rest stays
             start = i
         if n - i > size:
             # the pool: the size largest residuals and any within a tie of
@@ -364,37 +384,47 @@ def _pivot_order(M):
         G = Mt if cols.size == n else Mt[cols]  # a copy, unless it is all of M
         pool = res[cols]
         scale = base[cols]
-        p = np.empty(cols.size)
         while i < k:
-            c = pool.argmax()
-            lead = pool[c]
-            cut = lead - _TIE * scale[c]
+            # scalars are read with item(): a numpy scalar costs more than
+            # the step's small products
+            c = int(pool.argmax())
+            lead = pool.item(c)
+            cut = lead - _TIE * scale.item(c)
             if cut <= bound:
                 break  # a column outside the pool may tie or lead
-            pool[c] = -np.inf
-            tied = pool[pool.argmax()] >= cut
-            pool[c] = lead
-            ties = np.flatnonzero(pool >= cut) if tied else c
-            if (pool[ties] < _RECOMPUTE * scale[ties]).any():
-                break  # a downdate that lost its accuracy would decide
-            if tied:  # the first position among the ties leads
-                c = ties[np.argmin(where[cols[ties]])]
-            j = cols[c]
-            pool[c] = res[j] = base[j] = -np.inf
+            pool[c] = -math.inf
+            if pool.max() >= cut:  # the first position among the ties leads
+                pool[c] = lead
+                ties = np.flatnonzero(pool >= cut)
+                if (pool[ties] < _RECOMPUTE * scale[ties]).any():
+                    break  # a downdate that lost its accuracy would decide
+                c = int(ties[np.argmin(where[cols[ties]])])
+                pool[c] = -math.inf
+            elif lead < _RECOMPUTE * scale.item(c):
+                pool[c] = lead
+                break  # as above
+            j = cols.item(c)
+            res[j] = base[j] = -math.inf
             # swap positions i and where[j], as geqp3 swaps its pivots
-            other, w = order[i], where[j]
+            other, w = order.item(i), where.item(j)
             order[i], order[w] = j, other
             where[other], where[j] = w, i
-            # the pivot's direction, by CGS2
-            Q = Qt[:i]
-            np.subtract(G[c], np.matmul(np.matmul(Q, G[c], out=a[:i]), Q, out=t), out=e)
-            np.subtract(e, np.matmul(np.matmul(Q, e, out=a[:i]), Q, out=t), out=e)
-            norm = math.sqrt(e @ e)
-            if norm == 0.0:
+            # the pivot's direction by Gram-Schmidt, once more when the
+            # first pass takes off more than half of the column's norm
+            # ("twice is enough": Giraud, Langou & Rozloznik, 2005)
+            Q, g = Qt[:i], G[c]
+            e = g - Q.T.dot(Q.dot(g))
+            sq = e.dot(e)
+            if 2.0 * sq < g.dot(g):
+                e -= Q.T.dot(Q.dot(e))
+                sq = e.dot(e)
+            if sq == 0.0:
                 return order  # every residual left is zero: the rest stays
-            q = np.divide(e, norm, out=Qt[i])
+            q = np.divide(e, math.sqrt(sq), out=Qt[i])
             i += 1
-            np.subtract(pool, np.square(np.matmul(G, q, out=p), out=p), out=pool)
+            d = G.dot(q)
+            d *= d
+            pool -= d
     return order
 
 
@@ -429,9 +459,11 @@ def srrqr(M, rank, eta=2.0):
 
     ``inv(R11) @ R12`` is never formed whole: its largest entry is found
     a block of R12's columns at a time (_max_interaction), so beyond the
-    copy of M that the QR factors in place (and which becomes R for a wide
-    M), the working memory is one block of at most
-    max(FINITE_BLOCK, rank * SWEEP_BLOCK) entries.
+    one k-by-n R that pivoted_qr forms, the working memory is the pivot
+    search's pool or one of its blocks of products (FINITE_BLOCK entries
+    each) and its few arrays of one entry per column, and then one block
+    of at most max(FINITE_BLOCK, rank * SWEEP_BLOCK) entries. A swap
+    refactors a copy of M[:, perm], which becomes the new R.
 
     Parameters
     ----------

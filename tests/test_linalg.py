@@ -466,16 +466,19 @@ def test_wide_factorizations_keep_r_in_place(factor):
     # search copies no more than its pool, and srrqr finds its largest
     # interaction a block of columns at a time: about one copy of M. A
     # second k x n array, a copy of M for the search, or the whole
-    # inv(R11) R12 and its absolute value, would each add another M.nbytes
-    M = random_matrix(64, 20000, seed=1)
-    call = {"pivoted_qr": lambda: pivoted_qr(M), "srrqr": lambda: srrqr(M, 64)}[factor]
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * M.nbytes
+    # inv(R11) R12 and its absolute value, would each add another M.nbytes.
+    # At rank 10 the search computes nearly every residual again
+    # explicitly once it passes the rank, a block of columns at a time too
+    low_rank = random_matrix(64, 10, seed=2) @ random_matrix(10, 20000, seed=3)
+    for M, rank in ((random_matrix(64, 20000, seed=1), 64), (low_rank, 10)):
+        call = {"pivoted_qr": lambda: pivoted_qr(M), "srrqr": lambda: srrqr(M, rank)}[factor]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * M.nbytes, rank
 
 
 def _wide_kahan():
@@ -541,6 +544,19 @@ def test_pivot_search_keeps_the_geqp3_pivots(family):
         if not np.array_equal(pivoted_qr(M)[1], scipy.linalg.qr(M, pivoting=True, mode="r")[1]):
             mismatches.append((case, M.shape))
     assert mismatches == []
+
+
+def test_pivot_search_rescales_squares_that_underflow():
+    # 2^k B across the edge where the squares of its entries turn
+    # subnormal (k about -511) and then 0 (k about -538): the pivots stay
+    # geqp3's, whose column norms are scaled, and srrqr's order stays that
+    # of B
+    B = random_matrix(20, 60, seed=1)
+    order = srrqr(B, 20).perm
+    for k in range(-560, -500):
+        M = np.ldexp(B, k)
+        assert np.array_equal(pivoted_qr(M)[1], scipy.linalg.qr(M, pivoting=True, mode="r")[1]), k
+        assert np.array_equal(srrqr(M, 20).perm, order), k
 
 
 def test_srrqr_selects_best_volume_pair():

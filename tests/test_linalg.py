@@ -559,6 +559,19 @@ def test_pivot_search_rescales_squares_that_underflow():
         assert np.array_equal(srrqr(M, 20).perm, order), k
 
 
+def test_pivot_search_stops_only_when_every_column_is_in_the_span():
+    # a rank-3 block of norm about 1e9 and a column of norm about 1e-6
+    # outside its span: after three pivots the block's residuals are
+    # roundoff, about 1e-7, and the small column's are its whole norm.
+    # geqp3 takes it fourth, and so must the search, which stops only when
+    # every residual is roundoff against its own column's norm
+    big = 1e8 * random_matrix(8, 3, seed=4) @ random_matrix(3, 40, seed=5)
+    M = np.hstack([big, 1e-6 * random_matrix(8, 1, seed=6)])
+    perm = pivoted_qr(M)[1]
+    assert perm[3] == 40
+    assert np.array_equal(perm[:4], scipy.linalg.qr(M, pivoting=True, mode="r")[1][:4])
+
+
 def test_srrqr_selects_best_volume_pair():
     eps = 1e-3
     M = np.array([[1.0, 0.0, eps], [0.0, 1.0, eps]])

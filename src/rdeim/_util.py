@@ -185,11 +185,15 @@ def finite_product(product, A, name, what):
     entry of it non-finite. If one is, A's block check (as_matrix) runs
     and raises its "contains non-finite entries" ValueError, named by
     name; if A is finite, the product overflowed, and
-    OverflowingProductError names it (what), and A by name and shape.
+    OverflowingProductError names it (what), and A by name and shape. The
+    product is checked as as_matrix checks a matrix, a block of lines at a
+    time, so no bool temporary of its size is formed.
     """
-    if not np.isfinite(product).all():
+    try:
+        as_matrix(product, what)
+    except ValueError:
         as_matrix(A, name)
-        raise OverflowingProductError(f"{what} overflowed on a finite {name} {A.shape}")
+        raise OverflowingProductError(f"{what} overflowed on a finite {name} {A.shape}") from None
     return product
 
 

@@ -85,6 +85,20 @@ def test_as_matrix_checks_without_a_matrix_sized_temporary(order):
     assert peak < A.nbytes / 32
 
 
+@pytest.mark.parametrize("shape, order", [((128, 10000), "F"), ((10000, 40), "C")], ids=["wide-F", "tall-C"])
+def test_finite_product_checks_without_a_product_sized_temporary(shape, order):
+    # the wide Fortran-ordered R of the pivoted QRs and a tall sketch of the
+    # range finders: a whole-product bool mask would take P.nbytes / 8
+    P = np.asarray(random_matrix(*shape, seed=6), order=order)
+    tracemalloc.start()
+    try:
+        assert _util.finite_product(P, P, "P", "the product") is P
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P.nbytes / 32
+
+
 # ---------------------------------------------------------------- thin_svd
 
 

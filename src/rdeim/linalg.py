@@ -297,7 +297,7 @@ def _pivot_order(M):
     The search works on squared residuals ||m_j||^2 - ||Q'm_j||^2, Q the
     directions of the pivots so far, each made by Gram-Schmidt of its pivot
     column, with a second pass when the first takes off more than half of
-    the column's norm. A squared residual
+    the column's squared norm. A squared residual
     only shrinks from step to step, so one computed at an earlier step
     bounds it from above, and only the columns that can still lead are
     brought up to date at each step. The search runs in blocks of steps. A
@@ -410,8 +410,8 @@ def _pivot_order(M):
             order[i], order[w] = j, other
             where[other], where[j] = w, i
             # the pivot's direction by Gram-Schmidt, once more when the
-            # first pass takes off more than half of the column's norm
-            # ("twice is enough": Giraud, Langou & Rozloznik, 2005)
+            # first pass takes off more than half of the column's squared
+            # norm ("twice is enough": Giraud, Langou & Rozloznik, 2005)
             Q, g = Qt[:i], G[c]
             e = g - Q.T.dot(Q.dot(g))
             sq = e.dot(e)

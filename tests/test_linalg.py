@@ -574,9 +574,10 @@ def test_pivot_search_rescales_squares_that_underflow():
 
 
 def test_pivot_search_stops_only_when_every_column_is_in_the_span():
-    # a rank-3 block of norm about 1e9 and a column of norm about 1e-6
-    # outside its span: after three pivots the block's residuals are
-    # roundoff, about 1e-7, and the small column's are its whole norm.
+    # a rank-3 block of columns of norm about 5e8 and a column of norm
+    # about 3e-6 outside its span: after three pivots the block's
+    # residuals are roundoff, about 1e-7, and the small column's is its
+    # whole norm.
     # geqp3 takes it fourth, and so must the search, which stops only when
     # every residual is roundoff against its own column's norm
     big = 1e8 * random_matrix(8, 3, seed=4) @ random_matrix(3, 40, seed=5)

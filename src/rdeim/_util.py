@@ -3,6 +3,7 @@ type that carries a passed orthonormality check."""
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 import threading
@@ -26,6 +27,10 @@ SWEEP_BLOCK = 64
 # many of A's entries and this many of its lines (see _part_count)
 PART_ENTRIES = 1 << 20
 PART_LINES = 4 * SWEEP_BLOCK
+
+# a pass in fixed blocks is made in parts only where each part does at
+# least this many multiply-adds (see fill_blocks)
+PART_WORK = 1 << 23
 
 
 def usable_cpus():
@@ -77,15 +82,21 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     the GIL, so the parts run at once; the range finders form every
     product with A in line blocks through it (_over_lines), with one BLAS
     call a part, and linalg.column_residuals sums its row blocks of A.
+    fill_blocks runs its parts through it, each taking blocks in turn: the
+    pivot search's residual updates (linalg._downdate) and the Gram halves
+    of check_orthonormal.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate, so one part is
     one call of fill on the calling thread and starts no thread; scratch
     is called here, once per part, so a part's buffers are not allocated
-    on a worker. fill may call BLAS: each worker thread that does holds its own
-    OpenBLAS buffers, which moved the peak RSS of the paper-scale
-    benchmark workload (sweep-paper, 195 MB) by -0.7 to +2.1 MB, +0.5 MB
-    in the median of 10 runs. It must not call a traced library function
-    (the benchmark's span stack is one per process).
+    on a worker. fill may call BLAS: each worker thread that does holds
+    its own OpenBLAS buffer, and what a worker allocates comes from its
+    own malloc arena, which keeps it after the thread ends; both count
+    toward the process's RSS. The worker buffers moved the peak RSS of the
+    paper-scale benchmark workload (sweep-paper, 195 MB) by -0.7 to
+    +2.1 MB, +0.5 MB in the median of 10 runs; fill_blocks' parts moved
+    select-cli's (133 MB) by +0.3 to +0.6 MB. fill must not call a traced
+    library function (the benchmark's span stack is one per process).
     Every thread is joined before this returns or raises, and the first
     exception a part raised is raised again here.
     """
@@ -138,6 +149,53 @@ def _part_count(A, lines):
     if blas_threads() != 1:
         return 1
     return max(1, min(usable_cpus(), A.size // PART_ENTRIES, lines // PART_LINES))
+
+
+def fill_blocks(fill, n_blocks, work, scratch=tuple):
+    """Call fill(b, *buffers) once for every block b of range(n_blocks), a
+    pass doing work multiply-adds in all, in parts: one per usable CPU
+    where numpy's OpenBLAS runs one thread, at most one per block, each
+    part doing at least PART_WORK multiply-adds; 1, a loop on the calling
+    thread, where BLAS runs more threads or the count cannot be read.
+    Parts run through fill_in_parts, each taking the next block no part
+    has taken, so that a part whose CPU is busy with other work holds the
+    pass up by one block at most; scratch gives each part its buffers.
+    The blocks are the caller's and do not move with the part count, so
+    each is the same BLAS call on the same operands whichever part takes
+    it, and the count never enters the bits. The passes: the pivot
+    search's residual updates and the Gram of check_orthonormal.
+
+    The floor is set by what a worker thread costs, measured on two
+    CPUs at one BLAS thread: starting and joining one took 0.10-0.18 ms,
+    and two 96-wide products of 6.3M multiply-adds each took 0.64 ms on
+    two threads against 0.57 ms on one, two of 19M 1.6 against 1.9 ms. The
+    search's residual update on the select-cli bases was slower in two
+    parts at 7.3 and 9.8 Mi multiply-adds and faster from 22 Mi up
+    (corner-r128 at 29 Mi: 2.5 against 3.1 ms, lower in 37 of 40 pairs).
+    So desk inputs, sweep-paper's 24 x 10000 W' and hybrid's 96 x 1315
+    W'S1 stay in one part, and hybrid's 128 x 1864 W'S1 unless a block of
+    steps adds more than 70 directions.
+    """
+    parts = min(n_blocks, work // PART_WORK)
+    if parts > 1 and blas_threads() == 1:
+        parts = min(parts, usable_cpus())
+    else:
+        parts = 1
+    taken = itertools.count()
+    lock = threading.Lock()
+
+    def run(lo, hi, *buffers):  # a part: blocks in turn, not [lo, hi)
+        while True:
+            with lock:
+                b = next(taken)
+            if b >= n_blocks:
+                return
+            fill(b, *buffers)
+
+    if parts == 1:
+        run(0, 1, *scratch())
+    else:
+        fill_in_parts(run, parts, scratch, parts=parts)
 
 
 def _over_lines(form, A, lines):
@@ -268,11 +326,30 @@ def check_orthonormal(W, name="basis"):
     # err, non-finite; W itself is read only when the check fails, so that
     # a non-finite entry is named as such
     with np.errstate(over="ignore", invalid="ignore"):
-        err = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
+        err = np.max(np.abs(_gram(W) - np.eye(W.shape[1])))
     if not err <= 1e-8:
         as_matrix(W, name)
         raise ValueError(f"{name} columns are not orthonormal (deviation {err:.3e} > 1e-8)")
     return W
+
+
+def _gram(W):
+    """W'W; for a W of at least 2 PART_WORK multiply-adds, the sum of the
+    Grams of its two row halves, formed through fill_blocks. The halves
+    follow from the shape alone, and the value only decides the 1e-8
+    test."""
+    n, r = W.shape
+    work = n * r * r
+    n_blocks = 2 if work >= 2 * PART_WORK else 1
+    cuts = (0, n // 2, n) if n_blocks == 2 else (0, n)
+    grams = np.empty((n_blocks, r, r))
+
+    def fill(b):
+        rows = W[cuts[b] : cuts[b + 1]]
+        np.matmul(rows.T, rows, out=grams[b])
+
+    fill_blocks(fill, n_blocks, work)
+    return grams.sum(axis=0)
 
 
 @dataclass(frozen=True)

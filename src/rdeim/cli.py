@@ -8,6 +8,7 @@ commands exit 0 on success and nonzero with a message on stderr otherwise.
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import sys
 
@@ -216,9 +217,16 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser main reads arguments with, built once per process:
+    building all six subcommands costs more than parsing, and parse_args
+    leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (RdeimError, ValueError, OSError) as err:

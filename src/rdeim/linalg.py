@@ -37,6 +37,7 @@ from ._util import (
     as_2d,
     as_matrix,
     check_at_least,
+    fill_blocks,
     fill_in_parts,
     finite_product,
     orthonormal_basis,
@@ -238,7 +239,9 @@ def pivoted_qr(M):
     R : ndarray, shape (k, n) with k = min(m, n)
         ``Q @ R = M[:, perm]`` for an orthonormal Q; R[:, :k] is upper
         triangular and its diagonal magnitudes are nonincreasing. R is
-        the only k-by-n array formed, in Fortran order.
+        the only k-by-n array formed, in Fortran order; the search's
+        row-major copy of a large column-major M' is freed before R is
+        allocated, so the two are never held together.
     perm : ndarray of intp, shape (n,)
         Pivot order applied to the columns of M.
 
@@ -303,9 +306,9 @@ def _pivot_order(M):
     brought up to date at each step. The search runs in blocks of steps. A
     block starts with every residual brought up to date: one product of M'
     with the directions added since the last block, a block of rows at a
-    time. It copies the columns of the largest residuals, FINITE_BLOCK
-    entries of them, as its pool, and keeps the largest residual outside
-    the pool as a bound. At each step only the pool is downdated, by one
+    time, in parts for a large M (_downdate). It copies the columns of the
+    largest residuals, FINITE_BLOCK entries of them, as its pool, and keeps
+    the largest residual outside the pool as a bound. At each step only the pool is downdated, by one
     matrix-vector product with the newest direction, and its largest
     residual leads; once that falls within a tie of the bound, a column
     outside the pool could lead, and a new block starts. A downdated
@@ -319,9 +322,20 @@ def _pivot_order(M):
     _NEGLIGIBLE of its column's squared norm: past the numerical rank each
     step would otherwise compute nearly every residual explicitly again.
 
-    M is read through M', a row per column, so the W' that pqr_select
-    passes is read as W is stored; beyond the pool, or SWEEP_BLOCK columns
-    recomputed, no copy of M is made. When a squared column norm
+    M is read through M', a row per column: the pool and the recomputed
+    columns are gathered rows of M'. A column-major M' of at least
+    _COPY_ENTRIES entries is first copied to row-major, once, after the
+    squared column norms are read from M itself; that is the W' that
+    pqr_select and srrqr_select pass for a W in Fortran order, as
+    read_matrix returns it to every rdeim select. A row-major or small M'
+    is read in place. Beyond the copy, the pool and SWEEP_BLOCK recomputed
+    columns no copy of M is made, and the copy is freed on return. The
+    copy holds M's values, so every gather reads the same numbers and a
+    block update is the same product on the same values: on the
+    select-cli bases OpenBLAS gave it the bits of the product on M'
+    itself, though a one-column update (a matrix-vector call) or a short
+    last block on its small-matrix kernels may differ in the last bits.
+    When a squared column norm
     overflows, or the square of a nonzero column underflows to a subnormal
     or to zero, the search runs on M scaled by an exact power of two
     (_unit_scaled), which scales every residual alike. A non-finite entry
@@ -341,6 +355,13 @@ def _pivot_order(M):
         as_matrix(M, "M")
         Mt = _unit_scaled(M).T
         res = np.einsum("ij,ij->i", Mt, Mt)
+    # a pool of every column reads M' as it is laid out: a matrix-vector
+    # product's bits depend on the layout
+    whole = Mt
+    if Mt.size >= _COPY_ENTRIES and not Mt.flags.c_contiguous:
+        # a row of M' per column, so that the pool and the recomputed
+        # columns are gathered from contiguous rows
+        Mt = np.ascontiguousarray(Mt)
     order = np.arange(n, dtype=np.intp)  # the column at each position
     where = order.copy()  # the position of each column
     base = res.copy()  # each column's last explicit squared residual
@@ -352,14 +373,9 @@ def _pivot_order(M):
         if i > start:
             # bring every residual to step i; the pool's are there already.
             # Each temporary is dropped once read, so that the search holds
-            # at most one pool or one block of products at a time
+            # at most one pool or one block of products a part at a time
             del G, g  # g is a row of G
-            Q = Qt[start:i].T
-            step = max(SWEEP_BLOCK, FINITE_BLOCK // (i - start))
-            for lo in range(0, n, step):
-                P = Mt[lo : lo + step] @ Q
-                res[lo : lo + step] -= np.einsum("ij,ij->i", P, P)
-            del P
+            _downdate(res, Mt, Qt[start:i].T)
             res[cols] = pool
             low = np.flatnonzero(res < _RECOMPUTE * base)
             Q = Qt[:i]
@@ -381,7 +397,7 @@ def _pivot_order(M):
         else:
             cols = np.flatnonzero(res > -np.inf)
             bound = -np.inf
-        G = Mt if cols.size == n else Mt[cols]  # a copy, unless it is all of M
+        G = whole if cols.size == n else Mt[cols]  # a copy, unless it is all of M
         pool = res[cols]
         scale = base[cols]
         while i < k:
@@ -428,6 +444,35 @@ def _pivot_order(M):
     return order
 
 
+# the search copies a column-major M' of at least this many entries (4 MB)
+# to row-major. Paired calls at one BLAS thread on orthonormal W', the copy
+# included, medians of 40, without / with it (ms): 24 x 10000 2.8 / 3.2,
+# 48 x 10000 7.1 / 7.8, 64 x 3000 3.5 / 3.8 and 96 x 3000 7.4 / 7.5 (below
+# the floor); 64 x 10000 13.0 / 12.4, 80 x 10000 18.5 / 16.8, 96 x 10000
+# 25.0 / 24.8 and 128 x 10000 40.5 / 34.0 (above it)
+_COPY_ENTRIES = 1 << 19
+
+
+def _downdate(res, Mt, Q):
+    """res -= the squared row norms of Mt @ Q, in blocks of rows of
+    FINITE_BLOCK entries of the product (SWEEP_BLOCK rows at least), in
+    parts through fill_blocks. Each part forms its blocks' products and
+    sums in its own two buffers, so no worker allocates; the block bounds
+    do not depend on the part count."""
+    n, width = Mt.shape[0], Q.shape[1]
+    step = max(SWEEP_BLOCK, FINITE_BLOCK // width)
+    n_blocks = -(-n // step)
+
+    def fill(b, P, sums):
+        rows = slice(b * step, (b + 1) * step)
+        block = Mt[rows]
+        product = np.matmul(block, Q, out=P[: block.shape[0]])
+        res[rows] -= np.einsum("ij,ij->i", product, product, out=sums[: block.shape[0]])
+
+    fill_blocks(fill, n_blocks, Mt.size * width,
+                lambda: (np.empty((min(step, n), width)), np.empty(min(step, n))))
+
+
 def _upper_factor(qr):
     """R (k-by-n), k = min(m, n), from the m-by-n output qr of a
     Householder QR (``geqrf``). qr must be owned by the
@@ -460,10 +505,12 @@ def srrqr(M, rank, eta=2.0):
     ``inv(R11) @ R12`` is never formed whole: its largest entry is found
     a block of R12's columns at a time (_max_interaction), so beyond the
     one k-by-n R that pivoted_qr forms, the working memory is the pivot
-    search's pool or one of its blocks of products (FINITE_BLOCK entries
-    each) and its few arrays of one entry per column, and then one block
-    of at most max(FINITE_BLOCK, rank * SWEEP_BLOCK) entries. A swap
-    refactors a copy of M[:, perm], which becomes the new R.
+    search's: a row-major copy of a large column-major M', freed before R
+    is allocated, its pool or one block of products and of sums per part
+    (FINITE_BLOCK entries each) and its few arrays of one entry per
+    column; then one gathered block of M's columns for R and one block of
+    at most max(FINITE_BLOCK, rank * SWEEP_BLOCK) interactions.
+    A swap refactors a copy of M[:, perm], which becomes the new R.
 
     Parameters
     ----------

@@ -1,15 +1,19 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import rdeim.cli
 import rdeim.experiments
 from rdeim.bounds import deviation_constant, hybrid_constant, leverage_constant, srrqr_constant
 from rdeim.cli import main
 from rdeim.matio import read_matrix, write_matrix
 
-from conftest import patch_cpus, random_matrix
+from conftest import patch_cpus, random_matrix, random_orthonormal
 
 
 def test_gen_writes_matrix(tmp_path, capsys):
@@ -293,6 +297,63 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert read_matrix(out).shape == (2500, 225)
+
+
+def test_main_builds_its_parser_once_and_writes_what_fresh_processes_write(
+    tmp_path, monkeypatch, capsys
+):
+    # two commands in one process build the parser once, and print and
+    # write what two fresh processes do
+    built = []
+    real = rdeim.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    write_matrix(tmp_path / "basis.rdmx", random_orthonormal(300, 6, seed=2))
+    commands = [
+        ["gen", "--example", "osc", "--out", "osc.rdmx"],
+        ["select", "--basis-file", str(tmp_path / "basis.rdmx"), "--out", "points.csv"],
+    ]
+    for run in ("fresh", "warm"):
+        (tmp_path / run).mkdir()
+    monkeypatch.setattr(rdeim.cli, "build_parser", counted)
+    rdeim.cli._parser.cache_clear()
+    monkeypatch.chdir(tmp_path / "warm")
+    try:
+        warm = []
+        for argv in commands:
+            assert main(argv) == 0
+            warm.append(capsys.readouterr().out)
+        assert len(built) == 1
+    finally:
+        rdeim.cli._parser.cache_clear()
+    # the fresh processes run in their own directory, so they import rdeim
+    # from where this one did
+    src = str(Path(rdeim.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv, out in zip(commands, warm):
+        proc = subprocess.run([sys.executable, "-m", "rdeim.cli", *argv], cwd=tmp_path / "fresh",
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == out
+    for name in ("osc.rdmx", "points.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+def test_select_pqr_on_a_large_basis_file_keeps_the_geqp3_pivots(tmp_path):
+    # read_matrix returns W in Fortran order, so the pivot search reads a
+    # column-major W' of 600000 entries: it copies it to row-major, and its
+    # pool of 436 columns leads for some steps before every residual is
+    # brought up to date. The points are the first pivots of geqp3
+    W = random_orthonormal(4000, 150, seed=3)
+    write_matrix(tmp_path / "basis.rdmx", W)
+    points = tmp_path / "points.csv"
+    argv = ["select", "--basis-file", str(tmp_path / "basis.rdmx"), "--select", "pqr"]
+    assert main(argv + ["--out", str(points)]) == 0
+    rows = points.read_text().splitlines()[1:]
+    expected = scipy.linalg.qr(W.T, pivoting=True, mode="r")[1][:150]
+    assert [int(row.split(",")[1]) for row in rows] == list(expected)
 
 
 def _skewed_basis(path, deviation):

@@ -366,6 +366,54 @@ def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
     assert sorted(done) == [0, 2]
 
 
+def test_fill_blocks_takes_every_block_once_on_more_parts_than_cpus(monkeypatch, one_blas_thread):
+    # 64 parts on at most 2 CPUs take 2000 blocks in turn, switching threads
+    # as often as they can: a block taken twice or lost shows in the counts
+    patch_cpus(monkeypatch, 64)
+    monkeypatch.setattr(_util, "PART_WORK", 1)
+    before = threading.active_count()
+    counts = np.zeros(2000, dtype=int)
+    buffers = []
+
+    def scratch():  # called once per part
+        buffers.append(np.empty(1))
+        return (buffers[-1],)
+
+    def fill(b, buf):
+        counts[b] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _util.fill_blocks(fill, counts.size, counts.size, scratch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (counts == 1).all() and len(buffers) == 64
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "blas, n_blocks, work, parts",
+    [(1, 3, 3, 3), (1, 3, 2, 2), (1, 2, 9, 2), (1, 3, 1, 1), (2, 3, 3, 1), (None, 3, 3, 1)],
+)
+def test_fill_blocks_makes_a_part_per_cpu_block_and_floor_on_one_blas_thread(
+    monkeypatch, blas, n_blocks, work, parts
+):
+    # four CPUs and a floor of one unit of work a part; on more BLAS
+    # threads, or an unknown count, one part
+    patch_cpus(monkeypatch, 4)
+    monkeypatch.setattr(_util, "PART_WORK", 1)
+    monkeypatch.setattr(_util, "blas_threads", lambda: blas)
+    buffers, seen = [], []
+
+    def scratch():  # called once per part
+        buffers.append(np.empty(1))
+        return (buffers[-1],)
+
+    _util.fill_blocks(lambda b, buf: seen.append(b), n_blocks, work, scratch)
+    assert len(buffers) == parts and sorted(seen) == list(range(n_blocks))
+
+
 # ------------------------------------------------------------ spec/driver
 
 

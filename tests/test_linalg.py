@@ -560,6 +560,40 @@ def test_pivot_search_keeps_the_geqp3_pivots(family):
     assert mismatches == []
 
 
+def _kernel_outputs(M, rank, eta):
+    """The arrays and values of the pivot search, pivoted_qr and srrqr on M."""
+    R, perm = pivoted_qr(M)
+    fac = srrqr(M, rank, eta)
+    return [rdeim.linalg._pivot_order(M), perm, R, fac.perm, fac.R11, fac.R12,
+            np.float64(fac.max_interaction)]
+
+
+def test_selection_kernels_keep_their_bits_in_parts_and_layouts(monkeypatch, one_blas_thread):
+    # the pivot search's residual updates run in two parts once the floor
+    # is lowered and two CPUs are seen; the blocks stay where they are, so
+    # every output keeps the bits of one part. A C-ordered M is read
+    # through a column-major M', which the search copies to row-major when
+    # it is large, as the 96 x 10000 one is
+    wide = random_orthonormal(10000, 96, seed=7).T
+    cases = [(wide, 96, 2.0)]
+    cases += [(make(), rank, eta) for make, rank, eta in _SWAPPING.values()]
+    cases += [(M, M.shape[0], 2.0) for M in _desk_pivot_inputs()]
+    monkeypatch.setattr(_util, "PART_WORK", 1)
+    mismatches = []
+    for case, (M, rank, eta) in enumerate(cases):
+        expected = None
+        for order in ("C", "F"):
+            layout = np.asarray(M, order=order)
+            for cpus in (1, 2):
+                patch_cpus(monkeypatch, cpus)
+                got = _kernel_outputs(layout, rank, eta)
+                if expected is None:
+                    expected = got
+                elif not all(np.array_equal(a, b) for a, b in zip(got, expected)):
+                    mismatches.append((case, M.shape, order, cpus))
+    assert mismatches == []
+
+
 def test_pivot_search_rescales_squares_that_underflow():
     # 2^k B across the edge where the squares of its entries turn
     # subnormal (k about -511) and then 0 (k about -538): the pivots stay

@@ -3,7 +3,6 @@ type that carries a passed orthonormality check."""
 
 import ctypes
 import functools
-import itertools
 import math
 import os
 import threading
@@ -17,10 +16,10 @@ from .exceptions import OverflowingProductError
 # rows of a large matrix a streaming loop takes at a time:
 # linalg.column_residuals reads them for every per-column residual (the
 # error sweep, its bounds, the adaptive range finder's explicit residual
-# and bench_basis), the oscillator generator fills them in place, as_matrix
-# checks them for finiteness, and _over_lines cuts the range finders'
-# products with A into parts at its multiples; the sweep and the fills
-# split their blocks over fill_in_parts too
+# and bench_basis), the oscillator generator fills them in place, and
+# _over_lines cuts the range finders' products with A into parts at its
+# multiples; a blocked pass of block_lines takes at least this many lines.
+# The sweep and the fills split their blocks over fill_in_parts too
 SWEEP_BLOCK = 64
 
 # a pass over A is made in parts only where each part holds at least this
@@ -29,7 +28,7 @@ PART_ENTRIES = 1 << 20
 PART_LINES = 4 * SWEEP_BLOCK
 
 # a pass in fixed blocks is made in parts only where each part does at
-# least this many multiply-adds (see fill_blocks)
+# least this many multiply-adds (see _work_parts)
 PART_WORK = 1 << 23
 
 
@@ -79,12 +78,11 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
 
     The snapshot generators fill their matrix through this, one
     independent row block at a time, with elementwise ufuncs that release
-    the GIL, so the parts run at once; the range finders form every
-    product with A in line blocks through it (_over_lines), with one BLAS
-    call a part, and linalg.column_residuals sums its row blocks of A.
-    fill_blocks runs its parts through it, each taking blocks in turn: the
-    pivot search's residual updates (linalg._downdate) and the Gram halves
-    of check_orthonormal.
+    the GIL, so the parts run at once. The BLAS passes take their part
+    count from _part_count or _work_parts: the products with A (_over_lines),
+    linalg.column_residuals, the pivot search's updates (linalg._downdate)
+    and the Gram halves of check_orthonormal. A part whose CPU another
+    process holds delays the pass by its whole share.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate, so one part is
     one call of fill on the calling thread and starts no thread; scratch
@@ -94,9 +92,10 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     own malloc arena, which keeps it after the thread ends; both count
     toward the process's RSS. The worker buffers moved the peak RSS of the
     paper-scale benchmark workload (sweep-paper, 195 MB) by -0.7 to
-    +2.1 MB, +0.5 MB in the median of 10 runs; fill_blocks' parts moved
-    select-cli's (133 MB) by +0.3 to +0.6 MB. fill must not call a traced
-    library function (the benchmark's span stack is one per process).
+    +2.1 MB, +0.5 MB in the median of 10 runs; the search's and the Gram's
+    parts moved select-cli's (133 MB) by +0.3 to +0.6 MB. fill must not
+    call a traced library function (the benchmark's span stack is one per
+    process).
     Every thread is joined before this returns or raises, and the first
     exception a part raised is raised again here.
     """
@@ -127,13 +126,21 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
         raise errors[0]
 
 
+def _cpu_parts(most):
+    """most parts, but at most one per usable CPU, where numpy's OpenBLAS
+    runs one thread; 1, the one BLAS call, where it runs more or the count
+    cannot be read (on two BLAS threads, parts changed bits and were no
+    faster)."""
+    if most < 2 or blas_threads() != 1:
+        return 1
+    return min(usable_cpus(), most)
+
+
 def _part_count(A, lines):
     """How many parts a pass over A is made in, split over A's lines
-    (rows for A X and the residual sweep, columns for A' Q and X A): one
-    per usable CPU where numpy's OpenBLAS runs one thread, each part
-    holding at least PART_ENTRIES of A's entries and PART_LINES lines; 1,
-    the one BLAS call, where BLAS runs more threads or the count cannot be
-    read.
+    (rows for A X and the residual sweep, columns for A' Q and X A): by
+    _cpu_parts, each part holding at least PART_ENTRIES of A's entries and
+    PART_LINES lines.
 
     Measured on numpy's OpenBLAS 0.3.31 (SkylakeX kernels) on one thread,
     the parts kept the bits of the one call on the paper matrices and on
@@ -143,27 +150,15 @@ def _part_count(A, lines):
     kernels, and a last part of A X with 192 rows or fewer took another
     path for its last n mod 8 rows; both changed those rows' last bits.
     Split over A's columns with no floor, Q'A changed bits in 19 of 200
-    random shapes, desk corner's last column among them. On two BLAS
-    threads, parts changed bits and were no faster.
+    random shapes, desk corner's last column among them.
     """
-    if blas_threads() != 1:
-        return 1
-    return max(1, min(usable_cpus(), A.size // PART_ENTRIES, lines // PART_LINES))
+    return _cpu_parts(min(A.size // PART_ENTRIES, lines // PART_LINES))
 
 
-def fill_blocks(fill, n_blocks, work, scratch=tuple):
-    """Call fill(b, *buffers) once for every block b of range(n_blocks), a
-    pass doing work multiply-adds in all, in parts: one per usable CPU
-    where numpy's OpenBLAS runs one thread, at most one per block, each
-    part doing at least PART_WORK multiply-adds; 1, a loop on the calling
-    thread, where BLAS runs more threads or the count cannot be read.
-    Parts run through fill_in_parts, each taking the next block no part
-    has taken, so that a part whose CPU is busy with other work holds the
-    pass up by one block at most; scratch gives each part its buffers.
-    The blocks are the caller's and do not move with the part count, so
-    each is the same BLAS call on the same operands whichever part takes
-    it, and the count never enters the bits. The passes: the pivot
-    search's residual updates and the Gram of check_orthonormal.
+def _work_parts(work):
+    """How many parts a pass in fixed blocks doing work multiply-adds is
+    made in: by _cpu_parts, each part doing at least PART_WORK. The blocks
+    do not move with the part count, so the count never enters the bits.
 
     The floor is set by what a worker thread costs, measured on two
     CPUs at one BLAS thread: starting and joining one took 0.10-0.18 ms,
@@ -176,26 +171,7 @@ def fill_blocks(fill, n_blocks, work, scratch=tuple):
     W'S1 stay in one part, and hybrid's 128 x 1864 W'S1 unless a block of
     steps adds more than 70 directions.
     """
-    parts = min(n_blocks, work // PART_WORK)
-    if parts > 1 and blas_threads() == 1:
-        parts = min(parts, usable_cpus())
-    else:
-        parts = 1
-    taken = itertools.count()
-    lock = threading.Lock()
-
-    def run(lo, hi, *buffers):  # a part: blocks in turn, not [lo, hi)
-        while True:
-            with lock:
-                b = next(taken)
-            if b >= n_blocks:
-                return
-            fill(b, *buffers)
-
-    if parts == 1:
-        run(0, 1, *scratch())
-    else:
-        fill_in_parts(run, parts, scratch, parts=parts)
+    return _cpu_parts(work // PART_WORK)
 
 
 def _over_lines(form, A, lines):
@@ -212,15 +188,18 @@ def _over_lines(form, A, lines):
     fill_in_parts(fill, blocks, parts=_part_count(A, lines))
 
 
-# as_matrix checks finiteness in blocks of SWEEP_BLOCK lines, or of this
-# many entries when those lines hold fewer: a 64 KB bool buffer, which
-# stays in cache. linalg.srrqr solves the columns of R12 in blocks by the
-# same rule, 512 KB of float64, which keeps the number of solves small;
-# linalg.pivoted_qr forms R's trailing columns, and the pivot search brings
-# its residuals up to date, by it too, and the search's pool of leading
-# columns, or a block of the columns whose residuals it computes again,
-# holds this many entries
+# the entries of a block of block_lines, and of the pivot search's pool of
+# leading columns or a block of the columns it recomputes (linalg._pivot_order)
 FINITE_BLOCK = 1 << 16
+
+
+def block_lines(width):
+    """SWEEP_BLOCK lines of width entries, or more when they are short, up
+    to FINITE_BLOCK entries: the block of as_matrix's finiteness check (a
+    64 KB bool buffer, which stays in cache), of srrqr's solves of R12
+    (512 KB of float64, which keeps the solves few), of pivoted_qr's
+    trailing columns of R and of the pivot search's updates (_downdate)."""
+    return max(SWEEP_BLOCK, FINITE_BLOCK // width)
 
 
 def as_2d(a, name="matrix"):
@@ -268,7 +247,7 @@ def as_matrix(a, name="matrix"):
     m = as_2d(a, name)
     if m.size:
         lines = m.T if m.flags.f_contiguous else m
-        step = max(SWEEP_BLOCK, FINITE_BLOCK // lines.shape[1])
+        step = block_lines(lines.shape[1])
         buf = np.empty((min(step, lines.shape[0]), lines.shape[1]), dtype=bool)
         for lo in range(0, lines.shape[0], step):
             block = lines[lo : lo + step]
@@ -335,20 +314,20 @@ def check_orthonormal(W, name="basis"):
 
 def _gram(W):
     """W'W; for a W of at least 2 PART_WORK multiply-adds, the sum of the
-    Grams of its two row halves, formed through fill_blocks. The halves
+    Grams of its two row halves, formed in _work_parts parts. The halves
     follow from the shape alone, and the value only decides the 1e-8
     test."""
     n, r = W.shape
     work = n * r * r
-    n_blocks = 2 if work >= 2 * PART_WORK else 1
-    cuts = (0, n // 2, n) if n_blocks == 2 else (0, n)
-    grams = np.empty((n_blocks, r, r))
+    cuts = (0, n // 2, n) if work >= 2 * PART_WORK else (0, n)
+    grams = np.empty((len(cuts) - 1, r, r))
 
-    def fill(b):
-        rows = W[cuts[b] : cuts[b + 1]]
-        np.matmul(rows.T, rows, out=grams[b])
+    def fill(lo, hi):
+        for b in range(lo, hi):
+            rows = W[cuts[b] : cuts[b + 1]]
+            np.matmul(rows.T, rows, out=grams[b])
 
-    fill_blocks(fill, n_blocks, work)
+    fill_in_parts(fill, len(grams), parts=_work_parts(work))
     return grams.sum(axis=0)
 
 
@@ -392,6 +371,14 @@ def check_at_least(value, low, name):
     if not value >= low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
     return value
+
+
+def check_count(value, low, name):
+    """value, if it is an integer (not a bool) of at least low; otherwise a
+    ValueError naming it, so that a count is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return check_at_least(value, low, name)
 
 
 def check_open_unit(value, name):

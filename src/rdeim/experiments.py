@@ -24,7 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import SWEEP_BLOCK, check_at_least, check_open_unit, check_seed, fill_in_parts
+from ._util import (
+    SWEEP_BLOCK,
+    check_at_least,
+    check_count,
+    check_open_unit,
+    check_seed,
+    fill_in_parts,
+)
 from .bounds import column_bounds
 from .linalg import column_residuals
 from .matio import ResultTable
@@ -263,7 +270,8 @@ class AlgorithmSpec:
     sampled 'leverage' and 'hybrid', and samples defaults to the practical
     leverage count. seed drives every random draw. Every option is checked
     whatever the basis and selector, by the helpers the kernels that read
-    it use, so a rule and its message are written once.
+    it use, so a rule and its message are written once. A count, n_test
+    included, must be an integer: a float or a bool is rejected.
     """
 
     rank: int
@@ -284,16 +292,16 @@ class AlgorithmSpec:
             raise ValueError(f"unknown basis kind {self.basis!r}; choose from {BASES}")
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector kind {self.selector!r}; choose from {SELECTORS}")
-        check_at_least(self.rank, 1, "rank")
-        check_at_least(self.oversample, 1, "oversample")
-        check_at_least(self.power, 0, "power")
+        check_count(self.rank, 1, "rank")
+        check_count(self.oversample, 1, "oversample")
+        check_count(self.power, 0, "power")
         check_open_unit(self.tol, "tol")
-        check_at_least(self.block, 1, "block")
-        check_at_least(self.max_blocks, 1, "max_blocks")
+        check_count(self.block, 1, "block")
+        check_count(self.max_blocks, 1, "max_blocks")
         check_at_least(self.eta, 1, "eta")
         check_open_unit(self.beta, "beta")
         if self.samples is not None:
-            check_at_least(self.samples, 1, "samples")
+            check_count(self.samples, 1, "samples")
         check_seed(self.seed)
 
 
@@ -325,7 +333,7 @@ class ExperimentSpec(AlgorithmSpec):
         if self.scale not in SCALE_NAMES:
             raise ValueError(f"unknown scale {self.scale!r}; choose from {SCALE_NAMES}")
         if self.n_test is not None:
-            check_at_least(self.n_test, 0, "n_test")
+            check_count(self.n_test, 0, "n_test")
         if "n_test" in self.overrides:
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
 

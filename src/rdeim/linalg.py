@@ -34,10 +34,11 @@ from ._util import (
     SWEEP_BLOCK,
     _part_count,
     _unit_scaled,
+    _work_parts,
     as_2d,
     as_matrix,
+    block_lines,
     check_at_least,
-    fill_blocks,
     fill_in_parts,
     finite_product,
     orthonormal_basis,
@@ -271,7 +272,7 @@ def pivoted_qr(M):
         R[:, :k] = qr
         _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1, overwrite_a=True)
         Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]), overwrite_a=True)
-        step = max(SWEEP_BLOCK, FINITE_BLOCK // k)
+        step = block_lines(k)
         for lo in range(k, n, step):
             # R[:, lo:hi]' is C-ordered: the product is written in place
             np.matmul(A.T[perm[lo : lo + step]], Q, out=R[:, lo : lo + step].T)
@@ -454,23 +455,24 @@ _COPY_ENTRIES = 1 << 19
 
 
 def _downdate(res, Mt, Q):
-    """res -= the squared row norms of Mt @ Q, in blocks of rows of
-    FINITE_BLOCK entries of the product (SWEEP_BLOCK rows at least), in
-    parts through fill_blocks. Each part forms its blocks' products and
-    sums in its own two buffers, so no worker allocates; the block bounds
-    do not depend on the part count."""
+    """res -= the squared row norms of Mt @ Q, in blocks of block_lines
+    rows, in _work_parts parts through fill_in_parts. Each part forms its
+    blocks' products and sums in its own two buffers, so no worker
+    allocates; the block bounds do not depend on the part count."""
     n, width = Mt.shape[0], Q.shape[1]
-    step = max(SWEEP_BLOCK, FINITE_BLOCK // width)
+    step = block_lines(width)
     n_blocks = -(-n // step)
 
-    def fill(b, P, sums):
-        rows = slice(b * step, (b + 1) * step)
-        block = Mt[rows]
-        product = np.matmul(block, Q, out=P[: block.shape[0]])
-        res[rows] -= np.einsum("ij,ij->i", product, product, out=sums[: block.shape[0]])
+    def fill(lo, hi, P, sums):
+        for b in range(lo, hi):
+            rows = slice(b * step, (b + 1) * step)
+            block = Mt[rows]
+            product = np.matmul(block, Q, out=P[: block.shape[0]])
+            res[rows] -= np.einsum("ij,ij->i", product, product, out=sums[: block.shape[0]])
 
-    fill_blocks(fill, n_blocks, Mt.size * width,
-                lambda: (np.empty((min(step, n), width)), np.empty(min(step, n))))
+    fill_in_parts(fill, n_blocks,
+                  lambda: (np.empty((min(step, n), width)), np.empty(min(step, n))),
+                  parts=_work_parts(Mt.size * width))
 
 
 def _upper_factor(qr):
@@ -580,15 +582,14 @@ def _max_interaction(R, r):
     order on ties; (0.0, 0, 0) when R12 has no columns.
 
     R12 is solved a block of columns at a time, as as_matrix checks
-    lines: SWEEP_BLOCK columns, or more when r is small, up to
-    FINITE_BLOCK entries, so no r x (n - r) temporary is formed and few
+    lines (block_lines), so no r x (n - r) temporary is formed and few
     solves are made. A block's np.argmax is its first maximal entry in
     row order; across blocks, a tie goes to the lower row, and in one row
     to the earlier block. The solves skip scipy's finiteness check:
     pivoted_qr checked R, and a swap refactors the same columns.
     """
     R11 = R[:r, :r]
-    step = max(SWEEP_BLOCK, FINITE_BLOCK // r)
+    step = block_lines(r)
     t, i, j = 0.0, 0, 0
     for lo in range(r, R.shape[1], step):
         T = solve_triangular(R11, R[:r, lo : lo + step], lower=False, check_finite=False)

@@ -36,7 +36,8 @@ class SelectionOperator:
 
     Column k of the dense operator is weights[k] times the indices[k]-th
     standard basis vector, so S' x picks and scales entries
-    ``(S' x)[k] = weights[k] * x[indices[k]]``.
+    ``(S' x)[k] = weights[k] * x[indices[k]]``. indices must be of an
+    integer dtype: a float index is rejected, not truncated.
     """
 
     indices: np.ndarray
@@ -44,17 +45,19 @@ class SelectionOperator:
     n: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
         w = np.asarray(self.weights, dtype=np.float64)
         if idx.ndim != 1 or w.ndim != 1 or idx.size != w.size:
             raise ValueError("indices and weights must be 1-d and equally long")
         if idx.size == 0:
             raise ValueError("selection must contain at least one point")
+        if idx.dtype.kind not in "iu":  # a float would be truncated; a bool is no index
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self.n:
             raise ValueError(f"indices must lie in [0, {self.n})")
         if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(np.intp, copy=False))
         object.__setattr__(self, "weights", w)
 
     @property

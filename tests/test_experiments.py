@@ -328,12 +328,35 @@ def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus
 
 
 def test_fill_in_parts_takes_a_part_count(monkeypatch):
-    # a count below the CPUs is kept, one above them too, and blocks cap it
+    # a count below the CPUs is kept, one above them too, and blocks cap it.
+    # 64 parts on at most 2 CPUs switch threads as often as they can: a
+    # block taken twice or lost shows in the counts, and each part has its
+    # own buffer
     patch_cpus(monkeypatch, 8)
-    for parts, n_blocks, count in ((2, 9, 2), (12, 20, 12), (5, 3, 3), (0, 4, 1)):
-        seen = []
-        _util.fill_in_parts(lambda lo, hi: seen.append((lo, hi)), n_blocks, parts=parts)
-        assert len(seen) == count and sorted(seen)[-1][1] == n_blocks
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cases = ((2, 9, 2), (12, 20, 12), (5, 3, 3), (0, 4, 1), (64, 2000, 64))
+        for parts, n_blocks, count in cases:
+            counts = np.zeros(n_blocks, dtype=int)
+            buffers = []
+
+            def scratch():  # called once per part
+                buffers.append(np.empty(1))
+                return (buffers[-1],)
+
+            def fill(lo, hi, buf):
+                buf[0] = lo
+                for b in range(lo, hi):
+                    counts[b] += 1
+
+            _util.fill_in_parts(fill, n_blocks, scratch, parts=parts)
+            assert (counts == 1).all() and len(buffers) == count
+            assert sorted(buf[0] for buf in buffers) == [n_blocks * k // count for k in range(count)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
 
 
 def test_fill_in_parts_runs_every_part_under_the_callers_errstate(monkeypatch):
@@ -366,52 +389,31 @@ def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
     assert sorted(done) == [0, 2]
 
 
-def test_fill_blocks_takes_every_block_once_on_more_parts_than_cpus(monkeypatch, one_blas_thread):
-    # 64 parts on at most 2 CPUs take 2000 blocks in turn, switching threads
-    # as often as they can: a block taken twice or lost shows in the counts
-    patch_cpus(monkeypatch, 64)
-    monkeypatch.setattr(_util, "PART_WORK", 1)
-    before = threading.active_count()
-    counts = np.zeros(2000, dtype=int)
-    buffers = []
-
-    def scratch():  # called once per part
-        buffers.append(np.empty(1))
-        return (buffers[-1],)
-
-    def fill(b, buf):
-        counts[b] += 1
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _util.fill_blocks(fill, counts.size, counts.size, scratch)
-    finally:
-        sys.setswitchinterval(interval)
-    assert (counts == 1).all() and len(buffers) == 64
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize(
-    "blas, n_blocks, work, parts",
-    [(1, 3, 3, 3), (1, 3, 2, 2), (1, 2, 9, 2), (1, 3, 1, 1), (2, 3, 3, 1), (None, 3, 3, 1)],
-)
-def test_fill_blocks_makes_a_part_per_cpu_block_and_floor_on_one_blas_thread(
-    monkeypatch, blas, n_blocks, work, parts
-):
-    # four CPUs and a floor of one unit of work a part; on more BLAS
-    # threads, or an unknown count, one part
+@pytest.mark.parametrize("blas", [1, 2, None])
+def test_passes_take_a_part_per_cpu_and_floor_on_one_blas_thread(monkeypatch, blas):
+    # four CPUs, and each floor cut at, below and above its multiples: a pass
+    # over A by its entries and lines, a pass in fixed blocks by its work.
+    # On more BLAS threads, or an unknown count, every pass is one part
     patch_cpus(monkeypatch, 4)
-    monkeypatch.setattr(_util, "PART_WORK", 1)
     monkeypatch.setattr(_util, "blas_threads", lambda: blas)
-    buffers, seen = [], []
+    entries, lines, work = _util.PART_ENTRIES, _util.PART_LINES, _util.PART_WORK
 
-    def scratch():  # called once per part
-        buffers.append(np.empty(1))
-        return (buffers[-1],)
+    def over(n_entries, n_lines):  # a stand-in for A that holds no memory
+        return _util._part_count(np.broadcast_to(0.0, (n_entries,)), n_lines)
 
-    _util.fill_blocks(lambda b, buf: seen.append(b), n_blocks, work, scratch)
-    assert len(buffers) == parts and sorted(seen) == list(range(n_blocks))
+    counts = [
+        (over(3 * entries, 9 * lines), 3),
+        (over(9 * entries, 3 * lines - 1), 2),
+        (over(9 * entries, 9 * lines), 4),
+        (over(2 * entries - 1, 9 * lines), 1),
+        (over(9 * entries, lines), 1),
+        (_util._work_parts(3 * work), 3),
+        (_util._work_parts(3 * work - 1), 2),
+        (_util._work_parts(9 * work), 4),
+        (_util._work_parts(2 * work - 1), 1),
+        (_util._work_parts(0), 1),
+    ]
+    assert [got for got, _ in counts] == [parts if blas == 1 else 1 for _, parts in counts]
 
 
 # ------------------------------------------------------------ spec/driver
@@ -446,12 +448,16 @@ def test_spec_validation():
         ("samples", -3, "samples must be >= 1"),
         ("samples", 0, "samples must be >= 1"),
     ]
+    # a count is an integer: a float is not truncated, and a bool is no count
+    for name in ("rank", "oversample", "power", "block", "max_blocks", "samples", "n_test"):
+        for value in (4.5, 20.0, True):
+            invalid.append((name, value, f"^{name} must be an integer, got {value!r}$"))
     for basis in BASES:
         for selector in SELECTORS:
             for name, value, message in invalid:
                 with pytest.raises(ValueError, match=message):
-                    ExperimentSpec(example="osc", rank=5, basis=basis, selector=selector,
-                                   **{name: value})
+                    ExperimentSpec(example="osc", **{"rank": 5, "basis": basis,
+                                                     "selector": selector, name: value})
     # the spec and the kernel that reads an option share its rule and message
     lev = np.full(10, 0.5)
     for check in (lambda: mixed_pmf(lev, 5, 2.0), lambda: AlgorithmSpec(rank=5, beta=2.0)):

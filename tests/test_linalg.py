@@ -464,7 +464,7 @@ def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(monkeypatch
 
     M = random_matrix(2, 6, seed=0)
     perm = pivoted_qr(M)[1]
-    monkeypatch.setattr(rdeim.linalg, "SWEEP_BLOCK", 2)
+    monkeypatch.setattr(rdeim.linalg, "block_lines", lambda width: 2)
     monkeypatch.setattr(rdeim.linalg, "FINITE_BLOCK", 2)
     monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
     fac = srrqr(M, 2, eta=2.0)

@@ -1,10 +1,16 @@
 import os
+import re
 import struct
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdeim.matio import MAGIC, ResultTable, emit_csv, read_matrix, write_matrix
 
@@ -144,6 +150,52 @@ def test_pipe_of_the_wrong_size_is_rejected(tmp_path, edit, message):
     with pytest.raises(ValueError, match=f"pipe.rdmx: {message}"):
         read_matrix(pipe)
     writer.join()
+
+
+@st.composite
+def _matrix_files(draw):
+    """The bytes of an RDMXMAT1 file and the matrix they hold, or None
+    where an edit spoiled them: a truncation anywhere, trailing bytes, or
+    one payload entry turned into an infinity or a NaN of any sign and
+    payload."""
+    shape = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    A = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    data = MAGIC + struct.pack("<QQ", *shape) + A.T.astype("<f8").tobytes()
+    edit = draw(st.sampled_from(["none", "truncate", "trail", "nonfinite"]))
+    if edit == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))], None
+    if edit == "trail":
+        return data + draw(st.binary(min_size=1, max_size=24)), None
+    if edit == "nonfinite" and A.size:
+        # every exponent bit set: the mantissa 0 is an infinity, any other a NaN
+        bits = draw(st.sampled_from([0, 1 << 63])) | (0x7FF << 52) | draw(st.integers(0, (1 << 52) - 1))
+        at = 24 + 8 * draw(st.integers(0, A.size - 1))
+        return data[:at] + struct.pack("<Q", bits) + data[at + 8 :], None
+    return data, A
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrix_files())
+def test_read_matrix_round_trips_a_good_file_and_names_the_path_of_a_bad_one(case):
+    # through a pipe and as a regular file: a bad file raises a ValueError
+    # naming its path, a good one comes back bit for bit. The pipe is read
+    # first, so that its writer is never left waiting for a reader
+    data, A = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.rdmx"
+        path.write_bytes(data)
+        pipe, writer = _through_fifo(Path(tmp), data)
+        try:
+            for source in (pipe, path):
+                if A is None:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(source))}: "):
+                        read_matrix(source)
+                else:
+                    B = read_matrix(source)
+                    assert B.shape == A.shape and B.flags.f_contiguous
+                    assert B.tobytes() == A.tobytes()
+        finally:
+            writer.join()
 
 
 def test_read_returns_fortran_ordered_float64(tmp_path):

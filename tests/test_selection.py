@@ -54,6 +54,10 @@ def test_operator_validation():
         SelectionOperator(np.array([0, 1]), np.array([1.0]), n=3)
     with pytest.raises(ValueError):
         SelectionOperator(np.array([], dtype=int), np.array([]), n=3)
+    # a float index is not truncated to a point, and a bool is no index
+    for indices in ([1.7, 2.2], [True, False]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SelectionOperator(np.array(indices), np.ones(2), n=3)
 
 
 # ------------------------------------------------------- leverage machinery

@@ -373,12 +373,15 @@ def check_at_least(value, low, name):
     return value
 
 
-def check_count(value, low, name):
-    """value, if it is an integer (not a bool) of at least low; otherwise a
-    ValueError naming it, so that a count is never truncated."""
+def check_count(value, low, name, high=None):
+    """value as an int, if it is an integer (not a bool) of at least low and,
+    where high is given, at most high; otherwise a ValueError naming it.
+    The one check of every count the library takes: none is truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return check_at_least(value, low, name)
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return int(check_at_least(value, low, name))
 
 
 def check_open_unit(value, name):
@@ -390,6 +393,7 @@ def check_open_unit(value, name):
 
 
 def check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """seed as an int, if it is a nonnegative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)

@@ -18,6 +18,7 @@ from ._util import (
     as_matrix,
     as_singular_values,
     check_at_least,
+    check_count,
     check_open_unit,
     orthonormal_basis,
 )
@@ -152,13 +153,9 @@ def perturbed_basis_bound(P_hat, W_ref, f):
 
 def angle_bound_constant(rank, oversample, n_snapshots):
     """The constant C = sqrt(r/(p-1)) + e sqrt((r+p)(n_s - r)) / p."""
-    r, p, n_s = int(rank), int(oversample), int(n_snapshots)
-    if p < 2:
-        raise ValueError(f"oversample must be >= 2 for the expectation constant, got {p}")
-    if not 1 <= r <= n_s:
-        raise ValueError(f"rank must be in [1, {n_s}], got {r}")
-    if r + p > n_s:
-        raise ValueError(f"rank + oversample = {r + p} exceeds n_snapshots = {n_s}")
+    r = check_count(rank, 1, "rank")
+    p = check_count(oversample, 2, "oversample")  # the expectation needs p - 1 > 0
+    n_s = check_count(n_snapshots, r + p, "n_snapshots")
     return math.sqrt(r / (p - 1.0)) + math.e * math.sqrt((r + p) * (n_s - r)) / p
 
 
@@ -170,7 +167,7 @@ def expected_angle_bound(gamma, rank, oversample, power, n_snapshots):
     never exceeds 1, so values above 1 are reported as 1.
     """
     check_open_unit(gamma, "gamma")
-    q = int(check_at_least(power, 0, "power"))
+    q = check_count(power, 0, "power")
     C = angle_bound_constant(rank, oversample, n_snapshots)
     raw = gamma ** (2 * q + 1) * C / (1.0 - gamma)
     return min(1.0, raw)
@@ -197,9 +194,7 @@ def wedin_angle_bound(A, A_hat, rank):
     Ah = as_matrix(A_hat, "A_hat")
     if A.shape != Ah.shape:
         raise ValueError(f"shapes differ: {A.shape} vs {Ah.shape}")
-    r = int(rank)
-    if not 1 <= r <= min(A.shape):
-        raise ValueError(f"rank must be in [1, {min(A.shape)}], got {rank}")
+    r = check_count(rank, 1, "rank", min(A.shape))
     sv_a = _svd(A, "A", compute_uv=False)
     fh = thin_svd(Ah, r)
     sigma_r = fh.singular_values[r - 1]
@@ -216,19 +211,16 @@ def wedin_angle_bound(A, A_hat, rank):
 
 def srrqr_constant(eta, rank, n):
     """Deterministic selection constant sqrt(1 + eta^2 r (n - r))."""
-    r, n = int(rank), int(n)
     check_at_least(eta, 1, "eta")
-    if not 1 <= r <= n:
-        raise ValueError(f"rank must be in [1, {n}], got {r}")
+    n = check_count(n, 1, "n")
+    r = check_count(rank, 1, "rank", n)
     return math.sqrt(1.0 + eta * eta * r * (n - r))
 
 
 def leverage_constant(n, samples, beta, eps):
     """High-probability constant for pure leverage sampling:
     sqrt((n / c) / ((1 - beta)(1 - eps)))."""
-    n, c = int(n), int(samples)
-    if n < 1 or c < 1:
-        raise ValueError(f"n and samples must be positive, got {n}, {c}")
+    n, c = check_count(n, 1, "n"), check_count(samples, 1, "samples")
     check_open_unit(beta, "beta")
     check_open_unit(eps, "eps")
     return math.sqrt((n / c) / ((1.0 - beta) * (1.0 - eps)))
@@ -238,10 +230,8 @@ def hybrid_constant(n, samples, beta, eps, eta, rank):
     """High-probability constant for the two-stage selection:
     leverage_constant(n, c, beta, eps) * srrqr_constant(eta, r, c), the
     second factor for strong RRQR on the c sampled rows."""
-    c, r = int(samples), int(rank)
-    if not 1 <= r <= c:
-        raise ValueError(f"rank must be in [1, samples={c}], got {r}")
-    pruning = srrqr_constant(eta, r, c)  # checks eta before the leverage parameters
+    c = check_count(samples, 1, "samples")
+    pruning = srrqr_constant(eta, rank, c)  # checks eta and rank before the leverage parameters
     return leverage_constant(n, c, beta, eps) * pruning
 
 
@@ -249,11 +239,10 @@ def deviation_constant(rank, oversample, delta, n_snapshots):
     """Tail constant for the randomized residual at failure level delta:
     (e sqrt(r+p) / (p+1)) (2/delta)^(1/(p+1))
     (sqrt(n_s - r) + sqrt(r+p) + sqrt(2 log(2/delta)))."""
-    r, p, n_s = int(rank), int(oversample), int(n_snapshots)
-    check_at_least(p, 1, "oversample")
+    p = check_count(oversample, 1, "oversample")
     check_open_unit(delta, "delta")
-    if not 1 <= r <= n_s:
-        raise ValueError(f"rank must be in [1, {n_s}], got {r}")
+    n_s = check_count(n_snapshots, 1, "n_snapshots")
+    r = check_count(rank, 1, "rank", n_s)
     lead = math.e * math.sqrt(r + p) / (p + 1.0)
     lift = (2.0 / delta) ** (1.0 / (p + 1.0))
     tail = math.sqrt(n_s - r) + math.sqrt(r + p) + math.sqrt(2.0 * math.log(2.0 / delta))
@@ -268,9 +257,8 @@ def rsvd_expected_error(sv, rank, oversample):
     nonincreasing.
     """
     sv = as_singular_values(sv)
-    r, p = int(check_at_least(rank, 1, "rank")), int(oversample)
-    if p < 2:
-        raise ValueError(f"oversample must be >= 2 for the expectation bound, got {p}")
+    r = check_count(rank, 1, "rank")
+    p = check_count(oversample, 2, "oversample")  # the expectation needs p - 1 > 0
     if r >= sv.size:
         return 0.0
     tail = sv[r:]

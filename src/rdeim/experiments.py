@@ -18,6 +18,7 @@ sweep holds one basis, not one per rank, and it is dropped with the
 set.
 """
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,8 +95,7 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
     blocks, so no temporary grows with n_t. The blocks are filled through
     fill_in_parts, and the bits do not depend on the part count.
     """
-    if n_t < 2 or n_mu < 2:
-        raise ValueError(f"need at least 2 grid points per axis, got n_t={n_t}, n_mu={n_mu}")
+    n_t, n_mu = check_count(n_t, 2, "n_t"), check_count(n_mu, 2, "n_mu")
     t = np.linspace(1.0, 6.0, n_t)
     mu = np.linspace(0.0, np.pi, n_mu)
     F = np.multiply.outer(t, mu)
@@ -141,8 +141,7 @@ def corner_peak_snapshots(grid=100, param_grid=25):
     block, so no temporary grows with the column count and the bits do
     not depend on the part count.
     """
-    if grid < 2 or param_grid < 2:
-        raise ValueError(f"need at least 2 points per axis, got grid={grid}, param_grid={param_grid}")
+    grid, param_grid = check_count(grid, 2, "grid"), check_count(param_grid, 2, "param_grid")
     x = np.linspace(0.0, 1.0, grid)
     mus = np.linspace(0.0, 1.0, param_grid)
     h = _corner_h(x, mus)
@@ -178,7 +177,7 @@ def latin_hypercube(n_samples, ranges, seed):
     pairs strata across dimensions and each sample is jittered uniformly
     about its stratum midpoint.
     """
-    check_at_least(n_samples, 1, "n_samples")
+    n_samples = check_count(n_samples, 1, "n_samples")
     rng = np.random.default_rng(check_seed(seed))
     dims = len(ranges)
     out = np.empty((n_samples, dims))
@@ -230,8 +229,7 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
     spatial grid is n_grid x n_grid on the unit square, flattened with x1
     varying fastest.
     """
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
+    n_grid, n_train = check_count(n_grid, 2, "n_grid"), check_count(n_train, 1, "n_train")
     if len(ranges) != 3:
         raise ValueError("ranges must supply (mu3, mu4, mu5) intervals")
     x = np.linspace(0.0, 1.0, n_grid)
@@ -247,6 +245,7 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
 def source_test_points(snaps, n_test, seed):
     """Held-out source snapshots at parameters drawn uniformly over the box
     the training set snaps was sampled from."""
+    n_test = check_count(n_test, 0, "n_test")
     rng = np.random.default_rng(check_seed(seed))
     lo, hi = np.array(snaps.ranges).T
     params = lo + (hi - lo) * rng.uniform(size=(n_test, 3))
@@ -257,6 +256,12 @@ def source_test_points(snaps, n_test, seed):
         space=snaps.space,
         ranges=snaps.ranges,
     )
+
+
+# each example's snapshot generator, which generate calls with the scale's
+# grid, the overrides and, for 'source', the seed
+GENERATORS = {"osc": oscillator_snapshots, "corner": corner_peak_snapshots,
+              "source": gaussian_source_snapshots}
 
 
 @dataclass(frozen=True)
@@ -312,7 +317,8 @@ class ExperimentSpec(AlgorithmSpec):
 
     example is one of EXAMPLES ('osc', 'corner', 'source'); scale picks
     the named grid defaults, one of SCALE_NAMES ('desk', 'paper'), and
-    overrides replaces some of them.
+    overrides replaces some of them; its keys must be arguments of the
+    example's generator (GENERATORS), the seed aside.
     n_test is the number of held-out parameters a 'source' run sweeps: None
     takes the scale's count from SCALES, 0 sweeps the training columns
     instead; the other examples always sweep their training columns.
@@ -336,6 +342,10 @@ class ExperimentSpec(AlgorithmSpec):
             check_count(self.n_test, 0, "n_test")
         if "n_test" in self.overrides:
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
+        options = sorted(inspect.signature(GENERATORS[self.example]).parameters.keys() - {"seed"})
+        unknown = sorted(self.overrides.keys() - set(options))
+        if unknown:
+            raise ValueError(f"unknown {self.example} overrides {unknown}; choose from {options}")
 
 
 # (key, SnapshotSet, (rank, OrthonormalBasis) or None) of the last set
@@ -366,12 +376,9 @@ def generate(spec):
     if last is not None and last[0] == key:
         return last[1]
     last = _last_set = None  # nothing holds the old set while the new one is built
-    if spec.example == "osc":
-        snaps = oscillator_snapshots(**args)
-    elif spec.example == "corner":
-        snaps = corner_peak_snapshots(**args)
-    else:
-        snaps = gaussian_source_snapshots(seed=seed, **args)
+    if seed is not None:
+        args["seed"] = seed
+    snaps = GENERATORS[spec.example](**args)
     for array in (snaps.matrix, snaps.params, *snaps.space.values()):
         array.flags.writeable = False
     _last_set = (key, snaps, None)
@@ -388,10 +395,10 @@ def _exact_basis(A, rank):
     set. Any other A is factored on every call and nothing is held.
     """
     global _last_set
+    rank = check_count(rank, 1, "rank")
     last = _last_set
     if last is None or A is not last[1].matrix:
         return svd_basis(A, rank)
-    rank = int(rank)
     if last[2] is not None and last[2][0] == rank:
         return last[2][1]
     basis = svd_basis(A, rank)
@@ -497,7 +504,7 @@ def bench_basis(A, rank, oversample=10, power=0, seed=0, trials=3):
     finder's check, so no n x n_s temporary is formed.
     """
     A = np.asarray(A, dtype=np.float64)
-    check_at_least(trials, 1, "trials")
+    trials = check_count(trials, 1, "trials")
     methods = (
         ("exact-svd", lambda: svd_basis(A, rank)),
         ("randomized", lambda: subspace_range_finder(A, rank, oversample, power, seed)),

@@ -39,6 +39,7 @@ from ._util import (
     as_matrix,
     block_lines,
     check_at_least,
+    check_count,
     fill_in_parts,
     finite_product,
     orthonormal_basis,
@@ -125,18 +126,14 @@ def thin_svd(A, rank=None):
     k = min(m, n)
     if k == 0:  # LAPACK rejects a zero leading dimension
         raise ValueError(f"A has no singular values ({m} x {n})")
-    r = k if rank is None else int(rank)
-    if not 1 <= r <= k:
-        raise ValueError(f"rank must be in [1, {k}], got {rank}")
+    r = k if rank is None else check_count(rank, 1, "rank", k)
     qr, tau, ormqr = _householder_qr(A, "ormqr")
     # A, which geqrf factored a copy of, is read only if R is not finite
     R = finite_product(np.triu(qr[:k]), A, "A", "the QR of A")
     Ur, s, Vt = _svd(R, "the R factor", full_matrices=False)
     C = np.zeros((m, r), order="F")
     C[:k] = Ur[:, :r]
-    reflectors = qr[:, :k]
-    _, work, _ = _lapack(ormqr, A.shape, "L", "N", reflectors, tau, C, -1)
-    U, _, _ = _lapack(ormqr, A.shape, "L", "N", reflectors, tau, C, int(work[0]), overwrite_c=True)
+    U = _with_workspace(ormqr, A.shape, "L", "N", qr[:, :k], tau, C, overwrite_c=True)
     return ThinSVD(U=U, singular_values=s, V=Vt[:r].T)
 
 
@@ -159,6 +156,14 @@ def _lapack(routine, shape, *args, **kwargs):
     if info != 0:
         raise ConvergenceError(f"LAPACK {routine.__name__} failed on {shape} input (info={info})")
     return out
+
+
+def _with_workspace(routine, shape, *args, **kwargs):
+    """The first output of routine(*args, **kwargs) run through _lapack
+    with its queried optimal workspace (lwork). The query reads and writes
+    no array, so an overwrite flag in kwargs makes neither call copy."""
+    work = _lapack(routine, shape, *args, lwork=-1, **kwargs)[1]
+    return _lapack(routine, shape, *args, lwork=int(work[0]), **kwargs)[0]
 
 
 def _householder_qr(A, *then):
@@ -205,10 +210,7 @@ def thin_qr(A):
         raise ValueError(f"thin_qr needs a tall matrix with columns, got {m} x {n}")
     qr, tau, orgqr = _householder_qr(A, "orgqr")
     R = np.triu(qr[:n])
-    # a workspace query reads nothing, so it need not copy qr
-    _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1, overwrite_a=True)
-    Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]), overwrite_a=True)
-    return Q, R
+    return _with_workspace(orgqr, qr.shape, qr, tau, overwrite_a=True), R
 
 
 def pivoted_qr(M):
@@ -270,8 +272,7 @@ def pivoted_qr(M):
         # and orgqr forms its Q in place of qr
         R = np.empty((k, n), order="F")
         R[:, :k] = qr
-        _, work, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=-1, overwrite_a=True)
-        Q, _, _ = _lapack(orgqr, qr.shape, qr, tau, lwork=int(work[0]), overwrite_a=True)
+        Q = _with_workspace(orgqr, qr.shape, qr, tau, overwrite_a=True)
         step = block_lines(k)
         for lo in range(k, n, step):
             # R[:, lo:hi]' is C-ordered: the product is written in place
@@ -542,9 +543,7 @@ def srrqr(M, rank, eta=2.0):
     """
     A = as_2d(M, "M")  # pivoted_qr checks it for finiteness
     m, n = A.shape
-    r = int(rank)
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank must be in [1, {min(m, n)}], got {rank}")
+    r = check_count(rank, 1, "rank", min(m, n))
     check_at_least(eta, 1, "eta")
     cap = _SWAPS_PER_COLUMN * n
 

@@ -34,7 +34,7 @@ from ._util import (
     as_matrix,
     as_singular_values,
     as_vector,
-    check_at_least,
+    check_count,
     check_open_unit,
     check_seed,
     finite_product,
@@ -57,8 +57,7 @@ def gaussian_matrix(rows, cols, seed):
     The draw is deterministic for a given seed, and distinct seeds yield
     statistically independent streams.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"gaussian_matrix dimensions must be positive, got {rows} x {cols}")
+    rows, cols = check_count(rows, 1, "rows"), check_count(cols, 1, "cols")
     rng = np.random.default_rng(check_seed(seed))
     return rng.standard_normal((rows, cols))
 
@@ -168,9 +167,9 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     ValueError
         If A has a non-finite entry.
     """
-    check_at_least(rank, 1, "rank")
-    check_at_least(oversample, 1, "oversample")
-    check_at_least(power, 0, "power")
+    rank = check_count(rank, 1, "rank")
+    oversample = check_count(oversample, 1, "oversample")
+    power = check_count(power, 0, "power")
     check_seed(seed)
     A = as_2d(A, "A")
     try:
@@ -248,8 +247,8 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
         carries the partial basis and the relative residual it achieves.
     """
     check_open_unit(tol, "tol")
-    check_at_least(block, 1, "block")
-    check_at_least(max_blocks, 1, "max_blocks")
+    block = check_count(block, 1, "block")
+    max_blocks = check_count(max_blocks, 1, "max_blocks")
     check_seed(seed)
     A = as_2d(A, "A")
     n, n_s = A.shape
@@ -259,7 +258,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
             f"dimension {n}; the basis cannot outgrow its space"
         )
     if rank is not None:
-        check_at_least(rank, 1, "rank")
+        rank = check_count(rank, 1, "rank")
     rng = np.random.default_rng(seed)
     alpha = _squared_norm(A)
     if not _TARGET_FLOOR <= tol * tol * alpha < math.inf:
@@ -413,7 +412,7 @@ def _explicit_residual(A, W, C):
 def svd_basis(A, rank):
     """Leading left singular vectors of A as an OrthonormalBasis; only the
     rank kept vectors are formed (see thin_svd)."""
-    return OrthonormalBasis(thin_svd(A, int(rank)).U, "exact-svd")
+    return OrthonormalBasis(thin_svd(A, check_count(rank, 1, "rank")).U, "exact-svd")
 
 
 def truncation_rank(sv, eps):
@@ -458,8 +457,8 @@ class SketchState:
 
 def sketch_init(n, n_s, ell, seed):
     """Fresh sketch state for an n-by-n_s matrix with an n_s-by-ell Omega."""
-    if n < 1 or n_s < 1 or ell < 1:
-        raise ValueError(f"sketch dimensions must be positive, got n={n}, n_s={n_s}, ell={ell}")
+    n, n_s = check_count(n, 1, "n"), check_count(n_s, 1, "n_s")
+    ell = check_count(ell, 1, "ell")
     return SketchState(
         omega=gaussian_matrix(n_s, ell, seed),
         Y=np.zeros((n, ell)),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import check_at_least, check_open_unit, check_seed, orthonormal_basis
+from ._util import check_count, check_open_unit, check_seed, orthonormal_basis
 from .exceptions import (
     ConvergenceError,
     DegenerateBasisError,
@@ -37,7 +37,7 @@ class SelectionOperator:
     Column k of the dense operator is weights[k] times the indices[k]-th
     standard basis vector, so S' x picks and scales entries
     ``(S' x)[k] = weights[k] * x[indices[k]]``. indices must be of an
-    integer dtype: a float index is rejected, not truncated.
+    integer dtype and n an integer: a float is rejected, not truncated.
     """
 
     indices: np.ndarray
@@ -53,6 +53,7 @@ class SelectionOperator:
             raise ValueError("selection must contain at least one point")
         if idx.dtype.kind not in "iu":  # a float would be truncated; a bool is no index
             raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+        check_count(self.n, 1, "n")
         if idx.min() < 0 or idx.max() >= self.n:
             raise ValueError(f"indices must lie in [0, {self.n})")
         if not np.isfinite(w).all() or (w <= 0).any():
@@ -112,7 +113,7 @@ def mixed_pmf(leverage, rank, beta):
     if not (lev >= 0).all():  # a NaN fails this too
         raise ValueError("leverage scores must be nonnegative")
     check_open_unit(beta, "beta")
-    r = int(check_at_least(rank, 1, "rank"))
+    r = check_count(rank, 1, "rank")
     if abs(lev.sum() - r) > 1e-8 * r:
         raise ValueError(f"leverage scores sum to {lev.sum()!r}, expected rank {r}")
     return beta * lev / r + (1.0 - beta) / lev.size
@@ -125,7 +126,9 @@ def sample_count_bound(rank, beta, eps, delta, n=None):
     count exceeds it, the count is capped at n with a warning (sampling
     more rows than exist brings nothing).
     """
-    r = int(check_at_least(rank, 1, "rank"))
+    r = check_count(rank, 1, "rank")
+    if n is not None:
+        n = check_count(n, 1, "n")
     for name, val in (("beta", beta), ("eps", eps), ("delta", delta)):
         check_open_unit(val, name)
     if r / delta <= 1.0:
@@ -136,7 +139,7 @@ def sample_count_bound(rank, beta, eps, delta, n=None):
             f"leverage sample count {count} exceeds the row count {n}; capping at {n}",
             RuntimeWarning,
         )
-        count = int(n)
+        count = n
     return count
 
 
@@ -146,10 +149,10 @@ def practical_sample_count(rank):
     The rule gives no sample below rank 2, so a sampled selection on such
     a basis needs its count given explicitly.
     """
-    r = int(rank)
-    if r < 2:
+    r = check_count(rank, 1, "rank")
+    if r == 1:
         raise ValueError(
-            f"the practical sample count needs rank >= 2, got {rank}: "
+            "the practical sample count is 0 at rank 1: "
             "pass samples= (--samples on the command line)"
         )
     return int(np.ceil(3.0 * r * np.log(r)))
@@ -165,7 +168,7 @@ def leverage_select(W, s, beta, seed):
     W = orthonormal_basis(W, "W")
     n, r = W.matrix.shape
     probs = mixed_pmf(leverage_scores(W), r, beta)
-    s = int(check_at_least(s, 1, "samples"))
+    s = check_count(s, 1, "samples")
     rng = np.random.default_rng(check_seed(seed))
     idx = rng.choice(n, size=s, replace=True, p=probs)
     weights = 1.0 / np.sqrt(s * probs[idx])
@@ -198,9 +201,7 @@ def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
     W = orthonormal_basis(W, "W")
     Wm = W.matrix
     n, r = Wm.shape
-    c_ls = int(c_ls)
-    if c_ls < r:
-        raise ValueError(f"c_ls must be at least the basis rank {r}, got {c_ls}")
+    c_ls = check_count(c_ls, r, "c_ls")
     S1 = leverage_select(W, c_ls, beta, seed)
     M = (Wm[S1.indices, :] * S1.weights[:, None]).T  # r x c_ls, equals W' S1
     try:

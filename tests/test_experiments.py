@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -487,6 +488,8 @@ def test_spec_validation():
     # checked for every basis and selector, not only the ones that read it
     invalid = [
         ("seed", -1, "seed must be a nonnegative integer"),
+        ("seed", True, "seed must be a nonnegative integer"),
+        ("seed", np.True_, "seed must be a nonnegative integer"),
         ("oversample", 0, "oversample must be >= 1"),
         ("power", -1, "power must be >= 0"),
         ("tol", 5.0, r"tol must lie in \(0, 1\)"),
@@ -524,6 +527,23 @@ def test_spec_rejects_held_out_count_in_overrides():
         ExperimentSpec(
             example="source", rank=8, overrides={"n_grid": 10, "n_train": 30, "n_test": 5}
         )
+
+
+def test_spec_rejects_an_override_its_generator_does_not_take():
+    # an unknown key would reach the generator as a keyword it does not take
+    for example, options in (
+        ("osc", ["n_mu", "n_t"]),
+        ("corner", ["grid", "param_grid"]),
+        ("source", ["n_grid", "n_train", "ranges"]),
+    ):
+        for key in ("bogus", "seed", "n_t" if example != "osc" else "grid"):
+            message = rf"^unknown {example} overrides \['{key}'\]; choose from {re.escape(str(options))}$"
+            with pytest.raises(ValueError, match=message):
+                ExperimentSpec(example=example, rank=5, overrides={key: 3})
+    # a key the generator takes is checked there, as a direct call checks it
+    spec = ExperimentSpec(example="osc", rank=5, overrides={"n_t": 100.0})
+    with pytest.raises(ValueError, match=r"^n_t must be an integer, got 100\.0$"):
+        run_experiment(spec)
 
 
 def test_generate_scales_and_overrides():

@@ -52,6 +52,10 @@ def test_range_config_validation():
         subspace_range_finder(A, rank=3, power=-1)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         subspace_range_finder(A, rank=3, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        subspace_range_finder(A, rank=3, seed=True)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        subspace_range_finder(A, rank=4.5)
 
 
 def test_adaptive_config_validation():
@@ -66,6 +70,10 @@ def test_adaptive_config_validation():
         adaptive_range_finder(A, tol=0.1, max_blocks=0)
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         adaptive_range_finder(A, tol=0.1, block=2, max_blocks=2, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        adaptive_range_finder(A, tol=0.1, block=2, max_blocks=2, seed=True)
+    with pytest.raises(ValueError, match="block must be an integer"):
+        adaptive_range_finder(A, tol=0.1, block=2.5)
 
 
 def test_orthonormal_basis_rejects_skew():

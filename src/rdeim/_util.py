@@ -80,9 +80,10 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     independent row block at a time, with elementwise ufuncs that release
     the GIL, so the parts run at once. The BLAS passes take their part
     count from _part_count or _work_parts: the products with A (_over_lines),
-    linalg.column_residuals, the pivot search's updates (linalg._downdate)
-    and the Gram halves of check_orthonormal. A part whose CPU another
-    process holds delays the pass by its whole share.
+    linalg.column_residuals, the pivot search's updates (linalg._downdate),
+    srrqr's blocks of inv(R11) @ R12 (linalg._max_interaction) and the Gram
+    halves of check_orthonormal. A part whose CPU another process holds
+    delays the pass by its whole share.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate, so one part is
     one call of fill on the calling thread and starts no thread; scratch
@@ -196,9 +197,10 @@ FINITE_BLOCK = 1 << 16
 def block_lines(width):
     """SWEEP_BLOCK lines of width entries, or more when they are short, up
     to FINITE_BLOCK entries: the block of as_matrix's finiteness check (a
-    64 KB bool buffer, which stays in cache), of srrqr's solves of R12
-    (512 KB of float64, which keeps the solves few), of pivoted_qr's
-    trailing columns of R and of the pivot search's updates (_downdate)."""
+    64 KB bool buffer, which stays in cache), of srrqr's products of
+    inv(R11) with R12 (512 KB of float64, which keeps the products few), of
+    pivoted_qr's trailing columns of R and of the pivot search's updates
+    (_downdate)."""
     return max(SWEEP_BLOCK, FINITE_BLOCK // width)
 
 

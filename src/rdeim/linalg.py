@@ -12,8 +12,9 @@ ties to roundoff, which is the documented contract and gives the pivots
 of LAPACK ``geqp3``, while it brings up to date only the residuals that
 can still lead. pivoted_qr adds R from the pivot block (``geqrf`` and
 ``orgqr`` of those columns, applied to the rest), and the strong
-rank-revealing swap refinement on top of it refactors after each swap
-with one ``geqrf``. The pivoted factorizations return R and the
+rank-revealing swap refinement on top of it reads inv(R11) @ R12 from
+one inverse of R11 (``trtri``) and refactors after each swap with one
+``geqrf``. The pivoted factorizations return R and the
 permutation only: no Q of M is formed. selection.pqr_select takes its
 points from the search alone, with no R and no LAPACK call, and
 selection.srrqr_select from pivoted_qr plus those swaps; the greedy DEIM
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
 from ._util import (
@@ -230,8 +230,9 @@ def pivoted_qr(M):
 
     R is formed from the pivot block: one ``geqrf`` of M[:, perm[:k]] and,
     for a wide M, the ``orgqr`` Q of that block applied to the trailing
-    columns a block at a time (as _max_interaction solves them), each
-    product written into the one k-by-n R.
+    columns in blocks of block_lines(k), on the calling thread (a block
+    gathered in each part raised the peak RSS), each product written into
+    the one k-by-n R.
 
     Parameters
     ----------
@@ -511,9 +512,10 @@ def srrqr(M, rank, eta=2.0):
     search's: a row-major copy of a large column-major M', freed before R
     is allocated, its pool or one block of products and of sums per part
     (FINITE_BLOCK entries each) and its few arrays of one entry per
-    column; then one gathered block of M's columns for R and one block of
-    at most max(FINITE_BLOCK, rank * SWEEP_BLOCK) interactions.
-    A swap refactors a copy of M[:, perm], which becomes the new R.
+    column; then one gathered block of M's columns for R, inv(R11), and
+    per part one block of at most max(FINITE_BLOCK, rank * SWEEP_BLOCK)
+    interactions. A swap refactors a copy of M[:, perm], which becomes
+    the new R.
 
     Parameters
     ----------
@@ -535,7 +537,8 @@ def srrqr(M, rank, eta=2.0):
         If the pivoted QR of a finite M overflows.
     RankDeficiencyError
         If the leading block is numerically singular (matrix rank below
-        the requested rank).
+        the requested rank), or too near singular for inv(R11) @ R12 to
+        be finite.
     ConvergenceError
         If LAPACK reports a failure, or the swap budget is exhausted (only
         reachable for eta at the degenerate limit 1 with adversarial
@@ -580,22 +583,55 @@ def _max_interaction(R, r):
     R[:r, :r] and R12 = R[:r, r:], and its position, the first in row
     order on ties; (0.0, 0, 0) when R12 has no columns.
 
-    R12 is solved a block of columns at a time, as as_matrix checks
-    lines (block_lines), so no r x (n - r) temporary is formed and few
-    solves are made. A block's np.argmax is its first maximal entry in
-    row order; across blocks, a tie goes to the lower row, and in one row
-    to the earlier block. The solves skip scipy's finiteness check:
-    pivoted_qr checked R, and a swap refactors the same columns.
+    R11 is inverted once (LAPACK ``trtri``), and inv(R11) @ R12 is formed
+    a block of block_lines(r) columns at a time, in _work_parts parts
+    through fill_in_parts, each part into its own buffer, so no
+    r x (n - r) temporary is formed. A block's np.argmax is its first
+    maximal entry in row order; the calling thread merges the blocks in
+    order, where on a tie the lower row wins, and in one row the earlier
+    block.
+
+    Raises
+    ------
+    RankDeficiencyError
+        If an entry is not finite: R11 is too near singular to invert.
+    ConvergenceError
+        If ``trtri`` reports a failure (nonzero info).
     """
+    n = R.shape[1]
+    if n == r:
+        return 0.0, 0, 0
     R11 = R[:r, :r]
+    (trtri,) = get_lapack_funcs(("trtri",), (R11,))
+    inverse = _lapack(trtri, R11.shape, R11)[0]
     step = block_lines(r)
+    n_blocks = -(-(n - r) // step)
+    # each block's largest |entry| and its flat (row-major) position
+    best = np.empty(n_blocks)
+    where = np.empty(n_blocks, dtype=np.intp)
+
+    def fill(lo, hi, T):
+        for b in range(lo, hi):
+            block = R[:r, r + b * step : r + (b + 1) * step]
+            P = np.matmul(inverse, block, out=T[: block.size].reshape(block.shape))
+            np.abs(P, out=P)
+            flat = P.argmax()
+            where[b], best[b] = flat, P.item(flat)
+
+    # an overflow or a NaN, which the comparisons below would skip, raises
+    # here, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        fill_in_parts(fill, n_blocks, lambda: (np.empty(r * min(step, n - r)),),
+                      parts=_work_parts(r * r * (n - r)))
+    if not np.isfinite(best).all():
+        raise RankDeficiencyError(
+            f"inv(R11) @ R12 is not finite: the leading {r} x {r} block R11 is numerically singular"
+        )
     t, i, j = 0.0, 0, 0
-    for lo in range(r, R.shape[1], step):
-        T = solve_triangular(R11, R[:r, lo : lo + step], lower=False, check_finite=False)
-        np.abs(T, out=T)
-        bi, bj = np.unravel_index(np.argmax(T), T.shape)
-        if T[bi, bj] > t or (T[bi, bj] == t and bi < i):
-            t, i, j = T[bi, bj], bi, lo - r + bj
+    for b, value in enumerate(best.tolist()):
+        bi, bj = divmod(where.item(b), min(step, n - r - b * step))
+        if value > t or (value == t and bi < i):
+            t, i, j = value, bi, b * step + bj
     return t, i, j
 
 

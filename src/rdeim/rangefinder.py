@@ -468,8 +468,7 @@ def sketch_init(n, n_s, ell, seed):
 
 def sketch_absorb(st, j, col):
     """Absorb column j of A into the sketch: Y += a_j outer omega_j."""
-    if not 0 <= j < st.absorbed.size:
-        raise ValueError(f"column index {j} out of range [0, {st.absorbed.size})")
+    j = check_count(j, 0, "j", st.absorbed.size - 1)
     if st.absorbed[j]:
         raise ValueError(f"column {j} was already absorbed; use sketch_replace")
     col = as_vector(col, "col")
@@ -482,8 +481,7 @@ def sketch_absorb(st, j, col):
 
 def sketch_replace(st, j, old_col, new_col):
     """Replace an absorbed column: Y += (a_j_new - a_j_old) outer omega_j."""
-    if not 0 <= j < st.absorbed.size:
-        raise ValueError(f"column index {j} out of range [0, {st.absorbed.size})")
+    j = check_count(j, 0, "j", st.absorbed.size - 1)
     if not st.absorbed[j]:
         raise ValueError(f"column {j} was never absorbed; use sketch_absorb")
     old_col = as_vector(old_col, "old_col")

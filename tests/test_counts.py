@@ -30,7 +30,9 @@ from rdeim.linalg import srrqr, thin_svd
 from rdeim.rangefinder import (
     adaptive_range_finder,
     gaussian_matrix,
+    sketch_absorb,
     sketch_init,
+    sketch_replace,
     subspace_range_finder,
     svd_basis,
 )
@@ -50,6 +52,15 @@ LOW_RANK = random_matrix(30, 3, seed=1) @ random_matrix(3, 20, seed=2)
 W = random_orthonormal(30, 3, seed=3)
 SV = np.linspace(10.0, 1.0, 20)
 SOURCE = gaussian_source_snapshots(n_grid=4, n_train=5, seed=0)
+
+
+def _absorbed_sketch():
+    """A sketch of A with every column absorbed."""
+    st = sketch_init(30, 20, 4, 0)
+    for j in range(20):
+        sketch_absorb(st, j, A[:, j])
+    return st
+
 
 # (call of one count, the count's name, a valid value, its upper limit or None)
 COUNTS = {
@@ -108,6 +119,9 @@ COUNTS = {
     "sketch_init-n": (lambda v: sketch_init(v, 20, 4, 0), "n", 30, None),
     "sketch_init-n_s": (lambda v: sketch_init(30, v, 4, 0), "n_s", 20, None),
     "sketch_init-ell": (lambda v: sketch_init(30, 20, v, 0), "ell", 4, None),
+    "sketch_absorb-j": (lambda v: sketch_absorb(sketch_init(30, 20, 4, 0), v, A[:, 0]), "j", 3, None),
+    "sketch_replace-j": (
+        lambda v: sketch_replace(_absorbed_sketch(), v, A[:, 0], A[:, 1]), "j", 3, None),
     "oscillator_snapshots-n_t": (lambda v: oscillator_snapshots(n_t=v, n_mu=3), "n_t", 6, None),
     "oscillator_snapshots-n_mu": (lambda v: oscillator_snapshots(n_t=6, n_mu=v), "n_mu", 3, None),
     "corner_peak_snapshots-grid": (

@@ -1,6 +1,8 @@
 import functools
 import sys
+import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -421,55 +423,94 @@ def test_srrqr_kahan_requires_and_performs_swaps():
     assert list(fac.perm[:6]) != [0, 1, 2, 3, 4, 5]
 
 
+class _Numpy(types.ModuleType):
+    """numpy as rdeim.linalg sees it in a test that sets its own matmul."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _craft_interactions(monkeypatch, T):
+    """Make srrqr's interaction search see |T|: its block products on the R
+    that pivoted_qr returns write T's columns of each block, those on a
+    refactored R write zeros; pivoted_qr's own products run as they are.
+    Returns the log of every block product: ("pivoted" or "refactored",
+    its first column in R12, its width, its thread)."""
+    real_pivoted_qr = rdeim.linalg.pivoted_qr
+    pivoted, products = [], []
+
+    def pivoted_qr(M):
+        R, perm = real_pivoted_qr(M)
+        pivoted.append(R)
+        return R, perm
+
+    def matmul(a, b, out):
+        if not pivoted:
+            return np.matmul(a, b, out=out)
+        r, width = b.shape
+        # b is R[:r, lo:lo + width] of an R that owns its entries
+        lo = (b.ctypes.data - b.base.ctypes.data) // b.strides[1] - r
+        which = "pivoted" if b.base is pivoted[0] else "refactored"
+        products.append((which, lo, width, threading.get_ident()))
+        out[...] = T[:, lo : lo + width] if which == "pivoted" else 0.0
+        return out
+
+    numpy = _Numpy("numpy")
+    numpy.matmul = matmul
+    monkeypatch.setattr(rdeim.linalg, "pivoted_qr", pivoted_qr)
+    monkeypatch.setattr(rdeim.linalg, "np", numpy)
+    return products
+
+
 def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
     # |T| ties at (0, 2), (1, 0) and (1, 2): the swap takes (0, 2), the
-    # entry np.argmax picks, though (1, 0) comes first in the column-major
-    # layout solve_triangular returns
-    T = np.asfortranarray([[0.5, 1.0, 3.0], [3.0, 0.0, -3.0]])
-    solves = []
-
-    def crafted(R11, R12, lower, check_finite):
-        solves.append(R12.shape)
-        return T if len(solves) == 1 else np.zeros(R12.shape)
-
+    # entry np.argmax picks, though (1, 0) comes first in column-major order
+    T = np.array([[0.5, 1.0, 3.0], [3.0, 0.0, -3.0]])
     M = random_matrix(2, 5, seed=0)
     perm = pivoted_qr(M)[1]
-    monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
+    products = _craft_interactions(monkeypatch, T)
     fac = srrqr(M, 2, eta=2.0)
     perm[[0, 4]] = perm[[4, 0]]
-    assert solves == [(2, 3), (2, 3)]
+    assert [p[:3] for p in products] == [("pivoted", 0, 3), ("refactored", 0, 3)]
     assert list(fac.perm) == list(perm)
 
 
+_BLOCK_TIES = [
+    # ties at (1, 0) in the first block and (0, 2) in the second: the
+    # lower row wins though its block comes later
+    ([[0.5, 1.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 2),
+    # ties at (0, 1) and (0, 2) in one row: the earlier block wins
+    ([[0.5, 3.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 1),
+]
+
+
 @pytest.mark.parametrize(
-    "T, swap",
-    [
-        # ties at (1, 0) in the first block and (0, 2) in the second: the
-        # lower row wins though its block is solved later
-        ([[0.5, 1.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 2),
-        # ties at (0, 1) and (0, 2) in one row: the earlier block wins
-        ([[0.5, 3.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 1),
-    ],
+    "T, swap, parts",
+    [(T, swap, parts) for parts in (1, 2) for T, swap in _BLOCK_TIES],
+    ids=["T0-2", "T1-1", "T0-2-parts", "T1-1-parts"],
 )
-def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(monkeypatch, T, swap):
-    # R12's four columns are solved two at a time; the first check sees T,
-    # the check after the swap sees zeros
-    T = np.asarray(T)
-    solves = []
-
-    def crafted(R11, R12, lower, check_finite):
-        solves.append(R12.shape)
-        lo = 2 * (len(solves) - 1)
-        return T[:, lo : lo + 2].copy() if lo < T.shape[1] else np.zeros(R12.shape)
-
+def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(
+    request, monkeypatch, T, swap, parts
+):
+    # R12's four columns are formed two at a time, in one part or, with the
+    # work floor lowered, one block a part on two CPUs; the first check
+    # sees T, the check after the swap sees zeros
+    if parts == 2:
+        request.getfixturevalue("one_blas_thread")
+        monkeypatch.setattr(_util, "PART_WORK", 1)
+    patch_cpus(monkeypatch, parts)
     M = random_matrix(2, 6, seed=0)
     perm = pivoted_qr(M)[1]
     monkeypatch.setattr(rdeim.linalg, "block_lines", lambda width: 2)
     monkeypatch.setattr(rdeim.linalg, "FINITE_BLOCK", 2)
-    monkeypatch.setattr(rdeim.linalg, "solve_triangular", crafted)
+    products = _craft_interactions(monkeypatch, np.asarray(T))
     fac = srrqr(M, 2, eta=2.0)
     perm[[0, 2 + swap]] = perm[[2 + swap, 0]]
-    assert solves == [(2, 2)] * 4
+    assert sorted(p[:3] for p in products) == [
+        ("pivoted", 0, 2), ("pivoted", 2, 2), ("refactored", 0, 2), ("refactored", 2, 2),
+    ]
+    # the two tied blocks were formed on one thread per part
+    assert len({p[3] for p in products if p[0] == "pivoted"}) == parts
     assert list(fac.perm) == list(perm)
     assert fac.swaps == 1 and fac.max_interaction == 0.0
 
@@ -592,6 +633,36 @@ def test_selection_kernels_keep_their_bits_in_parts_and_layouts(monkeypatch, one
                 elif not all(np.array_equal(a, b) for a, b in zip(got, expected)):
                     mismatches.append((case, M.shape, order, cpus))
     assert mismatches == []
+
+
+def test_max_interaction_matches_the_solves():
+    # the inverse of R11 and its block products find the entry that
+    # triangular solves of R12 find, on the pivoted R of the swapping
+    # inputs, the desk bases and a wide orthonormal W', to 16 eps (the
+    # largest difference seen was 2 eps); srrqr swaps as the oracle does
+    wide = random_orthonormal(10000, 96, seed=7).T
+    cases = [(make(), rank) for make, rank, _ in _SWAPPING.values()]
+    cases += [(M, M.shape[0]) for M in _desk_pivot_inputs()] + [(wide, 96)]
+    for case, (M, rank) in enumerate(cases):
+        R = pivoted_qr(M)[0]
+        T = np.abs(solve_triangular(R[:rank, :rank], R[:rank, rank:]))
+        i, j = np.unravel_index(np.argmax(T), T.shape)
+        t, *where = rdeim.linalg._max_interaction(R, rank)
+        assert where == [i, j], case
+        assert t == pytest.approx(T[i, j], rel=16 * np.finfo(np.float64).eps, abs=0.0), case
+    for make, rank, eta in _SWAPPING.values():
+        M = make()
+        assert srrqr(M, rank, eta).swaps == reference_srrqr(M, rank, eta)[3]
+
+
+@pytest.mark.parametrize("corner", [1e-300, 1e-320], ids=["overflow", "nan"])
+def test_max_interaction_raises_when_an_interaction_is_not_finite(corner):
+    # R11 = diag(corner, 1): at 1e-300 its inverse is finite and times the
+    # 1e300 of R12 overflows; at 1e-320 the inverse is infinite and times
+    # the 0 of R12 is a NaN, which np.argmax takes and a comparison skips
+    R = np.array([[corner, 0.0, 1e300 if corner == 1e-300 else 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(RankDeficiencyError, match="R11"):
+        rdeim.linalg._max_interaction(R, 2)
 
 
 def test_pivot_search_rescales_squares_that_underflow():
@@ -1004,8 +1075,9 @@ _FAULT_CASES.update(
     thin_svd=lambda: thin_svd(random_matrix(8, 5, seed=1), 2),
     thin_qr=lambda: thin_qr(random_matrix(12, 4, seed=2)),
     pivoted_qr=lambda: pivoted_qr(random_matrix(6, 9, seed=3)),
+    # the pivot block's geqrf and orgqr, then the trtri of R11
     srrqr=lambda: srrqr(random_matrix(6, 9, seed=4), 3),
-    # one swap: the geqrf of the refactoring fails in turn too
+    # one swap: the geqrf of the refactoring and its trtri fail in turn too
     srrqr_swap=lambda: srrqr(_kahan(12, c=0.5), 6),
     spectral_norm=lambda: spectral_norm(random_matrix(7, 5, seed=5)),
     canonical_angles=lambda: canonical_angles(
@@ -1041,8 +1113,9 @@ def test_every_factorization_failure_is_a_typed_error(monkeypatch, call):
 def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkeypatch):
     # pqr reads only the pivots, srrqr the pivots and R, and a bound the
     # largest angle: the pivot search calls no LAPACK routine, R is the
-    # geqrf of the pivot block with the orgqr Q of that block only, and no
-    # SVD of W'Wh forms the cosines
+    # geqrf of the pivot block with the orgqr Q of that block only, the
+    # interaction search inverts R11 once (trtri), and no SVD of W'Wh forms
+    # the cosines
     state = _fail_one_call(monkeypatch)
 
     def calls(run):
@@ -1053,12 +1126,12 @@ def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkey
     assert calls(lambda: pqr_select(W))[1] == []
     assert srrqr(W.T, 6).swaps == 0
     pivot_block = ["geqrf_lwork", "geqrf", "orgqr", "orgqr"]  # orgqr after its workspace query
-    assert calls(lambda: srrqr_select(W))[1] == pivot_block
+    assert calls(lambda: srrqr_select(W))[1] == pivot_block + ["trtri"]
     # a square input has no trailing columns, so no Q; each swap refactors
-    # with one geqrf, after its workspace query
+    # with one geqrf, after its workspace query, and inverts the new R11
     fac, log = calls(lambda: srrqr(_kahan(12, c=0.5), 6))
     assert fac.swaps > 0
-    assert log == ["geqrf_lwork", "geqrf"] * (1 + fac.swaps)
+    assert log == ["geqrf_lwork", "geqrf", "trtri"] * (1 + fac.swaps)
     # the one SVD is the spectral norm of Wh - W (W'Wh)
     pair = random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)
     assert calls(lambda: canonical_angles(*pair))[1] == ["svd"]

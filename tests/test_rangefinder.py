@@ -1084,7 +1084,7 @@ def test_sketch_precondition_errors():
         sketch_absorb(st, 9, col)
     with pytest.raises(ValueError):
         sketch_absorb(st, 3, np.ones(4))
-    with pytest.raises(ValueError, match=r"column index 5 out of range \[0, 5\)"):
+    with pytest.raises(ValueError, match=r"j must be in \[0, 4\]"):
         sketch_replace(st, 5, col, col)
     with pytest.raises(ValueError, match="column length does not match sketch rows"):
         sketch_replace(st, 2, np.ones(4), col)

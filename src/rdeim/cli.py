@@ -7,7 +7,6 @@ commands exit 0 on success and nonzero with a message on stderr otherwise.
 """
 
 import argparse
-import dataclasses
 import functools
 import inspect
 import sys
@@ -44,41 +43,58 @@ _CONSTANTS = {
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output file path")
 
 
 def _example_args(p):
     p.add_argument("--example", choices=EXAMPLES, required=True)
-    p.add_argument("--scale", choices=SCALE_NAMES, default="desk")
+    p.add_argument("--scale", choices=SCALE_NAMES)
 
 
 def _basis_args(p):
     p.add_argument("--rank", type=int, default=10)
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--block", type=int, default=10)
-    p.add_argument("--max-blocks", type=int, default=40)
-    p.add_argument("--basis", choices=BASES, default="svd")
+    p.add_argument("--oversample", type=int)
+    p.add_argument("--power", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--block", type=int)
+    p.add_argument("--max-blocks", type=int)
+    p.add_argument("--basis", choices=BASES)
 
 
 def _selector_args(p):
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--select", dest="selector", choices=SELECTORS, default="pqr")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--select", dest="selector", choices=SELECTORS)
 
 
-def _spec(args, cls=AlgorithmSpec, **fields):
-    """A cls spec from every field of it that the parsed arguments carry."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
+# a callee's signature, read once per process
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
+
+
+def _call(fn, args, **fixed):
+    """fn called with fixed plus every parsed option named like one of its
+    parameters. An option not given is not in args, so fn's own default
+    holds; a parameter with no default that no option gave is an error
+    naming that option."""
+    params = _signature(fn).parameters
+    kwargs = {name: value for name, value in vars(args).items() if name in params}
+    kwargs.update(fixed)
+    for name, param in params.items():
+        if name not in kwargs and param.default is param.empty:
+            # only bounds can get here, where --kind picks fn
+            who = f"--kind {args.kind}" if args.command == "bounds" else fn.__name__
+            raise ValueError(f"{who} requires --{name.replace('_', '-')}")
+    return fn(**kwargs)
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="rdeim", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    # an option not given stays out of the namespace, so the spec or the
+    # function it is passed to states its default, once
+    quiet = functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=quiet)
 
     p = sub.add_parser("gen", help="generate a snapshot matrix")
     _example_args(p)
@@ -99,7 +115,6 @@ def build_parser():
     p.add_argument(
         "--n-test",
         type=int,
-        default=None,
         help="held-out source parameters to sweep (default: the scale's count; "
         "0 sweeps the training columns)",
     )
@@ -123,23 +138,23 @@ def build_parser():
     p = sub.add_parser("bench", help="time exact vs randomized basis construction")
     _example_args(p)
     p.add_argument("--rank", type=int, default=10)
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power", type=int, default=0)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--oversample", type=int)
+    p.add_argument("--power", type=int)
+    p.add_argument("--trials", type=int)
     _add_common(p)
 
     return ap
 
 
 def _cmd_gen(args):
-    snaps = generate(_spec(args, ExperimentSpec, rank=1))
+    snaps = generate(_call(ExperimentSpec, args, rank=1))
     write_matrix(args.out, snaps.matrix)
     print(f"wrote {snaps.matrix.shape[0]} x {snaps.matrix.shape[1]} matrix to {args.out}")
     return 0
 
 
 def _cmd_basis(args):
-    basis = build_basis(read_matrix(args.matrix), _spec(args))
+    basis = build_basis(read_matrix(args.matrix), _call(AlgorithmSpec, args))
     write_matrix(args.out, basis.matrix)
     print(f"wrote {basis.provenance} basis of rank {basis.rank} to {args.out}")
     return 0
@@ -149,7 +164,8 @@ def _cmd_select(args):
     # the one orthonormality check, naming the file; the selectors and the
     # projector trust the OrthonormalBasis it yields
     basis = OrthonormalBasis(read_matrix(args.basis_file), args.basis_file)
-    S = select_points(basis, _spec(args, rank=basis.rank))
+    spec = _call(AlgorithmSpec, args, rank=basis.rank)
+    S = select_points(basis, spec)
     # a degenerate selection fails here, before anything is written
     check_full_rank(basis, S)
     table = ResultTable(
@@ -158,12 +174,12 @@ def _cmd_select(args):
         summary={},
     )
     emit_csv(table, args.out)
-    print(f"wrote {S.s} points ({args.selector}) to {args.out}")
+    print(f"wrote {S.s} points ({spec.selector}) to {args.out}")
     return 0
 
 
 def _cmd_approx(args):
-    table = run_experiment(_spec(args, ExperimentSpec))
+    table = run_experiment(_call(ExperimentSpec, args))
     emit_csv(table, args.out)
     mean = table.summary["rel_error_mean"]
     print(
@@ -179,27 +195,13 @@ def _cmd_bounds(args):
     for name in ("beta", "eps", "delta"):
         check_open_unit(getattr(args, name), f"--{name}")
     check_at_least(args.eta, 1, "--eta")
-    constant = _CONSTANTS[args.kind]
-    params = {}
-    for name in inspect.signature(constant).parameters:
-        val = getattr(args, name)
-        if val is None:
-            raise ValueError(f"--kind {args.kind} requires --{name.replace('_', '-')}")
-        params[name] = val
-    print(f"{args.kind} {constant(**params)!r}")
+    print(f"{args.kind} {_call(_CONSTANTS[args.kind], args)!r}")
     return 0
 
 
 def _cmd_bench(args):
-    snaps = generate(_spec(args, ExperimentSpec))
-    table = bench_basis(
-        snaps.matrix,
-        args.rank,
-        oversample=args.oversample,
-        power=args.power,
-        seed=args.seed,
-        trials=args.trials,
-    )
+    snaps = generate(_call(ExperimentSpec, args))
+    table = _call(bench_basis, args, A=snaps.matrix)
     emit_csv(table, args.out)
     for row in table.rows:
         print(f"{row[0]}: {row[4]:.4f} s (rel residual {row[5]:.3e})")

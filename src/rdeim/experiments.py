@@ -53,6 +53,10 @@ from .selection import (
 
 SOURCE_RANGES = ((0.2, 0.8), (0.15, 0.35), (0.1, 0.35))
 
+# the least value of each grid count a generator takes; an ExperimentSpec
+# checks its overrides against the same lows
+GRID_LOWS = {"n_t": 2, "n_mu": 2, "grid": 2, "param_grid": 2, "n_grid": 2, "n_train": 1}
+
 # desk-scale defaults keep every experiment laptop-sized; paper scale
 # reproduces the published grids
 SCALES = {
@@ -68,6 +72,11 @@ BASES = ("svd", "basic", "subspace", "adaptive")
 SELECTORS = ("greedy", "pqr", "srrqr", "leverage", "hybrid")
 EXAMPLES = tuple(SCALES)
 SCALE_NAMES = tuple(SCALES[EXAMPLES[0]])  # every example names the same scales
+
+
+def _grid_counts(**counts):
+    """Each grid count as an int, read by check_count at its GRID_LOWS low."""
+    return [check_count(value, GRID_LOWS[name], name) for name, value in counts.items()]
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
     blocks, so no temporary grows with n_t. The blocks are filled through
     fill_in_parts, and the bits do not depend on the part count.
     """
-    n_t, n_mu = check_count(n_t, 2, "n_t"), check_count(n_mu, 2, "n_mu")
+    n_t, n_mu = _grid_counts(n_t=n_t, n_mu=n_mu)
     t = np.linspace(1.0, 6.0, n_t)
     mu = np.linspace(0.0, np.pi, n_mu)
     F = np.multiply.outer(t, mu)
@@ -141,7 +150,7 @@ def corner_peak_snapshots(grid=100, param_grid=25):
     block, so no temporary grows with the column count and the bits do
     not depend on the part count.
     """
-    grid, param_grid = check_count(grid, 2, "grid"), check_count(param_grid, 2, "param_grid")
+    grid, param_grid = _grid_counts(grid=grid, param_grid=param_grid)
     x = np.linspace(0.0, 1.0, grid)
     mus = np.linspace(0.0, 1.0, param_grid)
     h = _corner_h(x, mus)
@@ -229,7 +238,7 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
     spatial grid is n_grid x n_grid on the unit square, flattened with x1
     varying fastest.
     """
-    n_grid, n_train = check_count(n_grid, 2, "n_grid"), check_count(n_train, 1, "n_train")
+    n_grid, n_train = _grid_counts(n_grid=n_grid, n_train=n_train)
     if len(ranges) != 3:
         raise ValueError("ranges must supply (mu3, mu4, mu5) intervals")
     x = np.linspace(0.0, 1.0, n_grid)
@@ -272,11 +281,13 @@ class AlgorithmSpec:
     which is subspace iteration at power 0), 'subspace' (power iterations)
     or 'adaptive' (tol, block, max_blocks; truncated to rank). selector is
     one of SELECTORS; eta drives 'srrqr' and 'hybrid', beta and samples the
-    sampled 'leverage' and 'hybrid', and samples defaults to the practical
-    leverage count. seed drives every random draw. Every option is checked
-    whatever the basis and selector, by the helpers the kernels that read
-    it use, so a rule and its message are written once. A count, n_test
-    included, must be an integer: a float or a bool is rejected.
+    sampled 'leverage' and 'hybrid'. samples defaults to the practical
+    leverage count; a given count is drawn as given, with replacement,
+    also above the row count. seed drives every random draw. Every option
+    is checked whatever the basis and selector, by the helpers the kernels
+    that read it use, so a rule and its message are written once. A
+    count, n_test included, must be an integer: a float or a bool is
+    rejected.
     """
 
     rank: int
@@ -318,7 +329,9 @@ class ExperimentSpec(AlgorithmSpec):
     example is one of EXAMPLES ('osc', 'corner', 'source'); scale picks
     the named grid defaults, one of SCALE_NAMES ('desk', 'paper'), and
     overrides replaces some of them; its keys must be arguments of the
-    example's generator (GENERATORS), the seed aside.
+    example's generator (GENERATORS), the seed aside, and a grid count
+    among them is checked here at its GRID_LOWS low, as the generator
+    checks it.
     n_test is the number of held-out parameters a 'source' run sweeps: None
     takes the scale's count from SCALES, 0 sweeps the training columns
     instead; the other examples always sweep their training columns.
@@ -346,6 +359,7 @@ class ExperimentSpec(AlgorithmSpec):
         unknown = sorted(self.overrides.keys() - set(options))
         if unknown:
             raise ValueError(f"unknown {self.example} overrides {unknown}; choose from {options}")
+        _grid_counts(**{k: v for k, v in self.overrides.items() if k in GRID_LOWS})
 
 
 # (key, SnapshotSet, (rank, OrthonormalBasis) or None) of the last set
@@ -429,7 +443,6 @@ def select_points(basis, spec):
     if spec.selector == "srrqr":
         return srrqr_select(basis, eta=spec.eta)
     count = spec.samples if spec.samples is not None else practical_sample_count(basis.rank)
-    count = min(count, basis.matrix.shape[0])
     if spec.selector == "leverage":
         return leverage_select(basis, count, spec.beta, spec.seed)
     _, _, S = hybrid_select(basis, count, spec.beta, eta=spec.eta, seed=spec.seed)

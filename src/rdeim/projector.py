@@ -136,7 +136,7 @@ def _cross_matrix(W, S):
         raise ValueError(f"selection is over {S.n} rows but the basis has {n}")
     if S.s < r:
         raise ValueError(f"selection has {S.s} points, fewer than the basis rank {r}")
-    return Wm[S.indices, :] * S.weights[:, None]
+    return S.restrict(Wm)
 
 
 def _require_full_rank(s):

@@ -66,7 +66,8 @@ class SelectionOperator:
         return self.indices.size
 
     def restrict(self, x):
-        """Apply S': pick and scale the selected entries of x."""
+        """Apply S': pick and scale the selected entries of a vector x, or
+        the selected rows of a matrix x (then a C-ordered s x k array)."""
         x = np.asarray(x, dtype=np.float64)
         return self.weights * x[self.indices] if x.ndim == 1 else self.weights[:, None] * x[self.indices]
 
@@ -203,7 +204,7 @@ def hybrid_select(W, c_ls, beta, eta=2.0, seed=0):
     n, r = Wm.shape
     c_ls = check_count(c_ls, r, "c_ls")
     S1 = leverage_select(W, c_ls, beta, seed)
-    M = (Wm[S1.indices, :] * S1.weights[:, None]).T  # r x c_ls, equals W' S1
+    M = S1.restrict(Wm).T  # r x c_ls: W' S1
     try:
         fac = srrqr(M, r, eta)
     except RankDeficiencyError as err:

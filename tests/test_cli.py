@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import rdeim.cli
 import rdeim.experiments
 from rdeim.bounds import deviation_constant, hybrid_constant, leverage_constant, srrqr_constant
 from rdeim.cli import main
+from rdeim.experiments import AlgorithmSpec, ExperimentSpec, bench_basis
 from rdeim.matio import read_matrix, write_matrix
 
 from conftest import patch_cpus, random_matrix, random_orthonormal
@@ -443,3 +446,66 @@ def test_approx_source_sweeps_held_out_parameters(tmp_path, extra, rows):
     )
     assert rc == 0
     assert len(out.read_text().strip().split("\n")) == rows + 1
+
+
+# the spec or function each command passes its parsed options to
+_CALLEES = {
+    "gen": (ExperimentSpec,),
+    "basis": (AlgorithmSpec,),
+    "select": (AlgorithmSpec,),
+    "approx": (ExperimentSpec,),
+    "bench": (ExperimentSpec, bench_basis),
+}
+
+
+def _subparsers():
+    (sub,) = [a for a in rdeim.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_an_option_not_given_takes_its_callees_own_default():
+    commands = _subparsers()
+    for command, callees in _CALLEES.items():
+        for callee in callees:
+            params = inspect.signature(callee).parameters
+            for action in commands[command]._actions:
+                param = params.get(action.dest)
+                if param is not None and param.default is not param.empty:
+                    assert action.default is argparse.SUPPRESS, (command, action.dest)
+    # the only defaults of the CLI belong to no library call: the rank no
+    # spec defaults, and bounds' four, which it checks whatever the kind
+    own = {
+        (command, action.dest): action.default
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.default is not argparse.SUPPRESS
+    }
+    assert own == {
+        ("basis", "rank"): 10, ("approx", "rank"): 10, ("bench", "rank"): 10,
+        ("bounds", "eta"): 2.0, ("bounds", "beta"): 0.5, ("bounds", "eps"): 0.9,
+        ("bounds", "delta"): 0.1,
+    }
+
+
+def test_defaults_spelled_out_write_what_the_defaults_write(tmp_path, capsys):
+    spelled = {
+        "approx": ["--scale", "desk", "--seed", "0", "--basis", "svd", "--oversample", "10",
+                   "--power", "1", "--tol", "1e-4", "--block", "10", "--max-blocks", "40",
+                   "--select", "pqr", "--eta", "2.0", "--beta", "0.5"],
+        "select": ["--select", "pqr", "--eta", "2.0", "--beta", "0.5", "--seed", "0"],
+    }
+    basis = tmp_path / "basis.rdmx"
+    write_matrix(basis, random_orthonormal(60, 6, seed=2))
+    given = {
+        "approx": ["approx", "--example", "osc", "--rank", "8", "--with-bounds"],
+        "select": ["select", "--basis-file", str(basis)],
+    }
+    for command, argv in given.items():
+        outputs = []
+        for extra in ([], spelled[command]):
+            out = tmp_path / f"{command}-{len(extra)}.csv"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((out.read_bytes(), printed))
+        assert outputs[0] == outputs[1]
+    assert outputs[0][1] == "wrote 6 points (pqr) to OUT\n"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -16,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdeim
-from rdeim import _util, bounds, experiments, rangefinder
+from rdeim import _util, bounds, experiments, rangefinder, selection
 from rdeim.bounds import column_bounds, interpolation_error_bound, perturbed_basis_bound
 from rdeim.experiments import (
     BASES,
+    GENERATORS,
+    GRID_LOWS,
     SCALES,
     SELECTORS,
     SOURCE_RANGES,
@@ -540,10 +543,42 @@ def test_spec_rejects_an_override_its_generator_does_not_take():
             message = rf"^unknown {example} overrides \['{key}'\]; choose from {re.escape(str(options))}$"
             with pytest.raises(ValueError, match=message):
                 ExperimentSpec(example=example, rank=5, overrides={key: 3})
-    # a key the generator takes is checked there, as a direct call checks it
-    spec = ExperimentSpec(example="osc", rank=5, overrides={"n_t": 100.0})
+    # a key the generator takes is checked at construction, as a direct call checks it
     with pytest.raises(ValueError, match=r"^n_t must be an integer, got 100\.0$"):
-        run_experiment(spec)
+        ExperimentSpec(example="osc", rank=5, overrides={"n_t": 100.0})
+
+
+_GRID_COUNTS = [
+    (example, name)
+    for example, generator in GENERATORS.items()
+    for name in inspect.signature(generator).parameters
+    if name in GRID_LOWS
+]
+
+
+@pytest.mark.parametrize("example, name", _GRID_COUNTS)
+def test_spec_checks_a_grid_override_at_its_generators_low(example, name):
+    low = GRID_LOWS[name]
+    for value in (float(low + 3), True, low - 1):
+        with pytest.raises(ValueError) as direct:
+            GENERATORS[example](**{name: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+            ExperimentSpec(example=example, rank=5, overrides={name: value})
+    assert str(direct.value) == f"{name} must be >= {low}, got {low - 1}"
+
+
+@pytest.mark.parametrize(
+    "example, overrides",
+    [("osc", {"n_t": 50, "n_mu": 7}), ("corner", {"grid": 12, "param_grid": 6}),
+     ("source", {"n_grid": 9, "n_train": 12})],
+)
+def test_a_valid_grid_override_builds_the_same_set_under_the_same_key(monkeypatch, example, overrides):
+    monkeypatch.setattr(experiments, "_last_set", None)
+    snaps = generate(ExperimentSpec(example=example, rank=5, overrides=overrides))
+    seed = 0 if example == "source" else None
+    assert experiments._last_set[0] == (example, repr(sorted(overrides.items())), seed)
+    direct = GENERATORS[example](**overrides, **({} if seed is None else {"seed": seed}))
+    assert snaps.matrix.tobytes() == direct.matrix.tobytes()
 
 
 def test_generate_scales_and_overrides():
@@ -711,10 +746,23 @@ def test_select_points_dispatch():
         assert S.s == expect_s and np.all(S.weights == 1.0)
     spec = ExperimentSpec(example="osc", rank=5, selector="leverage")
     S = select_points(W, spec)
-    assert S.s == min(50, 25)  # ceil(3 * 5 ln 5) = 25
+    assert S.s == 25  # ceil(3 * 5 ln 5) = 25
     spec = ExperimentSpec(example="osc", rank=5, selector="hybrid", samples=20)
     S = select_points(W, spec)
     assert S.s == 5
+
+
+def test_sampled_selectors_draw_the_given_count_above_the_row_count(monkeypatch):
+    # the draws are with replacement, so a count above n takes effect as given
+    spec = ExperimentSpec(example="osc", rank=8, selector="leverage", samples=5000)
+    table = run_experiment(spec)  # desk osc has 2000 rows
+    assert table.summary["points"] == 5000.0
+    W = OrthonormalBasis(random_orthonormal(50, 5, seed=1), "exact-svd")
+    shapes = []
+    real = selection.srrqr
+    monkeypatch.setattr(selection, "srrqr", lambda M, r, eta: shapes.append(M.shape) or real(M, r, eta))
+    S = select_points(W, ExperimentSpec(example="osc", rank=5, selector="hybrid", samples=80))
+    assert shapes == [(5, 80)] and S.s == 5 and S.n == 50
 
 
 # ------------------------------------------------------------ error sweep

@@ -88,7 +88,17 @@ def test_compare_defaults_to_the_two_newest_records_by_number(tmp_path):
 
 
 _MADE_UP = {
-    "__init__.py": "from .core import used\n",
+    "__init__.py": '''"""A made-up package.
+
+Its docstring spans three lines."""
+
+# the one name a run calls
+from .core import used  # noqa: F401
+
+
+class Marker:
+    """A class docstring."""
+''',
     "core.py": """import functools
 
 
@@ -139,5 +149,9 @@ def test_reach_lists_the_functions_that_never_ran(tmp_path, monkeypatch):
         "core.py:11 unused 6",
         "core.py:13 unused.nested 2",
         "core.py:24 Box.never 3",
+        # __init__.py's docstring lines, the blank one inside included, and its
+        # comment lines, one after code; core.py has 18 code and 8 blank lines
+        "36 lines: 19 code, 4 docstring, 2 comment",
         "3 functions never ran, 11 lines",
     ]
+

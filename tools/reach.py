@@ -9,16 +9,20 @@ this process by pytest, then run_experiment on every example x basis x
 selector at desk scale and rank 10, with bounds off and on. Meanwhile a
 sys.setprofile hook records the code object of every Python call. Each
 function or method defined under src/rdeim, nested ones included, whose
-code never ran is printed with its line count (decorators included), and
-then the total. A call made only in a subprocess is not seen. The script
-reports and gates nothing: it exits 0 once the workload has run.
+code never ran is printed with its line count (decorators included).
+Then come the package's lines, split into code, docstring and comment
+lines (line_counts), and last the unreached total. A call made only in a
+subprocess is not seen. The script reports and gates nothing: it exits 0
+once the workload has run.
 """
 
 import ast
+import io
 import itertools
 import os
 import sys
 import threading
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +46,30 @@ def definitions(package):
                 prefix += node.name + "."
             stack.extend((child, prefix) for child in ast.iter_child_nodes(node))
     return sorted(out, key=lambda d: (d[0], d[2]))
+
+
+def line_counts(package):
+    """(total, code, docstring, comment) line counts of the .py files under
+    the directory package. A docstring line is one that the docstring of
+    a module, class or def spans; a comment line is any other that holds
+    a comment, after code or alone; a code line is any other nonblank one."""
+    total = code = docs = comments = 0
+    for path in sorted(Path(package).resolve().rglob("*.py")):
+        text = path.read_text()
+        doc = set()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ast.get_docstring(node, clean=False) is not None:
+                    doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        comment = {t.start[0] for t in tokens if t.type == tokenize.COMMENT} - doc
+        lines = text.splitlines()
+        blank = sum(1 for no, line in enumerate(lines, 1) if not line.strip() and no not in doc)
+        total += len(lines)
+        docs += len(doc)
+        comments += len(comment)
+        code += len(lines) - len(doc) - len(comment) - blank
+    return total, code, docs, comments
 
 
 def unreached(package, workload):
@@ -79,11 +107,13 @@ def rdeim_workload():
 
 
 def report(package, missed):
-    """One line per unreached definition, then the total."""
+    """One line per unreached definition, the package's line counts, then
+    the unreached total."""
     lines = [
         f"{path.relative_to(Path(package).resolve())}:{first} {name} {last - first + 1}"
         for path, name, first, last in missed
     ]
+    lines.append("{} lines: {} code, {} docstring, {} comment".format(*line_counts(package)))
     total = sum(last - first + 1 for _, _, first, last in missed)
     lines.append(f"{len(missed)} functions never ran, {total} lines")
     return "\n".join(lines)

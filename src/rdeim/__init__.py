@@ -21,7 +21,6 @@ from .linalg import (
     ThinSVD,
     canonical_angles,
     column_residuals,
-    pivoted_qr,
     spectral_norm,
     srrqr,
     thin_qr,

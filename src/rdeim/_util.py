@@ -81,9 +81,9 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     the GIL, so the parts run at once. The BLAS passes take their part
     count from _part_count or _work_parts: the products with A (_over_lines),
     linalg.column_residuals, the pivot search's updates (linalg._downdate),
-    srrqr's blocks of inv(R11) @ R12 (linalg._max_interaction) and the Gram
-    halves of check_orthonormal. A part whose CPU another process holds
-    delays the pass by its whole share.
+    srrqr's products with blocks of M's columns (linalg._max_interaction)
+    and the Gram halves of check_orthonormal. A part whose CPU another
+    process holds delays the pass by its whole share.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate, so one part is
     one call of fill on the calling thread and starts no thread; scratch
@@ -91,10 +91,8 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     on a worker. fill may call BLAS: each worker thread that does holds
     its own OpenBLAS buffer, and what a worker allocates comes from its
     own malloc arena, which keeps it after the thread ends; both count
-    toward the process's RSS. The worker buffers moved the peak RSS of the
-    paper-scale benchmark workload (sweep-paper, 195 MB) by -0.7 to
-    +2.1 MB, +0.5 MB in the median of 10 runs; the search's and the Gram's
-    parts moved select-cli's (133 MB) by +0.3 to +0.6 MB. fill must not
+    toward the process's RSS (measured in CHANGES, "The range finders split
+    their products with A" and "Row-major pivot search"). fill must not
     call a traced library function (the benchmark's span stack is one per
     process).
     Every thread is joined before this returns or raises, and the first
@@ -197,10 +195,9 @@ FINITE_BLOCK = 1 << 16
 def block_lines(width):
     """SWEEP_BLOCK lines of width entries, or more when they are short, up
     to FINITE_BLOCK entries: the block of as_matrix's finiteness check (a
-    64 KB bool buffer, which stays in cache), of srrqr's products of
-    inv(R11) with R12 (512 KB of float64, which keeps the products few), of
-    pivoted_qr's trailing columns of R and of the pivot search's updates
-    (_downdate)."""
+    64 KB bool buffer, which stays in cache), of srrqr's products X @ M
+    (512 KB of float64, which keeps the products few) and of the pivot
+    search's updates (_downdate)."""
     return max(SWEEP_BLOCK, FINITE_BLOCK // width)
 
 

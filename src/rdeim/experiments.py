@@ -383,6 +383,10 @@ def generate(spec):
     args = dict(SCALES[spec.example][spec.scale])
     args.update(spec.overrides)
     args.pop("n_test", None)  # the held-out count is run_experiment's, not the generator's
+    # each count as the int check_count returns, so that an equal count of
+    # another integer type finds the held set
+    counts = [name for name in args if name in GRID_LOWS]
+    args.update(zip(counts, _grid_counts(**{name: args[name] for name in counts})))
     # by value, since an override may hold a list; only 'source' reads the seed
     seed = spec.seed if spec.example == "source" else None
     key = (spec.example, repr(sorted(args.items())), seed)

@@ -1,26 +1,20 @@
-"""Dense factorization kernels: thin SVD, pivoted and strong rank-revealing
-QR, spectral norms, canonical angles, and the row-streamed per-column
-residuals every error sweep, bound and residual check is built on.
+"""Dense factorization kernels: thin SVD, thin QR, the column pivot order
+and the strong rank-revealing QR, spectral norms, canonical angles, and
+the row-streamed per-column residuals every error sweep, bound and
+residual check is built on.
 
 Everything operates on plain float64 ndarrays; canonical_angles also takes
 an OrthonormalBasis, whose columns it does not check again. The thin SVD
 is a Householder QR (LAPACK ``geqrf``) followed by numpy's SVD of the
 small R factor, and the thin QR of the range finders is ``geqrf`` plus
-``orgqr``. The column pivots are a lazy search written out here
-(_pivot_order): the greedy largest-residual rule, the first position on
-ties to roundoff, which is the documented contract and gives the pivots
-of LAPACK ``geqp3``, while it brings up to date only the residuals that
-can still lead. pivoted_qr adds R from the pivot block (``geqrf`` and
-``orgqr`` of those columns, applied to the rest), and the strong
-rank-revealing swap refinement on top of it reads inv(R11) @ R12 from
-one inverse of R11 (``trtri``) and refactors after each swap with one
-``geqrf``. The pivoted factorizations return R and the
-permutation only: no Q of M is formed. selection.pqr_select takes its
-points from the search alone, with no R and no LAPACK call, and
-selection.srrqr_select from pivoted_qr plus those swaps; the greedy DEIM
-selector is LAPACK ``getrf`` and lives in selection. Every SVD of the
-library runs through _svd and every LAPACK routine here through _lapack,
-so a failure is a ConvergenceError naming its operand and shape.
+``orgqr``. The column pivots come from a lazy search (_pivot_order), which
+gives the pivots of LAPACK ``geqp3`` and forms no factor;
+selection.pqr_select takes its points from it alone. srrqr starts from
+that order and factors only its pivot columns: no Q or R of the whole M
+is formed. The greedy DEIM selector is LAPACK ``getrf`` and lives in
+selection. Every SVD of the library runs through _svd and every LAPACK
+routine here through _lapack, so a failure is a ConvergenceError naming
+its operand and shape.
 """
 
 import math
@@ -62,18 +56,16 @@ class ThinSVD:
 
 @dataclass(frozen=True)
 class SRRQRFactors:
-    """The leading rank rows ``[R11, R12]`` of the R factor of a strong
-    rank-revealing QR of ``M[:, perm]``.
-
-    R11 is rank-by-rank upper triangular with strictly
-    positive diagonal, and every entry of ``inv(R11) @ R12`` is bounded by
-    srrqr's eta in absolute value. swaps counts the column swaps made after
-    the pivoted QR, and max_interaction is the final max |inv(R11) @ R12|
+    """A strong rank-revealing QR of ``M[:, perm]``: ``Q1 @ R11 =
+    M[:, perm[:rank]]`` for an orthonormal Q1, with R11 rank-by-rank upper
+    triangular with strictly positive diagonal. Every entry of
+    ``inv(R11) @ R12``, R12 = Q1' M[:, perm[rank:]], is at most srrqr's
+    eta in absolute value. swaps counts the column swaps made after the
+    pivot search, and max_interaction is the final max |inv(R11) @ R12|
     (0.0 when rank == n).
     """
 
     R11: np.ndarray
-    R12: np.ndarray
     perm: np.ndarray
     swaps: int
     max_interaction: float
@@ -213,76 +205,6 @@ def thin_qr(A):
     return _with_workspace(orgqr, qr.shape, qr, tau, overwrite_a=True), R
 
 
-def pivoted_qr(M):
-    """Column-pivoted QR: the pivot order of _pivot_order and the R factor
-    of the pivoted columns, with no Q returned.
-
-    At each step the pivot is the trailing column whose residual off the
-    span of the pivots before it is largest, as recomputed by the search.
-    Squared residuals within 64 eps of the largest, measured against the
-    squared norm the largest was downdated from (their roundoff), tie, and
-    a tie goes to the first (lowest) position, which makes the pivot
-    sequence deterministic. Positions swap as LAPACK ``geqp3`` swaps its
-    pivots, so where no two residuals tie to roundoff the whole order is
-    ``geqp3``'s. Once every residual left is roundoff, at most 2^-40 of its
-    column's norm, the rest of the order stays as the swaps left it, where
-    ``geqp3`` would go on pivoting by that roundoff.
-
-    R is formed from the pivot block: one ``geqrf`` of M[:, perm[:k]] and,
-    for a wide M, the ``orgqr`` Q of that block applied to the trailing
-    columns in blocks of block_lines(k), on the calling thread (a block
-    gathered in each part raised the peak RSS), each product written into
-    the one k-by-n R.
-
-    Parameters
-    ----------
-    M : ndarray, shape (m, n)
-
-    Returns
-    -------
-    R : ndarray, shape (k, n) with k = min(m, n)
-        ``Q @ R = M[:, perm]`` for an orthonormal Q; R[:, :k] is upper
-        triangular and its diagonal magnitudes are nonincreasing. R is
-        the only k-by-n array formed, in Fortran order; the search's
-        row-major copy of a large column-major M' is freed before R is
-        allocated, so the two are never held together.
-    perm : ndarray of intp, shape (n,)
-        Pivot order applied to the columns of M.
-
-    Raises
-    ------
-    ValueError
-        If M has a non-finite entry. M is read for finiteness only when a
-        squared column norm is not finite.
-    OverflowingProductError
-        If R overflows on a finite M.
-    ConvergenceError
-        If LAPACK reports a failure (nonzero info).
-    """
-    A = as_2d(M, "M")
-    perm = _pivot_order(A)
-    m, n = A.shape
-    k = min(m, n)
-    if k == 0:
-        return np.zeros((0, n)), perm
-    qr, tau, orgqr = _householder_qr(A[:, perm[:k]], "orgqr")
-    if n == k:
-        R = _upper_factor(qr)
-    else:
-        # the pivot block is square: R takes it whole, reflectors included,
-        # and orgqr forms its Q in place of qr
-        R = np.empty((k, n), order="F")
-        R[:, :k] = qr
-        Q = _with_workspace(orgqr, qr.shape, qr, tau, overwrite_a=True)
-        step = block_lines(k)
-        for lo in range(k, n, step):
-            # R[:, lo:hi]' is C-ordered: the product is written in place
-            np.matmul(A.T[perm[lo : lo + step]], Q, out=R[:, lo : lo + step].T)
-        R = _upper_factor(R)
-    # the search checked M; a non-finite R is an overflow
-    return finite_product(R, M, "M", "the pivoted QR of M"), perm
-
-
 # two squared residuals tie when they differ by at most this fraction of
 # the squared norm the larger was downdated from: the roundoff of the
 # downdate
@@ -297,8 +219,17 @@ _NEGLIGIBLE = 2.0**-80
 
 
 def _pivot_order(M):
-    """The column pivot order of M (m-by-n) by the greedy largest-residual
-    rule, as pivoted_qr describes it, without forming R or calling LAPACK.
+    """The column pivot order of M (m-by-n), an intp permutation, without
+    forming R or calling LAPACK.
+
+    At each step the pivot is the trailing column whose residual off the
+    span of the pivots before it is largest. Squared residuals within
+    64 eps of the largest, measured against the squared norm the largest
+    was downdated from (their roundoff), tie, and a tie goes to the first
+    position. Positions swap as LAPACK ``geqp3`` swaps its pivots, so where
+    no two residuals tie to roundoff the whole order is ``geqp3``'s. Once
+    every residual left is roundoff, at most 2^-40 of its column's norm,
+    the rest of the order stays as the swaps left it.
 
     The search works on squared residuals ||m_j||^2 - ||Q'm_j||^2, Q the
     directions of the pivots so far, each made by Gram-Schmidt of its pivot
@@ -477,45 +408,27 @@ def _downdate(res, Mt, Q):
                   parts=_work_parts(Mt.size * width))
 
 
-def _upper_factor(qr):
-    """R (k-by-n), k = min(m, n), from the m-by-n output qr of a
-    Householder QR (``geqrf``). qr must be owned by the
-    caller: for a wide input (m <= n) it becomes R in place."""
-    k = min(qr.shape)
-    # the reflectors sit below the diagonal of the leading k x k block only;
-    # a wide qr is R once they are zeroed, a tall one has rows below R
-    R = qr if k == qr.shape[0] else qr[:k].copy(order="F")
-    R[:, :k] = np.triu(R[:, :k])
-    return R
-
-
 # srrqr's swap budget, per column of its input
 _SWAPS_PER_COLUMN = 50
 
 
 def srrqr(M, rank, eta=2.0):
-    """Strong rank-revealing QR (pivoted QR plus pairwise swap refinement).
+    """Strong rank-revealing QR: the pivot order of _pivot_order, then
+    swaps of a leading column with a trailing one while an entry of
+    ``inv(R11) @ R12`` exceeds eta (Gu & Eisenstat, SISC 1996).
 
-    Starting from column-pivoted QR, columns of the leading block are
-    swapped against trailing columns while any entry of ``inv(R11) @ R12``
-    exceeds eta. Each swap takes the largest entry, the first in row order
-    on ties, and refactors the permuted matrix with one ``geqrf`` through
-    _lapack, of which only R is kept. Each swap strictly grows the
-    volume of the selected column set, so the loop terminates for
-    eta > 1; it is capped at 50 swaps per column of M. On exit the
-    entrywise bound guarantees
+    Each check factors only the rank pivot columns M1 = M[:, perm[:rank]]
+    (``geqrf`` and ``orgqr``: M1 = Q1 R11) and reads the interactions as
+    ``X @ M`` with ``X = inv(R11) @ Q1.T``, since
+    ``inv(R11) @ R12 = X @ M[:, perm[rank:]]`` (_max_interaction); no
+    R12 is formed: beyond the pivot search's memory, srrqr holds X
+    (rank-by-m) and one block of products per part. A swap takes the
+    largest entry: the lowest row on
+    ties, then the earliest position in perm. Each swap strictly grows
+    the volume of the selected column set, so the loop ends for eta > 1;
+    it is capped at 50 swaps per column of M. On exit
     ``sigma_min(R11) >= sigma_rank(M) / sqrt(1 + eta^2 rank (n - rank))``.
-
-    ``inv(R11) @ R12`` is never formed whole: its largest entry is found
-    a block of R12's columns at a time (_max_interaction), so beyond the
-    one k-by-n R that pivoted_qr forms, the working memory is the pivot
-    search's: a row-major copy of a large column-major M', freed before R
-    is allocated, its pool or one block of products and of sums per part
-    (FINITE_BLOCK entries each) and its few arrays of one entry per
-    column; then one gathered block of M's columns for R, inv(R11), and
-    per part one block of at most max(FINITE_BLOCK, rank * SWEEP_BLOCK)
-    interactions. A swap refactors a copy of M[:, perm], which becomes
-    the new R.
+    Measurements: CHANGES, "srrqr from its pivot block alone".
 
     Parameters
     ----------
@@ -523,116 +436,126 @@ def srrqr(M, rank, eta=2.0):
     rank : int
         Number of leading columns to reveal, 1 <= rank <= min(m, n).
     eta : float, >= 1
-        Entrywise interaction bound. 2.0 keeps the swap count low while
-        staying within a constant factor of the optimal volume.
+        Entrywise interaction bound.
 
     Returns
     -------
     SRRQRFactors
-        With the swap count and the final max |inv(R11) @ R12|.
 
     Raises
     ------
+    ValueError
+        If M has a non-finite entry.
     OverflowingProductError
-        If the pivoted QR of a finite M overflows.
+        If R11 overflows on a finite M.
     RankDeficiencyError
-        If the leading block is numerically singular (matrix rank below
-        the requested rank), or too near singular for inv(R11) @ R12 to
-        be finite.
+        If R11 is numerically singular (matrix rank below the requested
+        rank), or too near singular for inv(R11) @ R12 to be finite.
     ConvergenceError
         If LAPACK reports a failure, or the swap budget is exhausted (only
         reachable for eta at the degenerate limit 1 with adversarial
         near-ties); the message names the cap.
     """
-    A = as_2d(M, "M")  # pivoted_qr checks it for finiteness
+    A = as_2d(M, "M")  # the pivot search checks it for finiteness
     m, n = A.shape
     r = check_count(rank, 1, "rank", min(m, n))
     check_at_least(eta, 1, "eta")
     cap = _SWAPS_PER_COLUMN * n
 
-    R, perm = pivoted_qr(A)
+    perm = _pivot_order(A)
     swaps = 0
     while True:
-        dmin = np.min(np.abs(np.diag(R[:r, :r])))
-        if dmin <= max(m, n) * np.finfo(np.float64).eps * abs(R[0, 0]) or R[0, 0] == 0.0:
+        qr, tau, orgqr = _householder_qr(A[:, perm[:r]], "orgqr")
+        # the search checked M; a non-finite R11 is an overflow
+        R11 = finite_product(np.triu(qr[:r]), M, "M", "the pivoted QR of M")
+        dmin = np.min(np.abs(np.diag(R11)))
+        if dmin <= max(m, n) * np.finfo(np.float64).eps * abs(R11[0, 0]) or R11[0, 0] == 0.0:
             raise RankDeficiencyError(
                 f"leading {r} x {r} block is numerically singular "
                 f"(matrix rank below {r})"
             )
-        t_max, i, j = _max_interaction(R, r)
-        if t_max <= eta:
+        if n == r:
+            t_max = 0.0
+            break
+        (trtri,) = get_lapack_funcs(("trtri",), (R11,))
+        Q1 = _with_workspace(orgqr, qr.shape, qr, tau, overwrite_a=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # _max_interaction raises
+            X = _lapack(trtri, R11.shape, R11)[0] @ Q1.T
+        t_max, swap = _max_interaction(X, A, perm, r, eta)
+        if swap is None:
             break
         if swaps == cap:
             raise ConvergenceError(
                 f"srrqr swap cap of {cap} ({_SWAPS_PER_COLUMN} per column) exceeded at eta={eta}"
             )
-        perm[[i, r + j]] = perm[[r + j, i]]
-        R = _upper_factor(_householder_qr(A[:, perm])[0])
+        i, p = swap
+        perm[[i, p]] = perm[[p, i]]
         swaps += 1
 
-    # normalize signs so the leading diagonal is strictly positive; R is
-    # this call's own array, so it is flipped in place
-    R[:r] *= np.where(np.diag(R)[:r] < 0, -1.0, 1.0)[:, None]
-    return SRRQRFactors(
-        R11=R[:r, :r], R12=R[:r, r:], perm=perm, swaps=swaps, max_interaction=float(t_max),
-    )
+    # normalize signs so the diagonal is strictly positive
+    R11 *= np.where(np.diag(R11) < 0, -1.0, 1.0)[:, None]
+    return SRRQRFactors(R11=R11, perm=perm, swaps=swaps, max_interaction=float(t_max))
 
 
-def _max_interaction(R, r):
-    """(t, i, j): the largest |entry| t of inv(R11) @ R12, with R11 =
-    R[:r, :r] and R12 = R[:r, r:], and its position, the first in row
-    order on ties; (0.0, 0, 0) when R12 has no columns.
+def _max_interaction(X, A, perm, r, eta=0.0):
+    """(t, swap): t the largest |entry| of X @ A off the pivot columns
+    perm[:r], and swap None, or, when t > eta, the positions (i, p) in
+    perm that its entry swaps: row i, and p the position of its column.
+    On ties the lowest row wins, then the earliest position in perm.
 
-    R11 is inverted once (LAPACK ``trtri``), and inv(R11) @ R12 is formed
-    a block of block_lines(r) columns at a time, in _work_parts parts
-    through fill_in_parts, each part into its own buffer, so no
-    r x (n - r) temporary is formed. A block's np.argmax is its first
-    maximal entry in row order; the calling thread merges the blocks in
-    order, where on a tie the lower row wins, and in one row the earlier
-    block.
+    X @ A is formed a block of block_lines(r) of A's own columns at a
+    time, in _work_parts parts through fill_in_parts, each part into its
+    own buffer; a block's pivot columns are set to 0 after abs, and each
+    block keeps its maximum. Only when t > eta are the blocks whose
+    maximum is t formed again (the same calls, so the same bits) to find
+    the entry.
 
     Raises
     ------
     RankDeficiencyError
         If an entry is not finite: R11 is too near singular to invert.
-    ConvergenceError
-        If ``trtri`` reports a failure (nonzero info).
     """
-    n = R.shape[1]
-    if n == r:
-        return 0.0, 0, 0
-    R11 = R[:r, :r]
-    (trtri,) = get_lapack_funcs(("trtri",), (R11,))
-    inverse = _lapack(trtri, R11.shape, R11)[0]
-    step = block_lines(r)
-    n_blocks = -(-(n - r) // step)
-    # each block's largest |entry| and its flat (row-major) position
+    n = A.shape[1]
+    step = min(block_lines(r), n)
+    n_blocks = -(-n // step)
+    lead = np.sort(perm[:r])
+    # the pivot columns of block b are lead[cuts[b]:cuts[b + 1]]
+    cuts = np.searchsorted(lead, np.arange(n_blocks + 1) * step)
+
+    def block(b, T):
+        """|X @ A[:, block b]| with its pivot columns 0, in T."""
+        lo = b * step
+        cols = A[:, lo : lo + step]
+        P = np.matmul(X, cols, out=T[: r * cols.shape[1]].reshape(r, -1))
+        np.abs(P, out=P)
+        # times 0 keeps an infinity or a NaN there a NaN
+        P[:, lead[cuts[b] : cuts[b + 1]] - lo] *= 0.0
+        return P
+
     best = np.empty(n_blocks)
-    where = np.empty(n_blocks, dtype=np.intp)
 
     def fill(lo, hi, T):
         for b in range(lo, hi):
-            block = R[:r, r + b * step : r + (b + 1) * step]
-            P = np.matmul(inverse, block, out=T[: block.size].reshape(block.shape))
-            np.abs(P, out=P)
-            flat = P.argmax()
-            where[b], best[b] = flat, P.item(flat)
+            best[b] = block(b, T).max()
 
-    # an overflow or a NaN, which the comparisons below would skip, raises
-    # here, with no warning
+    # an overflow or a NaN raises here, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        fill_in_parts(fill, n_blocks, lambda: (np.empty(r * min(step, n - r)),),
-                      parts=_work_parts(r * r * (n - r)))
-    if not np.isfinite(best).all():
-        raise RankDeficiencyError(
-            f"inv(R11) @ R12 is not finite: the leading {r} x {r} block R11 is numerically singular"
-        )
-    t, i, j = 0.0, 0, 0
-    for b, value in enumerate(best.tolist()):
-        bi, bj = divmod(where.item(b), min(step, n - r - b * step))
-        if value > t or (value == t and bi < i):
-            t, i, j = value, bi, b * step + bj
-    return t, i, j
+        fill_in_parts(fill, n_blocks, lambda: (np.empty(r * step),),
+                      parts=_work_parts(r * A.shape[0] * n))
+        t = best.max()
+        if not t < math.inf:
+            raise RankDeficiencyError(
+                f"inv(R11) @ R12 is not finite: the leading {r} x {r} block R11 is numerically singular"
+            )
+        if not t > eta:
+            return t, None
+        where = np.argsort(perm)  # the position of each column
+        T = np.empty(r * step)
+        ties = []
+        for b in np.flatnonzero(best == t):
+            rows, cols = np.nonzero(block(b, T) == t)
+            ties += zip(rows.tolist(), where[b * step + cols].tolist())
+    return t, min(ties)
 
 
 def spectral_norm(M):

@@ -11,8 +11,10 @@ library's basis bit for bit, and reference_adaptive_range_finder, its
 earlier block-by-block randQB_EI loop, which the library must match in
 block count, subspace and residual. Both share the library's residual
 kernel and sketch grouping on purpose. reference_srrqr, the strong RRQR
-swap loop refactoring with np.linalg.qr, starts from the library's
-pivoted_qr on purpose too: it pins the refactoring after a swap.
+swap loop with every R from np.linalg.qr of the whole M[:, perm] and its
+interactions from triangular solves, starts from the library's pivot
+search (_pivot_order), which test_pivot_search_keeps_the_geqp3_pivots
+pins to LAPACK geqp3; no R of the library enters it.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from rdeim._util import SWEEP_BLOCK
-from rdeim.linalg import column_residuals, pivoted_qr
+from rdeim.linalg import _pivot_order, column_residuals
 from rdeim.rangefinder import SKETCH_GROUP
 
 
@@ -88,7 +90,7 @@ def householder_pivoted_qr(M):
     Every step recomputes the trailing residual norms from the updated
     block (no downdating) and takes the largest, first index on ties, then
     applies a rank-one Householder update. Returns (R, perm), R being the
-    R factor of M[:, perm], the same contract as the library's pivoted_qr.
+    R factor of M[:, perm].
     """
     A = np.array(M, dtype=np.float64, copy=True)
     m, n = A.shape
@@ -112,24 +114,25 @@ def householder_pivoted_qr(M):
 
 
 def reference_srrqr(M, rank, eta):
-    """Strong RRQR with every swap refactored by np.linalg.qr.
+    """Strong RRQR with every R from np.linalg.qr of the whole M[:, perm].
 
-    From pivoted_qr(M), while max |inv(R11) R12| exceeds eta, swap the
-    leading and trailing columns of its first largest entry in row order
-    and refactor M[:, perm] by np.linalg.qr, keeping R; then flip signs so
-    diag(R11) is positive. Returns (R11, R12, perm, swaps).
+    From the pivot order of _pivot_order(M), while max |inv(R11) R12|
+    (triangular solves) exceeds eta, swap the leading and trailing columns
+    of its first largest entry in row order and factor M[:, perm] again;
+    then flip signs so diag(R11) is positive. Returns (R11, R12, perm,
+    swaps).
     """
     M = np.asarray(M, dtype=np.float64)
     r = rank
-    R, perm = pivoted_qr(M)
+    perm = _pivot_order(M)
     swaps = 0
-    while r < M.shape[1]:
+    while True:
+        R = np.linalg.qr(M[:, perm], mode="r")
         T = np.abs(solve_triangular(R[:r, :r], R[:r, r:]))
-        if T.max() <= eta:
+        if T.size == 0 or T.max() <= eta:
             break
         i, j = np.unravel_index(np.argmax(T), T.shape)
         perm[[i, r + j]] = perm[[r + j, i]]
-        R = np.linalg.qr(M[:, perm], mode="r")
         swaps += 1
     R[:r] *= np.where(np.diag(R)[:r] < 0, -1.0, 1.0)[:, None]
     return R[:r, :r], R[:r, r:], perm, swaps

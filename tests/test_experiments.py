@@ -618,6 +618,17 @@ def test_generate_returns_the_last_set_read_only():
     assert generate(replace(osc, seed=3)) is generate(osc)
 
 
+def test_an_equal_count_of_another_integer_type_finds_the_held_set():
+    # the key holds the plain ints the counts are checked to, so np.int64(50)
+    # after 50 returns the held set and keeps its exact basis
+    spec = ExperimentSpec(example="osc", rank=5, basis="svd", overrides={"n_t": 50, "n_mu": 7})
+    snaps = generate(spec)
+    basis = experiments._exact_basis(snaps.matrix, 5)
+    same = replace(spec, overrides={"n_t": np.int64(50), "n_mu": np.int32(7)})
+    assert generate(same) is snaps
+    assert experiments._exact_basis(generate(same).matrix, 5) is basis
+
+
 def test_generate_holds_one_set():
     spec = ExperimentSpec(example="corner", rank=5, basis="svd", overrides={"grid": 12, "param_grid": 6})
     held = weakref.ref(generate(spec).matrix)

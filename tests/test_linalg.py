@@ -24,7 +24,6 @@ from rdeim.experiments import SELECTORS, ExperimentSpec, build_basis, generate, 
 from rdeim.linalg import (
     canonical_angles,
     column_residuals,
-    pivoted_qr,
     spectral_norm,
     srrqr,
     thin_qr,
@@ -89,8 +88,8 @@ def test_as_matrix_checks_without_a_matrix_sized_temporary(order):
 
 @pytest.mark.parametrize("shape, order", [((128, 10000), "F"), ((10000, 40), "C")], ids=["wide-F", "tall-C"])
 def test_finite_product_checks_without_a_product_sized_temporary(shape, order):
-    # the wide Fortran-ordered R of the pivoted QRs and a tall sketch of the
-    # range finders: a whole-product bool mask would take P.nbytes / 8
+    # a wide Fortran-ordered product and a tall sketch of the range
+    # finders: a whole-product bool mask would take P.nbytes / 8
     P = np.asarray(random_matrix(*shape, seed=6), order=order)
     tracemalloc.start()
     try:
@@ -266,11 +265,19 @@ def test_thin_svd_factor_property(case):
     assert np.max(np.abs(A @ f.V - f.U * s[:r])) <= 1e-12 * s[0]
 
 
-# -------------------------------------------------------------- pivoted_qr
+# ------------------------------------------------- pivoted QR: _pivot_order
+
+
+def _pivoted_qr(M):
+    """(R, perm): the library's column pivot order (_pivot_order) and the R
+    factor of M[:, perm] by numpy's QR, so that R's properties test the
+    order and not a factorization of the library."""
+    perm = rdeim.linalg._pivot_order(M)
+    return np.linalg.qr(M[:, perm], mode="r"), perm
 
 
 def test_pivoted_qr_identity_first_max_ties():
-    R, perm = pivoted_qr(np.eye(5))
+    R, perm = _pivoted_qr(np.eye(5))
     # all residual norms tie at every step; first index must win
     assert list(perm) == [0, 1, 2, 3, 4]
     assert np.allclose(np.abs(np.diag(R)), 1.0)
@@ -278,7 +285,7 @@ def test_pivoted_qr_identity_first_max_ties():
 
 def test_pivoted_qr_matches_greedy_oracle():
     M = random_matrix(4, 6, seed=7)
-    _, perm = pivoted_qr(M)
+    perm = rdeim.linalg._pivot_order(M)
     assert list(perm[:4]) == greedy_pivot_sequence(M)
 
 
@@ -286,35 +293,40 @@ def test_pivoted_qr_matches_greedy_oracle():
 @pytest.mark.parametrize("shape", [(6, 10), (10, 6), (7, 7)])
 def test_pivoted_qr_contracts(shape, seed):
     M = random_matrix(*shape, seed=seed)
-    R, perm = pivoted_qr(M)
+    R, perm = _pivoted_qr(M)
     k = min(shape)
-    # M[:, perm] = Q R with orthonormal Q, so R'R is the Gram matrix of M[:, perm]
-    P = M[:, perm]
-    assert np.max(np.abs(R.T @ R - P.T @ P)) < 1e-12
+    assert perm.dtype == np.intp and sorted(perm) == list(range(shape[1]))
     diag = np.abs(np.diag(R[:, :k]))
     assert np.all(np.diff(diag) <= 1e-12 * diag[0])
-    assert sorted(perm) == list(range(shape[1]))
-    # no reflector entry is left below the diagonal
-    assert not np.tril(R, -1).any()
+    # srrqr at rank k factors its k pivot columns alone: Q R11 = M[:, perm[:k]]
+    # with orthonormal Q, so R11'R11 is their Gram matrix, and R11 is upper
+    # triangular with a positive diagonal. With no trailing columns it keeps
+    # the search's order, and its diagonal decays as R's
+    fac = srrqr(M, k)
+    P = M[:, fac.perm[:k]]
+    assert np.max(np.abs(fac.R11.T @ fac.R11 - P.T @ P)) < 1e-12
+    assert not np.tril(fac.R11, -1).any() and np.all(np.diag(fac.R11) > 0)
+    if shape[1] == k:
+        assert np.array_equal(fac.perm, perm)
+        assert np.all(np.diff(np.diag(fac.R11)) <= 1e-12 * diag[0])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pivoted_qr_oracle_sweep(seed):
     M = random_matrix(5, 9, seed=100 + seed)
-    _, perm = pivoted_qr(M)
+    perm = rdeim.linalg._pivot_order(M)
     assert list(perm[:5]) == greedy_pivot_sequence(M)
 
 
 def test_pivoted_qr_zero_matrix():
-    R, perm = pivoted_qr(np.zeros((3, 4)))
-    assert np.max(np.abs(R)) == 0.0
+    perm = rdeim.linalg._pivot_order(np.zeros((3, 4)))
     assert sorted(perm) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
 def test_pivoted_qr_empty(shape):
-    R, perm = pivoted_qr(np.zeros(shape))
-    assert R.shape == (0, shape[1])
+    perm = rdeim.linalg._pivot_order(np.zeros(shape))
+    assert perm.dtype == np.intp
     assert list(perm) == list(range(shape[1]))
 
 
@@ -323,7 +335,7 @@ def test_pivoted_qr_repeated_columns_first_wins():
     a = 3.0 * rng.standard_normal(6)
     b, c = rng.standard_normal(6), rng.standard_normal(6)
     M = np.column_stack([b, a, c, a])
-    R, perm = pivoted_qr(M)
+    R, perm = _pivoted_qr(M)
     # the two copies of a tie exactly; the first must win, and once it is
     # chosen its copy has no residual left, so it comes last
     assert perm[0] == 1
@@ -346,7 +358,7 @@ def test_pivoted_qr_matches_householder_oracle():
     mismatches = []
     for case, M in enumerate(_random_wide_orthonormal()):
         r = M.shape[0]
-        if not np.array_equal(pivoted_qr(M)[1][:r], householder_pivoted_qr(M)[1][:r]):
+        if not np.array_equal(rdeim.linalg._pivot_order(M)[:r], householder_pivoted_qr(M)[1][:r]):
             mismatches.append((case, M.shape))
     assert mismatches == []
 
@@ -365,15 +377,12 @@ def _pivot_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_pivot_matrices())
 def test_pivoted_qr_greedy_pivot_property(M):
-    R, perm = pivoted_qr(M)
+    R, perm = _pivoted_qr(M)
     m, n = M.shape
     k = min(m, n)
     scale = max(np.linalg.norm(M), 1.0)
     assert perm.dtype == np.intp
     assert sorted(perm) == list(range(n))
-    # M[:, perm] = Q R with orthonormal Q, so R'R is the Gram matrix of M[:, perm]
-    P = M[:, perm]
-    assert np.max(np.abs(R.T @ R - P.T @ P)) < 1e-12 * scale * scale
     diag = np.abs(np.diag(R))
     assert np.all(np.diff(diag) <= 1e-12 * scale)
     for j in range(k):
@@ -392,11 +401,19 @@ def test_srrqr_identity_any_rank():
         fac = srrqr(np.eye(6), r, eta=2.0)
         assert sorted(fac.perm) == list(range(6))
         assert np.allclose(np.diag(fac.R11), 1.0)
-        T = np.linalg.solve(fac.R11, fac.R12)
-        assert T.size == 0 or np.max(np.abs(T)) <= 2.0
+        assert np.max(np.abs(_interactions(np.eye(6), fac)), initial=0.0) <= 2.0
         assert fac.swaps == 0
         # no trailing columns at rank 6, and exact zeros before it
         assert fac.max_interaction == 0.0
+
+
+def _interactions(M, fac):
+    """inv(R11) R12 of M[:, fac.perm] at fac's rank, from numpy's QR of the
+    whole M[:, fac.perm] and a triangular solve: none of srrqr's own
+    factors enters it."""
+    r = fac.R11.shape[0]
+    R = np.linalg.qr(M[:, fac.perm], mode="r")
+    return solve_triangular(R[:r, :r], R[:r, r:])
 
 
 def _kahan(n, c=0.285):
@@ -408,8 +425,7 @@ def _kahan(n, c=0.285):
 def test_srrqr_kahan_interaction_bound():
     K = _kahan(8)
     fac = srrqr(K, 4, eta=2.0)
-    T = np.linalg.solve(fac.R11, fac.R12)
-    assert np.max(np.abs(T)) <= 2.0 + 1e-12
+    assert np.max(np.abs(_interactions(K, fac))) <= 2.0 + 1e-12
     assert np.all(np.diag(fac.R11) > 0)
 
 
@@ -418,8 +434,7 @@ def test_srrqr_kahan_requires_and_performs_swaps():
     # the swap loop must bring it under eta
     K = _kahan(12, c=0.5)
     fac = srrqr(K, 6, eta=2.0)
-    T = np.linalg.solve(fac.R11, fac.R12)
-    assert np.max(np.abs(T)) <= 2.0 + 1e-12
+    assert np.max(np.abs(_interactions(K, fac))) <= 2.0 + 1e-12
     assert list(fac.perm[:6]) != [0, 1, 2, 3, 4, 5]
 
 
@@ -430,103 +445,130 @@ class _Numpy(types.ModuleType):
         return getattr(np, name)
 
 
-def _craft_interactions(monkeypatch, T):
-    """Make srrqr's interaction search see |T|: its block products on the R
-    that pivoted_qr returns write T's columns of each block, those on a
-    refactored R write zeros; pivoted_qr's own products run as they are.
-    Returns the log of every block product: ("pivoted" or "refactored",
-    its first column in R12, its width, its thread)."""
-    real_pivoted_qr = rdeim.linalg.pivoted_qr
-    pivoted, products = [], []
-
-    def pivoted_qr(M):
-        R, perm = real_pivoted_qr(M)
-        pivoted.append(R)
-        return R, perm
+def _craft_interactions(monkeypatch, M, T):
+    """Make srrqr on M see |T| as inv(R11) R12 at its first check and zeros
+    at every later one. T is r x (n - r), over the trailing positions of
+    M's pivot order. srrqr forms X @ M a block of M's own columns at a
+    time: each such product writes T's entries in its trailing columns and
+    9 in its pivot columns, which the search must pass over. Returns the
+    log of those products: (the check, from 0, the block's first column,
+    its width, its thread)."""
+    perm = rdeim.linalg._pivot_order(M)
+    r = T.shape[0]
+    first = np.full((r, M.shape[1]), 9.0)
+    first[:, perm[r:]] = T
+    checks, products = [], []
 
     def matmul(a, b, out):
-        if not pivoted:
+        if b.base is not M:  # the pivot search's products
             return np.matmul(a, b, out=out)
-        r, width = b.shape
-        # b is R[:r, lo:lo + width] of an R that owns its entries
-        lo = (b.ctypes.data - b.base.ctypes.data) // b.strides[1] - r
-        which = "pivoted" if b.base is pivoted[0] else "refactored"
-        products.append((which, lo, width, threading.get_ident()))
-        out[...] = T[:, lo : lo + width] if which == "pivoted" else 0.0
+        # a is the X of one check, the same array for all its blocks
+        if not any(a is x for x in checks):
+            checks.append(a)
+        check = next(k for k, x in enumerate(checks) if a is x)
+        lo = (b.ctypes.data - M.ctypes.data) // M.strides[1]
+        products.append((check, lo, b.shape[1], threading.get_ident()))
+        out[...] = first[:, lo : lo + b.shape[1]] if check == 0 else 0.0
         return out
 
     numpy = _Numpy("numpy")
     numpy.matmul = matmul
-    monkeypatch.setattr(rdeim.linalg, "pivoted_qr", pivoted_qr)
     monkeypatch.setattr(rdeim.linalg, "np", numpy)
     return products
 
 
 def test_srrqr_swaps_the_first_largest_entry_in_row_order(monkeypatch):
     # |T| ties at (0, 2), (1, 0) and (1, 2): the swap takes (0, 2), the
-    # entry np.argmax picks, though (1, 0) comes first in column-major order
+    # lowest row, though (1, 0) comes first in column-major order
     T = np.array([[0.5, 1.0, 3.0], [3.0, 0.0, -3.0]])
     M = random_matrix(2, 5, seed=0)
-    perm = pivoted_qr(M)[1]
-    products = _craft_interactions(monkeypatch, T)
+    perm = rdeim.linalg._pivot_order(M)
+    products = _craft_interactions(monkeypatch, M, T)
     fac = srrqr(M, 2, eta=2.0)
     perm[[0, 4]] = perm[[4, 0]]
-    assert [p[:3] for p in products] == [("pivoted", 0, 3), ("refactored", 0, 3)]
+    # one block of M's five columns: formed at the first check, formed
+    # again to find the entry, and formed at the check after the swap
+    assert [p[:3] for p in products] == [(0, 0, 5), (0, 0, 5), (1, 0, 5)]
     assert list(fac.perm) == list(perm)
 
 
+def test_srrqr_ties_in_one_row_swap_the_earliest_position_in_perm(monkeypatch):
+    # M's pivot order is [4, 1, 2, 3, 0], so positions 2 and 4 hold columns
+    # 2 and 0. |T| ties in row 0 at those two positions: position 2 wins,
+    # though its column comes later in M, and so in the block
+    M = random_matrix(2, 5, seed=0)
+    perm = rdeim.linalg._pivot_order(M)
+    assert list(perm) == [4, 1, 2, 3, 0]
+    _craft_interactions(monkeypatch, M, np.array([[3.0, 1.0, 3.0], [0.0, 0.0, 0.0]]))
+    fac = srrqr(M, 2, eta=2.0)
+    perm[[0, 2]] = perm[[2, 0]]
+    assert list(fac.perm) == list(perm)
+
+
+# M = random_matrix(2, 6, seed=4) has the pivot order [2, 5, 0, 3, 4, 1]:
+# positions 2-5 hold columns 0, 3, 4 and 1, and in blocks of two of M's
+# columns, columns 0 and 1 are in the first block, 2 (a pivot) and 3 in
+# the second, 4 and 5 (a pivot) in the third
 _BLOCK_TIES = [
-    # ties at (1, 0) in the first block and (0, 2) in the second: the
+    # ties at (1, 0) in the first block and (0, 2) in the third: the
     # lower row wins though its block comes later
-    ([[0.5, 1.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 2),
-    # ties at (0, 1) and (0, 2) in one row: the earlier block wins
-    ([[0.5, 3.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 1),
+    ([[0.5, 1.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 2, [0, 4]),
+    # ties in every block, at (0, 1) and (0, 2) in row 0: the earlier
+    # position wins
+    ([[0.5, 3.0, 3.0, 0.0], [3.0, 0.0, -3.0, 1.0]], 1, [0, 2, 4]),
+    # ties at (0, 1) in the second block and (0, 3) in the first: the
+    # earlier position wins though its block comes later
+    ([[0.5, 3.0, 1.0, 3.0], [1.0, 0.0, 0.0, 1.0]], 1, [0, 2]),
 ]
 
 
 @pytest.mark.parametrize(
-    "T, swap, parts",
-    [(T, swap, parts) for parts in (1, 2) for T, swap in _BLOCK_TIES],
-    ids=["T0-2", "T1-1", "T0-2-parts", "T1-1-parts"],
+    "T, swap, tied, parts",
+    [(T, swap, tied, parts) for parts in (1, 2) for T, swap, tied in _BLOCK_TIES],
+    ids=["T0-2", "T1-1", "T2-1", "T0-2-parts", "T1-1-parts", "T2-1-parts"],
 )
 def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(
-    request, monkeypatch, T, swap, parts
+    request, monkeypatch, T, swap, tied, parts
 ):
-    # R12's four columns are formed two at a time, in one part or, with the
-    # work floor lowered, one block a part on two CPUs; the first check
-    # sees T, the check after the swap sees zeros
+    # M's six columns are formed two at a time, in one part or, with the
+    # work floor lowered, in two parts on two CPUs; the first check sees T,
+    # the check after the swap sees zeros
     if parts == 2:
         request.getfixturevalue("one_blas_thread")
         monkeypatch.setattr(_util, "PART_WORK", 1)
     patch_cpus(monkeypatch, parts)
-    M = random_matrix(2, 6, seed=0)
-    perm = pivoted_qr(M)[1]
+    M = random_matrix(2, 6, seed=4)
+    perm = rdeim.linalg._pivot_order(M)
+    assert list(perm) == [2, 5, 0, 3, 4, 1]
     monkeypatch.setattr(rdeim.linalg, "block_lines", lambda width: 2)
     monkeypatch.setattr(rdeim.linalg, "FINITE_BLOCK", 2)
-    products = _craft_interactions(monkeypatch, np.asarray(T))
+    products = _craft_interactions(monkeypatch, M, np.asarray(T))
     fac = srrqr(M, 2, eta=2.0)
     perm[[0, 2 + swap]] = perm[[2 + swap, 0]]
-    assert sorted(p[:3] for p in products) == [
-        ("pivoted", 0, 2), ("pivoted", 2, 2), ("refactored", 0, 2), ("refactored", 2, 2),
-    ]
-    # the two tied blocks were formed on one thread per part
-    assert len({p[3] for p in products if p[0] == "pivoted"}) == parts
+    every = [(0, 0, 2), (0, 2, 2), (0, 4, 2)]
+    assert sorted(p[:3] for p in products[:3]) == every
+    # only the blocks whose largest entry is the tie are formed again
+    assert [p[1] for p in products[3:-3]] == tied
+    assert sorted(p[:3] for p in products[-3:]) == [(1, 0, 2), (1, 2, 2), (1, 4, 2)]
+    # the first pass over the blocks ran on one thread per part
+    assert len({p[3] for p in products[:3]}) == parts
     assert list(fac.perm) == list(perm)
     assert fac.swaps == 1 and fac.max_interaction == 0.0
 
 
-@pytest.mark.parametrize("factor", ["pivoted_qr", "srrqr"])
-def test_wide_factorizations_keep_r_in_place(factor):
-    # R is one k x n array, written a block of columns at a time, the pivot
-    # search copies no more than its pool, and srrqr finds its largest
-    # interaction a block of columns at a time: about one copy of M. A
-    # second k x n array, a copy of M for the search, or the whole
+@pytest.mark.parametrize("factor", ["pivot_order", "srrqr"])
+def test_wide_factorizations_hold_at_most_one_copy_of_m(factor):
+    # the pivot search copies no more than its pool, besides its row-major
+    # copy of a large column-major M', and srrqr forms no k x n array: it
+    # factors its pivot columns and finds its largest interaction a block
+    # of M's columns at a time. A second copy of M, or the whole
     # inv(R11) R12 and its absolute value, would each add another M.nbytes.
     # At rank 10 the search computes nearly every residual again
     # explicitly once it passes the rank, a block of columns at a time too
     low_rank = random_matrix(64, 10, seed=2) @ random_matrix(10, 20000, seed=3)
     for M, rank in ((random_matrix(64, 20000, seed=1), 64), (low_rank, 10)):
-        call = {"pivoted_qr": lambda: pivoted_qr(M), "srrqr": lambda: srrqr(M, rank)}[factor]
+        call = {"pivot_order": lambda: rdeim.linalg._pivot_order(M),
+                "srrqr": lambda: srrqr(M, rank)}[factor]
         tracemalloc.start()
         try:
             call()
@@ -555,16 +597,24 @@ _SWAPPING = {
 
 @pytest.mark.parametrize("make, rank, eta", list(_SWAPPING.values()), ids=list(_SWAPPING))
 def test_srrqr_matches_the_numpy_qr_oracle(make, rank, eta):
-    # the swap refactoring runs geqrf through the gateway; its R has the
-    # bits np.linalg.qr gives
+    # the oracle factors the whole M[:, perm] with numpy after each swap and
+    # solves for inv(R11) R12; srrqr factors its pivot columns alone and
+    # forms inv(R11) Q1' M. They swap the same columns, and their largest
+    # interactions differ by rounding: at most 0.28 cond(R11) eps on these
+    # inputs and 1.35 cond(R11) eps on the inputs of
+    # test_max_interaction_matches_the_solves, against 4 allowed. Both R11
+    # are the Householder R of the same columns, equal to 1 eps of R11's
+    # largest entry here, against 16 allowed
     M = make()
     R11, R12, perm, swaps = reference_srrqr(M, rank, eta)
     fac = srrqr(M, rank, eta)
+    eps = np.finfo(np.float64).eps
     assert swaps > 0 and fac.swaps == swaps
     assert np.array_equal(fac.perm, perm)
-    assert np.array_equal(fac.R11, R11) and np.array_equal(fac.R12, R12)
+    assert np.abs(fac.R11 - R11).max() <= 16 * eps * np.abs(R11).max()
     assert fac.max_interaction <= eta
-    assert fac.max_interaction == pytest.approx(np.abs(np.linalg.solve(R11, R12)).max(), rel=1e-12)
+    expected = np.abs(solve_triangular(R11, R12)).max()
+    assert fac.max_interaction == pytest.approx(expected, rel=4 * np.linalg.cond(R11) * eps, abs=0.0)
 
 
 def _desk_pivot_inputs():
@@ -596,25 +646,25 @@ def test_pivot_search_keeps_the_geqp3_pivots(family):
     # position. The pivots fix every swap, so the whole order agrees
     mismatches = []
     for case, M in enumerate(_GEQP3_INPUTS[family]()):
-        if not np.array_equal(pivoted_qr(M)[1], scipy.linalg.qr(M, pivoting=True, mode="r")[1]):
+        perm = rdeim.linalg._pivot_order(M)
+        if not np.array_equal(perm, scipy.linalg.qr(M, pivoting=True, mode="r")[1]):
             mismatches.append((case, M.shape))
     assert mismatches == []
 
 
 def _kernel_outputs(M, rank, eta):
-    """The arrays and values of the pivot search, pivoted_qr and srrqr on M."""
-    R, perm = pivoted_qr(M)
+    """The arrays and values of the pivot search and srrqr on M."""
     fac = srrqr(M, rank, eta)
-    return [rdeim.linalg._pivot_order(M), perm, R, fac.perm, fac.R11, fac.R12,
-            np.float64(fac.max_interaction)]
+    return [rdeim.linalg._pivot_order(M), fac.perm, fac.R11, np.float64(fac.max_interaction)]
 
 
 def test_selection_kernels_keep_their_bits_in_parts_and_layouts(monkeypatch, one_blas_thread):
-    # the pivot search's residual updates run in two parts once the floor
-    # is lowered and two CPUs are seen; the blocks stay where they are, so
-    # every output keeps the bits of one part. A C-ordered M is read
-    # through a column-major M', which the search copies to row-major when
-    # it is large, as the 96 x 10000 one is
+    # the pivot search's residual updates and srrqr's products X @ M run in
+    # two parts once the floor is lowered and two CPUs are seen; the blocks
+    # stay where they are, so every output keeps the bits of one part. A
+    # C-ordered M is read through a column-major M', which the search
+    # copies to row-major when it is large, as the 96 x 10000 one is, and
+    # srrqr's products read M's column blocks in either layout
     wide = random_orthonormal(10000, 96, seed=7).T
     cases = [(wide, 96, 2.0)]
     cases += [(make(), rank, eta) for make, rank, eta in _SWAPPING.values()]
@@ -636,33 +686,48 @@ def test_selection_kernels_keep_their_bits_in_parts_and_layouts(monkeypatch, one
 
 
 def test_max_interaction_matches_the_solves():
-    # the inverse of R11 and its block products find the entry that
-    # triangular solves of R12 find, on the pivoted R of the swapping
-    # inputs, the desk bases and a wide orthonormal W', to 16 eps (the
-    # largest difference seen was 2 eps); srrqr swaps as the oracle does
+    # X = inv(R11) Q1' from numpy's QR of the pivot columns, and its block
+    # products with M, find the entry that triangular solves find on the R
+    # of numpy's QR of the whole M[:, perm], on the swapping inputs, the
+    # desk bases and a wide orthonormal W': at the same position, and equal
+    # to 4 cond(R11) eps (the largest difference seen was 1.35 cond(R11)
+    # eps). srrqr swaps as the oracle does
     wide = random_orthonormal(10000, 96, seed=7).T
     cases = [(make(), rank) for make, rank, _ in _SWAPPING.values()]
     cases += [(M, M.shape[0]) for M in _desk_pivot_inputs()] + [(wide, 96)]
+    eps = np.finfo(np.float64).eps
     for case, (M, rank) in enumerate(cases):
-        R = pivoted_qr(M)[0]
+        perm = rdeim.linalg._pivot_order(M)
+        R = np.linalg.qr(M[:, perm], mode="r")
         T = np.abs(solve_triangular(R[:rank, :rank], R[:rank, rank:]))
         i, j = np.unravel_index(np.argmax(T), T.shape)
-        t, *where = rdeim.linalg._max_interaction(R, rank)
-        assert where == [i, j], case
-        assert t == pytest.approx(T[i, j], rel=16 * np.finfo(np.float64).eps, abs=0.0), case
+        Q1, R11 = np.linalg.qr(M[:, perm[:rank]])
+        t, where = rdeim.linalg._max_interaction(solve_triangular(R11, Q1.T), M, perm, rank)
+        assert where == (i, rank + j), case
+        assert t == pytest.approx(T[i, j], rel=4 * np.linalg.cond(R11) * eps, abs=0.0), case
     for make, rank, eta in _SWAPPING.values():
         M = make()
         assert srrqr(M, rank, eta).swaps == reference_srrqr(M, rank, eta)[3]
 
 
-@pytest.mark.parametrize("corner", [1e-300, 1e-320], ids=["overflow", "nan"])
-def test_max_interaction_raises_when_an_interaction_is_not_finite(corner):
-    # R11 = diag(corner, 1): at 1e-300 its inverse is finite and times the
-    # 1e300 of R12 overflows; at 1e-320 the inverse is infinite and times
-    # the 0 of R12 is a NaN, which np.argmax takes and a comparison skips
-    R = np.array([[corner, 0.0, 1e300 if corner == 1e-300 else 0.0], [0.0, 1.0, 1.0]])
+# (X, A) with X = inv(R11) for R11 = A[:, :2], the pivot columns
+_NOT_FINITE = {
+    # R11 = diag(1e-300, 1): X is finite, and times the 1e300 of the
+    # trailing column it overflows
+    "overflow": ([[1e300, 0.0], [0.0, 1.0]], [[1e-300, 0.0, 1e300], [0.0, 1.0, 1.0]]),
+    # R11 = diag(1e-320, 1): X is infinite, and times the 0 of the trailing
+    # column it is a NaN, which a comparison would skip
+    "nan": ([[np.inf, 0.0], [0.0, 1.0]], [[1e-320, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+    # the product overflows in the pivot column 0 alone, whose entries the
+    # search sets to 0
+    "pivot": ([[1e300, 0.0], [0.0, 1.0]], [[1e300, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("X, A", list(_NOT_FINITE.values()), ids=list(_NOT_FINITE))
+def test_max_interaction_raises_when_an_interaction_is_not_finite(X, A):
     with pytest.raises(RankDeficiencyError, match="R11"):
-        rdeim.linalg._max_interaction(R, 2)
+        rdeim.linalg._max_interaction(np.array(X), np.array(A), np.arange(3), 2)
 
 
 def test_pivot_search_rescales_squares_that_underflow():
@@ -674,7 +739,8 @@ def test_pivot_search_rescales_squares_that_underflow():
     order = srrqr(B, 20).perm
     for k in range(-560, -500):
         M = np.ldexp(B, k)
-        assert np.array_equal(pivoted_qr(M)[1], scipy.linalg.qr(M, pivoting=True, mode="r")[1]), k
+        perm = rdeim.linalg._pivot_order(M)
+        assert np.array_equal(perm, scipy.linalg.qr(M, pivoting=True, mode="r")[1]), k
         assert np.array_equal(srrqr(M, 20).perm, order), k
 
 
@@ -687,7 +753,7 @@ def test_pivot_search_stops_only_when_every_column_is_in_the_span():
     # every residual is roundoff against its own column's norm
     big = 1e8 * random_matrix(8, 3, seed=4) @ random_matrix(3, 40, seed=5)
     M = np.hstack([big, 1e-6 * random_matrix(8, 1, seed=6)])
-    perm = pivoted_qr(M)[1]
+    perm = rdeim.linalg._pivot_order(M)
     assert perm[3] == 40
     assert np.array_equal(perm[:4], scipy.linalg.qr(M, pivoting=True, mode="r")[1][:4])
 
@@ -736,17 +802,21 @@ def test_srrqr_contracts(seed, case):
     m, n, r, eta, family, c = case
     M = _srrqr_input(m, n, family, c, seed)
     fac = srrqr(M, r, eta=eta)
-    # reconstruction without Q: M[:, perm] = Q R, so the leading r columns
-    # are Q1 R11 and R11' [R11, R12] = (Q1 R11)' M[:, perm] is their Gram
-    # block with every column; with diag(R11) > 0 that fixes R11 and R12
+    # reconstruction without Q: the leading r columns of M[:, perm] are
+    # Q1 R11 for an orthonormal Q1, so R11'R11 is their Gram matrix; with
+    # an upper triangular R11 and diag(R11) > 0 that fixes R11
     P = M[:, fac.perm]
-    lead = np.hstack([fac.R11, fac.R12])
-    assert np.max(np.abs(fac.R11.T @ lead - P[:, :r].T @ P)) < 1e-10
-    assert np.all(np.diag(fac.R11) > 0)
-    # the reported interaction is the one the swap loop stopped at
-    T = solve_triangular(fac.R11, fac.R12)
+    assert np.max(np.abs(fac.R11.T @ fac.R11 - P[:, :r].T @ P[:, :r])) < 1e-10
+    assert not np.tril(fac.R11, -1).any() and np.all(np.diag(fac.R11) > 0)
+    # the reported interaction is the one the swap loop stopped at, against
+    # numpy's R of M[:, perm] (see test_srrqr_matches_the_numpy_qr_oracle
+    # for the tolerance)
+    T = _interactions(M, fac)
+    cond = np.linalg.cond(fac.R11)
     assert fac.max_interaction <= eta
-    assert fac.max_interaction == pytest.approx(np.max(np.abs(T), initial=0.0), rel=1e-12)
+    assert fac.max_interaction == pytest.approx(
+        np.max(np.abs(T), initial=0.0), rel=4 * cond * np.finfo(np.float64).eps, abs=0.0
+    )
     # spectral guarantee
     sv = np.linalg.svd(M, compute_uv=False)
     smin = np.linalg.svd(fac.R11, compute_uv=False)[-1]
@@ -779,12 +849,10 @@ def test_srrqr_parameter_errors():
 
 def test_pivoted_factorizations_raise_a_typed_overflow():
     # every entry is finite, but the column norms pass 1.8e308: the search
-    # runs on a scaled copy, and the R of the pivot block is non-finite,
-    # which srrqr once read as a rank deficiency
+    # runs on a scaled copy, and R11, the R of the pivot columns, is
+    # non-finite, which srrqr once read as a rank deficiency
     M = np.random.default_rng(1).uniform(0.5, 1, (5, 30)) * 1e308
     match = r"the pivoted QR of M overflowed on a finite M \(5, 30\)"
-    with pytest.raises(OverflowingProductError, match=match):
-        pivoted_qr(M)
     with pytest.raises(OverflowingProductError, match=match):
         srrqr(M, 3)
 
@@ -813,7 +881,7 @@ def test_one_non_finite_entry_is_named_by_the_pivoted_factorizations(layout, dat
     rank = data.draw(st.integers(1, min(m, n)))
     M = np.random.default_rng(seed).standard_normal((m, n))
     M[int(at[0] * m), int(at[1] * n)] = value
-    for factor in (lambda: pivoted_qr(M), lambda: srrqr(M, rank)):
+    for factor in (lambda: rdeim.linalg._pivot_order(M), lambda: srrqr(M, rank)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="M contains non-finite entries"):
@@ -1074,10 +1142,9 @@ _FAULT_CASES = {
 _FAULT_CASES.update(
     thin_svd=lambda: thin_svd(random_matrix(8, 5, seed=1), 2),
     thin_qr=lambda: thin_qr(random_matrix(12, 4, seed=2)),
-    pivoted_qr=lambda: pivoted_qr(random_matrix(6, 9, seed=3)),
     # the pivot block's geqrf and orgqr, then the trtri of R11
     srrqr=lambda: srrqr(random_matrix(6, 9, seed=4), 3),
-    # one swap: the geqrf of the refactoring and its trtri fail in turn too
+    # one swap: the second check's geqrf, orgqr and trtri fail in turn too
     srrqr_swap=lambda: srrqr(_kahan(12, c=0.5), 6),
     spectral_norm=lambda: spectral_norm(random_matrix(7, 5, seed=5)),
     canonical_angles=lambda: canonical_angles(
@@ -1111,11 +1178,10 @@ def test_every_factorization_failure_is_a_typed_error(monkeypatch, call):
 
 
 def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkeypatch):
-    # pqr reads only the pivots, srrqr the pivots and R, and a bound the
-    # largest angle: the pivot search calls no LAPACK routine, R is the
-    # geqrf of the pivot block with the orgqr Q of that block only, the
-    # interaction search inverts R11 once (trtri), and no SVD of W'Wh forms
-    # the cosines
+    # pqr reads only the pivots, srrqr the pivots and R11, and a bound the
+    # largest angle: the pivot search calls no LAPACK routine, each srrqr
+    # check is the geqrf and orgqr of its pivot columns and one inverse of
+    # R11 (trtri), and no SVD of W'Wh forms the cosines
     state = _fail_one_call(monkeypatch)
 
     def calls(run):
@@ -1127,11 +1193,36 @@ def test_the_pivoted_factorizations_and_the_angles_form_only_what_is_read(monkey
     assert srrqr(W.T, 6).swaps == 0
     pivot_block = ["geqrf_lwork", "geqrf", "orgqr", "orgqr"]  # orgqr after its workspace query
     assert calls(lambda: srrqr_select(W))[1] == pivot_block + ["trtri"]
-    # a square input has no trailing columns, so no Q; each swap refactors
-    # with one geqrf, after its workspace query, and inverts the new R11
+    # at rank 6 of 12 columns each check, the one after each swap too, is
+    # the same three routines; a square input at full rank has no trailing
+    # columns, so no Q and no inverse
     fac, log = calls(lambda: srrqr(_kahan(12, c=0.5), 6))
     assert fac.swaps > 0
-    assert log == ["geqrf_lwork", "geqrf", "trtri"] * (1 + fac.swaps)
+    assert log == (pivot_block + ["trtri"]) * (1 + fac.swaps)
+    assert calls(lambda: srrqr(_kahan(12, c=0.5), 12))[1] == ["geqrf_lwork", "geqrf"]
     # the one SVD is the spectral norm of Wh - W (W'Wh)
     pair = random_orthonormal(12, 3, seed=6), random_orthonormal(12, 3, seed=7)
     assert calls(lambda: canonical_angles(*pair))[1] == ["svd"]
+
+
+@pytest.mark.parametrize("make, rank, eta", list(_SWAPPING.values()), ids=list(_SWAPPING))
+def test_srrqr_factors_only_its_pivot_columns(monkeypatch, make, rank, eta):
+    # every geqrf srrqr runs is on the m x rank block of its pivot columns,
+    # at the first check and at the check after each swap: no geqrf sees
+    # the trailing columns
+    real = rdeim.linalg.get_lapack_funcs
+    shapes = []
+
+    def logged(name, routine):
+        def call(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return routine(a, *args, **kwargs)
+
+        return call if name == "geqrf" else routine
+
+    monkeypatch.setattr(rdeim.linalg, "get_lapack_funcs",
+                        lambda names, arrays: tuple(map(logged, names, real(names, arrays))))
+    M = make()
+    fac = srrqr(M, rank, eta)
+    assert fac.swaps > 0
+    assert shapes == [(M.shape[0], rank)] * (1 + fac.swaps)

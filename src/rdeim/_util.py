@@ -80,9 +80,9 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     independent row block at a time, with elementwise ufuncs that release
     the GIL, so the parts run at once. The BLAS passes take their part
     count from _part_count or _work_parts: the products with A (_over_lines),
-    linalg.column_residuals, the pivot search's updates (linalg._downdate),
-    srrqr's products with blocks of M's columns (linalg._max_interaction)
-    and the Gram halves of check_orthonormal. A part whose CPU another
+    linalg.column_residuals, the products with blocks of M's columns of
+    the pivot search (linalg._downdate) and of srrqr
+    (linalg._max_interaction), and the Gram halves of check_orthonormal. A part whose CPU another
     process holds delays the pass by its whole share.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate, so one part is
@@ -195,9 +195,9 @@ FINITE_BLOCK = 1 << 16
 def block_lines(width):
     """SWEEP_BLOCK lines of width entries, or more when they are short, up
     to FINITE_BLOCK entries: the block of as_matrix's finiteness check (a
-    64 KB bool buffer, which stays in cache), of srrqr's products X @ M
-    (512 KB of float64, which keeps the products few) and of the pivot
-    search's updates (_downdate)."""
+    64 KB bool buffer, which stays in cache) and of the products with
+    blocks of M's columns, srrqr's X @ M and the pivot search's updates
+    Q'M (512 KB of float64, which keeps the products few)."""
     return max(SWEEP_BLOCK, FINITE_BLOCK // width)
 
 

@@ -238,14 +238,15 @@ def _pivot_order(M):
     only shrinks from step to step, so one computed at an earlier step
     bounds it from above, and only the columns that can still lead are
     brought up to date at each step. The search runs in blocks of steps. A
-    block starts with every residual brought up to date: one product of M'
-    with the directions added since the last block, a block of rows at a
-    time, in parts for a large M (_downdate). It copies the columns of the
-    largest residuals, FINITE_BLOCK entries of them, as its pool, and keeps
-    the largest residual outside the pool as a bound. At each step only the pool is downdated, by one
-    matrix-vector product with the newest direction, and its largest
-    residual leads; once that falls within a tie of the bound, a column
-    outside the pool could lead, and a new block starts. A downdated
+    block starts with every residual brought up to date: one product of the
+    directions added since the last block with M, a block of M's columns
+    at a time, in parts for a large M (_downdate). It copies the columns of
+    the largest residuals, FINITE_BLOCK entries of them, as its pool, and
+    keeps the largest residual outside the pool as a bound. At each step
+    only the pool is downdated, by one matrix-vector product with the
+    newest direction, and its largest residual leads; once that falls
+    within a tie of the bound, a column outside the pool could lead, and a
+    new block starts. A downdated
     residual below _RECOMPUTE of the last one computed explicitly has lost
     its accuracy: when one would lead or tie, a new block starts too, and
     its update computes every such residual explicitly again, as
@@ -256,24 +257,15 @@ def _pivot_order(M):
     _NEGLIGIBLE of its column's squared norm: past the numerical rank each
     step would otherwise compute nearly every residual explicitly again.
 
-    M is read through M', a row per column: the pool and the recomputed
-    columns are gathered rows of M'. A column-major M' of at least
-    _COPY_ENTRIES entries is first copied to row-major, once, after the
-    squared column norms are read from M itself; that is the W' that
-    pqr_select and srrqr_select pass for a W in Fortran order, as
-    read_matrix returns it to every rdeim select. A row-major or small M'
-    is read in place. Beyond the copy, the pool and SWEEP_BLOCK recomputed
-    columns no copy of M is made, and the copy is freed on return. The
-    copy holds M's values, so every gather reads the same numbers and a
-    block update is the same product on the same values: on the
-    select-cli bases OpenBLAS gave it the bits of the product on M'
-    itself, though a one-column update (a matrix-vector call) or a short
-    last block on its small-matrix kernels may differ in the last bits.
-    When a squared column norm
-    overflows, or the square of a nonzero column underflows to a subnormal
-    or to zero, the search runs on M scaled by an exact power of two
-    (_unit_scaled), which scales every residual alike. A non-finite entry
-    raises as_matrix's ValueError.
+    M is read as stored, C- or F-ordered: the pool and the recomputed
+    columns are gathered from M.T, and each block update is the product
+    of the new directions with blocks of M's own columns (_downdate), so
+    beyond the pool and SWEEP_BLOCK recomputed columns no copy of M is
+    made. Measurements: CHANGES, "The pivot search reads M as stored".
+    When a squared column norm overflows, or the square of a nonzero
+    column underflows to a subnormal or to zero, the search runs on M
+    scaled by an exact power of two (_unit_scaled), which scales every
+    residual alike. A non-finite entry raises as_matrix's ValueError.
     """
     m, n = M.shape
     k = min(m, n)
@@ -287,15 +279,9 @@ def _pivot_order(M):
     # column
     if not res.max() < math.inf or (res.min() < tiny and Mt[res < tiny].any()):
         as_matrix(M, "M")
-        Mt = _unit_scaled(M).T
+        M = _unit_scaled(M)
+        Mt = M.T
         res = np.einsum("ij,ij->i", Mt, Mt)
-    # a pool of every column reads M' as it is laid out: a matrix-vector
-    # product's bits depend on the layout
-    whole = Mt
-    if Mt.size >= _COPY_ENTRIES and not Mt.flags.c_contiguous:
-        # a row of M' per column, so that the pool and the recomputed
-        # columns are gathered from contiguous rows
-        Mt = np.ascontiguousarray(Mt)
     order = np.arange(n, dtype=np.intp)  # the column at each position
     where = order.copy()  # the position of each column
     base = res.copy()  # each column's last explicit squared residual
@@ -309,7 +295,7 @@ def _pivot_order(M):
             # Each temporary is dropped once read, so that the search holds
             # at most one pool or one block of products a part at a time
             del G, g  # g is a row of G
-            _downdate(res, Mt, Qt[start:i].T)
+            _downdate(res, M, Qt[start:i])
             res[cols] = pool
             low = np.flatnonzero(res < _RECOMPUTE * base)
             Q = Qt[:i]
@@ -331,7 +317,7 @@ def _pivot_order(M):
         else:
             cols = np.flatnonzero(res > -np.inf)
             bound = -np.inf
-        G = whole if cols.size == n else Mt[cols]  # a copy, unless it is all of M
+        G = Mt if cols.size == n else Mt[cols]  # a copy, unless it is all of M
         pool = res[cols]
         scale = base[cols]
         while i < k:
@@ -378,34 +364,26 @@ def _pivot_order(M):
     return order
 
 
-# the search copies a column-major M' of at least this many entries (4 MB)
-# to row-major. Paired calls at one BLAS thread on orthonormal W', the copy
-# included, medians of 40, without / with it (ms): 24 x 10000 2.8 / 3.2,
-# 48 x 10000 7.1 / 7.8, 64 x 3000 3.5 / 3.8 and 96 x 3000 7.4 / 7.5 (below
-# the floor); 64 x 10000 13.0 / 12.4, 80 x 10000 18.5 / 16.8, 96 x 10000
-# 25.0 / 24.8 and 128 x 10000 40.5 / 34.0 (above it)
-_COPY_ENTRIES = 1 << 19
-
-
-def _downdate(res, Mt, Q):
-    """res -= the squared row norms of Mt @ Q, in blocks of block_lines
-    rows, in _work_parts parts through fill_in_parts. Each part forms its
-    blocks' products and sums in its own two buffers, so no worker
-    allocates; the block bounds do not depend on the part count."""
-    n, width = Mt.shape[0], Q.shape[1]
-    step = block_lines(width)
+def _downdate(res, M, Qt):
+    """res -= the squared column norms of Qt @ M, in blocks of
+    block_lines(width) of M's own columns, in _work_parts parts through
+    fill_in_parts. Each part forms its blocks' products and sums in its own
+    two buffers, so no worker allocates; the block bounds follow from the
+    shape alone, so the part count never enters the bits."""
+    width, n = Qt.shape[0], M.shape[1]
+    step = min(block_lines(width), n)
     n_blocks = -(-n // step)
 
     def fill(lo, hi, P, sums):
         for b in range(lo, hi):
-            rows = slice(b * step, (b + 1) * step)
-            block = Mt[rows]
-            product = np.matmul(block, Q, out=P[: block.shape[0]])
-            res[rows] -= np.einsum("ij,ij->i", product, product, out=sums[: block.shape[0]])
+            cols = slice(b * step, (b + 1) * step)
+            block = M[:, cols]
+            w = block.shape[1]
+            product = np.matmul(Qt, block, out=P[: width * w].reshape(width, w))
+            res[cols] -= np.einsum("ij,ij->j", product, product, out=sums[:w])
 
-    fill_in_parts(fill, n_blocks,
-                  lambda: (np.empty((min(step, n), width)), np.empty(min(step, n))),
-                  parts=_work_parts(Mt.size * width))
+    fill_in_parts(fill, n_blocks, lambda: (np.empty(width * step), np.empty(step)),
+                  parts=_work_parts(M.size * width))
 
 
 # srrqr's swap budget, per column of its input

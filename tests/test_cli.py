@@ -346,9 +346,9 @@ def test_main_builds_its_parser_once_and_writes_what_fresh_processes_write(
 
 def test_select_pqr_on_a_large_basis_file_keeps_the_geqp3_pivots(tmp_path):
     # read_matrix returns W in Fortran order, so the pivot search reads a
-    # column-major W' of 600000 entries: it copies it to row-major, and its
-    # pool of 436 columns leads for some steps before every residual is
-    # brought up to date. The points are the first pivots of geqp3
+    # C-ordered W' of 600000 entries as stored, and its pool of 436 columns
+    # leads for some steps before every residual is brought up to date. The
+    # points are the first pivots of geqp3
     W = random_orthonormal(4000, 150, seed=3)
     write_matrix(tmp_path / "basis.rdmx", W)
     points = tmp_path / "points.csv"

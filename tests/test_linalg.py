@@ -450,9 +450,11 @@ def _craft_interactions(monkeypatch, M, T):
     at every later one. T is r x (n - r), over the trailing positions of
     M's pivot order. srrqr forms X @ M a block of M's own columns at a
     time: each such product writes T's entries in its trailing columns and
-    9 in its pivot columns, which the search must pass over. Returns the
-    log of those products: (the check, from 0, the block's first column,
-    its width, its thread)."""
+    9 in its pivot columns, which the search must pass over. The pivot
+    search's updates multiply blocks of M's columns too; their left factor
+    is a view of its directions, where srrqr's X is an array of its own.
+    Returns the log of srrqr's products: (the check, from 0, the block's
+    first column, its width, its thread)."""
     perm = rdeim.linalg._pivot_order(M)
     r = T.shape[0]
     first = np.full((r, M.shape[1]), 9.0)
@@ -460,7 +462,7 @@ def _craft_interactions(monkeypatch, M, T):
     checks, products = [], []
 
     def matmul(a, b, out):
-        if b.base is not M:  # the pivot search's products
+        if a.base is not None:  # the pivot search's products
             return np.matmul(a, b, out=out)
         # a is the X of one check, the same array for all its blocks
         if not any(a is x for x in checks):
@@ -557,25 +559,31 @@ def test_srrqr_ties_across_column_blocks_swap_the_first_in_row_order(
 
 
 @pytest.mark.parametrize("factor", ["pivot_order", "srrqr"])
-def test_wide_factorizations_hold_at_most_one_copy_of_m(factor):
-    # the pivot search copies no more than its pool, besides its row-major
-    # copy of a large column-major M', and srrqr forms no k x n array: it
-    # factors its pivot columns and finds its largest interaction a block
-    # of M's columns at a time. A second copy of M, or the whole
-    # inv(R11) R12 and its absolute value, would each add another M.nbytes.
+def test_wide_factorizations_make_no_copy_of_m(monkeypatch, factor):
+    # the pivot search reads M as stored, in either layout: at its peak it
+    # holds its per-column arrays (at most 8 of n entries), its directions
+    # Qt (k x m) and either its pool or its update's product buffer, each
+    # FINITE_BLOCK entries on one CPU. srrqr adds rank x m arrays and one
+    # block of its products X @ M. A copy of M would add M.nbytes, 5.6 times
+    # this bound on these shapes; the measured peaks are 0.79-0.82 of it.
     # At rank 10 the search computes nearly every residual again
-    # explicitly once it passes the rank, a block of columns at a time too
+    # explicitly once it passes the rank, a block of columns at a time
+    patch_cpus(monkeypatch, 1)
     low_rank = random_matrix(64, 10, seed=2) @ random_matrix(10, 20000, seed=3)
     for M, rank in ((random_matrix(64, 20000, seed=1), 64), (low_rank, 10)):
-        call = {"pivot_order": lambda: rdeim.linalg._pivot_order(M),
-                "srrqr": lambda: srrqr(M, rank)}[factor]
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * M.nbytes, rank
+        (m, n), k = M.shape, min(M.shape)
+        bound = 8 * (8 * n + k * m + FINITE_BLOCK)
+        for order in ("C", "F"):
+            layout = np.asarray(M, order=order)
+            call = {"pivot_order": lambda: rdeim.linalg._pivot_order(layout),
+                    "srrqr": lambda: srrqr(layout, rank)}[factor]
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (rank, order, peak)
 
 
 def _wide_kahan():
@@ -661,10 +669,9 @@ def _kernel_outputs(M, rank, eta):
 def test_selection_kernels_keep_their_bits_in_parts_and_layouts(monkeypatch, one_blas_thread):
     # the pivot search's residual updates and srrqr's products X @ M run in
     # two parts once the floor is lowered and two CPUs are seen; the blocks
-    # stay where they are, so every output keeps the bits of one part. A
-    # C-ordered M is read through a column-major M', which the search
-    # copies to row-major when it is large, as the 96 x 10000 one is, and
-    # srrqr's products read M's column blocks in either layout
+    # stay where they are, so every output keeps the bits of one part. The
+    # search's updates and srrqr's products read blocks of M's own columns
+    # in either layout, the 96 x 10000 M as well
     wide = random_orthonormal(10000, 96, seed=7).T
     cases = [(wide, 96, 2.0)]
     cases += [(make(), rank, eta) for make, rank, eta in _SWAPPING.values()]

@@ -18,8 +18,7 @@ from .exceptions import OverflowingProductError
 # error sweep, its bounds, the adaptive range finder's explicit residual
 # and bench_basis), the oscillator generator fills them in place, and
 # _over_lines cuts the range finders' products with A into parts at its
-# multiples; a blocked pass of block_lines takes at least this many lines.
-# The sweep and the fills split their blocks over fill_in_parts too
+# multiples; a blocked pass of block_lines takes at least this many lines
 SWEEP_BLOCK = 64
 
 # a pass over A is made in parts only where each part holds at least this
@@ -76,14 +75,11 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
     range(n_blocks): parts of them (by default one per CPU the process may
     run on), and at most one per block.
 
-    The snapshot generators fill their matrix through this, one
-    independent row block at a time, with elementwise ufuncs that release
-    the GIL, so the parts run at once. The BLAS passes take their part
-    count from _part_count or _work_parts: the products with A (_over_lines),
-    linalg.column_residuals, the products with blocks of M's columns of
-    the pivot search (linalg._downdate) and of srrqr
-    (linalg._max_interaction), and the Gram halves of check_orthonormal. A part whose CPU another
-    process holds delays the pass by its whole share.
+    Only this module calls it (a CI step checks that): _over_lines, which
+    forms one product per part, and in_blocks, which every pass in fixed
+    blocks runs through. Elementwise ufuncs and BLAS calls release the
+    GIL, so the parts run at once. A part whose CPU another process holds
+    delays the pass by its whole share.
     The first part runs on the calling thread and the others on worker
     threads, each under the calling thread's np.errstate, so one part is
     one call of fill on the calling thread and starts no thread; scratch
@@ -125,6 +121,25 @@ def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
         raise errors[0]
 
 
+def in_blocks(fill, n, step, scratch=tuple, parts=None):
+    """Call fill(lo, hi, *buffers) once for each block [lo, hi) =
+    [k step, min(n, (k + 1) step)) of range(n), through fill_in_parts: the
+    blocks in parts (by default one per usable CPU), each part with the
+    buffers of its own scratch() call, so no worker allocates them.
+
+    Every pass in fixed blocks runs through this: a snapshot generator
+    fills a block of rows, a BLAS pass forms a block's product, in
+    _part_count or _work_parts parts. The blocks follow from n and step
+    alone, so the part count never enters the bits.
+    """
+
+    def run(lo, hi, *buffers):
+        for k in range(lo, hi):
+            fill(k * step, min(n, (k + 1) * step), *buffers)
+
+    fill_in_parts(run, -(-n // step), scratch, parts)
+
+
 def _cpu_parts(most):
     """most parts, but at most one per usable CPU, where numpy's OpenBLAS
     runs one thread; 1, the one BLAS call, where it runs more or the count
@@ -155,9 +170,9 @@ def _part_count(A, lines):
 
 
 def _work_parts(work):
-    """How many parts a pass in fixed blocks doing work multiply-adds is
-    made in: by _cpu_parts, each part doing at least PART_WORK. The blocks
-    do not move with the part count, so the count never enters the bits.
+    """How many parts a pass in fixed blocks (in_blocks) doing work
+    multiply-adds is made in: by _cpu_parts, each part doing at least
+    PART_WORK.
 
     The floor is set by what a worker thread costs, measured on two
     CPUs at one BLAS thread: starting and joining one took 0.10-0.18 ms,
@@ -313,20 +328,21 @@ def check_orthonormal(W, name="basis"):
 
 def _gram(W):
     """W'W; for a W of at least 2 PART_WORK multiply-adds, the sum of the
-    Grams of its two row halves, formed in _work_parts parts. The halves
-    follow from the shape alone, and the value only decides the 1e-8
-    test."""
+    Grams of its two row halves, formed in _work_parts parts (in_blocks).
+    The value decides the 1e-8 test of check_orthonormal and enters the
+    adaptive range finder's residual check only within its rounding
+    margin (rangefinder._gram_residual)."""
     n, r = W.shape
     work = n * r * r
-    cuts = (0, n // 2, n) if work >= 2 * PART_WORK else (0, n)
-    grams = np.empty((len(cuts) - 1, r, r))
+    halves = 2 if work >= 2 * PART_WORK else 1
+    step = -(-n // halves)
+    grams = np.empty((halves, r, r))
 
     def fill(lo, hi):
-        for b in range(lo, hi):
-            rows = W[cuts[b] : cuts[b + 1]]
-            np.matmul(rows.T, rows, out=grams[b])
+        rows = W[lo:hi]
+        np.matmul(rows.T, rows, out=grams[lo // step])
 
-    fill_in_parts(fill, len(grams), parts=_work_parts(work))
+    in_blocks(fill, n, step, parts=_work_parts(work))
     return grams.sum(axis=0)
 
 
@@ -390,9 +406,3 @@ def check_open_unit(value, name):
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     return value
 
-
-def check_seed(seed):
-    """seed as an int, if it is a nonnegative integer (not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)

@@ -20,6 +20,7 @@ from ._util import (
     check_at_least,
     check_count,
     check_open_unit,
+    finite_product,
     orthonormal_basis,
 )
 from .exceptions import SpectralGapError
@@ -65,6 +66,14 @@ def column_bounds(P, F, reference=None):
         abs_error (||f - D f||). With a reference also, per column, best
         (||(I - W W') f||), orth (||(I - P_W) f||), proj (||P_W f||),
         bound_plain and bound_perturbed, and sin_theta_max.
+
+    Raises
+    ------
+    ValueError
+        If F has a non-finite entry; F is read for it only when a
+        coefficient or a sum is not finite.
+    OverflowingProductError
+        If a coefficient or a sum of squares overflows on a finite F.
     """
     const = P.error_constant()
     W = P.basis
@@ -73,12 +82,17 @@ def column_bounds(P, F, reference=None):
         reference = orthonormal_basis(reference, "reference")
         # also rejects a reference whose shape differs from the projector's basis
         sin_max = canonical_angles(reference, P.orthonormal).sin_theta_max
-        ref_coef = W.T @ F
-        pairs.append((W, ref_coef))
-        if reference is not P.orthonormal:  # the projector's own basis is swept once
-            ref_coef = reference.matrix.T @ F
-            pairs.append((reference.matrix, ref_coef))
-    norm2, res2 = column_residuals(F, pairs)
+    # a NaN or an infinity in F, or a square that overflowed, leaves a sum
+    # non-finite, which is checked with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if reference is not None:
+            ref_coef = W.T @ F
+            pairs.append((W, ref_coef))
+            if reference is not P.orthonormal:  # the projector's own basis is swept once
+                ref_coef = reference.matrix.T @ F
+                pairs.append((reference.matrix, ref_coef))
+        norm2, res2 = column_residuals(F, pairs)
+    finite_product(np.array([norm2, *res2]), F, "F", "the column sums of squares of F")
     out = {"error_constant": const, "norm": np.sqrt(norm2), "abs_error": np.sqrt(res2[0])}
     if reference is not None:
         best, orth = np.sqrt(res2[1]), np.sqrt(res2[-1])

@@ -30,8 +30,7 @@ from ._util import (
     check_at_least,
     check_count,
     check_open_unit,
-    check_seed,
-    fill_in_parts,
+    in_blocks,
 )
 from .bounds import column_bounds
 from .linalg import column_residuals
@@ -100,9 +99,8 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
 
     t runs over [1, 6] with n_t points, mu over [0, pi] with n_mu points.
     The matrix holds t mu and is then filled in place SWEEP_BLOCK rows at
-    a time, with 4 t mu formed once per block in a part's own two scratch
-    blocks, so no temporary grows with n_t. The blocks are filled through
-    fill_in_parts, and the bits do not depend on the part count.
+    a time (in_blocks), with 4 t mu formed once per block in a part's own
+    two scratch blocks, so no temporary grows with n_t.
     """
     n_t, n_mu = _grid_counts(n_t=n_t, n_mu=n_mu)
     t = np.linspace(1.0, 6.0, n_t)
@@ -110,21 +108,19 @@ def oscillator_snapshots(n_t=10000, n_mu=100):
     F = np.multiply.outer(t, mu)
 
     def fill(lo, hi, arg, wave):
-        for b in range(lo, hi):
-            tm = F[b * SWEEP_BLOCK : (b + 1) * SWEEP_BLOCK]
-            a, w = arg[: tm.shape[0]], wave[: tm.shape[0]]
-            np.multiply(tm, 4.0, out=a)
-            np.cos(a, out=w)
-            w += np.sin(a, out=a)
-            np.negative(tm, out=tm)
-            np.exp(tm, out=tm)
-            tm *= 10.0
-            tm *= w
+        tm, a, w = F[lo:hi], arg[: hi - lo], wave[: hi - lo]
+        np.multiply(tm, 4.0, out=a)
+        np.cos(a, out=w)
+        w += np.sin(a, out=a)
+        np.negative(tm, out=tm)
+        np.exp(tm, out=tm)
+        tm *= 10.0
+        tm *= w
 
     def scratch():
         return np.empty((SWEEP_BLOCK, n_mu)), np.empty((SWEEP_BLOCK, n_mu))
 
-    fill_in_parts(fill, -(-n_t // SWEEP_BLOCK), scratch)
+    in_blocks(fill, n_t, SWEEP_BLOCK, scratch)
     return SnapshotSet(matrix=F, params=mu[:, None], space={"t": t})
 
 
@@ -145,10 +141,9 @@ def corner_peak_snapshots(grid=100, param_grid=25):
 
     h is tabulated once per axis, for (x, mu) and for the reflected
     (1 - x, 1 - mu). The matrix is then filled in place one x2 value at a
-    time, through fill_in_parts: those grid rows hold every column, and
-    each part sums its terms in its own grid x param_grid^2 scratch
-    block, so no temporary grows with the column count and the bits do
-    not depend on the part count.
+    time (in_blocks of grid rows, which hold every column), and each part
+    sums its terms in its own grid x param_grid^2 scratch block, so no
+    temporary grows with the column count.
     """
     grid, param_grid = _grid_counts(grid=grid, param_grid=param_grid)
     x = np.linspace(0.0, 1.0, grid)
@@ -161,20 +156,19 @@ def corner_peak_snapshots(grid=100, param_grid=25):
     terms = ((h, h), (h_r, h_r), (h_r, h), (h, h_r))
 
     def fill(lo, hi, g):
-        for j in range(lo, hi):
-            # rows i + grid * j as [i, p2, p1]: column p1 + param_grid * p2
-            # holds (mu1, mu2) = (mus[p1], mus[p2])
-            block = F[j * grid : (j + 1) * grid].reshape(grid, param_grid, param_grid)
-            for k, (h1, h2) in enumerate(terms):
-                out = g if k else block
-                np.add(h1[:, None, :], h2[j][None, :, None], out=out)
-                np.add(out, 0.01, out=out)
-                np.sqrt(out, out=out)
-                np.divide(1.0, out, out=out)
-                if k:
-                    block += g
+        # rows i + grid * j, j = lo / grid, as [i, p2, p1]: column
+        # p1 + param_grid * p2 holds (mu1, mu2) = (mus[p1], mus[p2])
+        block = F[lo:hi].reshape(grid, param_grid, param_grid)
+        for k, (h1, h2) in enumerate(terms):
+            out = g if k else block
+            np.add(h1[:, None, :], h2[lo // grid][None, :, None], out=out)
+            np.add(out, 0.01, out=out)
+            np.sqrt(out, out=out)
+            np.divide(1.0, out, out=out)
+            if k:
+                block += g
 
-    fill_in_parts(fill, grid, lambda: (np.empty((grid, param_grid, param_grid)),))
+    in_blocks(fill, grid * grid, grid, lambda: (np.empty((grid, param_grid, param_grid)),))
     params = np.column_stack([np.tile(mus, param_grid), np.repeat(mus, param_grid)])
     return SnapshotSet(matrix=F, params=params, space={"x1": x, "x2": x})
 
@@ -182,17 +176,18 @@ def corner_peak_snapshots(grid=100, param_grid=25):
 def latin_hypercube(n_samples, ranges, seed):
     """Latin hypercube design: per dimension, one sample per stratum.
 
-    Strata are the n equal-width cells of each range; a random permutation
-    pairs strata across dimensions and each sample is jittered uniformly
-    about its stratum midpoint.
+    Strata are the n equal-width cells of each range, which must be
+    finite and nonempty; a random permutation pairs strata across
+    dimensions and each sample is jittered uniformly about its stratum
+    midpoint.
     """
     n_samples = check_count(n_samples, 1, "n_samples")
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_count(seed, 0, "seed"))
     dims = len(ranges)
     out = np.empty((n_samples, dims))
     for d, (lo, hi) in enumerate(ranges):
-        if not hi > lo:
-            raise ValueError(f"range {d} is empty: ({lo}, {hi})")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"range {d} is empty or unbounded: ({lo}, {hi})")
         perm = rng.permutation(n_samples)
         jitter = rng.uniform(size=n_samples)
         out[:, d] = lo + (hi - lo) * (perm + jitter) / n_samples
@@ -207,13 +202,12 @@ def _source_columns(x, params):
     exp(-d2 / mu5^2), d1 and d2 the squared distances along each axis. The
     two factors are tabulated once per axis (grid x n_cols), so the
     matrix takes 2 grid n_cols exponentials and one product per entry,
-    and is filled one x2 grid line at a time, through fill_in_parts, so
-    no temporary grows with the row count and the bits do not depend on
-    the part count. Both this and the unfactored exp(-a), a = (d1 + d2) /
-    mu5^2, round the exponent to about 5u relative (u the unit roundoff),
-    so they agree to a relative (10 a + 20) u. With tiny widths from
-    custom ranges, the factors underflow far from the centre, to zero or
-    to subnormal values, as the unfactored exponential does.
+    and is filled one x2 grid line at a time (in_blocks), so no temporary
+    grows with the row count. Both this and the unfactored exp(-a),
+    a = (d1 + d2) / mu5^2, round the exponent to about 5u relative (u the
+    unit roundoff), so they agree to a relative (10 a + 20) u. With tiny
+    widths from custom ranges, the factors underflow far from the centre,
+    to zero or to subnormal values, as the unfactored exponential does.
     """
     grid = x.size
     neg_width = -(params[:, 2] * params[:, 2])
@@ -222,11 +216,10 @@ def _source_columns(x, params):
     cols = np.empty((grid * grid, params.shape[0]))
 
     def fill(lo, hi):
-        for j in range(lo, hi):
-            # rows i + grid * j: e1 runs over x1 (i), e2 over x2 (j)
-            np.multiply(e1, e2[j], out=cols[j * grid : (j + 1) * grid])
+        # rows i + grid * j, j = lo / grid: e1 runs over x1 (i), e2 over x2 (j)
+        np.multiply(e1, e2[lo // grid], out=cols[lo:hi])
 
-    fill_in_parts(fill, grid)
+    in_blocks(fill, grid * grid, grid)
     return cols
 
 
@@ -255,7 +248,7 @@ def source_test_points(snaps, n_test, seed):
     """Held-out source snapshots at parameters drawn uniformly over the box
     the training set snaps was sampled from."""
     n_test = check_count(n_test, 0, "n_test")
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_count(seed, 0, "seed"))
     lo, hi = np.array(snaps.ranges).T
     params = lo + (hi - lo) * rng.uniform(size=(n_test, 3))
     x = snaps.space["x1"]
@@ -318,7 +311,7 @@ class AlgorithmSpec:
         check_open_unit(self.beta, "beta")
         if self.samples is not None:
             check_count(self.samples, 1, "samples")
-        check_seed(self.seed)
+        check_count(self.seed, 0, "seed")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -457,7 +450,8 @@ def error_sweep(P, snaps, reference_basis=None):
     """Per-column relative errors of the projector over a snapshot set.
 
     A zero column has no relative error; it is recorded as nan and skipped
-    by the summary statistics rather than propagated. With a reference
+    by the summary statistics rather than propagated. A non-finite entry,
+    or a square that overflows, raises (see column_bounds). With a reference
     basis the sweep also reports, per column, the plain interpolation
     bound and the perturbed-basis bound against that reference, and the
     summary reports the largest canonical angle sine between the two

@@ -34,8 +34,8 @@ from ._util import (
     block_lines,
     check_at_least,
     check_count,
-    fill_in_parts,
     finite_product,
+    in_blocks,
     orthonormal_basis,
 )
 from .exceptions import ConvergenceError, RankDeficiencyError
@@ -366,24 +366,18 @@ def _pivot_order(M):
 
 def _downdate(res, M, Qt):
     """res -= the squared column norms of Qt @ M, in blocks of
-    block_lines(width) of M's own columns, in _work_parts parts through
-    fill_in_parts. Each part forms its blocks' products and sums in its own
-    two buffers, so no worker allocates; the block bounds follow from the
-    shape alone, so the part count never enters the bits."""
+    block_lines(width) of M's own columns, in _work_parts parts
+    (in_blocks), each part with one product and one sum buffer."""
     width, n = Qt.shape[0], M.shape[1]
     step = min(block_lines(width), n)
-    n_blocks = -(-n // step)
 
     def fill(lo, hi, P, sums):
-        for b in range(lo, hi):
-            cols = slice(b * step, (b + 1) * step)
-            block = M[:, cols]
-            w = block.shape[1]
-            product = np.matmul(Qt, block, out=P[: width * w].reshape(width, w))
-            res[cols] -= np.einsum("ij,ij->j", product, product, out=sums[:w])
+        w = hi - lo
+        product = np.matmul(Qt, M[:, lo:hi], out=P[: width * w].reshape(width, w))
+        res[lo:hi] -= np.einsum("ij,ij->j", product, product, out=sums[:w])
 
-    fill_in_parts(fill, n_blocks, lambda: (np.empty(width * step), np.empty(step)),
-                  parts=_work_parts(M.size * width))
+    in_blocks(fill, n, step, lambda: (np.empty(width * step), np.empty(step)),
+              parts=_work_parts(M.size * width))
 
 
 # srrqr's swap budget, per column of its input
@@ -482,8 +476,8 @@ def _max_interaction(X, A, perm, r, eta=0.0):
     On ties the lowest row wins, then the earliest position in perm.
 
     X @ A is formed a block of block_lines(r) of A's own columns at a
-    time, in _work_parts parts through fill_in_parts, each part into its
-    own buffer; a block's pivot columns are set to 0 after abs, and each
+    time, in _work_parts parts (in_blocks), each part into its own
+    buffer; a block's pivot columns are set to 0 after abs, and each
     block keeps its maximum. Only when t > eta are the blocks whose
     maximum is t formed again (the same calls, so the same bits) to find
     the entry.
@@ -495,31 +489,26 @@ def _max_interaction(X, A, perm, r, eta=0.0):
     """
     n = A.shape[1]
     step = min(block_lines(r), n)
-    n_blocks = -(-n // step)
     lead = np.sort(perm[:r])
-    # the pivot columns of block b are lead[cuts[b]:cuts[b + 1]]
-    cuts = np.searchsorted(lead, np.arange(n_blocks + 1) * step)
 
-    def block(b, T):
-        """|X @ A[:, block b]| with its pivot columns 0, in T."""
-        lo = b * step
+    def block(lo, T):
+        """|X @ A[:, lo:lo + step]| with its pivot columns 0, in T."""
         cols = A[:, lo : lo + step]
         P = np.matmul(X, cols, out=T[: r * cols.shape[1]].reshape(r, -1))
         np.abs(P, out=P)
         # times 0 keeps an infinity or a NaN there a NaN
-        P[:, lead[cuts[b] : cuts[b + 1]] - lo] *= 0.0
+        P[:, lead[np.searchsorted(lead, lo) : np.searchsorted(lead, lo + step)] - lo] *= 0.0
         return P
 
-    best = np.empty(n_blocks)
+    best = np.empty(len(range(0, n, step)))  # each block's maximum
 
     def fill(lo, hi, T):
-        for b in range(lo, hi):
-            best[b] = block(b, T).max()
+        best[lo // step] = block(lo, T).max()
 
     # an overflow or a NaN raises here, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        fill_in_parts(fill, n_blocks, lambda: (np.empty(r * step),),
-                      parts=_work_parts(r * A.shape[0] * n))
+        in_blocks(fill, n, step, lambda: (np.empty(r * step),),
+                  parts=_work_parts(r * A.shape[0] * n))
         t = best.max()
         if not t < math.inf:
             raise RankDeficiencyError(
@@ -531,7 +520,7 @@ def _max_interaction(X, A, perm, r, eta=0.0):
         T = np.empty(r * step)
         ties = []
         for b in np.flatnonzero(best == t):
-            rows, cols = np.nonzero(block(b, T) == t)
+            rows, cols = np.nonzero(block(b * step, T) == t)
             ties += zip(rows.tolist(), where[b * step + cols].tolist())
     return t, min(ties)
 
@@ -582,13 +571,11 @@ def column_residuals(A, pairs):
     SWEEP_BLOCK rows at a time, contiguous for a C-ordered A, and every
     residual block W[rows] @ C is formed in a reused SWEEP_BLOCK x n_s
     buffer, so no n x n_s temporary is formed. The blocks are summed in
-    _part_count parts of consecutive blocks (one per usable CPU on one
-    BLAS thread, for a large A), through fill_in_parts, each part with its
-    own buffer. A part writes each block's column sums into its own rows
-    of one (n_blocks, len(pairs) + 1, n_s) array, 1/64 of A's size per
-    pair and one more for the norms, which the calling thread then adds up
-    in block order: the additions of a serial loop, so the part count
-    never enters the bits.
+    _part_count parts (in_blocks), each part with its own buffer. Each
+    block's column sums go to its own rows of one (blocks, len(pairs) + 1,
+    n_s) array, 1/64 of A's size per pair and one more for the norms,
+    which the calling thread then adds up in block order: the additions of
+    a serial loop.
 
     Returns
     -------
@@ -596,23 +583,19 @@ def column_residuals(A, pairs):
         per pair, in order.
     """
     n, n_s = A.shape
-    n_blocks = -(-n // SWEEP_BLOCK)
-    sums = np.empty((n_blocks, len(pairs) + 1, n_s))
+    sums = np.empty((len(range(0, n, SWEEP_BLOCK)), len(pairs) + 1, n_s))
 
     def fill(lo, hi, E):
-        for b in range(lo, hi):
-            rows = slice(b * SWEEP_BLOCK, (b + 1) * SWEEP_BLOCK)
-            A_rows = A[rows]
-            E_rows = E[: A_rows.shape[0]]
-            for (W, C), out in zip(pairs, sums[b]):
-                np.matmul(W[rows], C, out=E_rows)
-                np.subtract(A_rows, E_rows, out=E_rows)
-                np.einsum("ij,ij->j", E_rows, E_rows, out=out)
-            # after the first subtraction the rows are in cache
-            np.einsum("ij,ij->j", A_rows, A_rows, out=sums[b, -1])
+        A_rows, E_rows, block_sums = A[lo:hi], E[: hi - lo], sums[lo // SWEEP_BLOCK]
+        for (W, C), out in zip(pairs, block_sums):
+            np.matmul(W[lo:hi], C, out=E_rows)
+            np.subtract(A_rows, E_rows, out=E_rows)
+            np.einsum("ij,ij->j", E_rows, E_rows, out=out)
+        # after the first subtraction the rows are in cache
+        np.einsum("ij,ij->j", A_rows, A_rows, out=block_sums[-1])
 
-    fill_in_parts(fill, n_blocks, lambda: (np.empty((min(SWEEP_BLOCK, n), n_s)),),
-                  parts=_part_count(A, n))
+    in_blocks(fill, n, SWEEP_BLOCK, lambda: (np.empty((min(SWEEP_BLOCK, n), n_s)),),
+              parts=_part_count(A, n))
     totals = np.zeros((len(pairs) + 1, n_s))
     for block_sums in sums:
         totals += block_sums

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import OrthonormalBasis, orthonormal_basis
+from ._util import OrthonormalBasis, finite_product, orthonormal_basis
 from .exceptions import DegenerateSelectionError
 from .linalg import _svd, spectral_norm
 from .selection import SelectionOperator
@@ -49,7 +49,9 @@ class DeimProjector:
         handled together (the result is then (r, k)), or a callable
         mapping an index array to the corresponding components. Only the
         s selected rows of f are ever read, and the pseudoinverse is
-        applied through the stored SVD of S' W.
+        applied through the stored SVD of S' W. A non-finite selected
+        value raises as_matrix's ValueError, and coefficients that
+        overflow on finite values OverflowingProductError.
         """
         idx = self.selection.indices
         n = self.selection.n
@@ -57,14 +59,21 @@ class DeimProjector:
             vals = np.asarray(f(idx), dtype=np.float64)
             if vals.shape != idx.shape:
                 raise ValueError(f"callable returned shape {vals.shape}, expected {idx.shape}")
-            y = self.selection.weights * vals
         else:
             f = np.asarray(f, dtype=np.float64)
             if f.ndim not in (1, 2) or f.shape[0] != n:
                 raise ValueError(f"f must have shape ({n},) or ({n}, k), got {f.shape}")
-            y = self.selection.restrict(f)
-        sigma = self.cross_s if y.ndim == 1 else self.cross_s[:, None]
-        return self.cross_v @ ((self.cross_u.T @ y) / sigma)
+            vals = f[idx]
+        w, sigma = self.selection.weights, self.cross_s
+        if vals.ndim == 2:
+            w, sigma = w[:, None], sigma[:, None]
+        # a NaN or an infinity among the values leaves a coefficient
+        # non-finite, which is checked with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.cross_v @ ((self.cross_u.T @ (w * vals)) / sigma)
+        finite_product(c.reshape(self.rank, -1), vals.reshape(idx.size, -1),
+                       "f at the selected points", "the coefficients of f")
+        return c
 
     def apply(self, f):
         """Evaluate D f = W @ coefficients(f), for any f that coefficients

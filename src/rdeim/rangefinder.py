@@ -28,6 +28,7 @@ import numpy as np
 
 from ._util import (
     OrthonormalBasis,
+    _gram,
     _over_lines,
     _unit_scaled,
     as_2d,
@@ -36,7 +37,6 @@ from ._util import (
     as_vector,
     check_count,
     check_open_unit,
-    check_seed,
     finite_product,
 )
 from .exceptions import AdaptiveRangeError, OverflowingProductError
@@ -58,7 +58,7 @@ def gaussian_matrix(rows, cols, seed):
     statistically independent streams.
     """
     rows, cols = check_count(rows, 1, "rows"), check_count(cols, 1, "cols")
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_count(seed, 0, "seed"))
     return rng.standard_normal((rows, cols))
 
 
@@ -170,7 +170,7 @@ def subspace_range_finder(A, rank, oversample=10, power=1, seed=0):
     rank = check_count(rank, 1, "rank")
     oversample = check_count(oversample, 1, "oversample")
     power = check_count(power, 0, "power")
-    check_seed(seed)
+    check_count(seed, 0, "seed")
     A = as_2d(A, "A")
     try:
         W = _sketch_basis(A, rank, oversample, power, seed)
@@ -207,9 +207,9 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     may differ from those of an unscaled run.
 
     Cost: A is read twice per group of SKETCH_GROUP blocks (G and the
-    group's rows of C), and once for ||A||_F^2. A residual
-    check forms W'W and takes ||A - W C||_F^2 as ||A||_F^2 - ||C||_F^2 +
-    tr(C'(W'W - I)C) (see _gram_residual). Only when that value lies
+    group's rows of C), and once for ||A||_F^2. A residual check forms
+    W'W (_util._gram) and takes ||A - W C||_F^2 as ||A||_F^2 - ||C||_F^2
+    + tr(C'(W'W - I)C) (see _gram_residual). Only when that value lies
     within its rounding margin of the target, where it cannot decide, does
     one linalg.column_residuals call read A again, in blocks of
     SWEEP_BLOCK rows; either way the decision is the explicit residual's,
@@ -249,7 +249,7 @@ def adaptive_range_finder(A, tol, block=10, max_blocks=40, seed=0, rank=None):
     check_open_unit(tol, "tol")
     block = check_count(block, 1, "block")
     max_blocks = check_count(max_blocks, 1, "max_blocks")
-    check_seed(seed)
+    check_count(seed, 0, "seed")
     A = as_2d(A, "A")
     n, n_s = A.shape
     if block * max_blocks > n:
@@ -360,8 +360,9 @@ def _gram_residual(W, C, norm2):
       - ||C||_F^2, one dot of k n_s terms: g_(k n_s) ||C||_F^2;
       - 2|<C, D>| with |D| <= g_n |W|'|A|, which holds for every row of C
         formed as an n-term dot product: 2 g_n ||W||_F ||A||_F ||C||_F;
-      - fl(W'W) - W'W, entrywise below g_n |W|'|W|, so of spectral norm
-        below g_n ||W||_F^2: g_n ||W||_F^2 ||C||_F^2;
+      - fl(W'W) - W'W, entrywise below g_n |W|'|W|, as a sum of the Grams
+        of two row halves (_util._gram) is too, so of spectral norm below
+        g_n ||W||_F^2: g_n ||W||_F^2 ||C||_F^2;
       - E = fl(W'W) - I times C and dotted with C:
         g_(k + k n_s + 1) ||E||_F ||C||_F^2;
       - the two final additions: g_2 (norm2 + ||C||_F^2).
@@ -377,7 +378,7 @@ def _gram_residual(W, C, norm2):
     """
     n, k = W.shape
     n_s = C.shape[1]
-    E = W.T @ W
+    E = _gram(W)
     w2 = float(np.trace(E))
     E[np.diag_indices(k)] -= 1.0
     c2 = float(np.vdot(C, C))

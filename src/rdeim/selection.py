@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ._util import check_count, check_open_unit, check_seed, orthonormal_basis
+from ._util import check_count, check_open_unit, orthonormal_basis
 from .exceptions import (
     ConvergenceError,
     DegenerateBasisError,
@@ -170,7 +170,7 @@ def leverage_select(W, s, beta, seed):
     n, r = W.matrix.shape
     probs = mixed_pmf(leverage_scores(W), r, beta)
     s = check_count(s, 1, "samples")
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_count(seed, 0, "seed"))
     idx = rng.choice(n, size=s, replace=True, p=probs)
     weights = 1.0 / np.sqrt(s * probs[idx])
     return SelectionOperator(indices=idx, weights=weights, n=n)

@@ -221,7 +221,7 @@ def test_approx_rejects_a_negative_seed(tmp_path, capsys, extra):
     out = tmp_path / "s.csv"
     argv = ["approx", "--example", "osc", "--rank", "8", "--seed", "-1", "--out", str(out)]
     assert main(argv + extra) == 1
-    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -43,6 +43,7 @@ from rdeim.experiments import (
     source_test_points,
 )
 from rdeim.cli import main
+from rdeim.exceptions import OverflowingProductError
 from rdeim.matio import emit_csv, write_matrix
 from rdeim.projector import DeimProjector, build_projector
 from rdeim.rangefinder import OrthonormalBasis, svd_basis
@@ -160,6 +161,21 @@ def test_latin_hypercube_validation():
         latin_hypercube(0, ((0.0, 1.0),), seed=0)
     with pytest.raises(ValueError):
         latin_hypercube(5, ((1.0, 1.0),), seed=0)
+
+
+def test_an_unbounded_range_is_rejected_as_an_empty_one_is():
+    # an infinite bound gave NaN parameters, or a source set of width inf
+    # whose every snapshot is 1
+    for bad in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="range 0 is empty or unbounded"):
+            latin_hypercube(3, (bad,), seed=0)
+    ranges = ((0.2, 0.8), (0.2, 0.8), (0.1, np.inf))
+    with pytest.raises(ValueError, match="range 2 is empty or unbounded"):
+        gaussian_source_snapshots(n_grid=4, n_train=5, ranges=ranges)
+    spec = ExperimentSpec(example="source", rank=2, overrides={"n_grid": 4, "n_train": 5,
+                                                              "ranges": ranges})
+    with pytest.raises(ValueError, match="range 2 is empty or unbounded"):
+        generate(spec)
 
 
 # ---------------------------------------------------------------- source
@@ -330,6 +346,22 @@ def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus
     assert threads[seen.index(parts[0])] is threading.current_thread()
     assert len(set(threads)) == len(parts)
 
+    # in_blocks cuts n into the blocks [3k, min(n, 3k + 3)), n_blocks of
+    # them with the last one short, and passes them through these parts:
+    # the blocks of a part share its one scratch. n = 0 calls nothing
+    n = max(0, 3 * n_blocks - 1)
+    blocks, buffers = [], []
+    _util.in_blocks(lambda lo, hi, buf: blocks.append((lo, hi, id(buf))), n, 3, scratch)
+    assert sorted(lo_hi[:2] for lo_hi in blocks) == [(3 * k, min(n, 3 * k + 3))
+                                                    for k in range(n_blocks)]
+    assert len(buffers) == len(parts)
+    for lo, hi in parts:
+        assert len({buf for start, _, buf in blocks if lo <= start // 3 < hi}) == (hi > lo)
+    # and n < step is one short block
+    blocks.clear()
+    _util.in_blocks(lambda lo, hi, buf: blocks.append((lo, hi, id(buf))), 2, 3, scratch)
+    assert [lo_hi[:2] for lo_hi in blocks] == [(0, 2)]
+
 
 def test_fill_in_parts_takes_a_part_count(monkeypatch):
     # a count below the CPUs is kept, one above them too, and blocks cap it.
@@ -394,30 +426,32 @@ def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
 
 
 def test_fill_blocks_takes_every_block_once_on_more_parts_than_cpus(monkeypatch, one_blas_thread):
-    # a pass in fixed blocks, as the pivot search's updates run: 64 parts on
-    # at most 2 CPUs take 2000 blocks, switching threads as often as they
-    # can: a block taken twice or lost shows in the counts
-    patch_cpus(monkeypatch, 64)
+    # a pass in fixed blocks (in_blocks), as the pivot search's updates run:
+    # up to 64 parts on at most 2 CPUs take the 2000 blocks of 7 columns of
+    # 13997, switching threads as often as they can: a block taken twice or
+    # lost, or one cut elsewhere, shows in the counts
     monkeypatch.setattr(_util, "PART_WORK", 1)
     before = threading.active_count()
-    counts = np.zeros(2000, dtype=int)
-    buffers = []
-
-    def scratch():  # called once per part
-        buffers.append(np.empty(1))
-        return (buffers[-1],)
-
-    def fill(lo, hi, buf):
-        for b in range(lo, hi):
-            counts[b] += 1
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _util.fill_in_parts(fill, counts.size, scratch, parts=_util._work_parts(counts.size))
+        for cpus in (1, 2, 3, 64):
+            patch_cpus(monkeypatch, cpus)
+            counts = np.zeros(13997, dtype=int)
+            buffers = []
+
+            def scratch():  # called once per part
+                buffers.append(np.empty(1))
+                return (buffers[-1],)
+
+            def fill(lo, hi, buf):
+                assert lo % 7 == 0 and hi == min(lo + 7, counts.size)
+                counts[lo:hi] += 1
+
+            _util.in_blocks(fill, counts.size, 7, scratch, parts=_util._work_parts(2000))
+            assert (counts == 1).all() and len(buffers) == cpus, cpus
     finally:
         sys.setswitchinterval(interval)
-    assert (counts == 1).all() and len(buffers) == 64
     assert threading.active_count() == before
 
 
@@ -428,8 +462,8 @@ def test_fill_blocks_takes_every_block_once_on_more_parts_than_cpus(monkeypatch,
 def test_fill_blocks_makes_a_part_per_cpu_block_and_floor_on_one_blas_thread(
     monkeypatch, blas, n_blocks, work, parts
 ):
-    # a pass in fixed blocks through fill_in_parts at _work_parts parts: four
-    # CPUs and a floor of one unit of work a part, and never more parts than
+    # a pass in fixed blocks (in_blocks) at _work_parts parts: four CPUs
+    # and a floor of one unit of work a part, and never more parts than
     # blocks; on more BLAS threads, or an unknown count, one part
     patch_cpus(monkeypatch, 4)
     monkeypatch.setattr(_util, "PART_WORK", 1)
@@ -440,9 +474,9 @@ def test_fill_blocks_makes_a_part_per_cpu_block_and_floor_on_one_blas_thread(
         buffers.append(np.empty(1))
         return (buffers[-1],)
 
-    _util.fill_in_parts(lambda lo, hi, buf: seen.extend(range(lo, hi)), n_blocks, scratch,
-                        parts=_util._work_parts(work))
-    assert len(buffers) == parts and sorted(seen) == list(range(n_blocks))
+    _util.in_blocks(lambda lo, hi, buf: seen.extend(range(lo, hi)), 5 * n_blocks - 2, 5,
+                    scratch, parts=_util._work_parts(work))
+    assert len(buffers) == parts and sorted(seen) == list(range(5 * n_blocks - 2))
 
 
 @pytest.mark.parametrize("blas", [1, 2, None])
@@ -490,9 +524,9 @@ def test_spec_validation():
         ExperimentSpec(example="source", rank=5, n_test=-1)
     # checked for every basis and selector, not only the ones that read it
     invalid = [
-        ("seed", -1, "seed must be a nonnegative integer"),
-        ("seed", True, "seed must be a nonnegative integer"),
-        ("seed", np.True_, "seed must be a nonnegative integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", np.True_, "seed must be an integer"),
         ("oversample", 0, "oversample must be >= 1"),
         ("power", -1, "power must be >= 0"),
         ("tol", 5.0, r"tol must lie in \(0, 1\)"),
@@ -797,6 +831,52 @@ def test_error_sweep_skips_zero_columns():
     assert math.isnan(table.rows[7][3])
     assert math.isfinite(table.summary["rel_error_mean"])
     assert table.summary["rel_error_max"] >= table.summary["rel_error_median"]
+
+
+def _gaussian_projector():
+    A = np.random.default_rng(0).standard_normal((60, 30))
+    W = svd_basis(A, 5)
+    S = pqr_select(W)
+    return A, W, S, build_projector(W, S)
+
+
+def test_a_nan_at_a_selected_point_raises_rather_than_returning_nan():
+    # the suite turns a RuntimeWarning into an error, so none is raised either
+    A, _, S, P = _gaussian_projector()
+    f = A[:, 0].copy()
+    f[S.indices[0]] = np.nan
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        P.coefficients(f)
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        interpolation_error_bound(P, f)
+
+
+def test_an_infinite_entry_raises_rather_than_dropping_its_column():
+    # F[7, 3] lies at a selected point, which the coefficients read; off
+    # the points the column sums find it, also where +inf and -inf in one
+    # column leave W'F a NaN
+    A, W, S, P = _gaussian_projector()
+    off = np.setdiff1d(np.arange(60), S.indices)[:2]
+    assert 7 in S.indices
+    for rows, values in (([7], [np.inf]), (off, [np.inf, -np.inf]), (off[:1], [np.nan])):
+        F = A.copy()
+        F[rows, 3] = values
+        snaps = SnapshotSet(matrix=F, params=np.arange(30)[:, None], space={})
+        for run in (lambda: column_bounds(P, F, W), lambda: column_bounds(P, F),
+                    lambda: error_sweep(P, snaps)):
+            with pytest.raises(ValueError, match="contains non-finite entries"):
+                run()
+
+
+def test_a_finite_entry_whose_square_overflows_raises_rather_than_returning_inf():
+    A, W, S, P = _gaussian_projector()
+    f = A[:, 0].copy()
+    f[S.indices[0]] = 1e200
+    with pytest.raises(OverflowingProductError, match="squares of F overflowed on a finite F"):
+        interpolation_error_bound(P, f)
+    f[S.indices[0]] = 1e308
+    with pytest.raises(OverflowingProductError, match="coefficients of f overflowed"):
+        P.coefficients(f)
 
 
 def test_error_sweep_bounds_dominate():

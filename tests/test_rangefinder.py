@@ -50,9 +50,9 @@ def test_range_config_validation():
         subspace_range_finder(A, rank=3, oversample=0)
     with pytest.raises(ValueError, match="power must be >= 0"):
         subspace_range_finder(A, rank=3, power=-1)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         subspace_range_finder(A, rank=3, seed=-1)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="seed must be an integer"):
         subspace_range_finder(A, rank=3, seed=True)
     with pytest.raises(ValueError, match="rank must be an integer"):
         subspace_range_finder(A, rank=4.5)
@@ -68,9 +68,9 @@ def test_adaptive_config_validation():
         adaptive_range_finder(A, tol=0.1, block=0)
     with pytest.raises(ValueError, match="max_blocks must be >= 1"):
         adaptive_range_finder(A, tol=0.1, max_blocks=0)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         adaptive_range_finder(A, tol=0.1, block=2, max_blocks=2, seed=-1)
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="seed must be an integer"):
         adaptive_range_finder(A, tol=0.1, block=2, max_blocks=2, seed=True)
     with pytest.raises(ValueError, match="block must be an integer"):
         adaptive_range_finder(A, tol=0.1, block=2.5)

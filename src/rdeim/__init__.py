@@ -28,12 +28,8 @@ from .linalg import (
 )
 from .rangefinder import (
     OrthonormalBasis,
-    SketchState,
     adaptive_range_finder,
     gaussian_matrix,
-    sketch_absorb,
-    sketch_init,
-    sketch_replace,
     subspace_range_finder,
     svd_basis,
     truncation_rank,

@@ -172,19 +172,10 @@ def _part_count(A, lines):
 def _work_parts(work):
     """How many parts a pass in fixed blocks (in_blocks) doing work
     multiply-adds is made in: by _cpu_parts, each part doing at least
-    PART_WORK.
-
-    The floor is set by what a worker thread costs, measured on two
-    CPUs at one BLAS thread: starting and joining one took 0.10-0.18 ms,
-    and two 96-wide products of 6.3M multiply-adds each took 0.64 ms on
-    two threads against 0.57 ms on one, two of 19M 1.6 against 1.9 ms. The
-    search's residual update on the select-cli bases was slower in two
-    parts at 7.3 and 9.8 Mi multiply-adds and faster from 22 Mi up
-    (corner-r128 at 29 Mi: 2.5 against 3.1 ms, lower in 37 of 40 pairs).
-    So desk inputs, sweep-paper's 24 x 10000 W' and hybrid's 96 x 1315
-    W'S1 stay in one part, and hybrid's 128 x 1864 W'S1 unless a block of
-    steps adds more than 70 directions.
-    """
+    PART_WORK. The floor keeps a part's work above what starting and
+    joining its thread costs; the measurements that set it and show that
+    the parts still pay are in CHANGES ("Parts re-measured at every part
+    site")."""
     return _cpu_parts(work // PART_WORK)
 
 
@@ -231,11 +222,11 @@ def as_2d(a, name="matrix"):
 def finite_product(product, A, name, what):
     """product, if all its entries are finite.
 
-    product is formed from A (under np.errstate, so that a non-finite
-    entry warns nothing) such that a NaN or an infinity in A leaves an
-    entry of it non-finite. If one is, A's block check (as_matrix) runs
-    and raises its "contains non-finite entries" ValueError, named by
-    name; if A is finite, the product overflowed, and
+    product is formed from A, a matrix or a vector (under np.errstate, so
+    that a non-finite entry warns nothing), such that a NaN or an infinity
+    in A leaves an entry of it non-finite. If one is, A's block check
+    (as_matrix) runs and raises its "contains non-finite entries"
+    ValueError, named by name; if A is finite, the product overflowed, and
     OverflowingProductError names it (what), and A by name and shape. The
     product is checked as as_matrix checks a matrix, a block of lines at a
     time, so no bool temporary of its size is formed.
@@ -243,7 +234,7 @@ def finite_product(product, A, name, what):
     try:
         as_matrix(product, what)
     except ValueError:
-        as_matrix(A, name)
+        as_matrix(A if A.ndim == 2 else A[:, None], name)
         raise OverflowingProductError(f"{what} overflowed on a finite {name} {A.shape}") from None
     return product
 
@@ -281,21 +272,15 @@ def _unit_scaled(A):
     return np.ldexp(A, -math.frexp(max(A.max(), -A.min()))[1])
 
 
-def as_vector(a, name="vector"):
-    """Coerce to a 1-d float64 array with finite entries."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
-    if v.size and not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
 def as_singular_values(sv, name="sv"):
     """Coerce to a 1-d float64 array of singular values: finite,
     nonnegative and nonincreasing, up to 1e-12 of the largest. The one
     check of every function that takes a spectrum."""
-    sv = as_vector(sv, name)
+    sv = np.asarray(sv, dtype=np.float64)
+    if sv.ndim != 1:
+        raise ValueError(f"{name} must be 1-dimensional, got ndim={sv.ndim}")
+    if sv.size and not np.isfinite(sv).all():
+        raise ValueError(f"{name} contains non-finite entries")
     if not (sv >= 0.0).all():
         raise ValueError("singular values must be nonnegative")
     if sv.size and not (np.diff(sv) <= 1e-12 * sv[0]).all():

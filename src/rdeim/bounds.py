@@ -38,7 +38,8 @@ class BoundReport:
 
 def column_bounds(P, F, reference=None):
     """The realized errors of the projector P on the columns f of F and,
-    against a reference basis, the two proven bounds on them.
+    against a reference basis, the two proven bounds on them. F is
+    (n, n_s), or one vector f of shape (n,), which messages name f.
 
     With W the projector's basis and W_ref the reference, each column has
     the baseline bound ||D||_2 ||(I - W W') f|| and the perturbed-basis
@@ -75,6 +76,8 @@ def column_bounds(P, F, reference=None):
     OverflowingProductError
         If a coefficient or a sum of squares overflows on a finite F.
     """
+    given, name = F, "f" if F.ndim == 1 else "F"
+    F = F[:, None] if F.ndim == 1 else F
     const = P.error_constant()
     W = P.basis
     pairs = [(W, P.coefficients(F))]
@@ -92,7 +95,7 @@ def column_bounds(P, F, reference=None):
                 ref_coef = reference.matrix.T @ F
                 pairs.append((reference.matrix, ref_coef))
         norm2, res2 = column_residuals(F, pairs)
-    finite_product(np.array([norm2, *res2]), F, "F", "the column sums of squares of F")
+    finite_product(np.array([norm2, *res2]), given, name, f"the column sums of squares of {name}")
     out = {"error_constant": const, "norm": np.sqrt(norm2), "abs_error": np.sqrt(res2[0])}
     if reference is not None:
         best, orth = np.sqrt(res2[1]), np.sqrt(res2[-1])
@@ -110,11 +113,10 @@ def column_bounds(P, F, reference=None):
 
 def _vector_bounds(P, f, reference):
     """column_bounds of the one vector f, every figure a float."""
-    n = P.selection.n
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (n,):
-        raise ValueError(f"f must have shape ({n},), got {f.shape}")
-    return {k: float(np.squeeze(v)) for k, v in column_bounds(P, f[:, None], reference).items()}
+    if f.shape != (P.selection.n,):
+        raise ValueError(f"f must have shape ({P.selection.n},), got {f.shape}")
+    return {k: float(np.squeeze(v)) for k, v in column_bounds(P, f, reference).items()}
 
 
 def interpolation_error_bound(P, f):

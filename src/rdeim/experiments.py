@@ -173,21 +173,32 @@ def corner_peak_snapshots(grid=100, param_grid=25):
     return SnapshotSet(matrix=F, params=params, space={"x1": x, "x2": x})
 
 
+def _check_ranges(ranges):
+    """ranges, if it is a sequence of (lo, hi) pairs, each range finite
+    and nonempty: the box latin_hypercube samples and source_test_points
+    draws from. None, the ranges of a set on a fixed grid, raises
+    ValueError too."""
+    if ranges is None:
+        raise ValueError("ranges is None: no box to draw parameters from")
+    for d, (lo, hi) in enumerate(ranges):
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"range {d} is empty or unbounded: ({lo}, {hi})")
+    return ranges
+
+
 def latin_hypercube(n_samples, ranges, seed):
     """Latin hypercube design: per dimension, one sample per stratum.
 
     Strata are the n equal-width cells of each range, which must be
-    finite and nonempty; a random permutation pairs strata across
-    dimensions and each sample is jittered uniformly about its stratum
-    midpoint.
+    finite and nonempty (_check_ranges); a random permutation pairs
+    strata across dimensions and each sample is jittered uniformly about
+    its stratum midpoint.
     """
     n_samples = check_count(n_samples, 1, "n_samples")
     rng = np.random.default_rng(check_count(seed, 0, "seed"))
-    dims = len(ranges)
-    out = np.empty((n_samples, dims))
+    ranges = _check_ranges(ranges)
+    out = np.empty((n_samples, len(ranges)))
     for d, (lo, hi) in enumerate(ranges):
-        if not -np.inf < lo < hi < np.inf:
-            raise ValueError(f"range {d} is empty or unbounded: ({lo}, {hi})")
         perm = rng.permutation(n_samples)
         jitter = rng.uniform(size=n_samples)
         out[:, d] = lo + (hi - lo) * (perm + jitter) / n_samples
@@ -232,7 +243,7 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
     varying fastest.
     """
     n_grid, n_train = _grid_counts(n_grid=n_grid, n_train=n_train)
-    if len(ranges) != 3:
+    if len(_check_ranges(ranges)) != 3:
         raise ValueError("ranges must supply (mu3, mu4, mu5) intervals")
     x = np.linspace(0.0, 1.0, n_grid)
     params = latin_hypercube(n_train, ranges, seed)
@@ -246,10 +257,13 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
 
 def source_test_points(snaps, n_test, seed):
     """Held-out source snapshots at parameters drawn uniformly over the box
-    the training set snaps was sampled from."""
+    the training set snaps was sampled from. snaps.ranges is read by
+    latin_hypercube's rule (_check_ranges): a set with no box (None, as
+    on a fixed grid) or with an unbounded or empty range raises
+    ValueError."""
     n_test = check_count(n_test, 0, "n_test")
     rng = np.random.default_rng(check_count(seed, 0, "seed"))
-    lo, hi = np.array(snaps.ranges).T
+    lo, hi = np.array(_check_ranges(snaps.ranges)).T
     params = lo + (hi - lo) * rng.uniform(size=(n_test, 3))
     x = snaps.space["x1"]
     return SnapshotSet(
@@ -496,10 +510,9 @@ def run_experiment(spec):
     n_test = spec.n_test
     if n_test is None:
         n_test = SCALES[spec.example][spec.scale].get("n_test", 0)
+    sweep_set = snaps
     if spec.example == "source" and n_test > 0:
         sweep_set = source_test_points(snaps, n_test, spec.seed + 1)
-    else:
-        sweep_set = snaps
     table = error_sweep(P, sweep_set, reference_basis=reference)
     table.summary["basis_rank"] = float(basis.rank)
     table.summary["points"] = float(S.s)

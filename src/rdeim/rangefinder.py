@@ -17,12 +17,10 @@ of one call (see _util._part_count). Both end with the same step: a QB pair
 (Q, B = Q'A) is rotated onto the leading left singular directions of B
 and truncated to r columns. Each returns an OrthonormalBasis, whose
 constructor runs the library's one orthonormality check at its one
-tolerance, 1e-8. A streaming rank-one sketch accumulator supports
-single-pass and column-replacement workflows.
+tolerance, 1e-8.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from ._util import (
     as_2d,
     as_matrix,
     as_singular_values,
-    as_vector,
     check_count,
     check_open_unit,
     finite_product,
@@ -439,55 +436,3 @@ def truncation_rank(sv, eps):
     # tails[r] = sum(energy[r:]); find the smallest r with tails[r] <= eps * total
     ok = tails <= eps * total
     return int(np.argmax(ok))
-
-
-@dataclass
-class SketchState:
-    """Accumulator for the streaming sketch Y = A @ Omega.
-
-    Omega is frozen at initialization; columns of A are absorbed one at a
-    time as rank-one updates, and absorbed columns may later be replaced.
-    Mutation is single-writer: concurrent absorbs into one state are not
-    supported.
-    """
-
-    omega: np.ndarray
-    Y: np.ndarray
-    absorbed: np.ndarray = field(repr=False)
-
-
-def sketch_init(n, n_s, ell, seed):
-    """Fresh sketch state for an n-by-n_s matrix with an n_s-by-ell Omega."""
-    n, n_s = check_count(n, 1, "n"), check_count(n_s, 1, "n_s")
-    ell = check_count(ell, 1, "ell")
-    return SketchState(
-        omega=gaussian_matrix(n_s, ell, seed),
-        Y=np.zeros((n, ell)),
-        absorbed=np.zeros(n_s, dtype=bool),
-    )
-
-
-def sketch_absorb(st, j, col):
-    """Absorb column j of A into the sketch: Y += a_j outer omega_j."""
-    j = check_count(j, 0, "j", st.absorbed.size - 1)
-    if st.absorbed[j]:
-        raise ValueError(f"column {j} was already absorbed; use sketch_replace")
-    col = as_vector(col, "col")
-    if col.size != st.Y.shape[0]:
-        raise ValueError(f"column length {col.size} does not match sketch rows {st.Y.shape[0]}")
-    st.Y += np.outer(col, st.omega[j])
-    st.absorbed[j] = True
-    return st
-
-
-def sketch_replace(st, j, old_col, new_col):
-    """Replace an absorbed column: Y += (a_j_new - a_j_old) outer omega_j."""
-    j = check_count(j, 0, "j", st.absorbed.size - 1)
-    if not st.absorbed[j]:
-        raise ValueError(f"column {j} was never absorbed; use sketch_absorb")
-    old_col = as_vector(old_col, "old_col")
-    new_col = as_vector(new_col, "new_col")
-    if old_col.size != st.Y.shape[0] or new_col.size != st.Y.shape[0]:
-        raise ValueError("column length does not match sketch rows")
-    st.Y += np.outer(new_col - old_col, st.omega[j])
-    return st

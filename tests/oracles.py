@@ -168,11 +168,6 @@ def reference_greedy_points(W):
     return pts
 
 
-def batch_sketch(A, omega):
-    """The plain batch product the streaming sketch must reproduce."""
-    return np.asarray(A, dtype=np.float64) @ np.asarray(omega, dtype=np.float64)
-
-
 def dense_selection(S):
     """The n-by-s array of a SelectionOperator: column k is weights[k]
     times the indices[k]-th standard basis vector."""

@@ -31,9 +31,6 @@ from rdeim.projector import build_projector
 from rdeim.rangefinder import (
     adaptive_range_finder,
     gaussian_matrix,
-    sketch_absorb,
-    sketch_init,
-    sketch_replace,
     subspace_range_finder,
     svd_basis,
     truncation_rank,
@@ -286,22 +283,3 @@ def test_criterion_10_source_example_end_to_end():
         error_ok and timing_ok,
         f"err ratio {m_rand / m_det:.3f}, time ratio {t_rand / t_svd:.3f}",
     )
-
-
-def test_criterion_11_streaming_equivalence():
-    A = random_matrix(60, 25, seed=13)
-    st = sketch_init(60, 25, ell=12, seed=3)
-    for j in range(25):
-        sketch_absorb(st, j, A[:, j])
-    batch = A @ st.omega
-    absorb_ok = np.max(np.abs(st.Y - batch)) <= 1e-12 * np.max(np.abs(batch))
-
-    A2 = A.copy()
-    rng = np.random.default_rng(99)
-    for j in (4, 17):
-        new = rng.standard_normal(60)
-        sketch_replace(st, j, A2[:, j], new)
-        A2[:, j] = new
-    scratch = A2 @ st.omega
-    replace_ok = np.max(np.abs(st.Y - scratch)) <= 1e-10 * np.max(np.abs(scratch))
-    _report(11, "streaming sketch equivalence", absorb_ok and replace_ok)

@@ -178,6 +178,24 @@ def test_an_unbounded_range_is_rejected_as_an_empty_one_is():
         generate(spec)
 
 
+def test_source_test_points_read_the_ranges_by_the_latin_hypercube_rule():
+    # an unbounded width gave params [inf, inf, inf] and every entry 1.0
+    snaps = gaussian_source_snapshots(n_grid=4, n_train=5, seed=0)
+    unbounded = replace(snaps, ranges=((0.2, 0.8), (0.2, 0.8), (0.1, np.inf)))
+    with pytest.raises(ValueError, match=r"^range 2 is empty or unbounded: \(0\.1, inf\)$"):
+        source_test_points(unbounded, 3, seed=0)
+
+
+def test_source_test_points_reject_a_set_with_no_ranges():
+    # an osc set has ranges None, which raised a raw TypeError, as None did
+    # in place of a source set's or a design's ranges
+    snaps = oscillator_snapshots(n_t=6, n_mu=5)
+    for draw in (lambda: source_test_points(snaps, 3, seed=0), lambda: latin_hypercube(3, None, 0),
+                 lambda: gaussian_source_snapshots(n_grid=4, n_train=5, ranges=None)):
+        with pytest.raises(ValueError, match="^ranges is None: no box to draw parameters from$"):
+            draw()
+
+
 # ---------------------------------------------------------------- source
 
 
@@ -872,11 +890,27 @@ def test_a_finite_entry_whose_square_overflows_raises_rather_than_returning_inf(
     A, W, S, P = _gaussian_projector()
     f = A[:, 0].copy()
     f[S.indices[0]] = 1e200
-    with pytest.raises(OverflowingProductError, match="squares of F overflowed on a finite F"):
+    with pytest.raises(OverflowingProductError, match="squares of f overflowed on a finite f"):
         interpolation_error_bound(P, f)
     f[S.indices[0]] = 1e308
     with pytest.raises(OverflowingProductError, match="coefficients of f overflowed"):
         P.coefficients(f)
+
+
+def test_the_bound_reports_name_their_vector_f_of_shape_n():
+    # they passed f[:, None] on, so their errors named an "F (60, 1)"
+    A, W, S, P = _gaussian_projector()
+    off = np.setdiff1d(np.arange(60), S.indices)[0]
+    reference = random_orthonormal(60, 5, seed=1)
+    for report in (lambda f: interpolation_error_bound(P, f),
+                   lambda f: perturbed_basis_bound(P, reference, f)):
+        f = A[:, 0].copy()
+        f[off] = np.nan
+        with pytest.raises(ValueError, match="^f contains non-finite entries$"):
+            report(f)
+        with pytest.raises(OverflowingProductError, match=(
+                r"^the column sums of squares of f overflowed on a finite f \(60,\)$")):
+            report(1e200 * A[:, 0])
 
 
 def test_error_sweep_bounds_dominate():

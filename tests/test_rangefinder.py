@@ -21,9 +21,6 @@ from rdeim.rangefinder import (
     OrthonormalBasis,
     adaptive_range_finder,
     gaussian_matrix,
-    sketch_absorb,
-    sketch_init,
-    sketch_replace,
     subspace_range_finder,
     svd_basis,
     truncation_rank,
@@ -31,7 +28,6 @@ from rdeim.rangefinder import (
 
 from conftest import gap_matrix, patch_cpus, random_matrix, spectrum_matrix
 from oracles import (
-    batch_sketch,
     blockwise_adaptive_basis,
     reference_adaptive_range_finder,
     reference_grouped_qb,
@@ -1008,87 +1004,3 @@ def test_truncation_rank_is_minimal():
         assert np.sum(sv[r:] ** 2) <= eps * total
         if r > 0:
             assert np.sum(sv[r - 1 :] ** 2) > eps * total
-
-
-# ------------------------------------------------------------------ sketch
-
-
-def test_sketch_absorb_all_matches_batch():
-    A = random_matrix(30, 18, seed=9)
-    st = sketch_init(30, 18, ell=7, seed=2)
-    order = np.random.default_rng(0).permutation(18)
-    for j in order:
-        sketch_absorb(st, int(j), A[:, j])
-    Y = batch_sketch(A, st.omega)
-    assert np.max(np.abs(st.Y - Y)) <= 1e-12 * np.max(np.abs(Y))
-    assert st.absorbed.sum() == 18
-
-
-def test_sketch_replace_matches_from_scratch():
-    A = random_matrix(25, 15, seed=3)
-    st = sketch_init(25, 15, ell=6, seed=5)
-    for j in range(15):
-        sketch_absorb(st, j, A[:, j])
-    A2 = A.copy()
-    new_col = random_matrix(25, 1, seed=77)[:, 0]
-    A2[:, 4] = new_col
-    sketch_replace(st, 4, A[:, 4], new_col)
-    Y2 = batch_sketch(A2, st.omega)
-    scale = np.max(np.abs(Y2))
-    assert np.max(np.abs(st.Y - Y2)) <= 1e-10 * scale
-    # the downstream orthonormal bases agree too
-    Qs, _ = np.linalg.qr(st.Y)
-    Qb, _ = np.linalg.qr(Y2)
-    assert spectral_norm(Qs @ Qs.T - Qb @ Qb.T) < 1e-10
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    n=st.integers(1, 12),
-    n_s=st.integers(1, 9),
-    ell=st.integers(1, 6),
-    ops=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2**32 - 1)), max_size=30),
-)
-def test_sketch_interleaved_updates_track_the_batch_product(n, n_s, ell, ops):
-    # each op absorbs column j if it is new and replaces it otherwise; A_now
-    # holds the columns absorbed so far (zero elsewhere), and `scale` the
-    # entrywise sum of |update| |omega_j| over every op, which bounds the
-    # partial sums the rounding is taken from
-    state = sketch_init(n, n_s, ell, seed=n_s)
-    A_now = np.zeros((n, n_s))
-    scale = np.zeros((n, ell))
-    for index, col_seed in ops:
-        j = index % n_s
-        col = np.random.default_rng(col_seed).standard_normal(n)
-        if state.absorbed[j]:
-            sketch_replace(state, j, A_now[:, j], col)
-            scale += np.outer(np.abs(col) + np.abs(A_now[:, j]), np.abs(state.omega[j]))
-        else:
-            sketch_absorb(state, j, col)
-            scale += np.outer(np.abs(col), np.abs(state.omega[j]))
-        A_now[:, j] = col
-    assert np.array_equal(state.absorbed, np.any(A_now != 0.0, axis=0))
-    err = np.abs(state.Y - batch_sketch(A_now, state.omega))
-    assert (err <= (len(ops) + n_s + 2) * np.finfo(np.float64).eps * scale).all()
-
-
-def test_sketch_precondition_errors():
-    st = sketch_init(10, 5, ell=3, seed=0)
-    col = np.ones(10)
-    sketch_absorb(st, 2, col)
-    with pytest.raises(ValueError):
-        sketch_absorb(st, 2, col)
-    with pytest.raises(ValueError):
-        sketch_replace(st, 3, col, col)
-    with pytest.raises(ValueError):
-        sketch_absorb(st, 9, col)
-    with pytest.raises(ValueError):
-        sketch_absorb(st, 3, np.ones(4))
-    with pytest.raises(ValueError, match=r"j must be in \[0, 4\]"):
-        sketch_replace(st, 5, col, col)
-    with pytest.raises(ValueError, match="column length does not match sketch rows"):
-        sketch_replace(st, 2, np.ones(4), col)
-    with pytest.raises(ValueError, match="column length does not match sketch rows"):
-        sketch_replace(st, 2, col, np.ones(11))
-    # a rejected replace leaves the sketch as it was
-    assert np.array_equal(st.Y, np.outer(col, st.omega[2]))

@@ -70,74 +70,50 @@ def blas_threads():
     return None if fn is None else fn()
 
 
-def fill_in_parts(fill, n_blocks, scratch=tuple, parts=None):
-    """Call fill(lo, hi, *scratch()) over contiguous parts [lo, hi) of
-    range(n_blocks): parts of them (by default one per CPU the process may
-    run on), and at most one per block.
+def in_blocks(fill, n, step, scratch=tuple, parts=None):
+    """Call fill(lo, hi, *buffers) once for each block [lo, hi) =
+    [k step, min(n, (k + 1) step)) of range(n), the blocks cut into
+    contiguous runs, one per part: parts of them (by default one per
+    usable CPU), and at most one per block. The blocks follow from n and
+    step alone, so the part count never enters the bits.
 
-    Only this module calls it (a CI step checks that): _over_lines, which
-    forms one product per part, and in_blocks, which every pass in fixed
-    blocks runs through. Elementwise ufuncs and BLAS calls release the
-    GIL, so the parts run at once. A part whose CPU another process holds
-    delays the pass by its whole share.
-    The first part runs on the calling thread and the others on worker
-    threads, each under the calling thread's np.errstate, so one part is
-    one call of fill on the calling thread and starts no thread; scratch
-    is called here, once per part, so a part's buffers are not allocated
-    on a worker. fill may call BLAS: each worker thread that does holds
-    its own OpenBLAS buffer, and what a worker allocates comes from its
-    own malloc arena, which keeps it after the thread ends; both count
-    toward the process's RSS (measured in CHANGES, "The range finders split
-    their products with A" and "Row-major pivot search"). fill must not
-    call a traced library function (the benchmark's span stack is one per
-    process).
-    Every thread is joined before this returns or raises, and the first
-    exception a part raised is raised again here.
+    The library's one function that starts a thread. The first part runs
+    on the calling thread and the others on worker threads, each under the
+    calling thread's np.errstate; each part's buffers come from its own
+    scratch() call, made here. fill may call BLAS (a worker's BLAS buffer
+    and malloc arena count toward the RSS: CHANGES, "The range finders
+    split their products with A" and "Row-major pivot search"), but no
+    traced library function (the benchmark's span stack is one per
+    process). Every thread is joined before this returns or raises, and
+    the first exception a part raised is raised again here.
     """
-    n_parts = max(1, min(usable_cpus() if parts is None else parts, n_blocks))
-    cuts = [n_blocks * k // n_parts for k in range(n_parts + 1)]
-    args = [(cuts[k], cuts[k + 1], *scratch()) for k in range(n_parts)]
+    blocks = -(-n // step)
+    n_parts = max(1, min(usable_cpus() if parts is None else parts, blocks))
+    cuts = [blocks * k // n_parts for k in range(n_parts + 1)]
+    args = [(cuts[k], cuts[k + 1], scratch()) for k in range(n_parts)]
     errors = []
     errstate = np.geterr()
 
-    def run(part):
+    def run(first, last, buffers):
         try:
             with np.errstate(**errstate):
-                fill(*part)
+                for k in range(first, last):
+                    fill(k * step, min(n, (k + 1) * step), *buffers)
         except BaseException as err:  # raised again on the calling thread
             errors.append(err)
 
     workers = []
     try:
         for part in args[1:]:
-            worker = threading.Thread(target=run, args=(part,))
+            worker = threading.Thread(target=run, args=part)
             worker.start()
             workers.append(worker)
-        run(args[0])
+        run(*args[0])
     finally:
         for worker in workers:
             worker.join()
     if errors:
         raise errors[0]
-
-
-def in_blocks(fill, n, step, scratch=tuple, parts=None):
-    """Call fill(lo, hi, *buffers) once for each block [lo, hi) =
-    [k step, min(n, (k + 1) step)) of range(n), through fill_in_parts: the
-    blocks in parts (by default one per usable CPU), each part with the
-    buffers of its own scratch() call, so no worker allocates them.
-
-    Every pass in fixed blocks runs through this: a snapshot generator
-    fills a block of rows, a BLAS pass forms a block's product, in
-    _part_count or _work_parts parts. The blocks follow from n and step
-    alone, so the part count never enters the bits.
-    """
-
-    def run(lo, hi, *buffers):
-        for k in range(lo, hi):
-            fill(k * step, min(n, (k + 1) * step), *buffers)
-
-    fill_in_parts(run, -(-n // step), scratch, parts)
 
 
 def _cpu_parts(most):
@@ -154,17 +130,9 @@ def _part_count(A, lines):
     """How many parts a pass over A is made in, split over A's lines
     (rows for A X and the residual sweep, columns for A' Q and X A): by
     _cpu_parts, each part holding at least PART_ENTRIES of A's entries and
-    PART_LINES lines.
-
-    Measured on numpy's OpenBLAS 0.3.31 (SkylakeX kernels) on one thread,
-    the parts kept the bits of the one call on the paper matrices and on
-    random shapes with any n mod 64, n_s mod 8 and width. The floors keep
-    every part in the regime the one call is in: without them, small
-    parts (below about 10^6 multiply-adds) took OpenBLAS's small-matrix
-    kernels, and a last part of A X with 192 rows or fewer took another
-    path for its last n mod 8 rows; both changed those rows' last bits.
-    Split over A's columns with no floor, Q'A changed bits in 19 of 200
-    random shapes, desk corner's last column among them.
+    PART_LINES lines. The floors keep every part in the kernels the one
+    call runs, so the parts keep its bits; the shapes that set them are in
+    CHANGES ("The range finders split their products with A").
     """
     return _cpu_parts(min(A.size // PART_ENTRIES, lines // PART_LINES))
 
@@ -181,16 +149,17 @@ def _work_parts(work):
 
 def _over_lines(form, A, lines):
     """form(lo, hi) over _part_count(A, lines) contiguous runs [lo, hi) of
-    range(lines), cut at multiples of SWEEP_BLOCK, through fill_in_parts;
-    the short tail of the lines joins the last block. At one part, fewer
-    than SWEEP_BLOCK lines included, this is the one call form(0, lines),
-    made on the calling thread."""
+    range(lines), cut at multiples of SWEEP_BLOCK, the short tail joining
+    the last run: one in_blocks call of one unit block per run. At one
+    part, fewer than SWEEP_BLOCK lines included, this is the one call
+    form(0, lines), made on the calling thread."""
     blocks = lines // SWEEP_BLOCK
+    runs = max(1, min(_part_count(A, lines), blocks))
 
-    def fill(lo, hi):
-        form(lo * SWEEP_BLOCK, lines if hi == blocks else hi * SWEEP_BLOCK)
+    def cut(k):
+        return lines if k == runs else blocks * k // runs * SWEEP_BLOCK
 
-    fill_in_parts(fill, blocks, parts=_part_count(A, lines))
+    in_blocks(lambda k, k1: form(cut(k), cut(k1)), runs, 1, parts=runs)
 
 
 # the entries of a block of block_lines, and of the pivot search's pool of

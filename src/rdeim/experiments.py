@@ -61,11 +61,12 @@ GRID_LOWS = {"n_t": 2, "n_mu": 2, "grid": 2, "param_grid": 2, "n_grid": 2, "n_tr
 SCALES = {
     "osc": {"desk": {"n_t": 2000, "n_mu": 100}, "paper": {"n_t": 10000, "n_mu": 100}},
     "corner": {"desk": {"grid": 50, "param_grid": 15}, "paper": {"grid": 100, "param_grid": 25}},
-    "source": {
-        "desk": {"n_grid": 40, "n_train": 200, "n_test": 50},
-        "paper": {"n_grid": 100, "n_train": 1000, "n_test": 100},
-    },
+    "source": {"desk": {"n_grid": 40, "n_train": 200}, "paper": {"n_grid": 100, "n_train": 1000}},
 }
+
+# the held-out parameters a 'source' run sweeps at each scale, when its
+# spec gives no n_test
+SOURCE_TEST_COUNTS = {"desk": 50, "paper": 100}
 
 BASES = ("svd", "basic", "subspace", "adaptive")
 SELECTORS = ("greedy", "pqr", "srrqr", "leverage", "hybrid")
@@ -186,6 +187,15 @@ def _check_ranges(ranges):
     return ranges
 
 
+def _source_ranges(ranges):
+    """ranges, if it is the box of the source's three parameters, each
+    range finite and nonempty (_check_ranges): the box a source set is
+    sampled from and its held-out points are drawn from."""
+    if len(_check_ranges(ranges)) != 3:
+        raise ValueError("ranges must supply (mu3, mu4, mu5) intervals")
+    return ranges
+
+
 def latin_hypercube(n_samples, ranges, seed):
     """Latin hypercube design: per dimension, one sample per stratum.
 
@@ -243,8 +253,7 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
     varying fastest.
     """
     n_grid, n_train = _grid_counts(n_grid=n_grid, n_train=n_train)
-    if len(_check_ranges(ranges)) != 3:
-        raise ValueError("ranges must supply (mu3, mu4, mu5) intervals")
+    _source_ranges(ranges)
     x = np.linspace(0.0, 1.0, n_grid)
     params = latin_hypercube(n_train, ranges, seed)
     return SnapshotSet(
@@ -257,13 +266,13 @@ def gaussian_source_snapshots(n_grid=100, n_train=1000, ranges=SOURCE_RANGES, se
 
 def source_test_points(snaps, n_test, seed):
     """Held-out source snapshots at parameters drawn uniformly over the box
-    the training set snaps was sampled from. snaps.ranges is read by
-    latin_hypercube's rule (_check_ranges): a set with no box (None, as
-    on a fixed grid) or with an unbounded or empty range raises
-    ValueError."""
+    the training set snaps was sampled from. snaps.ranges is read by the
+    source's rule (_source_ranges): a set with no box (None, as on a
+    fixed grid), with other than three ranges or with an unbounded or
+    empty one raises ValueError."""
     n_test = check_count(n_test, 0, "n_test")
     rng = np.random.default_rng(check_count(seed, 0, "seed"))
-    lo, hi = np.array(_check_ranges(snaps.ranges)).T
+    lo, hi = np.array(_source_ranges(snaps.ranges)).T
     params = lo + (hi - lo) * rng.uniform(size=(n_test, 3))
     x = snaps.space["x1"]
     return SnapshotSet(
@@ -340,7 +349,7 @@ class ExperimentSpec(AlgorithmSpec):
     among them is checked here at its GRID_LOWS low, as the generator
     checks it.
     n_test is the number of held-out parameters a 'source' run sweeps: None
-    takes the scale's count from SCALES, 0 sweeps the training columns
+    takes the scale's count from SOURCE_TEST_COUNTS, 0 sweeps the training columns
     instead; the other examples always sweep their training columns.
     with_bounds adds per-column bound evaluations against the exact-SVD
     reference.
@@ -389,7 +398,6 @@ def generate(spec):
     global _last_set
     args = dict(SCALES[spec.example][spec.scale])
     args.update(spec.overrides)
-    args.pop("n_test", None)  # the held-out count is run_experiment's, not the generator's
     # each count as the int check_count returns, so that an equal count of
     # another integer type finds the held set
     counts = [name for name in args if name in GRID_LOWS]
@@ -507,9 +515,7 @@ def run_experiment(spec):
     reference = None
     if spec.with_bounds:  # an svd basis is its own reference: the held one
         reference = _exact_basis(snaps.matrix, basis.rank)
-    n_test = spec.n_test
-    if n_test is None:
-        n_test = SCALES[spec.example][spec.scale].get("n_test", 0)
+    n_test = SOURCE_TEST_COUNTS[spec.scale] if spec.n_test is None else spec.n_test
     sweep_set = snaps
     if spec.example == "source" and n_test > 0:
         sweep_set = source_test_points(snaps, n_test, spec.seed + 1)

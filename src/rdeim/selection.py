@@ -132,8 +132,6 @@ def sample_count_bound(rank, beta, eps, delta, n=None):
         n = check_count(n, 1, "n")
     for name, val in (("beta", beta), ("eps", eps), ("delta", delta)):
         check_open_unit(val, name)
-    if r / delta <= 1.0:
-        raise ValueError(f"rank/delta must exceed 1 for a positive log, got {r / delta}")
     count = int(np.ceil(2.0 * r / (beta * eps * eps) * np.log(r / delta)))
     if n is not None and count > n:
         warnings.warn(

@@ -46,7 +46,7 @@ def spectrum_matrix(n, n_s, sv, seed):
 
 
 def patch_cpus(monkeypatch, cpus):
-    """Make the process see cpus usable CPUs, as fill_in_parts counts them."""
+    """Make the process see cpus usable CPUs, as in_blocks counts them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 

@@ -352,6 +352,7 @@ def test_rsvd_expected_error_validation():
         ([1.0, np.inf, 0.5], "non-finite"),
         ([1.0, -0.5], "nonnegative"),
         ([0.5, 1.0], "nonincreasing"),
+        ([[1.0, 1.0], [1.0, 1.0]], "^sv must be 1-dimensional, got ndim=2$"),
     ],
 )
 def test_rsvd_expected_error_checks_the_spectrum_as_truncation_rank_does(sv, message):

@@ -26,6 +26,7 @@ from rdeim.experiments import (
     SCALES,
     SELECTORS,
     SOURCE_RANGES,
+    SOURCE_TEST_COUNTS,
     SWEEP_BLOCK,
     AlgorithmSpec,
     ExperimentSpec,
@@ -186,6 +187,18 @@ def test_source_test_points_read_the_ranges_by_the_latin_hypercube_rule():
         source_test_points(unbounded, 3, seed=0)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_source_box_holds_three_ranges(count):
+    # a set rebuilt with two or four ranges broke source_test_points'
+    # draw with a broadcast error; both read the box by one rule
+    ranges = ((0.2, 0.8),) * (count - 1) + ((0.1, 0.3),)
+    snaps = replace(gaussian_source_snapshots(n_grid=4, n_train=5, seed=0), ranges=ranges)
+    for draw in (lambda: gaussian_source_snapshots(n_grid=4, n_train=5, ranges=ranges),
+                 lambda: source_test_points(snaps, 3, seed=0)):
+        with pytest.raises(ValueError, match=r"^ranges must supply \(mu3, mu4, mu5\) intervals$"):
+            draw()
+
+
 def test_source_test_points_reject_a_set_with_no_ranges():
     # an osc set has ranges None, which raised a raw TypeError, as None did
     # in place of a source set's or a design's ranges
@@ -342,46 +355,43 @@ def test_generators_fill_their_blocks_as_the_serial_loop_does(monkeypatch, examp
         (4, 0, [(0, 0)]),
     ],
 )
-def test_fill_in_parts_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus, n_blocks, parts):
+def test_in_blocks_splits_the_blocks_into_one_part_per_cpu(monkeypatch, cpus, n_blocks, parts):
+    # in_blocks cuts n into the blocks [3k, min(n, 3k + 3)), n_blocks of
+    # them with the last one short (n = 0 calls nothing), and the blocks
+    # into parts, one per CPU
     patch_cpus(monkeypatch, cpus)
-    seen, threads = [], []
+    n = max(0, 3 * n_blocks - 1)
+    blocks, buffers = [], []
 
     def fill(lo, hi, buf):
-        seen.append((lo, hi))
-        threads.append(threading.current_thread())
-        buf[:] = lo
-
-    buffers = []
+        blocks.append((lo, hi, id(buf), threading.current_thread()))
 
     def scratch():
         buffers.append(np.empty(2))
         return (buffers[-1],)
 
-    _util.fill_in_parts(fill, n_blocks, scratch)
-    assert sorted(seen) == parts
-    # every part has its own scratch, and the first runs on the calling thread
-    assert [buf[0] for buf in buffers] == [lo for lo, _ in parts]
-    assert threads[seen.index(parts[0])] is threading.current_thread()
-    assert len(set(threads)) == len(parts)
-
-    # in_blocks cuts n into the blocks [3k, min(n, 3k + 3)), n_blocks of
-    # them with the last one short, and passes them through these parts:
-    # the blocks of a part share its one scratch. n = 0 calls nothing
-    n = max(0, 3 * n_blocks - 1)
-    blocks, buffers = [], []
-    _util.in_blocks(lambda lo, hi, buf: blocks.append((lo, hi, id(buf))), n, 3, scratch)
-    assert sorted(lo_hi[:2] for lo_hi in blocks) == [(3 * k, min(n, 3 * k + 3))
-                                                    for k in range(n_blocks)]
+    _util.in_blocks(fill, n, 3, scratch)
+    assert sorted(block[:2] for block in blocks) == [(3 * k, min(n, 3 * k + 3))
+                                                     for k in range(n_blocks)]
+    # every part has its own scratch, made in the order of the parts, and
+    # its blocks share it and one thread; the first part runs on the
+    # calling thread
     assert len(buffers) == len(parts)
-    for lo, hi in parts:
-        assert len({buf for start, _, buf in blocks if lo <= start // 3 < hi}) == (hi > lo)
+    threads = []
+    for (first, last), buf in zip(parts, buffers):
+        mine = [block for block in blocks if block[2] == id(buf)]
+        assert sorted(block[0] // 3 for block in mine) == list(range(first, last))
+        threads.append({block[3] for block in mine})
+        assert len(threads[-1]) == (last > first)
+    assert threads[0] <= {threading.current_thread()}
+    assert len(set().union(*threads)) == sum(last > first for first, last in parts)
     # and n < step is one short block
     blocks.clear()
-    _util.in_blocks(lambda lo, hi, buf: blocks.append((lo, hi, id(buf))), 2, 3, scratch)
-    assert [lo_hi[:2] for lo_hi in blocks] == [(0, 2)]
+    _util.in_blocks(fill, 2, 3, scratch)
+    assert [block[:2] for block in blocks] == [(0, 2)]
 
 
-def test_fill_in_parts_takes_a_part_count(monkeypatch):
+def test_in_blocks_takes_a_part_count(monkeypatch):
     # a count below the CPUs is kept, one above them too, and blocks cap it.
     # 64 parts on at most 2 CPUs switch threads as often as they can: a
     # block taken twice or lost shows in the counts, and each part has its
@@ -397,15 +407,15 @@ def test_fill_in_parts_takes_a_part_count(monkeypatch):
             buffers = []
 
             def scratch():  # called once per part
-                buffers.append(np.empty(1))
+                buffers.append(np.full(1, -1))
                 return (buffers[-1],)
 
             def fill(lo, hi, buf):
-                buf[0] = lo
-                for b in range(lo, hi):
-                    counts[b] += 1
+                if buf[0] < 0:  # the part's first block
+                    buf[0] = lo
+                counts[lo:hi] += 1
 
-            _util.fill_in_parts(fill, n_blocks, scratch, parts=parts)
+            _util.in_blocks(fill, n_blocks, 1, scratch, parts=parts)
             assert (counts == 1).all() and len(buffers) == count
             assert sorted(buf[0] for buf in buffers) == [n_blocks * k // count for k in range(count)]
     finally:
@@ -413,7 +423,7 @@ def test_fill_in_parts_takes_a_part_count(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_fill_in_parts_runs_every_part_under_the_callers_errstate(monkeypatch):
+def test_in_blocks_runs_every_part_under_the_callers_errstate(monkeypatch):
     # the products that check finiteness themselves ignore an overflow; a
     # worker thread would otherwise warn under numpy's default
     patch_cpus(monkeypatch, 3)
@@ -422,12 +432,13 @@ def test_fill_in_parts_runs_every_part_under_the_callers_errstate(monkeypatch):
         np.multiply(np.full(4, 1e300), 1e300)
 
     with np.errstate(over="ignore"):
-        _util.fill_in_parts(fill, 3)
+        _util.in_blocks(fill, 3, 1)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        _util.fill_in_parts(fill, 3)
+        _util.in_blocks(fill, 3, 1)
 
 
-def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
+def test_in_blocks_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
+    # three parts of one block [lo, lo + 2) each
     patch_cpus(monkeypatch, 3)
     before = threading.active_count()
     done = []
@@ -438,7 +449,7 @@ def test_fill_in_parts_raises_from_a_worker_and_leaves_no_thread(monkeypatch):
         done.append(lo)
 
     with pytest.raises(ArithmeticError, match=r"part \[4, 6\)"):
-        _util.fill_in_parts(fill, 6)
+        _util.in_blocks(fill, 6, 2)
     assert threading.active_count() == before
     assert sorted(done) == [0, 2]
 
@@ -1240,7 +1251,7 @@ def test_run_experiment_source_defaults_to_scale_test_count():
     # the 30 training columns
     tiny = {"n_grid": 10, "n_train": 30}
     held_out = run_experiment(ExperimentSpec(example="source", rank=8, overrides=tiny))
-    assert len(held_out.rows) == SCALES["source"]["desk"]["n_test"] == 50
+    assert len(held_out.rows) == SOURCE_TEST_COUNTS["desk"] == 50
     train = run_experiment(ExperimentSpec(example="source", rank=8, n_test=0, overrides=tiny))
     assert len(train.rows) == 30
 

@@ -153,6 +153,11 @@ def test_thin_svd_rejects_nonfinite():
         thin_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_thin_svd_rejects_a_vector():
+    with pytest.raises(ValueError, match="^A must be 2-dimensional, got ndim=1$"):
+        thin_svd(np.ones(3))
+
+
 @pytest.mark.parametrize("rank", [0, 7])
 def test_thin_svd_rejects_rank_out_of_range(rank):
     with pytest.raises(ValueError, match=r"rank must be in \[1, 6\]"):

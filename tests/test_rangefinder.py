@@ -95,6 +95,11 @@ def test_orthonormal_basis_rejects_skew():
         OrthonormalBasis(np.zeros((8, 0)), "exact-svd")
 
 
+def test_orthonormal_basis_rejects_more_columns_than_rows():
+    with pytest.raises(ValueError, match=r"^x basis has more columns than rows \(\(2, 3\)\)$"):
+        OrthonormalBasis(np.eye(3)[:2], "x")
+
+
 # --------------------------------------------------------- gaussian_matrix
 
 
@@ -821,20 +826,20 @@ def test_products_are_one_call_unless_blas_runs_one_thread(monkeypatch, threads)
     monkeypatch.setattr(_util, "blas_threads", lambda: threads)
     assert _util._part_count(A, 3100) == _util._part_count(A, 1017) == 1
 
-    # every product still goes through fill_in_parts, in one part
-    fill_in_parts = _util.fill_in_parts
+    # every product still goes through in_blocks, in one part of one run
+    in_blocks = _util.in_blocks
     calls = []
 
-    def one_part(fill, n_blocks, parts):
+    def one_part(fill, n, step, parts):
         assert parts == 1, "a product was split"
-        calls.append(n_blocks)
-        fill_in_parts(fill, n_blocks, parts=parts)
+        calls.append((n, step))
+        in_blocks(fill, n, step, parts=parts)
 
-    monkeypatch.setattr(_util, "fill_in_parts", one_part)
+    monkeypatch.setattr(_util, "in_blocks", one_part)
     assert np.array_equal(rangefinder._times(A, X), (X.T @ A.T).T)
     assert np.array_equal(rangefinder._transposed_times(A, Q), A.T @ Q)
     assert np.array_equal(rangefinder._left_times(Q.T, A), Q.T @ A)
-    assert calls == [3100 // 64, 1017 // 64, 1017 // 64]
+    assert calls == [(1, 1)] * 3
 
 
 def test_blas_threads_reads_the_count_on_every_call(one_blas_thread):

@@ -106,6 +106,12 @@ def test_mixed_pmf_validation():
         mixed_pmf(np.array([2.5, -0.5]), 2, 0.5)
 
 
+@pytest.mark.parametrize("leverage", [np.ones((2, 2)), np.empty(0)], ids=["2-d", "empty"])
+def test_mixed_pmf_rejects_a_leverage_that_is_not_a_nonempty_vector(leverage):
+    with pytest.raises(ValueError, match="^leverage must be a nonempty 1-d array$"):
+        mixed_pmf(leverage, 2, 0.5)
+
+
 def test_mixed_pmf_rejects_a_nan_score():
     # a NaN makes the sum NaN, which the rank-sum check does not catch
     with pytest.raises(ValueError, match="nonnegative"):

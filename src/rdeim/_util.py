@@ -154,7 +154,7 @@ def _over_lines(form, A, lines):
     part, fewer than SWEEP_BLOCK lines included, this is the one call
     form(0, lines), made on the calling thread."""
     blocks = lines // SWEEP_BLOCK
-    runs = max(1, min(_part_count(A, lines), blocks))
+    runs = _part_count(A, lines)  # at most blocks // 4 where above 1
 
     def cut(k):
         return lines if k == runs else blocks * k // runs * SWEEP_BLOCK

@@ -349,8 +349,9 @@ class ExperimentSpec(AlgorithmSpec):
     among them is checked here at its GRID_LOWS low, as the generator
     checks it.
     n_test is the number of held-out parameters a 'source' run sweeps: None
-    takes the scale's count from SOURCE_TEST_COUNTS, 0 sweeps the training columns
-    instead; the other examples always sweep their training columns.
+    takes the scale's count from SOURCE_TEST_COUNTS, 0 sweeps the training
+    columns instead; the other examples always sweep their training
+    columns.
     with_bounds adds per-column bound evaluations against the exact-SVD
     reference.
     """

@@ -16,7 +16,6 @@ from .exceptions import (
     SpectralGapError,
 )
 from .linalg import (
-    CanonicalAngles,
     SRRQRFactors,
     ThinSVD,
     canonical_angles,

@@ -84,7 +84,7 @@ def column_bounds(P, F, reference=None):
     if reference is not None:
         reference = orthonormal_basis(reference, "reference")
         # also rejects a reference whose shape differs from the projector's basis
-        sin_max = canonical_angles(reference, P.orthonormal).sin_theta_max
+        sin_max = canonical_angles(reference, P.orthonormal)
     # a NaN or an infinity in F, or a square that overflowed, leaves a sum
     # non-finite, which is checked with no warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -298,12 +298,12 @@ class AlgorithmSpec:
     or 'adaptive' (tol, block, max_blocks; truncated to rank). selector is
     one of SELECTORS; eta drives 'srrqr' and 'hybrid', beta and samples the
     sampled 'leverage' and 'hybrid'. samples defaults to the practical
-    leverage count; a given count is drawn as given, with replacement,
-    also above the row count. seed drives every random draw. Every option
-    is checked whatever the basis and selector, by the helpers the kernels
-    that read it use, so a rule and its message are written once. A
-    count, n_test included, must be an integer: a float or a bool is
-    rejected.
+    leverage count; a given count, at least the rank, is drawn as given,
+    with replacement, also above the row count. seed drives every random
+    draw. Every option is checked whatever the basis and selector, by the
+    helpers the kernels that read it use, so a rule and its message are
+    written once. A count, n_test included, must be an integer: a float
+    or a bool is rejected.
     """
 
     rank: int
@@ -334,6 +334,8 @@ class AlgorithmSpec:
         check_open_unit(self.beta, "beta")
         if self.samples is not None:
             check_count(self.samples, 1, "samples")
+            # fewer draws than the rank cannot see the whole basis
+            check_count(self.samples, self.rank, "samples")
         check_count(self.seed, 0, "seed")
 
 
@@ -347,11 +349,11 @@ class ExperimentSpec(AlgorithmSpec):
     overrides replaces some of them; its keys must be arguments of the
     example's generator (GENERATORS), the seed aside, and a grid count
     among them is checked here at its GRID_LOWS low, as the generator
-    checks it.
+    checks it, and kept as the int check_count returns.
     n_test is the number of held-out parameters a 'source' run sweeps: None
     takes the scale's count from SOURCE_TEST_COUNTS, 0 sweeps the training
-    columns instead; the other examples always sweep their training
-    columns.
+    columns instead; the other examples sweep their training columns and
+    reject an n_test.
     with_bounds adds per-column bound evaluations against the exact-SVD
     reference.
     """
@@ -370,13 +372,19 @@ class ExperimentSpec(AlgorithmSpec):
             raise ValueError(f"unknown scale {self.scale!r}; choose from {SCALE_NAMES}")
         if self.n_test is not None:
             check_count(self.n_test, 0, "n_test")
+            if self.example != "source":
+                raise ValueError(f"n_test is the held-out count of a 'source' run; "
+                                 f"{self.example} sweeps its training columns")
         if "n_test" in self.overrides:
             raise ValueError("the held-out count is not a grid override; pass it as n_test=")
         options = sorted(inspect.signature(GENERATORS[self.example]).parameters.keys() - {"seed"})
         unknown = sorted(self.overrides.keys() - set(options))
         if unknown:
             raise ValueError(f"unknown {self.example} overrides {unknown}; choose from {options}")
-        _grid_counts(**{k: v for k, v in self.overrides.items() if k in GRID_LOWS})
+        # an equal count of another integer type gives generate the same key
+        counts = {k: v for k, v in self.overrides.items() if k in GRID_LOWS}
+        counts = dict(zip(counts, _grid_counts(**counts)))
+        object.__setattr__(self, "overrides", {**self.overrides, **counts})
 
 
 # (key, SnapshotSet, (rank, OrthonormalBasis) or None) of the last set
@@ -397,12 +405,7 @@ def generate(spec):
     are read-only: writing into one raises ValueError.
     """
     global _last_set
-    args = dict(SCALES[spec.example][spec.scale])
-    args.update(spec.overrides)
-    # each count as the int check_count returns, so that an equal count of
-    # another integer type finds the held set
-    counts = [name for name in args if name in GRID_LOWS]
-    args.update(zip(counts, _grid_counts(**{name: args[name] for name in counts})))
+    args = {**SCALES[spec.example][spec.scale], **spec.overrides}
     # by value, since an override may hold a list; only 'source' reads the seed
     seed = spec.seed if spec.example == "source" else None
     key = (spec.example, repr(sorted(args.items())), seed)

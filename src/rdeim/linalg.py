@@ -71,14 +71,6 @@ class SRRQRFactors:
     max_interaction: float
 
 
-@dataclass(frozen=True)
-class CanonicalAngles:
-    """Principal angles between two equally sized subspaces: sin_theta_max
-    is the sine of the largest angle."""
-
-    sin_theta_max: float
-
-
 def thin_svd(A, rank=None):
     """Thin SVD of a dense matrix by the R-SVD: a Householder QR of A, the
     SVD of the small triangular factor, and Q applied to the kept columns.
@@ -534,10 +526,10 @@ def spectral_norm(M):
 
 
 def canonical_angles(W, Wh):
-    """The largest canonical (principal) angle between two orthonormal
-    column spans.
+    """The sine of the largest canonical (principal) angle between two
+    orthonormal column spans.
 
-    Its sine is ``||Wh - W (W.T @ Wh)||_2`` clamped into [0, 1] (Bjorck &
+    It is ``||Wh - W (W.T @ Wh)||_2`` clamped into [0, 1] (Bjorck &
     Golub, Math. Comp. 1973), one SVD, accurate to roundoff at every
     angle; sqrt(1 - min(cos)^2) from the singular values of ``W.T @ Wh``
     would sit on a grid of about sqrt(k * 2.2e-16), so a sine below about
@@ -552,15 +544,15 @@ def canonical_angles(W, Wh):
 
     Returns
     -------
-    CanonicalAngles
+    float
     """
     W = orthonormal_basis(W, "W").matrix
     Wh = orthonormal_basis(Wh, "Wh").matrix
     if W.shape != Wh.shape:
         raise ValueError(f"subspace dimensions differ: {W.shape} vs {Wh.shape}")
     if np.array_equal(W, Wh):
-        return CanonicalAngles(sin_theta_max=0.0)
-    return CanonicalAngles(sin_theta_max=min(1.0, spectral_norm(Wh - W @ (W.T @ Wh))))
+        return 0.0
+    return min(1.0, spectral_norm(Wh - W @ (W.T @ Wh)))
 
 
 def column_residuals(A, pairs):

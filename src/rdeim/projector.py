@@ -34,7 +34,6 @@ class DeimProjector:
     cross_u: np.ndarray
     cross_s: np.ndarray
     cross_v: np.ndarray
-    rank: int
 
     @property
     def basis(self):
@@ -71,7 +70,7 @@ class DeimProjector:
         # non-finite, which is checked with no warning
         with np.errstate(over="ignore", invalid="ignore"):
             c = self.cross_v @ ((self.cross_u.T @ (w * vals)) / sigma)
-        finite_product(c.reshape(self.rank, -1), vals.reshape(idx.size, -1),
+        finite_product(c.reshape(self.orthonormal.rank, -1), vals.reshape(idx.size, -1),
                        "f at the selected points", "the coefficients of f")
         return c
 
@@ -92,7 +91,7 @@ class DeimProjector:
         G = self.cross_v @ (self.cross_u.T / self.cross_s[:, None])  # (S'W)^+, r x s
         scaled = G * self.selection.weights[None, :]
         rows, where = np.unique(self.selection.indices, return_inverse=True)
-        merged = np.zeros((rows.size, self.rank))
+        merged = np.zeros((rows.size, self.orthonormal.rank))
         np.add.at(merged, where, scaled.T)  # repeated draws of one row add up
         return spectral_norm(merged)
 
@@ -117,10 +116,9 @@ def build_projector(W, S):
         basis.
     """
     W = orthonormal_basis(W, "W")
-    r = W.rank
     U, s, Vt = _svd(_cross_matrix(W, S), _CROSS, full_matrices=False)
     _require_full_rank(s)
-    return DeimProjector(orthonormal=W, selection=S, cross_u=U, cross_s=s, cross_v=Vt.T, rank=r)
+    return DeimProjector(orthonormal=W, selection=S, cross_u=U, cross_s=s, cross_v=Vt.T)
 
 
 def check_full_rank(W, S):

@@ -92,10 +92,9 @@ def _checked_qr(Y, A, what):
 
 def _times(A, X):
     """A @ X for a tall A and a thin X, formed as (X' A')' so that A's
-    rows are BLAS's M operand. On one BLAS thread that is faster (19.7 ->
-    13.0 ms for the paper source matrix times 10 columns, 2.7 -> 0.9 ms
-    for a 10000 x 110 basis times 10 columns), and the subspace finder's
-    sketches of the paper matrices keep the bits of A @ X. It is
+    rows are BLAS's M operand: faster on one BLAS thread (measurements:
+    CHANGES, "Adaptive range finder by randQB_FP"), and the subspace
+    finder's sketches of the paper matrices keep the bits of A @ X. It is
     _left_times on A', whose columns are A's rows."""
     return _left_times(X.T, A.T).T
 

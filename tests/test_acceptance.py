@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from rdeim.bounds import (
-    angle_bound_constant,
+    expected_angle_bound,
     hybrid_constant,
     interpolation_error_bound,
     leverage_constant,
     perturbed_basis_bound,
     rsvd_expected_error,
+    srrqr_constant,
+    wedin_angle_bound,
 )
 from rdeim.exceptions import DegenerateSelectionError
 from rdeim.experiments import (
@@ -68,7 +70,7 @@ def test_criterion_01_power_iteration_recovers_gapped_subspace():
         A, _ = gap_matrix(n, n_s, rank=r, gamma=0.05, seed=case)
         exact = svd_basis(A, r)
         W = subspace_range_finder(A, rank=r, oversample=10, power=3, seed=case)
-        worst = max(worst, canonical_angles(exact.matrix, W.matrix).sin_theta_max)
+        worst = max(worst, canonical_angles(exact.matrix, W.matrix))
     _report(1, "gapped-subspace recovery", worst <= 1e-6, f"worst sin theta {worst:.2e}")
 
 
@@ -103,17 +105,19 @@ def test_criterion_03_angle_bound_and_power_monotonicity():
     gamma, r, p, n_s, n = 0.5, 5, 10, 60, 100
     A, _ = gap_matrix(n, n_s, rank=r, gamma=gamma, seed=0)
     exact = svd_basis(A, r)
-    C = angle_bound_constant(r, p, n_s)
     means, sems, ok = [], [], True
+    wedin = 0.0  # the largest sine over its Wedin bound
     for q in (0, 1, 2, 3):
         sines = []
         for trial in range(50):
             W = subspace_range_finder(A, rank=r, oversample=p, power=q, seed=300 + trial)
-            sines.append(canonical_angles(exact.matrix, W.matrix).sin_theta_max)
+            sine = canonical_angles(exact, W)
+            # the leading left singular vectors of W W'A span W
+            wedin = max(wedin, sine / wedin_angle_bound(A, W.matrix @ (W.matrix.T @ A), r))
+            sines.append(sine)
         sines = np.asarray(sines)
         mean = float(sines.mean())
-        bound = min(1.0, gamma ** (2 * q + 1) * C / (1.0 - gamma))
-        if mean > bound:
+        if mean > expected_angle_bound(gamma, r, p, q, n_s):
             ok = False
         means.append(mean)
         sems.append(float(sines.std(ddof=1) / np.sqrt(sines.size)))
@@ -123,9 +127,9 @@ def test_criterion_03_angle_bound_and_power_monotonicity():
             ok = False
     _report(
         3,
-        "expected angle bound, monotone in power",
-        ok,
-        "means " + " ".join(f"{m:.2e}" for m in means),
+        "expected and Wedin angle bounds, monotone in power",
+        ok and wedin <= 1.0,
+        "means " + " ".join(f"{m:.2e}" for m in means) + f", sine/Wedin max {wedin:.2f}",
     )
 
 
@@ -158,7 +162,7 @@ def test_criterion_05_srrqr_selection_constant():
         W = random_orthonormal(n, r, seed=2000 + case)
         S = srrqr_select(W, eta=eta)
         inv_norm = spectral_norm(np.linalg.inv(W[S.indices, :]))
-        if inv_norm > np.sqrt(1.0 + eta * eta * r * (n - r)):
+        if inv_norm > srrqr_constant(eta, r, n):
             failures += 1
     _report(5, "selection constant guarantee", failures == 0, f"{failures}/100 failures")
 
@@ -173,13 +177,14 @@ def test_criterion_06_sampled_projector_norm_monte_carlo():
     d_ls = leverage_constant(n, c, beta, eps)
     d_hyb = hybrid_constant(n, c, beta, eps, 2.0, r)
     fail_ls = fail_hyb = 0
+    # the constants bound the theorem's ||(S'W)^+|| ||S||, never below the exact ||D||_2
     for seed in range(200):
         S = leverage_select(W, c, beta=beta, seed=seed)
-        if build_projector(W, S).error_constant() > d_ls:
+        if build_projector(W, S).error_constant_product() > d_ls:
             fail_ls += 1
         try:
             _, _, Sh = hybrid_select(W, c, beta=beta, eta=2.0, seed=seed)
-            if build_projector(W, Sh).error_constant() > d_hyb:
+            if build_projector(W, Sh).error_constant_product() > d_hyb:
                 fail_hyb += 1
         except DegenerateSelectionError:
             fail_hyb += 1

@@ -127,6 +127,41 @@ def test_select_checks_rank_from_singular_values_alone(tmp_path, monkeypatch, se
     assert calls == [False]
 
 
+def test_basis_out_of_blocks_writes_nothing(tmp_path, capsys):
+    # one block of 10 columns leaves a random 60 x 40 matrix far above 1e-9
+    mat = tmp_path / "m.rdmx"
+    write_matrix(mat, random_matrix(60, 40, seed=0))
+    out = tmp_path / "b.rdmx"
+    argv = ["basis", "--matrix", str(mat), "--basis", "adaptive", "--max-blocks", "1",
+            "--tol", "1e-9", "--out", str(out)]
+    assert main(argv) == 1
+    assert "rdeim basis: tolerance 1e-09 not reached after 1 blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_on_a_file_8_bytes_short_writes_nothing(tmp_path, capsys):
+    basis = tmp_path / "w.rdmx"
+    write_matrix(basis, random_orthonormal(60, 5, seed=0))
+    basis.write_bytes(basis.read_bytes()[:-8])
+    points = tmp_path / "pts.csv"
+    assert main(["select", "--basis-file", str(basis), "--out", str(points)]) == 1
+    assert "payload holds 2392 bytes, expected 2400" in capsys.readouterr().err
+    assert not points.exists()
+
+
+@pytest.mark.parametrize("selector", ["leverage", "hybrid"])
+def test_select_rejects_fewer_samples_than_the_rank(tmp_path, capsys, selector):
+    # checked by the spec, before any point is drawn
+    basis = tmp_path / "w.rdmx"
+    write_matrix(basis, random_orthonormal(60, 8, seed=0))
+    points = tmp_path / "pts.csv"
+    argv = ["select", "--basis-file", str(basis), "--select", selector, "--samples", "5",
+            "--out", str(points)]
+    assert main(argv) == 1
+    assert "rdeim select: samples must be >= 8, got 5" in capsys.readouterr().err
+    assert not points.exists()
+
+
 def test_select_leverage_weights(tmp_path):
     basis = tmp_path / "w.rdmx"
     W, _ = np.linalg.qr(random_matrix(60, 5, seed=1))
@@ -234,6 +269,7 @@ def test_approx_rejects_a_negative_seed(tmp_path, capsys, extra):
         (["--select", "greedy", "--eta", "0.5"], "eta must be >= 1"),
         (["--select", "pqr", "--samples", "-3"], "samples must be >= 1"),
         (["--select", "leverage", "--beta", "2"], "beta must lie in (0, 1)"),
+        (["--n-test", "5"], "n_test is the held-out count of a 'source' run; osc sweeps"),
     ],
 )
 def test_approx_rejects_an_option_the_choice_does_not_read(tmp_path, capsys, options, message):

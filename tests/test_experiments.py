@@ -568,6 +568,8 @@ def test_spec_validation():
         ("beta", 0.0, r"beta must lie in \(0, 1\)"),
         ("samples", -3, "samples must be >= 1"),
         ("samples", 0, "samples must be >= 1"),
+        # fewer draws than the rank cannot see the basis
+        ("samples", 4, "samples must be >= 5, got 4"),
     ]
     # a count is an integer: a float is not truncated, and a bool is no count
     for name in ("rank", "oversample", "power", "block", "max_blocks", "samples", "n_test"):
@@ -584,6 +586,15 @@ def test_spec_validation():
     for check in (lambda: mixed_pmf(lev, 5, 2.0), lambda: AlgorithmSpec(rank=5, beta=2.0)):
         with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\), got 2\.0$"):
             check()
+
+
+def test_spec_rejects_a_held_out_count_outside_source():
+    # osc and corner sweep their training columns, so an n_test would do nothing
+    for example in ("osc", "corner"):
+        for n_test in (0, 5):
+            with pytest.raises(ValueError, match=f"^n_test is the held-out count of a 'source' "
+                                                 f"run; {example} sweeps its training columns$"):
+                ExperimentSpec(example=example, rank=5, n_test=n_test)
 
 
 def test_spec_rejects_held_out_count_in_overrides():
@@ -688,6 +699,7 @@ def test_an_equal_count_of_another_integer_type_finds_the_held_set():
     snaps = generate(spec)
     basis = experiments._exact_basis(snaps.matrix, 5)
     same = replace(spec, overrides={"n_t": np.int64(50), "n_mu": np.int32(7)})
+    assert [type(count) for count in same.overrides.values()] == [int, int]
     assert generate(same) is snaps
     assert experiments._exact_basis(generate(same).matrix, 5) is basis
 
@@ -769,8 +781,8 @@ def _bounds_desk_grid(overrides):
         example = ("osc", "corner", "source")[i // 3]
         yield ExperimentSpec(
             example=example, rank=5, basis=("basic", "subspace", "adaptive")[i % 3],
-            selector=SELECTORS[i % 5], samples=20, n_test=10, tol=1e-2, block=4, max_blocks=8,
-            with_bounds=True, overrides=overrides[example], seed=i,
+            selector=SELECTORS[i % 5], samples=20, n_test=10 if example == "source" else None,
+            tol=1e-2, block=4, max_blocks=8, with_bounds=True, overrides=overrides[example], seed=i,
         )
 
 

@@ -33,9 +33,9 @@ def _sampled_projector(n, r, s, seed):
 def test_build_modes():
     # an interpolatory selection (s == r unit-weight points) and a sampled one
     W, P = _interp_projector(20, 4, seed=0)
-    assert P.rank == P.selection.s == 4 and np.all(P.selection.weights == 1.0)
+    assert P.orthonormal.rank == P.selection.s == 4 and np.all(P.selection.weights == 1.0)
     _, Ps = _sampled_projector(20, 4, s=15, seed=0)
-    assert Ps.rank == 4 and Ps.selection.s == 15
+    assert Ps.orthonormal.rank == 4 and Ps.selection.s == 15
 
 
 def test_build_validation():
